@@ -8,6 +8,15 @@ Two arithmetic regimes coexist:
   termination detection and polynomial extraction;
 * float mode for grid evaluation, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
+
+Termination is decided from the parameters (Ronveaux, *Heun's
+Differential Equations*, 1995; DLMF §31.5).  A local Heun series can
+stop at degree N only if (N + alpha)(N + beta) = 0, and a confluent Heun
+series only if 4p(N + alpha) = 0, where p = 0 means N(N - 1 + gamma +
+delta) = sigma.  The exact recurrence is then run over N + 2 terms, and
+only when such an N exists.  Series that terminate by degree
+``MAX_DEGREE`` are evaluated as exact polynomials; longer ones are
+summed as floats and have no polynomial form.
 """
 
 from __future__ import annotations
@@ -34,9 +43,9 @@ from .exactalg import Poly, rat
 Scalar = Union[Fraction, int, float]
 
 MAX_TERMS = 100_000
-#: how many exact coefficients are scanned for termination before falling
-#: back to float streaming (covers every polynomial case used here)
-EXACT_PREFIX = 128
+#: highest degree of a terminating Heun or confluent Heun series that is
+#: built as an exact polynomial; longer series are summed as floats
+MAX_DEGREE = 256
 
 
 def _is_exact(v: Scalar) -> bool:
@@ -363,21 +372,42 @@ def heun_coeffs(params: HeunParams, count: int) -> list:
     return [c for _, c in zip(range(count), stream)]
 
 
-def _heun_terminated(params: HeunParams, cap: int) -> tuple[list[Fraction], bool]:
-    if not params.is_rational:
+def _heun_stop_degree(params: HeunParams) -> int | None:
+    """Largest degree N at which the local series can terminate, else None.
+
+    c_{N+2} = -(N+alpha)(N+beta) c_N / (...) once c_{N+1} = 0, so N must
+    make alpha or beta equal to -N.
+    """
+    stops = [int(-v) for v in (params.alpha, params.beta) if _is_nonpositive_integer(v)]
+    return max(stops) if stops else None
+
+
+def _heun_terminated(params: HeunParams) -> tuple[list[Fraction], bool]:
+    stop = _heun_stop_degree(params) if params.is_rational else None
+    if stop is None:
         return [], False
-    return _exact_prefix(_heun_stream(params, True), cap)
+    return _exact_prefix(_heun_stream(params, True), min(stop, MAX_DEGREE) + 2)
 
 
-def heun_poly(params: HeunParams, max_degree: int = 256) -> Poly:
+def heun_poly(params: HeunParams) -> Poly:
     """Exact polynomial form of a terminating local Heun series.
 
-    Raises :class:`DivergentSeries` if no termination occurs by ``max_degree``.
+    Raises :class:`DivergentSeries` if the series does not terminate by
+    degree ``MAX_DEGREE``.
     """
-    coeffs, terminated = _heun_terminated(params, max_degree + 2)
+    coeffs, terminated = _heun_terminated(params)
     if not terminated:
-        raise DivergentSeries(f"local Heun series does not terminate by degree {max_degree}")
+        raise DivergentSeries(_no_poly_message("local Heun", params, _heun_stop_degree))
     return Poly(tuple(coeffs))
+
+
+def _no_poly_message(name: str, params, stop_degree: Callable) -> str:
+    stop = stop_degree(params) if params.is_rational else None
+    if stop is None:
+        return f"{name} series does not terminate; no polynomial form"
+    if stop > MAX_DEGREE:
+        return f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {MAX_DEGREE}"
+    return f"{name} series does not terminate by degree {stop}"
 
 
 def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
@@ -391,7 +421,7 @@ def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> Serie
 
 
 def _heun_eval(params: HeunParams, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
-    coeffs, terminated = _heun_terminated(params, EXACT_PREFIX)
+    coeffs, terminated = _heun_terminated(params)
     if terminated:
         return SeriesResult(_eval_exact_poly(coeffs, x, deriv), len(coeffs), True, 0.0)
     radius = heun_radius(params)
@@ -430,17 +460,44 @@ def confluent_heun_coeffs(params: ConfluentHeunParams, count: int) -> list:
     return [c for _, c in zip(range(count), stream)]
 
 
-def confluent_heun_poly(params: ConfluentHeunParams, max_degree: int = 256) -> Poly:
-    coeffs, terminated = _confluent_terminated(params, max_degree + 2)
+def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
+    """Exact polynomial form of a terminating confluent Heun series.
+
+    Raises :class:`DivergentSeries` if the series does not terminate by
+    degree ``MAX_DEGREE``.
+    """
+    coeffs, terminated = _confluent_terminated(params)
     if not terminated:
-        raise DivergentSeries(f"confluent Heun series does not terminate by degree {max_degree}")
+        raise DivergentSeries(_no_poly_message("confluent Heun", params, _confluent_stop_degree))
     return Poly(tuple(coeffs))
 
 
-def _confluent_terminated(params: ConfluentHeunParams, cap: int) -> tuple[list[Fraction], bool]:
-    if not params.is_rational:
+def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
+    """Largest degree N at which the confluent series can terminate, else None.
+
+    c_{N+2} = 4p(N+alpha) c_N / (...) once c_{N+1} = 0.  For p != 0 this
+    needs alpha = -N.  For p = 0 the recurrence has two terms and stops
+    exactly at the non-negative integer roots of N^2 + (gamma+delta-1)N - sigma.
+    """
+    if params.p != 0:
+        return int(-params.alpha) if _is_nonpositive_integer(params.alpha) else None
+    b = rat(params.gamma) + rat(params.delta) - 1
+    disc = b * b + 4 * rat(params.sigma)
+    if disc < 0:
+        return None
+    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return None
+    roots = [r for r in ((-b + Fraction(num, den)) / 2, (-b - Fraction(num, den)) / 2)
+             if r >= 0 and r.denominator == 1]
+    return int(max(roots)) if roots else None
+
+
+def _confluent_terminated(params: ConfluentHeunParams) -> tuple[list[Fraction], bool]:
+    stop = _confluent_stop_degree(params) if params.is_rational else None
+    if stop is None:
         return [], False
-    return _exact_prefix(_confluent_stream(params, True), cap)
+    return _exact_prefix(_confluent_stream(params, True), min(stop, MAX_DEGREE) + 2)
 
 
 def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
@@ -453,7 +510,7 @@ def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e
 
 
 def _confluent_eval(params: ConfluentHeunParams, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
-    coeffs, terminated = _confluent_terminated(params, EXACT_PREFIX)
+    coeffs, terminated = _confluent_terminated(params)
     if terminated:
         return SeriesResult(_eval_exact_poly(coeffs, x, deriv), len(coeffs), True, 0.0)
     if abs(float(x)) >= 1.0:

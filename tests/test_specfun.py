@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heunops import specfun
 from heunops.errors import (
@@ -23,6 +25,7 @@ from heunops.specfun import (
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_ode_residual,
+    confluent_heun_poly,
     f_poly,
     gauss_legendre,
     heun_local,
@@ -205,6 +208,94 @@ class TestConfluentHeun:
     def test_residual_control(self):
         cp = ConfluentHeunParams(1, 2, 1, 1, 3)
         assert not confluent_heun_ode_residual(cp, Poly.of(1, 1)).is_zero()
+
+
+#: Drawn parameters can stop no later than this degree, so a scan of
+#: 3 * ORACLE_DEGREE exact coefficients sees every termination.
+ORACLE_DEGREE = 8
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+gammas = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(7, 3)])
+near_miss = st.sampled_from([F(0), F(0), F(1, 7)])
+
+
+def _scan_oracle(stream):
+    """Plain termination scan that ignores the parameters."""
+    return specfun._exact_prefix(stream, 3 * ORACLE_DEGREE)
+
+
+@st.composite
+def heun_cases(draw):
+    n = draw(st.integers(0, ORACLE_DEGREE))
+    a = draw(st.sampled_from([F(-2), F(-1, 2), F(1, 2), F(2), F(3)]))
+    gamma = draw(gammas)
+    alpha = draw(st.one_of(st.just(F(-n)), small))
+    beta = draw(st.one_of(st.integers(-ORACLE_DEGREE, 0).map(F), small))
+    family = draw(st.sampled_from(["2F1(x)", "2F1(x/a)", "degree 1", "free"]))
+    if family == "2F1(x)":  # epsilon = 0, q = a alpha beta reduces Hl to 2F1(alpha, beta; gamma; x)
+        delta, q = alpha + beta + 1 - gamma, a * alpha * beta
+    elif family == "2F1(x/a)":  # delta = 0, q = alpha beta reduces Hl to 2F1(alpha, beta; gamma; x/a)
+        delta, q = F(0), alpha * beta
+    elif family == "degree 1":  # alpha = -1 and this delta make c_2 vanish, also when beta = 0
+        alpha, q = F(-1), draw(small.filter(lambda v: v != 0))
+        delta = -(q * q + (gamma * a + beta) * q + a * gamma * beta) / ((a - 1) * q)
+    else:
+        delta, q = draw(small), draw(small)
+    return HeunParams(a, q + draw(near_miss), alpha, beta, gamma, delta)
+
+
+@st.composite
+def confluent_cases(draw):
+    n = draw(st.integers(0, ORACLE_DEGREE))
+    gamma, delta, alpha = draw(gammas), draw(small), draw(st.one_of(st.just(F(-n)), small))
+    family = draw(st.sampled_from(["p=0", "degree 1", "free"]))
+    if family == "p=0":  # two-term recurrence, polynomial of degree n
+        p, sigma = F(0), n * (n - 1 + gamma + delta)
+    elif family == "degree 1":  # alpha = -1 and this p make c_2 vanish
+        sigma = draw(small.filter(lambda s: s != gamma))
+        alpha, p = F(-1), sigma * (gamma + delta - sigma) / (4 * (sigma - gamma))
+    else:
+        p, sigma = draw(small), draw(st.one_of(st.just(F(0)), small))
+    return ConfluentHeunParams(p, gamma, delta, alpha, sigma + draw(near_miss))
+
+
+class TestTermination:
+    def test_confluent_degree_above_old_scan(self):
+        # p = 0: N(N - 1 + gamma + delta) = sigma at N = 150
+        cp = ConfluentHeunParams(0, 1, 0, F(1, 2), 22500)
+        poly = confluent_heun_poly(cp)
+        r = confluent_heun(cp, 2)
+        assert poly.degree == 150
+        assert r.terminated and r.terms_used == 151
+        assert r.value == float(poly(2))
+
+    def test_heun_degree_above_old_scan(self):
+        r = heun_local(F_PARAMS(65), 0.8)
+        assert r.terminated and r.terms_used == 131
+
+    def test_max_degree(self):
+        n = specfun.MAX_DEGREE // 2
+        poly = heun_poly(F_PARAMS(n))
+        assert poly.degree == 2 * n and poly(F(1, 4)) == kernel_sum("F", n, F(1, 4))
+        with pytest.raises(DivergentSeries, match="degree 300"):
+            heun_poly(F_PARAMS(150))
+
+    @settings(max_examples=200, deadline=None)
+    @given(heun_cases())
+    def test_heun_stop_degree_matches_scan(self, hp):
+        coeffs, terminated = specfun._heun_terminated(hp)
+        ref, ref_terminated = _scan_oracle(specfun._heun_stream(hp, True))
+        assert terminated == ref_terminated
+        if terminated:
+            assert coeffs == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(confluent_cases())
+    def test_confluent_stop_degree_matches_scan(self, cp):
+        coeffs, terminated = specfun._confluent_terminated(cp)
+        ref, ref_terminated = _scan_oracle(specfun._confluent_stream(cp, True))
+        assert terminated == ref_terminated
+        if terminated:
+            assert coeffs == ref
 
 
 class TestKernelSums:
