@@ -227,10 +227,12 @@ def _sum_series(stream: Iterator, x: float, tol: float, radius: float, deriv: bo
 
 
 def _eval_exact_poly(coeffs: list[Fraction], x, deriv: bool) -> float:
+    """Value at ``x``, rounded once: a float ``x`` is converted exactly,
+    because float Horner on large alternating coefficients cancels."""
     p = Poly(tuple(coeffs))
     if deriv:
         p = p.derivative()
-    return float(p(rat(x) if _is_exact(x) else float(x)))
+    return float(p(rat(x) if _is_exact(x) else Fraction(float(x))))
 
 
 # ---------------------------------------------------------------------------

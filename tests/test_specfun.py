@@ -140,6 +140,13 @@ class TestHeunLocal:
         assert abs(r.value - p(0.37)) < 1e-13
         assert heun_poly(F_PARAMS(n)) == p
 
+    @pytest.mark.parametrize("n", (16, 20, 65))
+    def test_terminating_value_at_float_x(self, n):
+        # oracle: the defining sum of positive squared weights, accurate in floats
+        r = heun_local(F_PARAMS(n), 0.8)
+        ref = kernel_sum("F", n, 0.8)
+        assert r.terminated and abs(r.value - ref) <= 1e-14 * ref
+
     def test_derivative_series(self):
         got = heun_local_deriv(F_PARAMS(2), 0.3).value
         assert abs(got - f_poly(2).derivative()(0.3)) < 1e-12
