@@ -743,7 +743,7 @@ def _apply_rule(kind: str, npoints: int, a: float, b: float, f: Callable[[float]
         if not math.isfinite(v):
             raise NonFinite(f"integrand is not finite at node {t}")
         total += w * v
-    return total
+    return float(total)
 
 
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> tuple[float, float]:

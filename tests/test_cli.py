@@ -87,6 +87,13 @@ class TestVerify:
         assert doc["command"] == "verify" and doc["pass"] is True
         assert len(doc["rows"]) == 39  # 3 n-values x 13 j-values
 
+    def test_json_all(self, capsys):
+        code, out, _ = run(capsys, "verify", "--all", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] is True
+        assert len(doc["rows"]) == 336
+        assert all(row["pass"] is True for row in doc["rows"])
+
 
 class TestEntropy:
     def test_bspline_columns(self, capsys):
