@@ -795,7 +795,10 @@ def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
     out = {}
     for k, v in params.items():
         if k in ("n", "i", "j", "m"):
-            out[k] = int(v)
+            index = Fraction(v)
+            if index.denominator != 1:
+                raise DomainError(f"{entry.id.value}: index parameter {k} must be an integer, got {v!r}")
+            out[k] = int(index)
         else:
             out[k] = rat(v) if not isinstance(v, float) else v
     return out

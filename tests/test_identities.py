@@ -52,6 +52,11 @@ class TestVerify:
         with pytest.raises(DomainError):
             verify("I99", {"n": 1})
 
+    @pytest.mark.parametrize("n", (F(5, 2), 2.5, "5/2"))
+    def test_i39_non_integral_index(self, n):
+        with pytest.raises(DomainError, match="index parameter n"):
+            verify("I39", {"n": n}, "exact")
+
     def test_inadmissible_mode(self):
         with pytest.raises(InadmissibleMode):
             verify("I39", {"n": 2}, "numeric")
