@@ -478,8 +478,8 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
     """Largest degree N at which the confluent series can terminate, else None.
 
     c_{N+2} = 4p(N+alpha) c_N / (...) once c_{N+1} = 0.  For p != 0 this
-    needs alpha = -N.  For p = 0 the recurrence has two terms and stops
-    exactly at the non-negative integer roots of N^2 + (gamma+delta-1)N - sigma.
+    needs alpha = -N.  For p = 0 the recurrence has two terms, and N must
+    be a non-negative integer root of N^2 + (gamma+delta-1)N - sigma.
     """
     if params.p != 0:
         return int(-params.alpha) if _is_nonpositive_integer(params.alpha) else None
@@ -490,8 +490,8 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
     num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
     if num * num != disc.numerator or den * den != disc.denominator:
         return None
-    roots = [r for r in ((-b + Fraction(num, den)) / 2, (-b - Fraction(num, den)) / 2)
-             if r >= 0 and r.denominator == 1]
+    root = Fraction(num, den)
+    roots = [r for r in ((-b + root) / 2, (-b - root) / 2) if r >= 0 and r.denominator == 1]
     return int(max(roots)) if roots else None
 
 

@@ -217,8 +217,9 @@ class TestConfluentHeun:
         assert not confluent_heun_ode_residual(cp, Poly.of(1, 1)).is_zero()
 
 
-#: Drawn parameters can stop no later than this degree, so a scan of
-#: 3 * ORACLE_DEGREE exact coefficients sees every termination.
+#: Largest drawn degree.  Every drawn parameter set can stop only below
+#: degree 14 (alpha, beta >= -8; the p = 0 roots stay under 14), so a scan
+#: of 3 * ORACLE_DEGREE exact coefficients sees every termination.
 ORACLE_DEGREE = 8
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 gammas = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(7, 3)])
