@@ -183,8 +183,7 @@ def apply_Ln(n: int, sigma, f, x, quad_points: int = 32):
     for i, piece in enumerate(inst.density.pieces):
         lo, hi = float(bps[i]), float(bps[i + 1])
         rule = gauss_legendre(quad_points, lo, hi)
-        val, _ = quadrature(rule, lambda t, piece=piece: float(piece(t)) * f(t))
-        total += val
+        total += quadrature(rule, lambda t, piece=piece: float(piece(t)) * f(t))
     return total
 
 

@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--k", type=int, help="Kantorovich order (default 2)")
     p_entropy.add_argument("--sigma", help="const:c, quad:c:d or table:file.csv")
     p_entropy.add_argument("--grid", required=True, help="a:b:count, endpoints included")
-    p_entropy.add_argument("--csv", action="store_true", help="CSV output (the default)")
     p_entropy.add_argument("--json", action="store_true")
 
     p_registry = sub.add_parser("registry", help="identity registry table")

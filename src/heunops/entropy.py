@@ -196,8 +196,7 @@ def s2_integral_form(n: int, x: float, npoints: int = 256) -> float:
             1 + 2 * math.cos(phi / 2) ** 2
         )
 
-    val, _ = quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand)
-    return n / (3 * math.pi) * val
+    return n / (3 * math.pi) * quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand)
 
 
 def s_nk(n: int, k: int, x, method: str = "direct"):

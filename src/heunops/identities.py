@@ -30,6 +30,7 @@ from .exactalg import Poly, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
+    _heun_operator,
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
@@ -168,6 +169,32 @@ def _binom_series(exponent: Fraction, scale: Fraction, count: int) -> list[Fract
     return out
 
 
+def _deriv_coeffs(c: Sequence[Fraction]) -> list[Fraction]:
+    """Taylor coefficients of the derivative, one fewer than ``c``."""
+    return [(k + 1) * c[k + 1] for k in range(len(c) - 1)]
+
+
+def _central_diff(f, x: float) -> float:
+    return (f(x + FD_STEP) - f(x - FD_STEP)) / (2 * FD_STEP)
+
+
+def _ladder_errors(grid, series, fd, rhs) -> tuple[float, float]:
+    """Worst relative errors over ``grid`` of the series-derivative route
+    ``series(x)`` and of the finite-difference route ``fd(x)`` against the
+    right side.
+
+    ``rhs(x)`` returns one or more forms of the right side; the series
+    error also covers each form against the next.
+    """
+    worst_series = 0.0
+    worst_fd = 0.0
+    for x in grid:
+        chain = (series(x), *rhs(x))
+        worst_series = max(worst_series, *(_rel(a, b) for a, b in zip(chain, chain[1:])))
+        worst_fd = max(worst_fd, _rel(fd(x), chain[1]))
+    return worst_series, worst_fd
+
+
 # ---------------------------------------------------------------------------
 # parameter builders
 # ---------------------------------------------------------------------------
@@ -236,8 +263,7 @@ def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
     def integrand(phi: float) -> float:
         return (1.0 - 4.0 * x * (1.0 - x) * math.sin(phi / 2) ** 2) ** (-q)
 
-    val, _ = quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand)
-    return val / math.pi
+    return quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand) / math.pi
 
 
 def _check_i31(params, mode):
@@ -310,12 +336,7 @@ def _check_i34(params, mode):
 def _clear_denominator_residual(hp: HeunParams, p: Poly, s: int) -> Poly:
     """Residual of u = (1-2x)^s p(x) in Heun's equation, multiplied through
     by (1-2x)^(2-s) so everything is polynomial."""
-    a, q = rat(hp.a), rat(hp.q)
-    al, be, ga, de = rat(hp.alpha), rat(hp.beta), rat(hp.gamma), rat(hp.delta)
-    eps = al + be + 1 - ga - de
-    m = Poly.of(0, a, -(1 + a), 1)
-    nn = Poly.of(a, -(1 + a), 1).scale(ga) + Poly.of(0, -a, 1).scale(de) + Poly.of(0, -1, 1).scale(eps)
-    lin = Poly.of(-q, al * be)
+    m, nn, lin = _heun_operator(hp)
     d = Poly.of(1, -2)
     term2 = d * d * p.derivative().derivative() - d.scale(4 * s) * p.derivative() + p.scale(4 * s * (s - 1))
     term1 = d * (d * p.derivative() - p.scale(2 * s))
@@ -397,33 +418,21 @@ def _check_i39(params, mode):
     return gap, len(fp.coeffs), gap == 0.0
 
 
-def _ladder_params_311(alpha, beta, gamma):
+def _check_i311_312(params, mode):
+    alpha, beta, gamma = rat(params["alpha"]), rat(params["beta"]), rat(params["gamma"])
     lhs = HeunParams(Fraction(1, 2), alpha * beta / 2, alpha, beta, gamma, gamma)
-    rhs = HeunParams(
+    rhs11 = HeunParams(
         Fraction(1, 2), (alpha + 2) * (beta + 2) / 2, alpha + 2, beta + 2, gamma + 1, gamma + 1
     )
-    return lhs, rhs
-
-
-def _ladder_params_312(alpha, beta, gamma):
-    lhs = HeunParams(Fraction(1, 2), alpha * beta / 2, alpha, beta, gamma, gamma)
-    rhs = HeunParams(
+    rhs12 = HeunParams(
         Fraction(1, 2), (2 * gamma - alpha) * (2 * gamma - beta) / 2,
         2 * gamma - alpha, 2 * gamma - beta, gamma + 1, gamma + 1
     )
-    return lhs, rhs
-
-
-def _check_i311_312(params, mode):
-    alpha, beta, gamma = rat(params["alpha"]), rat(params["beta"]), rat(params["gamma"])
-    lhs, rhs11 = _ladder_params_311(alpha, beta, gamma)
-    _, rhs12 = _ladder_params_312(alpha, beta, gamma)
     factor = alpha * beta / gamma
     exponent = 2 * gamma - alpha - beta - 1
     if mode.kind == "exact":
         depth = COEFF_DEPTH
-        c = heun_coeffs(lhs, depth + 1)
-        deriv = [(k + 1) * c[k + 1] for k in range(depth)]
+        deriv = _deriv_coeffs(heun_coeffs(lhs, depth + 1))
         e11 = heun_coeffs(rhs11, depth)
         r11 = [factor * (e11[k] - (2 * e11[k - 1] if k else 0)) for k in range(depth)]
         e12 = heun_coeffs(rhs12, depth)
@@ -431,17 +440,16 @@ def _check_i311_312(params, mode):
         r12 = [factor * v for v in _cauchy(power, e12, depth)]
         err = max(_coeff_gap(deriv, r11), _coeff_gap(r11, r12))
         return err, 2 * depth, err == 0.0
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in mode.grid:
-        d_series = heun_local_deriv(lhs, x, SERIES_TOL).value
-        d_fd = (heun_local(lhs, x + FD_STEP, SERIES_TOL).value
-                - heun_local(lhs, x - FD_STEP, SERIES_TOL).value) / (2 * FD_STEP)
+
+    def rhs_forms(x):
         v11 = float(factor) * (1 - 2 * x) * heun_local(rhs11, x, SERIES_TOL).value
         v12 = (float(factor) * (1 - 2 * x) ** float(exponent)
                * heun_local(rhs12, x, SERIES_TOL).value)
-        worst_series = max(worst_series, _rel(d_series, v11), _rel(v11, v12))
-        worst_fd = max(worst_fd, _rel(d_fd, v11))
+        return v11, v12
+
+    worst_series, worst_fd = _ladder_errors(
+        mode.grid, lambda x: heun_local_deriv(lhs, x, SERIES_TOL).value,
+        lambda x: _central_diff(lambda t: heun_local(lhs, t, SERIES_TOL).value, x), rhs_forms)
     passed = worst_series <= mode.tol and worst_fd <= FD_TOL
     return worst_series, 3 * len(mode.grid), passed
 
@@ -477,111 +485,82 @@ def _hc_ladder_params(p, gamma, alpha):
     return lhs, rhs42, rhs43, sigma
 
 
+def _hc_ladder_check(lhs: ConfluentHeunParams, rhs: ConfluentHeunParams, mode, target, rhs_value):
+    """Derivative of Hc(lhs) against a right side built from Hc(rhs).
+
+    Exact mode compares series coefficients, ``target(e, k)`` being the
+    k-th right-side coefficient from those ``e`` of Hc(rhs).  Numeric mode
+    compares on the grid with ``rhs_value(x, Hc(rhs; x))``.
+    """
+    if mode.kind == "exact":
+        deriv = _deriv_coeffs(confluent_heun_coeffs(lhs, COEFF_DEPTH + 1))
+        e = confluent_heun_coeffs(rhs, COEFF_DEPTH)
+        err = _coeff_gap(deriv, [target(e, k) for k in range(COEFF_DEPTH)])
+        return err, COEFF_DEPTH, err == 0.0
+    worst_series, worst_fd = _ladder_errors(
+        mode.grid, lambda x: confluent_heun_deriv(lhs, x, SERIES_TOL).value,
+        lambda x: _central_diff(lambda t: confluent_heun(lhs, t, SERIES_TOL).value, x),
+        lambda x: (rhs_value(x, confluent_heun(rhs, x, SERIES_TOL).value),))
+    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
+
+
 def _check_i42(params, mode):
     p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
     lhs, rhs, _, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = -sigma / gamma
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH
-        c = confluent_heun_coeffs(lhs, depth + 1)
-        deriv = [(k + 1) * c[k + 1] for k in range(depth)]
-        e = confluent_heun_coeffs(rhs, depth)
-        target = [factor * v for v in e]
-        err = _coeff_gap(deriv, target)
-        return err, depth, err == 0.0
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in mode.grid:
-        d_series = confluent_heun_deriv(lhs, x, SERIES_TOL).value
-        d_fd = (confluent_heun(lhs, x + FD_STEP, SERIES_TOL).value
-                - confluent_heun(lhs, x - FD_STEP, SERIES_TOL).value) / (2 * FD_STEP)
-        v = float(factor) * confluent_heun(rhs, x, SERIES_TOL).value
-        worst_series = max(worst_series, _rel(d_series, v))
-        worst_fd = max(worst_fd, _rel(d_fd, v))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
+    return _hc_ladder_check(lhs, rhs, mode, lambda e, k: factor * e[k],
+                            lambda x, v: float(factor) * v)
 
 
 def _check_i43(params, mode):
     p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
     lhs, _, rhs, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = sigma / gamma
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH
-        c = confluent_heun_coeffs(lhs, depth + 1)
-        deriv = [(k + 1) * c[k + 1] for k in range(depth)]
-        e = confluent_heun_coeffs(rhs, depth)
-        target = [factor * ((e[k - 1] if k else 0) - e[k]) for k in range(depth)]
-        err = _coeff_gap(deriv, target)
-        return err, depth, err == 0.0
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in mode.grid:
-        d_series = confluent_heun_deriv(lhs, x, SERIES_TOL).value
-        d_fd = (confluent_heun(lhs, x + FD_STEP, SERIES_TOL).value
-                - confluent_heun(lhs, x - FD_STEP, SERIES_TOL).value) / (2 * FD_STEP)
-        v = float(factor) * (x - 1) * confluent_heun(rhs, x, SERIES_TOL).value
-        worst_series = max(worst_series, _rel(d_series, v))
-        worst_fd = max(worst_fd, _rel(d_fd, v))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
+    return _hc_ladder_check(lhs, rhs, mode, lambda e, k: factor * ((e[k - 1] if k else 0) - e[k]),
+                            lambda x, v: float(factor) * (x - 1) * v)
 
 
 def _check_i45(params, mode):
     n = params["n"]
-    hp = _params_k_family(n, 0)
     if mode.kind == "exact":
         depth = COEFF_DEPTH + 6
-        hc = confluent_heun_coeffs(hp, depth)
-        taylor = kn_taylor_coeffs(n, depth)
-        err = _coeff_gap(hc, taylor)
+        hc = confluent_heun_coeffs(_params_k_family(n, 0), depth)
+        err = _coeff_gap(hc, kn_taylor_coeffs(n, depth))
         return err, depth, err == 0.0
-    worst = 0.0
-    for x in mode.grid:
-        worst = max(worst, _rel(confluent_heun(hp, x, SERIES_TOL).value, szasz_K(n, 0, x)))
-    return worst, len(mode.grid), worst <= mode.tol
+    return _check_i48({"n": n, "j": 0}, mode)  # (4.5) is the j = 0 case of (4.8)
+
+
+def _k1_ladder_check(n: int, hp: ConfluentHeunParams, mode, coeff, route):
+    """First derivative K' of the squared Poisson-weight sum against Hc(hp).
+
+    Exact mode compares Taylor coefficients, ``coeff(h, k)`` being the
+    k-th one of the confluent side from the coefficients ``h`` of Hc(hp).
+    Numeric mode compares on the grid with ``route(x, K'(x))``.
+    """
+    if mode.kind == "exact":
+        depth = COEFF_DEPTH + 6
+        h = confluent_heun_coeffs(hp, depth)
+        kprime = _deriv_coeffs(kn_taylor_coeffs(n, depth + 1))
+        err = _coeff_gap([coeff(h, k) for k in range(depth)], kprime)
+        return err, depth, err == 0.0
+    worst_series, worst_fd = _ladder_errors(
+        mode.grid, lambda x: route(x, szasz_K(n, 1, x)),
+        lambda x: route(x, _central_diff(lambda t: szasz_K(n, 0, t), x)),
+        lambda x: (confluent_heun(hp, x, SERIES_TOL).value,))
+    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
 
 
 def _check_i46(params, mode):
     n = params["n"]
-    hp = ConfluentHeunParams(n, 2, 2, Fraction(5, 2), 6 * n - 2)
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH + 6
-        h = confluent_heun_coeffs(hp, depth)
-        taylor = kn_taylor_coeffs(n, depth + 1)
-        kprime = [(k + 1) * taylor[k + 1] for k in range(depth)]
-        lhs = [2 * n * ((h[k - 1] if k else 0) - h[k]) for k in range(depth)]
-        err = _coeff_gap(lhs, kprime)
-        return err, depth, err == 0.0
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in mode.grid:
-        v = confluent_heun(hp, x, SERIES_TOL).value
-        k1_series = szasz_K(n, 1, x)
-        k1_fd = (szasz_K(n, 0, x + FD_STEP) - szasz_K(n, 0, x - FD_STEP)) / (2 * FD_STEP)
-        worst_series = max(worst_series, _rel(v, k1_series / (2 * n * (x - 1))))
-        worst_fd = max(worst_fd, _rel(v, k1_fd / (2 * n * (x - 1))))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
+    return _k1_ladder_check(n, ConfluentHeunParams(n, 2, 2, Fraction(5, 2), 6 * n - 2), mode,
+                            lambda h, k: 2 * n * ((h[k - 1] if k else 0) - h[k]),
+                            lambda x, k1: k1 / (2 * n * (x - 1)))
 
 
 def _check_i47(params, mode):
     n = params["n"]
-    hp = ConfluentHeunParams(n, 2, 0, Fraction(3, 2), 6 * n)
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH + 6
-        h = confluent_heun_coeffs(hp, depth)
-        taylor = kn_taylor_coeffs(n, depth + 1)
-        kprime = [(k + 1) * taylor[k + 1] for k in range(depth)]
-        lhs = [-2 * n * h[k] for k in range(depth)]
-        err = _coeff_gap(lhs, kprime)
-        return err, depth, err == 0.0
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in mode.grid:
-        v = confluent_heun(hp, x, SERIES_TOL).value
-        k1_series = szasz_K(n, 1, x)
-        k1_fd = (szasz_K(n, 0, x + FD_STEP) - szasz_K(n, 0, x - FD_STEP)) / (2 * FD_STEP)
-        worst_series = max(worst_series, _rel(v, -k1_series / (2 * n)))
-        worst_fd = max(worst_fd, _rel(v, -k1_fd / (2 * n)))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
+    return _k1_ladder_check(n, ConfluentHeunParams(n, 2, 0, Fraction(3, 2), 6 * n), mode,
+                            lambda h, k: -2 * n * h[k], lambda x, k1: -k1 / (2 * n))
 
 
 def _check_i48(params, mode):
@@ -604,6 +583,16 @@ def _check_i48(params, mode):
             worst, _rel(confluent_heun(hp, x, SERIES_TOL).value, szasz_K(n, j, x) / float(k0))
         )
     return worst, len(mode.grid), worst <= mode.tol
+
+
+def _check_i48_rung(params, mode):
+    """Rung j -> j + 1 of the (4.8) ladder.  It is the (4.2) ladder with
+    p = n, gamma = j + 1, alpha = j + 1/2, plus the exact ratio of the
+    normalizing constants K^(j)(0)."""
+    n, j = params["n"], params["j"]
+    err, pts, ok = _check_i42({"p": n, "gamma": j + 1, "alpha": Fraction(2 * j + 1, 2)}, mode)
+    ratio_ok = (j + 1) * kn_deriv_zero(n, j + 1) == -2 * n * (2 * j + 1) * kn_deriv_zero(n, j)
+    return err, pts + 1, ok and ratio_ok
 
 
 def _check_i49(params, mode):
@@ -841,40 +830,21 @@ def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | N
     (parameters p, gamma, alpha), ``hc-4.8`` (parameters n, j).
     """
     if family in ("heun-3.11", "heun-3.12"):
-        alpha, beta, gamma = rat(params["alpha"]), rat(params["beta"]), rat(params["gamma"])
-        if "q" in params and rat(params["q"]) != alpha * beta / 2:
+        ps = {k: rat(params[k]) for k in ("alpha", "beta", "gamma")}
+        if "q" in params and rat(params["q"]) != ps["alpha"] * ps["beta"] / 2:
             raise ConstraintViolated("accessory parameter must equal a*alpha*beta = alpha*beta/2")
-        iid = IdentityId.I311_312
-        mode = NumericGrid(tuple(grid) if grid is not None else _GRID_SHORT, tol)
-        err, pts, ok = _check_i311_312({"alpha": alpha, "beta": beta, "gamma": gamma}, mode)
-        return VerificationReport(iid, {"alpha": alpha, "beta": beta, "gamma": gamma},
-                                  mode, err, pts, ok)
-    if family in ("hc-4.2", "hc-4.3"):
-        checker = _check_i42 if family == "hc-4.2" else _check_i43
-        iid = IdentityId.I42 if family == "hc-4.2" else IdentityId.I43
-        ps = {"p": rat(params["p"]), "gamma": rat(params["gamma"]), "alpha": rat(params["alpha"])}
+        iid, checker, default_grid = IdentityId.I311_312, _check_i311_312, _GRID_SHORT
+    elif family in ("hc-4.2", "hc-4.3"):
+        ps = {k: rat(params[k]) for k in ("p", "gamma", "alpha")}
         if "sigma" in params and rat(params["sigma"]) != 4 * ps["p"] * ps["alpha"]:
             raise ConstraintViolated("ladder requires sigma = 4 p alpha")
-        mode = NumericGrid(tuple(grid) if grid is not None else _GRID_HC, tol)
-        err, pts, ok = checker(ps, mode)
-        return VerificationReport(iid, ps, mode, err, pts, ok)
-    if family == "hc-4.8":
-        n, j = int(params["n"]), int(params["j"])
-        mode = NumericGrid(tuple(grid) if grid is not None else _GRID_HC, tol)
-        lhs = _params_k_family(n, j)
-        nxt = _params_k_family(n, j + 1)
-        factor = -Fraction(2 * n * (2 * j + 1), j + 1)  # -sigma/gamma of the j-th rung
-        worst_series = 0.0
-        worst_fd = 0.0
-        for x in mode.grid:
-            d_series = confluent_heun_deriv(lhs, x, SERIES_TOL).value
-            d_fd = (confluent_heun(lhs, x + FD_STEP, SERIES_TOL).value
-                    - confluent_heun(lhs, x - FD_STEP, SERIES_TOL).value) / (2 * FD_STEP)
-            v = float(factor) * confluent_heun(nxt, x, SERIES_TOL).value
-            worst_series = max(worst_series, _rel(d_series, v))
-            worst_fd = max(worst_fd, _rel(d_fd, v))
-        ratio_ok = (j + 1) * kn_deriv_zero(n, j + 1) == -2 * n * (2 * j + 1) * kn_deriv_zero(n, j)
-        ok = worst_series <= tol and worst_fd <= FD_TOL and ratio_ok
-        return VerificationReport(IdentityId.I48, {"n": n, "j": j}, mode,
-                                  worst_series, 2 * len(mode.grid) + 1, ok)
-    raise DomainError(f"unknown ladder family {family!r}")
+        iid, checker = (IdentityId.I42, _check_i42) if family == "hc-4.2" else (IdentityId.I43, _check_i43)
+        default_grid = _GRID_HC
+    elif family == "hc-4.8":
+        ps = {"n": int(params["n"]), "j": int(params["j"])}
+        iid, checker, default_grid = IdentityId.I48, _check_i48_rung, _GRID_HC
+    else:
+        raise DomainError(f"unknown ladder family {family!r}")
+    mode = NumericGrid(tuple(grid) if grid is not None else default_grid, tol)
+    err, pts, ok = checker(ps, mode)
+    return VerificationReport(iid, ps, mode, err, pts, ok)

@@ -14,13 +14,15 @@ Differential Equations*, 1995; DLMF §31.5).  A local Heun series can
 stop at degree N only if (N + alpha)(N + beta) = 0, and a confluent Heun
 series only if 4p(N + alpha) = 0, where p = 0 means N(N - 1 + gamma +
 delta) = sigma.  The exact recurrence is then run over N + 2 terms, and
-only when such an N exists.  Series that terminate by degree
-``MAX_DEGREE`` are evaluated as exact polynomials; longer ones are
-summed as floats and have no polynomial form.
+only when such an N exists; float parameters are converted exactly for
+it.  Series that terminate are evaluated as exact polynomials.  A series
+that can stop only above ``MAX_DEGREE`` is rejected with
+:class:`DivergentSeries`, because its float sum cancels catastrophically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +46,7 @@ Scalar = Union[Fraction, int, float]
 
 MAX_TERMS = 100_000
 #: highest degree of a terminating Heun or confluent Heun series that is
-#: built as an exact polynomial; longer series are summed as floats
+#: built as an exact polynomial; longer ones are rejected
 MAX_DEGREE = 256
 
 
@@ -140,7 +142,7 @@ def _heun_stream(params: HeunParams, exact: bool) -> Iterator:
             = [(1+a)k(k-1) + (gamma(1+a) + delta*a + epsilon)k + q] c_k
               - (k-1+alpha)(k-1+beta) c_{k-1}
     """
-    conv: Callable = rat if exact else float
+    conv: Callable = Fraction if exact else float
     a, q = conv(params.a), conv(params.q)
     al, be = conv(params.alpha), conv(params.beta)
     ga, de = conv(params.gamma), conv(params.delta)
@@ -163,7 +165,7 @@ def _confluent_stream(params: ConfluentHeunParams, exact: bool) -> Iterator:
         (k+1)(k+gamma) c_{k+1}
             = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}
     """
-    conv: Callable = rat if exact else float
+    conv: Callable = Fraction if exact else float
     p, ga, de = conv(params.p), conv(params.gamma), conv(params.delta)
     al, sg = conv(params.alpha), conv(params.sigma)
     c_prev = 0 if exact else 0.0
@@ -194,44 +196,42 @@ def _exact_prefix(stream: Iterator, cap: int) -> tuple[list[Fraction], bool]:
             return coeffs, False
 
 
-def _sum_series(stream: Iterator, x: float, tol: float, radius: float, deriv: bool) -> SeriesResult:
-    """Float summation with the three-consecutive-small-terms stop rule."""
+def _sum_terms(terms: Iterable[float], tol: float, ratio: float) -> SeriesResult:
+    """Sum ``terms`` until three consecutive ones fall below ``tol`` times
+    the partial sum.
+
+    ``ratio`` is |x| over the radius of convergence; the tail estimate
+    continues the last term geometrically with it (capped at 0.999).
+    """
     s = 0.0
     small = 0
-    zeros = 0
-    last = 0.0
+    for k, t in zip(range(MAX_TERMS), terms):
+        s += t
+        small = small + 1 if abs(t) <= tol * abs(s) else 0
+        if small >= 3:
+            r = min(ratio, 0.999)
+            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
+    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
+
+
+def _power_terms(stream: Iterator, x: float, deriv: bool) -> Iterator[float]:
+    """Terms c_k x^k of a float coefficient stream, or k c_k x^(k-1) when ``deriv``."""
     xpow = 1.0  # x^(k-1) when deriv else x^k
     for k, c in enumerate(stream):
-        if k > MAX_TERMS:
-            raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
         if abs(c) > 1e280:
             raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
         if deriv:
-            t = k * c * xpow if k else 0.0
+            yield k * c * xpow if k else 0.0
             if k:
                 xpow *= x
         else:
-            t = c * xpow
+            yield c * xpow
             xpow *= x
-        s += t
-        last = t
-        zeros = zeros + 1 if c == 0.0 else 0
-        if zeros >= 3:
-            return SeriesResult(s, k + 1, True, 0.0)
-        small = small + 1 if abs(t) <= tol * abs(s) else 0
-        if small >= 3:
-            break
-    r = min(abs(x) / radius, 0.999) if radius < math.inf else 0.0
-    tail = abs(last) * r / (1.0 - r)
-    return SeriesResult(s, k + 1, False, tail)
 
 
-def _eval_exact_poly(coeffs: list[Fraction], x, deriv: bool) -> float:
+def _eval_exact_poly(p: Poly, x) -> float:
     """Value at ``x``, rounded once: a float ``x`` is converted exactly,
     because float Horner on large alternating coefficients cancels."""
-    p = Poly(tuple(coeffs))
-    if deriv:
-        p = p.derivative()
     return float(p(rat(x) if _is_exact(x) else Fraction(float(x))))
 
 
@@ -265,31 +265,20 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
         return SeriesResult(value, stop + 1, True, 0.0)
 
     xf = float(x)
-    if stop is not None:
-        s = 0.0
-        t = 1.0
-        for k in range(stop + 1):
-            s += t * xf**k
-            if k < stop:
-                t = t * (float(a) + k) * (float(b) + k) / ((float(c) + k) * (k + 1))
-        return SeriesResult(s, stop + 1, True, 0.0)
 
+    def terms() -> Iterator[float]:
+        t = 1.0
+        for k in itertools.count():
+            yield t * xf**k
+            t = t * (float(a) + k) * (float(b) + k) / ((float(c) + k) * (k + 1))
+
+    if stop is None:
+        return _sum_terms(terms(), tol, abs(xf))
     s = 0.0
-    small = 0
-    last = 0.0
-    t = 1.0
-    for k in range(MAX_TERMS):
-        term = t * xf**k
-        s += term
-        last = term
-        small = small + 1 if abs(term) <= tol * abs(s) else 0
-        if small >= 3:
-            break
-        t = t * (float(a) + k) * (float(b) + k) / ((float(c) + k) * (k + 1))
-    else:
-        raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
-    r = min(abs(xf), 0.999)
-    return SeriesResult(s, k + 1, False, abs(last) * r / (1 - r))
+    # islice stops before the last term update, which may divide by c + stop = 0
+    for t in itertools.islice(terms(), stop + 1):
+        s += t
+    return SeriesResult(s, stop + 1, True, 0.0)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -384,52 +373,35 @@ def _heun_stop_degree(params: HeunParams) -> int | None:
     return max(stops) if stops else None
 
 
-def _heun_terminated(params: HeunParams) -> tuple[list[Fraction], bool]:
-    stop = _heun_stop_degree(params) if params.is_rational else None
-    if stop is None:
-        return [], False
-    return _exact_prefix(_heun_stream(params, True), min(stop, MAX_DEGREE) + 2)
-
-
 def heun_poly(params: HeunParams) -> Poly:
     """Exact polynomial form of a terminating local Heun series.
 
     Raises :class:`DivergentSeries` if the series does not terminate by
     degree ``MAX_DEGREE``.
     """
-    coeffs, terminated = _heun_terminated(params)
-    if not terminated:
-        raise DivergentSeries(_no_poly_message("local Heun", params, _heun_stop_degree))
-    return Poly(tuple(coeffs))
-
-
-def _no_poly_message(name: str, params, stop_degree: Callable) -> str:
-    stop = stop_degree(params) if params.is_rational else None
-    if stop is None:
-        return f"{name} series does not terminate; no polynomial form"
-    if stop > MAX_DEGREE:
-        return f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {MAX_DEGREE}"
-    return f"{name} series does not terminate by degree {stop}"
+    return _series_poly(params)
 
 
 def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Local Heun function at ``x`` (series at the origin, value 1 there)."""
-    return _heun_eval(params, x, tol, deriv=False)
+    return _series_value(params, x, tol, heun_radius(params), deriv=False)
 
 
 def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Termwise-differentiated local Heun series at ``x``."""
-    return _heun_eval(params, x, tol, deriv=True)
+    return _series_value(params, x, tol, heun_radius(params), deriv=True)
 
 
-def _heun_eval(params: HeunParams, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
-    coeffs, terminated = _heun_terminated(params)
-    if terminated:
-        return SeriesResult(_eval_exact_poly(coeffs, x, deriv), len(coeffs), True, 0.0)
-    radius = heun_radius(params)
-    if abs(float(x)) >= radius:
-        raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating local series")
-    return _sum_series(_heun_stream(params, False), float(x), tol, radius, deriv)
+def _heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
+    """Coefficients (m, n, lin) of Heun's equation m u'' + n u' + lin u = 0
+    in polynomial form."""
+    a, q = rat(params.a), rat(params.q)
+    al, be = rat(params.alpha), rat(params.beta)
+    ga, de = rat(params.gamma), rat(params.delta)
+    eps = al + be + 1 - ga - de
+    m = Poly.of(0, a, -(1 + a), 1)
+    n = Poly.of(a, -(1 + a), 1).scale(ga) + Poly.of(0, -a, 1).scale(de) + Poly.of(0, -1, 1).scale(eps)
+    return m, n, Poly.of(-q, al * be)
 
 
 def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
@@ -442,13 +414,7 @@ def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
     """
     if not params.is_rational:
         raise TypeError("exact residual requires rational parameters")
-    a, q = rat(params.a), rat(params.q)
-    al, be = rat(params.alpha), rat(params.beta)
-    ga, de = rat(params.gamma), rat(params.delta)
-    eps = al + be + 1 - ga - de
-    m = Poly.of(0, a, -(1 + a), 1)
-    n = Poly.of(a, -(1 + a), 1).scale(ga) + Poly.of(0, -a, 1).scale(de) + Poly.of(0, -1, 1).scale(eps)
-    lin = Poly.of(-q, al * be)
+    m, n, lin = _heun_operator(params)
     return m * p.derivative().derivative() + n * p.derivative() + lin * p
 
 
@@ -468,10 +434,7 @@ def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
     Raises :class:`DivergentSeries` if the series does not terminate by
     degree ``MAX_DEGREE``.
     """
-    coeffs, terminated = _confluent_terminated(params)
-    if not terminated:
-        raise DivergentSeries(_no_poly_message("confluent Heun", params, _confluent_stop_degree))
-    return Poly(tuple(coeffs))
+    return _series_poly(params)
 
 
 def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
@@ -483,8 +446,8 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
     """
     if params.p != 0:
         return int(-params.alpha) if _is_nonpositive_integer(params.alpha) else None
-    b = rat(params.gamma) + rat(params.delta) - 1
-    disc = b * b + 4 * rat(params.sigma)
+    b = Fraction(params.gamma) + Fraction(params.delta) - 1
+    disc = b * b + 4 * Fraction(params.sigma)
     if disc < 0:
         return None
     num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
@@ -495,29 +458,13 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
     return int(max(roots)) if roots else None
 
 
-def _confluent_terminated(params: ConfluentHeunParams) -> tuple[list[Fraction], bool]:
-    stop = _confluent_stop_degree(params) if params.is_rational else None
-    if stop is None:
-        return [], False
-    return _exact_prefix(_confluent_stream(params, True), min(stop, MAX_DEGREE) + 2)
-
-
 def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Confluent Heun function at ``x``, series at the origin with value 1."""
-    return _confluent_eval(params, x, tol, deriv=False)
+    return _series_value(params, x, tol, 1.0, deriv=False)
 
 
 def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
-    return _confluent_eval(params, x, tol, deriv=True)
-
-
-def _confluent_eval(params: ConfluentHeunParams, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
-    coeffs, terminated = _confluent_terminated(params)
-    if terminated:
-        return SeriesResult(_eval_exact_poly(coeffs, x, deriv), len(coeffs), True, 0.0)
-    if abs(float(x)) >= 1.0:
-        raise DivergentSeries("|x| >= 1: outside the disk set by the singularity at 1")
-    return _sum_series(_confluent_stream(params, False), float(x), tol, 1.0, deriv)
+    return _series_value(params, x, tol, 1.0, deriv=True)
 
 
 def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
@@ -536,6 +483,56 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
     n = m.scale(4 * p) + Poly.of(-ga, ga) + Poly.of(0, de)
     lin = Poly.of(-sg, 4 * p * al)
     return m * u.derivative().derivative() + n * u.derivative() + lin * u
+
+
+# ---------------------------------------------------------------------------
+# termination, polynomial form and evaluation of both Heun families
+# ---------------------------------------------------------------------------
+
+#: series name, stop-degree rule and coefficient stream of each family
+_FAMILIES = {
+    HeunParams: ("local Heun", _heun_stop_degree, _heun_stream),
+    ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream),
+}
+
+
+def _terminating_poly(params) -> Poly | None:
+    """Exact polynomial form of a terminating series, or None.
+
+    Float parameters are converted exactly.  A series that can stop only
+    above ``MAX_DEGREE`` raises :class:`DivergentSeries`: a float sum of
+    it cancels catastrophically and would be silently wrong.
+    """
+    name, stop_degree, stream = _FAMILIES[type(params)]
+    stop = stop_degree(params)
+    if stop is None:
+        return None
+    coeffs, terminated = _exact_prefix(stream(params, True), min(stop, MAX_DEGREE) + 2)
+    if terminated:
+        return Poly(tuple(coeffs))
+    if stop > MAX_DEGREE:
+        raise DivergentSeries(f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {MAX_DEGREE}")
+    return None
+
+
+def _series_poly(params) -> Poly:
+    p = _terminating_poly(params)
+    if p is None:
+        raise DivergentSeries(f"{_FAMILIES[type(params)][0]} series does not terminate; no polynomial form")
+    return p
+
+
+def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> SeriesResult:
+    """Exact polynomial value of a terminating series, else the float sum
+    inside the disk of convergence."""
+    p = _terminating_poly(params)
+    if p is not None:
+        return SeriesResult(_eval_exact_poly(p.derivative() if deriv else p, x), len(p.coeffs), True, 0.0)
+    name, _, stream = _FAMILIES[type(params)]
+    xf = float(x)
+    if abs(xf) >= radius:
+        raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating {name} series")
+    return _sum_terms(_power_terms(stream(params, False), xf, deriv), tol, abs(xf) / radius)
 
 
 # ---------------------------------------------------------------------------
@@ -581,29 +578,15 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
         if n == 0:
             return 1.0  # only the k = 0 term survives
         xf = float(x)
-        s = 0.0
-        small = 0
-        for k in range(MAX_TERMS):
-            t = (comb(n + k - 1, k) * xf**k * (1 + xf) ** (-n - k)) ** 2
-            s += t
-            small = small + 1 if t <= tol * s else 0
-            if small >= 3:
-                return s
-        raise DivergentSeries("G series did not converge")
+        terms = ((comb(n + k - 1, k) * xf**k * (1 + xf) ** (-n - k)) ** 2 for k in itertools.count())
+        return _sum_terms(terms, tol, 0.0).value
     if kind == "J":
         if abs(float(x)) >= 1:
             raise DivergentSeries("J series requires |x| < 1")
         xf = float(x)
         pref = (1 - xf) ** (2 * (n + 1))
-        s = 0.0
-        small = 0
-        for k in range(MAX_TERMS):
-            t = (comb(n + k, k) * xf**k) ** 2
-            s += t
-            small = small + 1 if abs(t) <= tol * abs(s) else 0
-            if small >= 3:
-                return pref * s
-        raise DivergentSeries("J series did not converge")
+        terms = ((comb(n + k, k) * xf**k) ** 2 for k in itertools.count())
+        return pref * _sum_terms(terms, tol, 0.0).value
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 
@@ -727,15 +710,17 @@ def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule("periodic-trapezoid", npoints, float(a), float(b))
 
 
-def _apply_rule(kind: str, npoints: int, a: float, b: float, f: Callable[[float], float]) -> float:
-    if kind == "gauss-legendre":
-        nodes, weights = np.polynomial.legendre.leggauss(npoints)
+def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
+    """Apply ``rule`` to ``f``."""
+    a, b = rule.a, rule.b
+    if rule.kind == "gauss-legendre":
+        nodes, weights = np.polynomial.legendre.leggauss(rule.npoints)
         nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         weights = 0.5 * (b - a) * weights
     else:
-        h = (b - a) / npoints
-        nodes = np.linspace(a, b, npoints + 1)
-        weights = np.full(npoints + 1, h)
+        h = (b - a) / rule.npoints
+        nodes = np.linspace(a, b, rule.npoints + 1)
+        weights = np.full(rule.npoints + 1, h)
         weights[0] = weights[-1] = h / 2
     total = 0.0
     for t, w in zip(nodes, weights):
@@ -744,11 +729,3 @@ def _apply_rule(kind: str, npoints: int, a: float, b: float, f: Callable[[float]
             raise NonFinite(f"integrand is not finite at node {t}")
         total += w * v
     return float(total)
-
-
-def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> tuple[float, float]:
-    """Apply ``rule`` to ``f``; the error estimate compares against the
-    same rule with twice the points."""
-    coarse = _apply_rule(rule.kind, rule.npoints, rule.a, rule.b, f)
-    fine = _apply_rule(rule.kind, 2 * rule.npoints, rule.a, rule.b, f)
-    return coarse, abs(fine - coarse)

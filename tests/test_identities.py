@@ -144,6 +144,20 @@ class TestLadders:
     def test_j_ladder(self):
         assert derivative_ladder_check("hc-4.8", {"n": 2, "j": 3}).passed
 
+    def test_finite_difference_route_decides(self, monkeypatch):
+        # with no room left for the central difference's h^2 error every
+        # ladder check must fail: the FD route still takes part in the verdict
+        def run():
+            reports = [verify(iid, ps, "numeric")
+                       for iid in ("I311_312", "I42", "I43", "I46", "I47")
+                       for ps in identities.REGISTRY[IdentityId(iid)].default_params]
+            reports += [derivative_ladder_check("hc-4.8", {"n": n, "j": j}) for n in (1, 2) for j in (0, 3)]
+            return [r.passed for r in reports]
+
+        assert all(run())
+        monkeypatch.setattr(identities, "FD_TOL", 0.0)
+        assert not any(run())
+
     def test_constraint_validation(self):
         with pytest.raises(ConstraintViolated):
             derivative_ladder_check("heun-3.11", {"alpha": 1, "beta": 1, "gamma": 1, "q": 7})

@@ -4,6 +4,7 @@ and the quadrature rules, each against an independent oracle."""
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from heunops.specfun import (
     confluent_heun_poly,
     f_poly,
     gauss_legendre,
+    heun_coeffs,
     heun_local,
     heun_local_deriv,
     heun_ode_residual,
@@ -290,20 +292,92 @@ class TestTermination:
     @settings(max_examples=200, deadline=None)
     @given(heun_cases())
     def test_heun_stop_degree_matches_scan(self, hp):
-        coeffs, terminated = specfun._heun_terminated(hp)
+        poly = specfun._terminating_poly(hp)
         ref, ref_terminated = _scan_oracle(specfun._heun_stream(hp, True))
-        assert terminated == ref_terminated
-        if terminated:
-            assert coeffs == ref
+        assert (poly is not None) == ref_terminated
+        if ref_terminated:
+            assert list(poly.coeffs) == ref
 
     @settings(max_examples=200, deadline=None)
     @given(confluent_cases())
     def test_confluent_stop_degree_matches_scan(self, cp):
-        coeffs, terminated = specfun._confluent_terminated(cp)
+        poly = specfun._terminating_poly(cp)
         ref, ref_terminated = _scan_oracle(specfun._confluent_stream(cp, True))
-        assert terminated == ref_terminated
-        if terminated:
-            assert coeffs == ref
+        assert (poly is not None) == ref_terminated
+        if ref_terminated:
+            assert list(poly.coeffs) == ref
+
+    def test_stop_above_max_degree_is_rejected(self):
+        # the float sum of these cancels catastrophically: 819.17 against
+        # kernel_sum("F", 130, 0.1) = 0.0827, and -1.6e153
+        with pytest.raises(DivergentSeries, match="degree 260"):
+            heun_local(F_PARAMS(130), 0.1)
+        with pytest.raises(DivergentSeries, match="degree 300"):
+            confluent_heun(ConfluentHeunParams(0, 1, 0, F(1, 2), 90000), F(1, 2))
+
+    def test_float_parameters_terminate_exactly(self):
+        # 0.5 and the integers are exact binary floats, so the exact path
+        # must reproduce the rational-parameter values bit for bit
+        r = heun_local(HeunParams(0.5, -20.0, -40.0, 1.0, 1.0, 1.0), 0.4)
+        ref = kernel_sum("F", 20, 0.4)
+        assert r.terminated and abs(r.value - ref) <= 1e-14 * ref
+        assert r == heun_local(F_PARAMS(20), 0.4)
+        r = confluent_heun(ConfluentHeunParams(0.0, 1.0, 0.0, 0.5, 64.0), 0.9)
+        assert r.terminated and r == confluent_heun(ConfluentHeunParams(0, 1, 0, F(1, 2), 64), 0.9)
+
+
+def _mp(v) -> mpmath.mpf:
+    v = F(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def _ode_value(coeffs, rhs, x) -> float:
+    """Integrate y'' = rhs(t, y, y') with mpmath.odefun from t0 = 1/64 to x.
+
+    The origin is a singular point of the equation, so the start values
+    at t0 come from 40 exact series coefficients; beyond t0 only the ODE
+    is used.
+    """
+    with mpmath.workdps(25):
+        t0 = mpmath.mpf(1) / 64
+        cs = [_mp(c) for c in coeffs]
+        y = sum(c * t0**k for k, c in enumerate(cs))
+        dy = sum(k * c * t0 ** (k - 1) for k, c in enumerate(cs) if k)
+        sol = mpmath.odefun(lambda t, w: [w[1], rhs(t, w[0], w[1])], t0, [y, dy])
+        return float(sol(_mp(x))[0])
+
+
+class TestOdeOracle:
+    """Non-terminating float series against an ODE solution by mpmath."""
+
+    @pytest.mark.parametrize("hp, x", [
+        (HeunParams(F(1, 2), F(1, 3), 1, 2, 1, 1), F(9, 20)),
+        (HeunParams(2, F(-1, 2), F(1, 2), F(3, 2), F(3, 2), F(1, 2)), F(1, 2)),
+    ])
+    def test_heun_local(self, hp, x):
+        a, q, al, be, ga, de = (_mp(v) for v in (hp.a, hp.q, hp.alpha, hp.beta, hp.gamma, hp.delta))
+        eps = al + be + 1 - ga - de
+
+        def rhs(t, y, dy):
+            return -(ga / t + de / (t - 1) + eps / (t - a)) * dy - (al * be * t - q) / (t * (t - 1) * (t - a)) * y
+
+        r = heun_local(hp, x, tol=1e-15)
+        ref = _ode_value(heun_coeffs(hp, 40), rhs, x)
+        assert not r.terminated and abs(r.value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("cp, x", [
+        (ConfluentHeunParams(F(1, 2), F(3, 2), F(1, 3), F(1, 4), F(2, 5)), F(1, 2)),
+        (ConfluentHeunParams(-1, 2, 1, F(3, 2), -1), F(2, 5)),
+    ])
+    def test_confluent_heun(self, cp, x):
+        p, ga, de, al, sg = (_mp(v) for v in (cp.p, cp.gamma, cp.delta, cp.alpha, cp.sigma))
+
+        def rhs(t, u, du):
+            return -(4 * p + ga / t + de / (t - 1)) * du - (4 * p * al * t - sg) / (t * (t - 1)) * u
+
+        r = confluent_heun(cp, x, tol=1e-15)
+        ref = _ode_value(confluent_heun_coeffs(cp, 40), rhs, x)
+        assert not r.terminated and abs(r.value - ref) <= 1e-12 * abs(ref)
 
 
 class TestKernelSums:
@@ -392,18 +466,17 @@ class TestKnDerivZero:
 
 class TestQuadrature:
     def test_gauss_polynomial_exactness(self):
-        val, err = quadrature(gauss_legendre(16, 0, 1), lambda t: t * t)
+        val = quadrature(gauss_legendre(16, 0, 1), lambda t: t * t)
         assert abs(val - 1 / 3) < 1e-15
-        assert err < 1e-15
 
     def test_trapezoid_cosine_weight(self):
         # symbolic integral of 1 + 2 cos^2(phi/2) over [0, pi] is 2 pi
-        val, _ = quadrature(periodic_trapezoid(64, 0, math.pi), lambda p: 1 + 2 * math.cos(p / 2) ** 2)
+        val = quadrature(periodic_trapezoid(64, 0, math.pi), lambda p: 1 + 2 * math.cos(p / 2) ** 2)
         assert abs(val - 2 * math.pi) < 1e-12
 
     def test_trapezoid_reciprocal_weight(self):
         # closed form pi/sqrt(1 - c) with c = 3/4 gives 2 pi
-        val, _ = quadrature(
+        val = quadrature(
             periodic_trapezoid(64, 0, math.pi), lambda p: 1 / (1 - 0.75 * math.sin(p / 2) ** 2)
         )
         assert abs(val - 2 * math.pi) < 1e-12
