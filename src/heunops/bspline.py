@@ -157,11 +157,22 @@ def kernel(n: int, sigma, x) -> KernelInstance:
 def c_constant(n: int) -> Fraction:
     """Exact squared-kernel constant: sigma(x) * integral of W_n(x,.)^2.
 
-    Computed at sigma = 1, x = 0; independence from x and sigma is a
-    tested property of the kernel family, not an assumption here.
+    Computed at sigma = 1, x = 0.  ``entropy_profile`` relies on the
+    independence from x and sigma (it divides c_n by sigma(x) instead of
+    rebuilding each kernel); acceptance criterion 1 tests it against
+    Cox-de Boor kernels at the actual knots.
     """
     k = kernel(n, ConstantSigma(1), 0)
     return integrate_product(k.density, k.density)
+
+
+@lru_cache(maxsize=None)
+def _unit_variance(n: int) -> Fraction:
+    """Exact variance of the unit kernel W_n(0, .) at sigma = 1, from its
+    Cox-de Boor moments; at width w the variance is w^2 times this."""
+    k = kernel(n, ConstantSigma(1), 0)
+    m1 = k.density.moment(1)
+    return k.density.moment(2) - m1 * m1
 
 
 def kernel_moment(k: KernelInstance, order: int) -> Fraction:

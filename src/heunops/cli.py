@@ -70,12 +70,18 @@ def _int(params: dict, key: str, default=None) -> int:
     return int(f)
 
 
+#: largest grid count accepted by ``--grid``
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise HeunopsError("grid must be a:b:count")
     a, b = Fraction(parts[0]), Fraction(parts[1])
     count = int(parts[2])
+    if count > _MAX_GRID_POINTS:
+        raise HeunopsError(f"grid count {count} exceeds the limit of {_MAX_GRID_POINTS} points")
     if count < 1 or (count == 1 and a != b):
         raise HeunopsError("grid count must be >= 1 (and a == b when count == 1)")
     if count == 1:

@@ -20,7 +20,13 @@ from math import comb
 from typing import Sequence, Union
 
 from . import bspline
-from .errors import DomainError, IndexOutOfRange, LengthMismatch, UnsupportedK
+from .errors import (
+    ConstraintViolated,
+    DomainError,
+    IndexOutOfRange,
+    LengthMismatch,
+    UnsupportedK,
+)
 from .exactalg import E1, E2, Poly, PiecewisePoly, integrate_product, rat
 from .specfun import periodic_trapezoid, quadrature
 
@@ -57,9 +63,13 @@ class EntropyPoint:
     variance: float
 
     def __post_init__(self) -> None:
-        assert self.squared_kernel_integral > 0
-        assert self.renyi == -math.log(self.squared_kernel_integral)
-        assert self.tsallis == 1.0 - self.squared_kernel_integral
+        s = self.squared_kernel_integral
+        if not s > 0:
+            raise ConstraintViolated(f"squared kernel integral {s} must be > 0")
+        if self.renyi != -math.log(s):
+            raise ConstraintViolated(f"renyi {self.renyi} != -log({s})")
+        if self.tsallis != 1.0 - s:
+            raise ConstraintViolated(f"tsallis {self.tsallis} != 1 - {s}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,7 @@ def kantorovich_apply(n: int, k: int, f: Poly, x, method: str = "definition") ->
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def s_direct_poly(n: int, k: int) -> Poly:
     """Squared-kernel integral of the k-th Kantorovich modification as an
     exact polynomial in x, straight from the definition:
@@ -223,30 +234,44 @@ def s_nk(n: int, k: int, x, method: str = "direct"):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _kantorovich_profile_polys(n: int, k: int) -> tuple[Poly, Poly]:
+    """Squared-kernel polynomial and variance polynomial
+    ``L e_2 - (L e_1)^2`` of the k-th Kantorovich modification."""
+    m1 = kantorovich_poly(n, k, E1)
+    return s_direct_poly(n, k), kantorovich_poly(n, k, E2) - m1 * m1
+
+
+def _point(x: Fraction, s: Fraction, var: Fraction) -> EntropyPoint:
+    sf = float(s)
+    return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
+
+
 def _kantorovich_point(op: KantorovichOp, x: Fraction) -> EntropyPoint:
     if x < 0 or x > 1:
         raise DomainError(f"x = {x} outside the operator domain [0, 1]")
-    s = s_direct_poly(op.n, op.k)(x)
-    m1 = kantorovich_poly(op.n, op.k, E1)(x)
-    m2 = kantorovich_poly(op.n, op.k, E2)(x)
-    var = m2 - m1 * m1
-    sf = float(s)
-    return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
+    s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
+    return _point(x, s_poly(x), var_poly(x))
 
 
 def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
-    inst = bspline.kernel(op.n, op.sigma, x)
-    s = integrate_product(inst.density, inst.density)
-    m1 = inst.density.moment(1)
-    m2 = inst.density.moment(2)
-    var = m2 - m1 * m1
-    sf = float(s)
-    return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
+    # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by
+    # w = sigma(x) and centred at x: exact, so s and the variance scale too
+    c = bspline.c_constant(op.n)
+    w = op.sigma.at(x)
+    return _point(x, c / w, w * w * bspline._unit_variance(op.n))
 
 
 def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     """Per-point squared-kernel integral, both entropies, and the variance
-    computed from exact moments (never from the closed forms)."""
+    computed from exact moments (never from the closed forms).
+
+    B-spline values come from the exact quantities of the unit kernel
+    (sigma = 1, x = 0), scaled exactly: s = c_n / sigma(x) and variance
+    sigma(x)^2 times the unit variance.  Kantorovich polynomials are built
+    once per (n, k) and evaluated by Horner at each grid point.  Either
+    way each output float is the rounding of the same exact rational as
+    a per-point rebuild."""
     xs = [rat(x) for x in xs]
     if isinstance(op, BSplineOp):
         return [_bspline_point(op, x) for x in xs]

@@ -54,4 +54,5 @@ class MissingParam(HeunopsError, ValueError):
 
 
 class ConstraintViolated(HeunopsError, ValueError):
-    """Parameters violate the accessory-parameter constraint of a derivative ladder."""
+    """Values violate a defining constraint: the accessory-parameter
+    constraint of a derivative ladder, or an entropy point's invariants."""

@@ -54,6 +54,13 @@ def _is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def _require_finite(params) -> None:
+    """Reject NaN and infinite float fields, which have no series."""
+    for name, v in vars(params).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"parameter {name} = {v} is not finite")
+
+
 def _is_nonpositive_integer(v: Scalar) -> bool:
     if isinstance(v, (int, Fraction)):
         return v <= 0 and Fraction(v).denominator == 1
@@ -91,6 +98,7 @@ class HeunParams:
     delta: Scalar
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.a == 0 or self.a == 1:
             raise DomainError("singularity location a must avoid 0 and 1")
         if _is_nonpositive_integer(self.gamma):
@@ -120,6 +128,7 @@ class ConfluentHeunParams:
     sigma: Scalar
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if _is_nonpositive_integer(self.gamma):
             raise InvalidGamma("gamma must not be a non-positive integer")
 

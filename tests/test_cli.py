@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from heunops import cli
 from heunops.cli import main
 
 
@@ -128,6 +129,18 @@ class TestEntropy:
         code, _, err = run(capsys, "entropy", "--op", "kantorovich", "--n", "3", "--k", "2",
                            "--grid", "0:2:5")
         assert code == 2
+
+    def test_grid_count_bounded(self, capsys, monkeypatch):
+        limit = cli._MAX_GRID_POINTS
+        code, out, err = run(capsys, "entropy", "--op", "kantorovich", "--n", "3",
+                             "--grid", f"0:1:{limit + 1}")
+        assert code == 2 and out == ""
+        assert str(limit) in err
+        # the limit itself is accepted
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+        assert len(cli._parse_grid("0:1:5")) == 5
+        with pytest.raises(cli.HeunopsError, match="limit of 5"):
+            cli._parse_grid("0:1:6")
 
     def test_table_sigma_from_file(self, capsys, tmp_path):
         table = tmp_path / "sigma.csv"

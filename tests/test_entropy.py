@@ -8,6 +8,7 @@ import pytest
 from heunops import bspline, entropy
 from heunops.entropy import (
     BSplineOp,
+    EntropyPoint,
     KantorovichOp,
     bernstein_basis,
     bernstein_poly,
@@ -17,7 +18,13 @@ from heunops.entropy import (
     s_nk,
     synchronicity_check,
 )
-from heunops.errors import DomainError, IndexOutOfRange, LengthMismatch, UnsupportedK
+from heunops.errors import (
+    ConstraintViolated,
+    DomainError,
+    IndexOutOfRange,
+    LengthMismatch,
+    UnsupportedK,
+)
 from heunops.exactalg import E0, E1, E2, Poly, integrate_product
 
 X9 = [F(i, 8) for i in range(9)]
@@ -147,6 +154,97 @@ class TestVariance:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             entropy_profile(KantorovichOp(3, 2), [F(-1, 8)])
+
+
+class TestEntropyPoint:
+    def test_invariants_raise(self):
+        # real errors, not asserts, so the checks survive python -O
+        with pytest.raises(ConstraintViolated):
+            EntropyPoint(0.0, -1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ConstraintViolated):
+            EntropyPoint(0.0, 0.5, 0.5, 0.5, 0.0)
+        with pytest.raises(ConstraintViolated):
+            EntropyPoint(0.0, 0.5, -math.log(0.5), 0.25, 0.0)
+        EntropyPoint(0.0, 0.5, -math.log(0.5), 0.5, 0.0)
+
+
+# table with kinks at -1, 0 and 1/2; the grid below hits all three
+TABLE = bspline.TableSigma((F(-1), F(0), F(1, 2)), (F(1, 2), F(2), F(3, 4)))
+SIGMAS = (bspline.ConstantSigma(F(3, 2)), bspline.QuadraticSigma(F(1, 2), F(1, 3)), TABLE)
+XS_KINKS = [F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 4), F(1, 2), F(1), F(7, 3)]
+
+
+class TestProfileOracles:
+    """Profiles built from hoisted kernel data against per-point rebuilds."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("sigma", SIGMAS, ids=("const", "quad", "table"))
+    def test_bspline_against_actual_knots(self, n, sigma):
+        pts = entropy_profile(BSplineOp(n, sigma), XS_KINKS)
+        for x, pt in zip(XS_KINKS, pts):
+            inst = bspline.kernel(n, sigma, x)
+            s = integrate_product(inst.density, inst.density)
+            m1 = inst.density.moment(1)
+            var = inst.density.moment(2) - m1 * m1
+            assert pt.x == float(x)
+            assert pt.squared_kernel_integral == float(s)
+            assert pt.variance == float(var)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kantorovich_against_per_point(self, n):
+        for k in range(1, n + 1):
+            pts = entropy_profile(KantorovichOp(n, k), X9)
+            for x, pt in zip(X9, pts):
+                m1 = kantorovich_apply(n, k, E1, x)
+                var = kantorovich_apply(n, k, E2, x) - m1 * m1
+                assert pt.squared_kernel_integral == float(s_nk(n, k, x, "direct"))
+                assert pt.variance == float(var)
+
+
+class TestNoPerPointRebuild:
+    """Kernel data is built once per operator, whatever the grid size."""
+
+    @staticmethod
+    def _clear_caches():
+        for fn in (entropy.s_direct_poly, entropy._kantorovich_profile_polys,
+                   bspline.c_constant, bspline._unit_variance,
+                   bspline._bspline_density_cached):
+            fn.cache_clear()
+
+    @staticmethod
+    def _counting(monkeypatch, counts, module, name, fn):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def _count_calls(self, monkeypatch, op, count):
+        counts: dict = {}
+        self._clear_caches()
+        for module, name in ((entropy, "s_direct_poly"), (entropy, "kantorovich_poly"),
+                             (entropy, "integrate_product"), (bspline, "integrate_product")):
+            self._counting(monkeypatch, counts, module, name, getattr(module, name))
+        try:
+            entropy_profile(op, [F(i, count - 1) for i in range(count)])
+        finally:
+            monkeypatch.undo()
+            self._clear_caches()
+        return counts
+
+    @pytest.mark.parametrize(
+        "op",
+        (KantorovichOp(6, 3), BSplineOp(4, bspline.QuadraticSigma(1, F(1, 2)))),
+        ids=("kantorovich", "bspline"),
+    )
+    def test_build_counts_independent_of_grid(self, monkeypatch, op):
+        small = self._count_calls(monkeypatch, op, 9)
+        large = self._count_calls(monkeypatch, op, 65)
+        assert small == large
+        if isinstance(op, KantorovichOp):
+            assert small["s_direct_poly"] == 1 and small["kantorovich_poly"] == 2
+        else:
+            assert small["integrate_product"] == 1
 
 
 class TestSynchronicity:

@@ -167,6 +167,14 @@ class TestHeunLocal:
         with pytest.raises(DomainError):
             HeunParams(0, 1, 1, 1, 1, 1)
 
+    def test_non_finite_parameters_rejected(self):
+        # NaN used to reach Fraction (bare ValueError), and an infinite
+        # alpha spun through MAX_TERMS float terms before failing
+        with pytest.raises(DomainError, match="q"):
+            heun_local(HeunParams(0.5, math.nan, -2.0, 1.0, 1.0, 1.0), 0.1)
+        with pytest.raises(DomainError, match="alpha"):
+            HeunParams(0.5, 0.3, math.inf, 0.5, 1.0, 1.0)
+
 
 class TestHeunResidual:
     def test_weight_polynomial_solves(self):
@@ -203,6 +211,13 @@ class TestConfluentHeun:
     def test_divergence_guard(self):
         with pytest.raises(DivergentSeries):
             confluent_heun(ConfluentHeunParams(1, 1, 1, 1, 3), 1.5)
+
+    def test_non_finite_parameters_rejected(self):
+        # an infinite sigma used to overflow inside Fraction
+        with pytest.raises(DomainError, match="sigma"):
+            confluent_heun(ConfluentHeunParams(0.0, 1.0, 0.0, 0.5, math.inf), 0.1)
+        with pytest.raises(DomainError, match="p"):
+            ConfluentHeunParams(-math.inf, 1.0, 0.0, 0.5, 1.0)
 
     def test_residual_zero_for_constant(self):
         assert confluent_heun_ode_residual(ConfluentHeunParams(1, 1, 1, 0, 0), Poly.constant(1)).is_zero()
