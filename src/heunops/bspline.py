@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from .errors import InvalidKnots, NonpositiveWidth
+from .errors import DomainError, InvalidKnots, NonpositiveWidth
 from .exactalg import E1, E2, PiecewisePoly, Poly, integrate_product, rat
 from .specfun import gauss_legendre, quadrature
 
@@ -91,9 +91,9 @@ class TableSigma(SigmaSpec):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", vals)
         if len(xs) != len(vals) or len(xs) < 2:
-            raise ValueError("need matching sample abscissae and values, at least two")
+            raise DomainError("need matching sample abscissae and values, at least two")
         if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise ValueError("sample abscissae must be strictly increasing")
+            raise DomainError("sample abscissae must be strictly increasing")
 
     def _value(self, x: Fraction) -> Fraction:
         if x <= self.xs[0]:

@@ -118,54 +118,52 @@ EVAL_FUNCTIONS = ("hl", "hc", "2f1", "legendre", "F", "G", "U", "J", "K",
 _EXACT_CAPABLE = {"hl", "hc", "2f1", "legendre", "F", "U", "bspline", "c_n", "kn_deriv_zero"}
 
 
-def _eval_one(name: str, params: dict, x, exact: bool):
-    """Evaluate one function at one point; returns (value, value_is_exact)."""
-    if name == "hl":
-        hp = specfun.HeunParams(_frac(params, "a"), _frac(params, "q"),
-                                _frac(params, "alpha"), _frac(params, "beta"),
-                                _frac(params, "gamma"), _frac(params, "delta"))
+#: Heun-type families: parameter class, its keys in order, exact and float routes
+_HEUN_FAMILIES = {
+    "hl": (specfun.HeunParams, ("a", "q", "alpha", "beta", "gamma", "delta"),
+           specfun.heun_poly, specfun.heun_local),
+    "hc": (specfun.ConfluentHeunParams, ("p", "gamma", "delta", "alpha", "sigma"),
+           specfun.confluent_heun_poly, specfun.confluent_heun),
+}
+
+
+def _point_function(name: str, params: dict, exact: bool):
+    """Parse ``params`` once and return the map x -> value of ``name``."""
+    if name in _HEUN_FAMILIES:
+        make, keys, poly, series = _HEUN_FAMILIES[name]
+        hp = make(*(_frac(params, k) for k in keys))
         if exact:
-            return specfun.heun_poly(hp)(x), True
-        return specfun.heun_local(hp, x, tol=1e-15).value, False
-    if name == "hc":
-        cp = specfun.ConfluentHeunParams(_frac(params, "p"), _frac(params, "gamma"),
-                                         _frac(params, "delta"), _frac(params, "alpha"),
-                                         _frac(params, "sigma"))
-        if exact:
-            return specfun.confluent_heun_poly(cp)(x), True
-        return specfun.confluent_heun(cp, x, tol=1e-15).value, False
+            return poly(hp)
+        return lambda x: series(hp, x, tol=1e-15).value
     if name == "2f1":
         a, b, c = _frac(params, "a"), _frac(params, "b"), _frac(params, "c")
         if exact:
-            return specfun.hyp2f1_poly(a, b, c)(x), True
-        return specfun.hyp2f1(a, b, c, x, tol=1e-15).value, False
+            return specfun.hyp2f1_poly(a, b, c)
+        return lambda x: specfun.hyp2f1(a, b, c, x, tol=1e-15).value
     if name == "legendre":
         n = _int(params, "n")
-        return (specfun.legendre_p(n, x), True) if exact else (float(specfun.legendre_p(n, float(x))), False)
-    if name in ("F", "U"):
+        if exact:
+            return lambda x: specfun.legendre_p(n, x)
+        return lambda x: float(specfun.legendre_p(n, float(x)))
+    if name in ("F", "U", "G", "J"):
         n = _int(params, "n")
-        v = specfun.kernel_sum(name, n, x if exact else float(x))
-        return v, exact
-    if name in ("G", "J"):
-        n = _int(params, "n")
-        return specfun.kernel_sum(name, n, float(x)), False
+        return lambda x: specfun.kernel_sum(name, n, x if exact else float(x))
     if name == "K":
-        n = _int(params, "n")
-        j = _int(params, "j", default=0)
-        return specfun.szasz_K(n, j, float(x)), False
+        n, j = _int(params, "n"), _int(params, "j", default=0)
+        return lambda x: specfun.szasz_K(n, j, float(x))
     if name == "bspline":
         knots = [Fraction(tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:
             raise HeunopsError("bspline needs knots=k0;k1;...")
-        v = bspline.bspline_density(knots)(x if exact else float(x))
-        return v, exact
+        density = bspline.bspline_density(knots)
+        return lambda x: density(x if exact else float(x))
     if name == "c_n":
         v = bspline.c_constant(_int(params, "n"))
-        return (v, True) if exact else (float(v), False)
-    if name == "kn_deriv_zero":
+    elif name == "kn_deriv_zero":
         v = specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))
-        return (v, True) if exact else (float(v), False)
-    raise HeunopsError(f"unknown function {name!r}")
+    else:
+        raise HeunopsError(f"unknown function {name!r}")
+    return lambda _x: v if exact else float(v)
 
 
 def _cmd_eval(args) -> int:
@@ -180,29 +178,26 @@ def _cmd_eval(args) -> int:
         xs = [_frac(params, "x")]
     else:
         xs = [None]
-    rows = []
-    for x in xs:
-        value, is_exact = _eval_one(args.function, params, x, exact)
-        rows.append((x, value, is_exact))
+    f = _point_function(args.function, params, exact)
+    rows = [(x, f(x)) for x in xs]
     if args.json:
         doc = {
             "command": "eval",
             "params": {"function": args.function, **{k: str(v) for k, v in sorted(params.items())},
                        "exact": exact},
             "rows": [
-                {**({"x": str(x) if r_exact else _fmt_float(x)} if x is not None else {}),
-                 "value": _fmt_value(v, r_exact)}
-                for x, v, r_exact in rows
+                {**({"x": _fmt_value(x, exact)} if x is not None else {}),
+                 "value": _fmt_value(v, exact)}
+                for x, v in rows
             ],
         }
         print(json.dumps(doc, indent=2))
     elif args.grid:
         print("x,value")
-        for x, v, r_exact in rows:
-            xs_str = str(x) if r_exact else _fmt_float(x)
-            print(f"{xs_str},{_fmt_value(v, r_exact)}")
+        for x, v in rows:
+            print(f"{_fmt_value(x, exact)},{_fmt_value(v, exact)}")
     else:
-        print(_fmt_value(rows[0][1], rows[0][2]))
+        print(_fmt_value(rows[0][1], exact))
     return 0
 
 

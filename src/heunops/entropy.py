@@ -27,7 +27,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedK,
 )
-from .exactalg import E1, E2, Poly, PiecewisePoly, integrate_product, rat
+from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, integrate_product, rat
 from .specfun import periodic_trapezoid, quadrature
 
 
@@ -183,12 +183,10 @@ def s2_sum_poly(n: int) -> Poly:
     if n < 2:
         raise UnsupportedK("sum form needs operator index >= 2")
     m = n - 2
-    shifted = Poly.of(Fraction(-1, 2), 1)  # x - 1/2
-    total = Poly()
-    for i in range(m + 1):
-        coeff = (3 * m - 2 * i + 2) * 4**i * comb(2 * i, i) * comb(2 * m - 2 * i, m - i)
-        total = total + (shifted ** (2 * i)).scale(coeff)
-    return total.scale(Fraction(n, 3 * (n - 1) * 4**m))
+    coeffs = [(3 * m - 2 * i + 2) * 4**i * comb(2 * i, i) * comb(2 * m - 2 * i, m - i)
+              for i in range(m + 1)]
+    shifted_square = Poly.of(Fraction(1, 4), -1, 1)  # (x - 1/2)^2
+    return binary_form(coeffs, shifted_square, E0, m).scale(Fraction(n, 3 * (n - 1) * 4**m))
 
 
 def s2_integral_form(n: int, x: float, npoints: int = 256) -> float:

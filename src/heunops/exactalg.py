@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
+from .errors import IndexOutOfRange
+
 Rational = Fraction
 
 #: degree reported for the zero polynomial
@@ -181,6 +183,24 @@ def _as_poly(v) -> Poly:
 E0 = Poly.constant(1)
 E1 = Poly.monomial(1)
 E2 = Poly.monomial(2)
+
+
+def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Poly:
+    """Exact ``sum_k coeffs[k] * a**k * b**(degree - k)``.
+
+    Horner's rule in ``a``; each power of ``b`` is built once, by repeated
+    multiplication.  Fewer than ``degree + 1`` coefficients leave the
+    missing high terms zero; more raise :class:`IndexOutOfRange`.
+    """
+    if len(coeffs) > degree + 1:
+        raise IndexOutOfRange(f"{len(coeffs)} coefficients exceed a form of degree {degree}")
+    b_powers = [E0]
+    for _ in range(degree):
+        b_powers.append(b_powers[-1] * b)
+    total = Poly()
+    for k in reversed(range(len(coeffs))):
+        total = total * a + b_powers[degree - k].scale(coeffs[k])
+    return total
 
 
 @dataclass(frozen=True)

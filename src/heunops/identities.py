@@ -26,7 +26,7 @@ from .errors import (
     InadmissibleMode,
     MissingParam,
 )
-from .exactalg import Poly, rat
+from .exactalg import E0, E1, E2, Poly, binary_form, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
@@ -230,12 +230,10 @@ def i314_rhs(n: int, i: int) -> Poly:
     dfact_even = math.prod(range(2, 2 * i + 1, 2)) if i else 1
     dfact_odd = math.prod(range(1, 2 * i, 2)) if i else 1
     pref = Fraction(dfact_even, dfact_odd) / Fraction(4**n * comb(n, i))
-    shifted = Poly.of(Fraction(-1, 2), 1)
-    total = Poly()
-    for j in range(n - i + 1):
-        c = 4**j * comb(i + j, i) * comb(2 * i + 2 * j, i + j) * comb(2 * n - 2 * i - 2 * j, n - i - j)
-        total = total + (shifted ** (2 * j)).scale(c)
-    return total.scale(pref)
+    coeffs = [4**j * comb(i + j, i) * comb(2 * i + 2 * j, i + j) * comb(2 * n - 2 * i - 2 * j, n - i - j)
+              for j in range(n - i + 1)]
+    shifted_square = Poly.of(Fraction(1, 4), -1, 1)  # (x - 1/2)^2
+    return binary_form(coeffs, shifted_square, E0, n - i).scale(pref)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +348,7 @@ def _check_i35(params, mode):
     series = [Fraction(comb(n + k - 1, k)) ** 2 for k in range(depth)]
     qcoef = _cauchy(series, _binom_series(Fraction(2 * n - 1), Fraction(-1), depth), depth)
     tail = max((abs(float(c)) for c in qcoef[n:]), default=0.0)
-    lhs = Poly()
-    for i, c in enumerate(qcoef[:n]):
-        lhs = lhs + (Poly.monomial(2 * i) * Poly.of(1, -1) ** (2 * (n - 1 - i))).scale(c)
+    lhs = binary_form(qcoef[:n], E2, Poly.of(1, -2, 1), n - 1)
     gap = _poly_gap(lhs, fp)
     cert = _clear_denominator_residual(_params_g_family(n), fp, 1 - 2 * n)
     cert_err = max((abs(float(c)) for c in cert.coeffs), default=0.0)
@@ -368,10 +364,7 @@ def _check_i36(params, mode):
     lhs = Poly(tuple(
         Fraction(comb(n, k // 2)) ** 2 if k % 2 == 0 else Fraction(0) for k in range(2 * n + 1)
     ))
-    one_plus = Poly.of(1, 1)
-    rhs = Poly()
-    for j, c in enumerate(fp.coeffs):
-        rhs = rhs + (Poly.monomial(j) * one_plus ** (2 * n - j)).scale(c)
+    rhs = binary_form(fp.coeffs, E1, Poly.of(1, 1), 2 * n)
     gap = _poly_gap(lhs, rhs)
     return gap, max(len(lhs.coeffs), len(rhs.coeffs)), gap == 0.0
 
@@ -388,11 +381,9 @@ def _check_i37(params, mode):
     a_even = [Fraction(0)] * (2 * n + 1)
     for i, c in enumerate(acoef[: n + 1]):
         a_even[2 * i] = c
-    lhs = Poly(tuple(a_even)) * Poly.of(1, -1)
     one_minus = Poly.of(1, -1)
-    rhs = Poly()
-    for j, c in enumerate(fp.coeffs):
-        rhs = rhs + (one_minus ** (2 * n + 1 - j)).scale(c)
+    lhs = Poly(tuple(a_even)) * one_minus
+    rhs = binary_form(fp.coeffs, E0, one_minus, 2 * n + 1)
     gap = _poly_gap(lhs, rhs)
     err = max(tail, gap)
     return err, depth + len(rhs.coeffs), err == 0.0
@@ -409,11 +400,7 @@ def _check_i38(params, mode):
 def _check_i39(params, mode):
     n = params["n"]
     fp = specfun.f_poly(n)
-    u = Poly.of(1, -2, 2)  # 2x^2 - 2x + 1
-    d = Poly.of(1, -2)
-    rhs = Poly()
-    for k, c in enumerate(legendre_poly(n).coeffs):
-        rhs = rhs + (u**k * d ** (n - k)).scale(c)
+    rhs = binary_form(legendre_poly(n).coeffs, Poly.of(1, -2, 2), Poly.of(1, -2), n)
     gap = _poly_gap(fp, rhs)
     return gap, len(fp.coeffs), gap == 0.0
 
@@ -631,7 +618,6 @@ class RegistryEntry:
     default_params: tuple[dict, ...]
     grid: tuple[float, ...]
     tol: float
-    required: tuple[str, ...]
     checker: callable
 
     def to_dict(self) -> dict:
@@ -648,10 +634,9 @@ class RegistryEntry:
         }
 
 
-def _entry(id_, equation, description, modes, default_params, checker,
-           grid=(), tol=1e-9, required=()):
+def _entry(id_, equation, description, modes, default_params, checker, grid=(), tol=1e-9):
     return RegistryEntry(id_, equation, description, tuple(modes), tuple(default_params),
-                         tuple(grid), tol, tuple(required), checker)
+                         tuple(grid), tol, checker)
 
 
 REGISTRY: dict[IdentityId, RegistryEntry] = {
@@ -664,83 +649,83 @@ REGISTRY: dict[IdentityId, RegistryEntry] = {
         _entry(IdentityId.I31, "(3.1)",
                "Heun series = Gauss-series form = phi-integral representation",
                ("numeric",), [{"q": q} for q in (Fraction(1, 2), Fraction(-1, 2), 1, -1, Fraction(3, 2))],
-               _check_i31, grid=_GRID_MAIN, required=("q",)),
+               _check_i31, grid=_GRID_MAIN),
         _entry(IdentityId.I32, "(3.2)",
                "Heun series = Pfaff-transformed Gauss form",
                ("numeric",), [{"q": q} for q in (Fraction(1, 2), Fraction(-1, 2), 1, -1, Fraction(3, 2))],
-               _check_i32, grid=_GRID_MAIN, required=("q",)),
+               _check_i32, grid=_GRID_MAIN),
         _entry(IdentityId.I33, "(3.3)",
                "squared Bernstein weight sum solves the Heun equation with value 1 at 0",
                ("ode", "numeric"), [{"n": n} for n in range(1, 9)], _check_i33,
-               grid=_GRID_MAIN, required=("n",)),
+               grid=_GRID_MAIN),
         _entry(IdentityId.I34, "(3.4)",
                "squared negative-binomial weight sum = Heun series at reflected argument",
                ("numeric",), [{"n": n} for n in range(1, 9)], _check_i34,
-               grid=_GRID_SHORT, required=("n",)),
+               grid=_GRID_SHORT),
         _entry(IdentityId.I35, "(3.5)",
                "reflected negative-binomial sum = (1-2x)^(1-2n) times the lower squared-weight polynomial",
-               ("exact",), [{"n": n} for n in range(1, 9)], _check_i35, required=("n",)),
+               ("exact",), [{"n": n} for n in range(1, 9)], _check_i35),
         _entry(IdentityId.I36, "(3.6)",
                "squared Meyer-Koenig-Zeller-type sum = squared-weight polynomial at x/(x+1)",
-               ("exact",), [{"n": n} for n in range(0, 9)], _check_i36, required=("n",)),
+               ("exact",), [{"n": n} for n in range(0, 9)], _check_i36),
         _entry(IdentityId.I37, "(3.7)",
                "squared Baskakov-type sum = prefactored squared-weight polynomial at 1/(1-x)",
-               ("exact",), [{"n": n} for n in range(0, 9)], _check_i37, required=("n",)),
+               ("exact",), [{"n": n} for n in range(0, 9)], _check_i37),
         _entry(IdentityId.I38, "(3.8)",
                "terminating Gauss series equals the shifted Legendre polynomial",
-               ("exact",), [{"n": n} for n in range(0, 11)], _check_i38, required=("n",)),
+               ("exact",), [{"n": n} for n in range(0, 11)], _check_i38),
         _entry(IdentityId.I39, "(3.9)",
                "squared-weight polynomial as (1-2x)^n times a Legendre value",
-               ("exact",), [{"n": n} for n in range(0, 9)], _check_i39, required=("n",)),
+               ("exact",), [{"n": n} for n in range(0, 9)], _check_i39),
         _entry(IdentityId.I311_312, "(3.11)/(3.12)",
                "derivative ladder for symmetric-exponent Heun functions, both right-hand forms",
                ("exact", "numeric"),
                [{"alpha": a, "beta": b, "gamma": g} for a, b, g in
                 ((1, 1, 1), (Fraction(1, 2), 1, 1), (1, 1, 2), (3, 1, 2), (-2, 1, 1))],
-               _check_i311_312, grid=_GRID_SHORT, required=("alpha", "beta", "gamma")),
+               _check_i311_312, grid=_GRID_SHORT),
         _entry(IdentityId.I313, "(3.13)",
                "derivative of the squared-weight polynomial = 2n(2x-1) times a Heun polynomial",
-               ("exact",), [{"n": n} for n in range(1, 7)], _check_i313, required=("n",)),
+               ("exact",), [{"n": n} for n in range(1, 7)], _check_i313),
         _entry(IdentityId.I314, "(3.14)",
                "explicit even-shifted polynomial form of the terminating Heun family",
                ("ode", "exact"), [{"n": n, "i": i} for n in range(0, 9) for i in range(n + 1)],
-               _check_i314, required=("n", "i")),
+               _check_i314),
         _entry(IdentityId.I42, "(4.2)",
                "confluent-Heun derivative ladder, same-type right side",
                ("exact", "numeric"),
                [{"p": p, "gamma": g, "alpha": a} for p, g, a in
                 ((1, 1, Fraction(1, 2)), (1, 2, 1), (2, 1, Fraction(1, 2)), (1, 1, Fraction(3, 2)))],
-               _check_i42, grid=_GRID_HC, required=("p", "gamma", "alpha")),
+               _check_i42, grid=_GRID_HC),
         _entry(IdentityId.I43, "(4.3)",
                "confluent-Heun derivative ladder, (x-1)-weighted right side",
                ("exact", "numeric"),
                [{"p": p, "gamma": g, "alpha": a} for p, g, a in
                 ((1, 1, Fraction(1, 2)), (1, 2, 1), (2, 1, Fraction(1, 2)), (1, 1, Fraction(3, 2)))],
-               _check_i43, grid=_GRID_HC, required=("p", "gamma", "alpha")),
+               _check_i43, grid=_GRID_HC),
         _entry(IdentityId.I45, "(4.5)",
                "squared Poisson-weight sum as a confluent Heun function",
                ("exact", "numeric"), [{"n": n} for n in (1, 2, 3)], _check_i45,
-               grid=_GRID_K, required=("n",)),
+               grid=_GRID_K),
         _entry(IdentityId.I46, "(4.6)",
                "first derivative of the Poisson-weight sum via the (x-1)-weighted ladder",
                ("exact", "numeric"), [{"n": n} for n in (1, 2, 3)], _check_i46,
-               grid=_GRID_HC, required=("n",)),
+               grid=_GRID_HC),
         _entry(IdentityId.I47, "(4.7)",
                "first derivative of the Poisson-weight sum via the same-type ladder",
                ("exact", "numeric"), [{"n": n} for n in (1, 2, 3)], _check_i47,
-               grid=_GRID_HC, required=("n",)),
+               grid=_GRID_HC),
         _entry(IdentityId.I48, "(4.8)",
                "j-th derivative of the Poisson-weight sum, normalized at 0, as a confluent Heun function",
                ("exact", "numeric"), [{"n": n, "j": j} for n in (1, 2, 3) for j in range(7)],
-               _check_i48, grid=_GRID_HC, tol=1e-8, required=("n", "j")),
+               _check_i48, grid=_GRID_HC, tol=1e-8),
         _entry(IdentityId.I49, "(4.9)",
                "closed form of the j-th derivative at 0 vs the Cauchy-product Taylor oracle",
                ("exact",), [{"n": n, "j": j} for n in (1, 2, 3) for j in range(13)],
-               _check_i49, required=("n", "j")),
+               _check_i49),
         _entry(IdentityId.I410, "(4.10)",
                "ladder ODE residual of the truncated confluent-Heun series vanishes",
                ("ode",), [{"n": n, "j": j} for n in (1, 2, 3) for j in range(7)],
-               _check_i410, required=("n", "j")),
+               _check_i410),
     )
 }
 
@@ -778,7 +763,7 @@ def _resolve_mode(entry: RegistryEntry, mode, tol) -> CheckMode:
 
 def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
     params = dict(params or {})
-    missing = [k for k in entry.required if k not in params]
+    missing = [k for k in entry.default_params[0] if k not in params]
     if missing:
         raise MissingParam(f"{entry.id.value} requires parameters {missing}")
     out = {}
@@ -841,8 +826,8 @@ def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | N
         iid, checker = (IdentityId.I42, _check_i42) if family == "hc-4.2" else (IdentityId.I43, _check_i43)
         default_grid = _GRID_HC
     elif family == "hc-4.8":
-        ps = {"n": int(params["n"]), "j": int(params["j"])}
         iid, checker, default_grid = IdentityId.I48, _check_i48_rung, _GRID_HC
+        ps = _normalize_params(REGISTRY[iid], {k: v for k, v in params.items() if k in ("n", "j")})
     else:
         raise DomainError(f"unknown ladder family {family!r}")
     mode = NumericGrid(tuple(grid) if grid is not None else default_grid, tol)

@@ -40,7 +40,7 @@ from .errors import (
     InvalidGamma,
     NonFinite,
 )
-from .exactalg import Poly, rat
+from .exactalg import E2, Poly, binary_form, rat
 
 Scalar = Union[Fraction, int, float]
 
@@ -554,11 +554,7 @@ def f_poly(n: int) -> Poly:
     """Exact polynomial  sum_k [C(n,k) x^k (1-x)^(n-k)]^2  of degree 2n."""
     if n < 0:
         raise IndexOutOfRange("degree index must be non-negative")
-    one_minus_x = Poly.of(1, -1)
-    total = Poly()
-    for k in range(n + 1):
-        total = total + (Poly.monomial(2 * k) * one_minus_x ** (2 * (n - k))).scale(comb(n, k) ** 2)
-    return total
+    return binary_form([comb(n, k) ** 2 for k in range(n + 1)], E2, Poly.of(1, -2, 1), n)
 
 
 def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):

@@ -18,7 +18,7 @@ from heunops.bspline import (
     kernel,
     kernel_moment,
 )
-from heunops.errors import InvalidKnots, NonpositiveWidth
+from heunops.errors import HeunopsError, InvalidKnots, NonpositiveWidth
 from heunops.exactalg import E0, E1, E2, Poly, integrate_product
 
 SIGMAS = (F(1, 2), F(1), F(7, 3))
@@ -172,6 +172,13 @@ class TestSigmaSpecs:
         sig = TableSigma((F(0), F(1), F(2)), (F(1), F(3), F(1)))
         assert sig.at(F(1, 2)) == 2
         assert sig.at(F(5)) == 1  # clamped beyond the table
+
+    @pytest.mark.parametrize("xs, values", (((0, 0), (1, 1)), ((0,), (1,)), ((0, 1), (1,))))
+    def test_malformed_table_is_a_library_error(self, xs, values):
+        with pytest.raises(HeunopsError):
+            TableSigma(xs, values)
+        with pytest.raises(ValueError):
+            TableSigma(xs, values)
 
     def test_table_positivity_enforced(self):
         sig = TableSigma((F(0), F(1)), (F(1), F(-1)))

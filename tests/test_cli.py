@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, exact output strings, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -55,6 +56,20 @@ class TestEval:
             main(["eval", "nosuch", "n=1"])
         assert exc.value.code == 2
 
+    def test_params_parsed_once_per_command(self, capsys, monkeypatch):
+        calls = []
+        real_frac = cli._frac
+
+        def counting_frac(params, key):
+            calls.append(key)
+            return real_frac(params, key)
+
+        monkeypatch.setattr(cli, "_frac", counting_frac)
+        code, out, _ = run(capsys, "eval", "hl", "a=1/2", "q=-1", "alpha=-2", "beta=1",
+                           "gamma=1", "delta=1", "--grid", "0:1:5", "--exact")
+        assert code == 0 and len(out.splitlines()) == 6
+        assert len(calls) == 6
+
     def test_bspline_eval(self, capsys):
         code, out, _ = run(capsys, "eval", "bspline", "knots=0;1/3;2/3;1", "x=1/2", "--exact")
         assert code == 0 and out == "9/4\n"
@@ -73,6 +88,11 @@ class TestVerify:
     def test_inadmissible_mode(self, capsys):
         code, _, err = run(capsys, "verify", "--id", "I39", "--params", "n=2", "--mode", "numeric")
         assert code == 2
+
+    def test_missing_param_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--id", "I22", "--params", "x=1")
+        assert code == 2 and out == ""
+        assert "['m']" in err and "Traceback" not in err
 
     def test_failure_exit_code(self, capsys):
         # an absurd tolerance turns a passing numeric check into a failure
@@ -188,3 +208,28 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestGolden:
+    """Exact outputs pinned by the sha256 of their stdout: a change to the
+    exact layer must leave these bytes as they are."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        (
+            (["verify", "--all"],
+             "dba842e07ca9ef42eea4da6f5a18e46fd1de15a3716cba370244766ebabff8d2"),
+            (["verify", "--all", "--json"],
+             "3c48dd784799761e471d5f710d750b1848d92bf756e1b7160247b6e2fd1fd9a6"),
+            (["entropy", "--op", "kantorovich", "--n", "12", "--k", "3", "--grid", "0:1:129",
+              "--json"],
+             "e3b2652b78ef2ea0db2daec1e35be25b80217d781c12dbb70347e6524085e6c5"),
+            (["entropy", "--op", "bspline", "--n", "8", "--sigma", "quad:1:1/2",
+              "--grid=-2:2:33", "--json"],
+             "89f8934bc04a42928fa97f94d8d641d68e776a2f36efaa60f2507b2f4d94c0d1"),
+        ),
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heunops.exactalg import NEG_INFINITY, PiecewisePoly, Poly, integrate_product, rat
+from heunops.errors import IndexOutOfRange
+from heunops.exactalg import NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product, rat
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 small_polys = st.lists(fractions, min_size=0, max_size=6).map(lambda cs: Poly(tuple(cs)))
@@ -87,6 +88,24 @@ def test_product_rule(p, q):
 @given(small_polys, fractions, fractions, fractions)
 def test_compose_affine_evaluation(p, a, b, x):
     assert p.compose_affine(a, b)(x) == p(a * x + b)
+
+
+@settings(max_examples=60)
+@given(st.lists(fractions, max_size=5), small_polys, small_polys, st.integers(0, 3))
+def test_binary_form_matches_per_term_sum(coeffs, a, b, extra):
+    degree = len(coeffs) - 1 + extra
+    naive = Poly()
+    for k, c in enumerate(coeffs):
+        naive = naive + (a**k * b ** (degree - k)).scale(c)
+    assert binary_form(coeffs, a, b, degree) == naive
+
+
+def test_binary_form_rejects_more_coefficients_than_degree():
+    assert binary_form([1, 2], Poly.of(0, 1), Poly.of(1, -1), 1) == Poly.of(1, 1)
+    with pytest.raises(IndexOutOfRange):
+        binary_form([1, 2, 3], Poly.of(0, 1), Poly.of(1, -1), 1)
+    with pytest.raises(IndexOutOfRange):
+        binary_form([1], Poly.of(0, 1), Poly.of(1, -1), -1)
 
 
 def _pp(breaks, *pieces):

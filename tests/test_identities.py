@@ -62,8 +62,9 @@ class TestVerify:
             verify("I39", {"n": 2}, "numeric")
 
     def test_missing_param(self):
-        with pytest.raises(MissingParam):
-            verify("I39", {})
+        for iid in ("I39", "I22"):
+            with pytest.raises(MissingParam):
+                verify(iid, {})
 
     def test_empty_ranges_vacuous_pass(self):
         reports = verify_all({iid: () for iid in IdentityId})
@@ -143,6 +144,12 @@ class TestLadders:
 
     def test_j_ladder(self):
         assert derivative_ladder_check("hc-4.8", {"n": 2, "j": 3}).passed
+
+    @pytest.mark.parametrize("key", ("n", "j"))
+    def test_j_ladder_non_integral_index(self, key):
+        params = {"n": 2, "j": 3, key: F(7, 2)}
+        with pytest.raises(DomainError, match=f"index parameter {key}"):
+            derivative_ladder_check("hc-4.8", params)
 
     def test_finite_difference_route_decides(self, monkeypatch):
         # with no room left for the central difference's h^2 error every
