@@ -19,8 +19,10 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
@@ -350,9 +352,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
+#: a grid spec with a negative start, which argparse takes for an option
+_NEGATIVE_GRID = re.compile(r"-[0-9.]")
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid -1:1:3`` as ``--grid=-1:1:3``, up to a ``--``."""
+    out = list(argv)
+    end = out.index("--") if "--" in out else len(out)
+    for i in reversed(range(end - 1)):
+        if out[i] == "--grid" and _NEGATIVE_GRID.match(out[i + 1]):
+            out[i:i + 2] = [f"--grid={out[i + 1]}"]
+    return out
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_grid_values(argv))
     handlers = {
         "eval": _cmd_eval,
         "verify": _cmd_verify,

@@ -18,6 +18,11 @@ only when such an N exists; float parameters are converted exactly for
 it.  Series that terminate are evaluated as exact polynomials.  A series
 that can stop only above ``MAX_DEGREE`` is rejected with
 :class:`DivergentSeries`, because its float sum cancels catastrophically.
+
+Terminating Heun, confluent Heun and Gauss polynomials are built once per
+parameter set and cached.  They are evaluated exactly at the rational
+value of ``x`` (a float converted exactly) by integer Horner, and the
+exact value is rounded to a float once.
 """
 
 from __future__ import annotations
@@ -238,10 +243,47 @@ def _power_terms(stream: Iterator, x: float, deriv: bool) -> Iterator[float]:
             xpow *= x
 
 
+#: entries kept by each cache of exact polynomials
+_CACHE_SIZE = 256
+
+#: integer forms of evaluated polynomials, keyed by identity: the cached
+#: polynomials come back as the same objects, and hashing their Fraction
+#: coefficients would cost more than an evaluation.  Each entry holds its
+#: polynomial, so an id cannot be reused while the entry exists.
+_INTEGER_FORMS: dict[int, tuple[Poly, tuple[int, ...], int]] = {}
+
+
+def _integer_form(p: Poly) -> tuple[tuple[int, ...], int]:
+    """Coefficients of ``p`` times the lcm L of their denominators, highest
+    degree first, and L."""
+    hit = _INTEGER_FORMS.get(id(p))
+    if hit is None:
+        lcm = math.lcm(*(c.denominator for c in p.coeffs))
+        hit = (p, tuple(c.numerator * (lcm // c.denominator) for c in reversed(p.coeffs)), lcm)
+        if len(_INTEGER_FORMS) >= _CACHE_SIZE:
+            _INTEGER_FORMS.clear()
+        _INTEGER_FORMS[id(p)] = hit
+    return hit[1], hit[2]
+
+
 def _eval_exact_poly(p: Poly, x) -> float:
     """Value at ``x``, rounded once: a float ``x`` is converted exactly,
-    because float Horner on large alternating coefficients cancels."""
-    return float(p(rat(x) if _is_exact(x) else Fraction(float(x))))
+    because float Horner on large alternating coefficients cancels.
+
+    With x = u/v and the integer form C_k = L c_k, the value is
+    sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers,
+    then one correctly rounded int/int division, which is what ``float``
+    of the equal ``Fraction`` computes.
+    """
+    ints, lcm = _integer_form(p)
+    xq = rat(x) if _is_exact(x) else Fraction(float(x))
+    u, v = xq.numerator, xq.denominator
+    it = iter(ints)
+    acc, vpow = next(it, 0), 1
+    for c in it:
+        vpow *= v
+        acc = acc * u + c * vpow
+    return acc / (lcm * vpow)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +312,7 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
         if abs(float(x)) >= 1.0:
             raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
     if stop is not None and all(_is_exact(v) for v in (a, b, c)) and _is_exact(x):
-        value = float(hyp2f1_poly(a, b, c)(rat(x)))
-        return SeriesResult(value, stop + 1, True, 0.0)
+        return SeriesResult(_eval_exact_poly(hyp2f1_poly(a, b, c), x), stop + 1, True, 0.0)
 
     xf = float(x)
 
@@ -290,8 +331,13 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     return SeriesResult(s, stop + 1, True, 0.0)
 
 
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
-    """Exact polynomial form of a terminating Gauss series with rational parameters."""
+    """Exact polynomial form of a terminating Gauss series with rational parameters.
+
+    Typed caching keeps a float argument, which is rejected, apart from an
+    equal rational one.
+    """
     if not all(_is_exact(v) for v in (a, b, c)):
         raise TypeError("exact polynomial form requires rational parameters")
     stop = _hyp2f1_stop_index(a, b)
@@ -505,12 +551,14 @@ _FAMILIES = {
 }
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _terminating_poly(params) -> Poly | None:
     """Exact polynomial form of a terminating series, or None.
 
-    Float parameters are converted exactly.  A series that can stop only
-    above ``MAX_DEGREE`` raises :class:`DivergentSeries`: a float sum of
-    it cancels catastrophically and would be silently wrong.
+    Float parameters are converted exactly, so a float field and an equal
+    rational one share a cache entry.  A series that can stop only above
+    ``MAX_DEGREE`` raises :class:`DivergentSeries` (not cached): a float
+    sum of it cancels catastrophically and would be silently wrong.
     """
     name, stop_degree, stream = _FAMILIES[type(params)]
     stop = stop_degree(params)
@@ -522,6 +570,13 @@ def _terminating_poly(params) -> Poly | None:
     if stop > MAX_DEGREE:
         raise DivergentSeries(f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {MAX_DEGREE}")
     return None
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _terminating_deriv(params) -> Poly | None:
+    """Derivative of :func:`_terminating_poly`, or None."""
+    p = _terminating_poly(params)
+    return None if p is None else p.derivative()
 
 
 def _series_poly(params) -> Poly:
@@ -536,7 +591,8 @@ def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> 
     inside the disk of convergence."""
     p = _terminating_poly(params)
     if p is not None:
-        return SeriesResult(_eval_exact_poly(p.derivative() if deriv else p, x), len(p.coeffs), True, 0.0)
+        value = _eval_exact_poly(_terminating_deriv(params) if deriv else p, x)
+        return SeriesResult(value, len(p.coeffs), True, 0.0)
     name, _, stream = _FAMILIES[type(params)]
     xf = float(x)
     if abs(xf) >= radius:
@@ -715,11 +771,19 @@ def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule("periodic-trapezoid", npoints, float(a), float(b))
 
 
+@lru_cache(maxsize=None)
+def _leggauss(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only because shared."""
+    nodes, weights = np.polynomial.legendre.leggauss(npoints)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     """Apply ``rule`` to ``f``."""
     a, b = rule.a, rule.b
     if rule.kind == "gauss-legendre":
-        nodes, weights = np.polynomial.legendre.leggauss(rule.npoints)
+        nodes, weights = _leggauss(rule.npoints)
         nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         weights = 0.5 * (b - a) * weights
     else:

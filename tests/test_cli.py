@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from heunops import cli
+from heunops import cli, identities, specfun
 from heunops.cli import main
 
 
@@ -73,6 +77,23 @@ class TestEval:
     def test_bspline_eval(self, capsys):
         code, out, _ = run(capsys, "eval", "bspline", "knots=0;1/3;2/3;1", "x=1/2", "--exact")
         assert code == 0 and out == "9/4\n"
+
+    def test_negative_grid_start_in_either_form(self, capsys):
+        joined = run(capsys, "eval", "legendre", "n=3", "--grid=-1:1:3")
+        split = run(capsys, "eval", "legendre", "n=3", "--grid", "-1:1:3")
+        assert joined == split and joined[0] == 0
+        assert [row.split(",")[0] for row in joined[1].splitlines()] == ["x", "-1", "0", "1"]
+
+    def test_missing_grid_value_is_usage_error(self, capsys):
+        for tail in ([], ["--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "legendre", "n=3", "--grid", *tail])
+            assert exc.value.code == 2
+            assert "--grid: expected one argument" in capsys.readouterr().err
+
+    def test_grid_tokens_after_double_dash_are_left_alone(self):
+        assert cli._join_grid_values(["eval", "F", "--grid", "-1:1:3", "--", "--grid", "-2"]) == [
+            "eval", "F", "--grid=-1:1:3", "--", "--grid", "-2"]
 
 
 class TestVerify:
@@ -142,6 +163,12 @@ class TestEntropy:
         for line in out.splitlines()[1:6]:
             assert abs(float(line.split(",")[3]) + 1 / 3) < 1e-15
 
+    def test_negative_grid_start_in_either_form(self, capsys):
+        argv = ["entropy", "--op", "bspline", "--n", "3", "--sigma", "quad:1:1/2"]
+        joined = run(capsys, *argv, "--grid=-2:2:33")
+        split = run(capsys, *argv, "--grid", "-2:2:33")
+        assert joined == split and joined[0] == 0 and len(joined[1].splitlines()) == 35
+
     def test_domain_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "entropy", "--op", "kantorovich", "--n", "3", "--k", "2",
                            "--grid=-1:2:4")
@@ -193,6 +220,74 @@ class TestRegistry:
             assert set(row) >= {"id", "equation", "modes", "default_params", "description"}
 
 
+class TestModuleEntryPoint:
+    def test_python_m_heunops(self, capsys):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "heunops", "registry"],
+                              capture_output=True, env=env, check=False)
+        code, out, _ = run(capsys, "registry")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+
+
+class TestBuildOnce:
+    """Work that does not depend on the point is done once per process or
+    once per parameter set, however many calls or grid points use it."""
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["registry"], ["registry", "--json"], ["eval", "c_n", "n=3", "--exact"]):
+                assert run(capsys, *argv)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_shared_parser_leaks_no_state(self, capsys):
+        parser = cli._parser()
+        defaults = run(capsys, "verify", "--id", "I39", "--mode", "exact")
+        one = run(capsys, "verify", "--id", "I39", "--params", "n=5", "--mode", "exact")
+        again = run(capsys, "verify", "--id", "I39", "--mode", "exact")
+        assert again == defaults and again != one
+        entry = identities.REGISTRY[identities.IdentityId("I39")]
+        assert len(again[1].splitlines()) == len(entry.default_params) + 1
+        assert run(capsys, "eval", "legendre", "n=2", "--grid", "0:1:3", "--json")[1].startswith("{")
+        assert run(capsys, "eval", "legendre", "n=2", "--grid", "0:1:3")[1].startswith("x,value\n")
+        assert cli._parser() is parser
+
+    def test_terminating_heun_grid_builds_polynomial_once(self, capsys, monkeypatch):
+        calls = []
+        real = specfun._exact_prefix
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_exact_prefix", counting)
+        specfun._terminating_poly.cache_clear()
+        code, out, _ = run(capsys, "eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1",
+                           "gamma=1", "delta=1", "--grid", "0:1:401")
+        assert code == 0 and len(out.splitlines()) == 402
+        assert len(calls) == 1
+
+    def test_terminating_gauss_grid_builds_polynomial_once(self, capsys):
+        specfun.hyp2f1_poly.cache_clear()
+        code, out, _ = run(capsys, "eval", "2f1", "a=-10", "b=1/2", "c=3/2", "--grid=-1:1:41")
+        assert code == 0 and len(out.splitlines()) == 42
+        info = specfun.hyp2f1_poly.cache_info()
+        assert info.misses == 1 and info.hits == 40
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -227,6 +322,17 @@ class TestGolden:
             (["entropy", "--op", "bspline", "--n", "8", "--sigma", "quad:1:1/2",
               "--grid=-2:2:33", "--json"],
              "89f8934bc04a42928fa97f94d8d641d68e776a2f36efaa60f2507b2f4d94c0d1"),
+            (["eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1",
+              "--grid", "0:1:401"],
+             "b52e0a7603f9c2319c7da563a6605364bb13061861a5ae3a264314c94cd46bc9"),
+            (["eval", "hl", "a=2", "q=1/2", "alpha=1/2", "beta=3/2", "gamma=1", "delta=1",
+              "--grid", "0:2/5:401"],
+             "c810e2e412cc685ec9c8a64db1f27157999f8f0e62f8d0858a549e3e47d9b373"),
+            (["eval", "hc", "p=0", "gamma=1", "delta=1/2", "alpha=1/2", "sigma=105",
+              "--grid=-1:3/2:201"],
+             "fe57fa98ae067033569247e458e37a03f4713f6bbac9736e0374d9a65586d0f9"),
+            (["eval", "2f1", "a=-10", "b=1/2", "c=3/2", "--grid=-1:1:401"],
+             "4950e192bdcf2bea3124586ae54d07af32c2406ff325913f1cf0de8e863d7aa9"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):
