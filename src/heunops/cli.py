@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error.  Diagnostics go to standard error; output is deterministic
 (two runs with identical arguments are byte-identical).  Floats print
-with 17 significant digits, exact rationals as ``p/q`` strings.
+with 17 significant digits (zero unsigned), exact rationals as ``p/q``
+strings.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .exactalg import Poly
 
 
 def _fmt_float(v: float) -> str:
-    return format(float(v), ".17g")
+    # + 0.0 turns a negative zero into 0.0 and leaves every other value as is
+    return format(float(v) + 0.0, ".17g")
 
 
 def _fmt_value(v, exact: bool) -> str:
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
     except HeunopsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedK,
 )
 from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, integrate_product, rat
-from .specfun import periodic_trapezoid, quadrature
+from .specfun import _eval_exact_poly, periodic_trapezoid, quadrature
 
 
 @dataclass(frozen=True)
@@ -87,19 +87,22 @@ def bernstein_basis(n: int, j: int, x) -> Fraction:
     return comb(n, j) * x**j * (1 - x) ** (n - j)
 
 
+#: the second variable of the Bernstein binary forms
+_ONE_MINUS_X = Poly.of(1, -1)
+
+
 @lru_cache(maxsize=None)
 def bernstein_poly(n: int, j: int) -> Poly:
     if not 0 <= j <= n:
         raise IndexOutOfRange(f"basis index {j} outside 0..{n}")
-    return (Poly.monomial(j) * Poly.of(1, -1) ** (n - j)).scale(comb(n, j))
+    return (Poly.monomial(j) * _ONE_MINUS_X ** (n - j)).scale(comb(n, j))
 
 
 def bernstein_apply(n: int, f: Poly) -> Poly:
-    """Bernstein operator on a polynomial, as an exact polynomial."""
-    total = Poly()
-    for j in range(n + 1):
-        total = total + bernstein_poly(n, j).scale(f(Fraction(j, n)))
-    return total
+    """Bernstein operator on a polynomial, as an exact polynomial: the
+    binary form  sum_j C(n,j) f(j/n) x^j (1-x)^(n-j)."""
+    return binary_form([comb(n, j) * f(Fraction(j, n)) for j in range(n + 1)],
+                       E1, _ONE_MINUS_X, n)
 
 
 @lru_cache(maxsize=None)
@@ -155,21 +158,29 @@ def kantorovich_apply(n: int, k: int, f: Poly, x, method: str = "definition") ->
 @lru_cache(maxsize=None)
 def s_direct_poly(n: int, k: int) -> Poly:
     """Squared-kernel integral of the k-th Kantorovich modification as an
-    exact polynomial in x, straight from the definition:
+    exact polynomial in x, straight from the definition (m = n - k):
 
-        sum_{j,j'} b_{n-k,j}(x) b_{n-k,j'}(x) * integral B_j B_j'
+        sum_{j,j'} b_{m,j}(x) b_{m,j'}(x) * integral B_j B_j'
+
+    The cells B_j sit on the equidistant knots j/n, ..., (j+k)/n, so B_j is
+    B_0 translated by j/n and the overlap integral depends only on
+    d = |j - j'|: it is I_d = integral B_0 B_d, which vanishes for d >= k.
+    So min(k, m + 1) exact integrals serve the whole double sum.  Since
+    b_{m,j} b_{m,j'} = C(m,j) C(m,j') x^(j+j') (1-x)^(2m-j-j'), the sum is
+    the degree-2m binary form in (x, 1 - x) with coefficients
+
+        a_l = sum_{j + j' = l, |j - j'| < k} C(m,j) C(m,j') I_{|j-j'|}.
     """
     if not 1 <= k <= n:
         raise UnsupportedK("squared kernel defined for 1 <= k <= n (k = 0 is the discrete family)")
-    total = Poly()
-    cells = [_kantorovich_cell(n, k, j) for j in range(n - k + 1)]
-    for j in range(n - k + 1):
-        for jp in range(n - k + 1):
-            if abs(j - jp) >= k:
-                continue  # disjoint supports
-            overlap = integrate_product(cells[j], cells[jp])
-            total = total + (bernstein_poly(n - k, j) * bernstein_poly(n - k, jp)).scale(overlap)
-    return total
+    m = n - k
+    cell0 = _kantorovich_cell(n, k, 0)
+    overlaps = [integrate_product(cell0, _kantorovich_cell(n, k, d)) for d in range(min(k, m + 1))]
+    coeffs = [Fraction(0)] * (2 * m + 1)
+    for j in range(m + 1):
+        for jp in range(max(0, j - k + 1), min(m, j + k - 1) + 1):
+            coeffs[j + jp] += comb(m, j) * comb(m, jp) * overlaps[abs(j - jp)]
+    return binary_form(coeffs, E1, _ONE_MINUS_X, 2 * m)
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +251,8 @@ def _kantorovich_profile_polys(n: int, k: int) -> tuple[Poly, Poly]:
     return s_direct_poly(n, k), kantorovich_poly(n, k, E2) - m1 * m1
 
 
-def _point(x: Fraction, s: Fraction, var: Fraction) -> EntropyPoint:
+def _point(x: Fraction, s, var) -> EntropyPoint:
+    # s and var are exact rationals or their correct roundings
     sf = float(s)
     return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
 
@@ -249,7 +261,7 @@ def _kantorovich_point(op: KantorovichOp, x: Fraction) -> EntropyPoint:
     if x < 0 or x > 1:
         raise DomainError(f"x = {x} outside the operator domain [0, 1]")
     s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
-    return _point(x, s_poly(x), var_poly(x))
+    return _point(x, _eval_exact_poly(s_poly, x), _eval_exact_poly(var_poly, x))
 
 
 def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
@@ -267,7 +279,8 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     B-spline values come from the exact quantities of the unit kernel
     (sigma = 1, x = 0), scaled exactly: s = c_n / sigma(x) and variance
     sigma(x)^2 times the unit variance.  Kantorovich polynomials are built
-    once per (n, k) and evaluated by Horner at each grid point.  Either
+    once per (n, k) and evaluated at each grid point by integer Horner,
+    rounded once (``specfun._eval_exact_poly``).  Either
     way each output float is the rounding of the same exact rational as
     a per-point rebuild."""
     xs = [rat(x) for x in xs]

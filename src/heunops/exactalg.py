@@ -8,6 +8,7 @@ types, so they are safe to share freely between threads.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,22 +186,59 @@ E1 = Poly.monomial(1)
 E2 = Poly.monomial(2)
 
 
+def _scaled(coeffs: Sequence[Fraction], lcm: int) -> list[int]:
+    """``lcm * c`` for each ``c``; ``lcm`` is a multiple of every denominator."""
+    return [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+
+def _int_mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two integer coefficient lists (lowest degree first)."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
 def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Poly:
     """Exact ``sum_k coeffs[k] * a**k * b**(degree - k)``.
 
-    Horner's rule in ``a``; each power of ``b`` is built once, by repeated
-    multiplication.  Fewer than ``degree + 1`` coefficients leave the
-    missing high terms zero; more raise :class:`IndexOutOfRange`.
+    Fewer than ``degree + 1`` coefficients leave the missing high terms
+    zero; more raise :class:`IndexOutOfRange`.
+
+    The form is homogeneous of degree d = ``degree`` in (a, b).  With L the
+    lcm of the denominators of the coefficients c_k and D that of the
+    coefficients of a and b, it equals
+
+        sum_k (L c_k) (D a)^k (D b)^(d-k) / (L D^d),
+
+    where every factor of the sum is an integer polynomial.  Horner's rule
+    in D a then runs over Python ints, each power of D b is built once, and
+    one ``Fraction`` per output coefficient is formed at the end.
     """
     if len(coeffs) > degree + 1:
         raise IndexOutOfRange(f"{len(coeffs)} coefficients exceed a form of degree {degree}")
-    b_powers = [E0]
+    if not coeffs:
+        return Poly()
+    cs = [rat(c) for c in coeffs]
+    lc = math.lcm(*(c.denominator for c in cs))
+    d = math.lcm(*(c.denominator for c in a.coeffs + b.coeffs))
+    ci, ai, bi = _scaled(cs, lc), _scaled(a.coeffs, d), _scaled(b.coeffs, d)
+    b_powers = [[1]]
     for _ in range(degree):
-        b_powers.append(b_powers[-1] * b)
-    total = Poly()
-    for k in reversed(range(len(coeffs))):
-        total = total * a + b_powers[degree - k].scale(coeffs[k])
-    return total
+        b_powers.append(_int_mul(b_powers[-1], bi))
+    total: list[int] = []
+    for k in reversed(range(len(ci))):
+        total = _int_mul(total, ai)
+        term = b_powers[degree - k]
+        total += [0] * (len(term) - len(total))
+        for i, t in enumerate(term):
+            total[i] += ci[k] * t
+    den = lc * d**degree
+    return Poly(tuple(Fraction(t, den) for t in total))
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,17 @@ class TestEval:
         assert joined == split and joined[0] == 0
         assert [row.split(",")[0] for row in joined[1].splitlines()] == ["x", "-1", "0", "1"]
 
+    def test_exact_zero_prints_unsigned(self, capsys):
+        # the float recurrence gives P_3(0) = -0.0
+        code, out, _ = run(capsys, "eval", "legendre", "n=3", "--grid=-1:1:3")
+        assert code == 0 and out.splitlines() == ["x,value", "-1,-1", "0,0", "1,1"]
+
+    def test_float_overflow_is_usage_error(self, capsys):
+        # the exact degree-300 polynomial at x = 1000 exceeds the float range
+        code, out, err = run(capsys, "eval", "2f1", "a=-300", "b=1/2", "c=3/2", "x=1000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_grid_value_is_usage_error(self, capsys):
         for tail in ([], ["--json"]):
             with pytest.raises(SystemExit) as exc:
@@ -168,6 +179,14 @@ class TestEntropy:
         joined = run(capsys, *argv, "--grid=-2:2:33")
         split = run(capsys, *argv, "--grid", "-2:2:33")
         assert joined == split and joined[0] == 0 and len(joined[1].splitlines()) == 35
+
+    def test_zero_renyi_prints_unsigned(self, capsys):
+        # s = 1 everywhere, and -log(1.0) is -0.0
+        code, out, _ = run(capsys, "entropy", "--op", "bspline", "--n", "2",
+                           "--sigma", "const:2/3", "--grid=-1:1:3")
+        assert code == 0
+        for line in out.splitlines()[1:4]:
+            assert line.split(",")[1:4] == ["1", "0", "0"]
 
     def test_domain_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "entropy", "--op", "kantorovich", "--n", "3", "--k", "2",
@@ -319,6 +338,12 @@ class TestGolden:
             (["entropy", "--op", "kantorovich", "--n", "12", "--k", "3", "--grid", "0:1:129",
               "--json"],
              "e3b2652b78ef2ea0db2daec1e35be25b80217d781c12dbb70347e6524085e6c5"),
+            (["entropy", "--op", "kantorovich", "--n", "7", "--k", "1", "--grid", "0:1:33",
+              "--json"],
+             "7e5f72723f589fb4d7cb08f15cd368f907e2da13f73a7e3f0fcd333b52ed885d"),
+            (["entropy", "--op", "kantorovich", "--n", "9", "--k", "4", "--grid", "0:1:33",
+              "--json"],
+             "3951b65d5a319d49e45a28ec5fb11a4cfcf11fa1f88aae53277a28f0075d8d60"),
             (["entropy", "--op", "bspline", "--n", "8", "--sigma", "quad:1:1/2",
               "--grid=-2:2:33", "--json"],
              "89f8934bc04a42928fa97f94d8d641d68e776a2f36efaa60f2507b2f4d94c0d1"),

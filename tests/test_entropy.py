@@ -174,8 +174,31 @@ SIGMAS = (bspline.ConstantSigma(F(3, 2)), bspline.QuadraticSigma(F(1, 2), F(1, 3
 XS_KINKS = [F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 4), F(1, 2), F(1), F(7, 3)]
 
 
+def _double_loop_s(n, k):
+    """Squared-kernel polynomial summed over all (n-k+1)^2 cell pairs, with
+    one overlap integral per pair of cells built at their own knots."""
+    m = n - k
+    cells = [bspline.bspline_density([F(j + i, n) for i in range(k + 1)]) for j in range(m + 1)]
+    total = Poly()
+    for j in range(m + 1):
+        for jp in range(m + 1):
+            if abs(j - jp) < k:
+                overlap = integrate_product(cells[j], cells[jp])
+                total = total + (bernstein_poly(m, j) * bernstein_poly(m, jp)).scale(overlap)
+    return total
+
+
 class TestProfileOracles:
     """Profiles built from hoisted kernel data against per-point rebuilds."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_kantorovich_polys_against_double_loop(self, n):
+        for k in range(1, n + 1):
+            s = _double_loop_s(n, k)
+            m1 = kantorovich_poly(n, k, E1, "bspline-form")
+            var = kantorovich_poly(n, k, E2, "bspline-form") - m1 * m1
+            assert entropy.s_direct_poly(n, k).coeffs == s.coeffs
+            assert entropy._kantorovich_profile_polys(n, k) == (s, var)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("sigma", SIGMAS, ids=("const", "quad", "table"))
@@ -245,6 +268,19 @@ class TestNoPerPointRebuild:
             assert small["s_direct_poly"] == 1 and small["kantorovich_poly"] == 2
         else:
             assert small["integrate_product"] == 1
+
+    @pytest.mark.parametrize("n, k", ((1, 1), (6, 3), (9, 4), (12, 2), (12, 11), (40, 3)))
+    def test_one_overlap_integral_per_cell_distance(self, monkeypatch, n, k):
+        counts: dict = {}
+        self._clear_caches()
+        self._counting(monkeypatch, counts, entropy, "integrate_product",
+                       entropy.integrate_product)
+        try:
+            entropy.s_direct_poly(n, k)
+        finally:
+            monkeypatch.undo()
+            self._clear_caches()
+        assert counts["integrate_product"] == min(k, n - k + 1)
 
 
 class TestSynchronicity:

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunops.errors import IndexOutOfRange
@@ -91,7 +91,11 @@ def test_compose_affine_evaluation(p, a, b, x):
 
 
 @settings(max_examples=60)
-@given(st.lists(fractions, max_size=5), small_polys, small_polys, st.integers(0, 3))
+@given(st.lists(fractions, max_size=8), small_polys, small_polys, st.integers(0, 6))
+@example([F(1, 2), F(-2, 9), F(5, 11)], Poly.of(F(1, 3), F(2, 5)), Poly.of(F(3, 7), F(-1, 4)), 6)
+@example([F(1, 2), 3, F(-1, 6)], Poly(), Poly.of(F(1, 3), 1), 2)
+@example([F(1, 2), 3, F(-1, 6)], Poly.of(F(1, 3), 1), Poly(), 2)
+@example([F(1, 6)] * 8, Poly.of(0, F(1, 2)), Poly.of(1, F(-1, 3)), 6)
 def test_binary_form_matches_per_term_sum(coeffs, a, b, extra):
     degree = len(coeffs) - 1 + extra
     naive = Poly()
