@@ -39,6 +39,15 @@ class BSplineOp:
     sigma: bspline.SigmaSpec
 
 
+def _require_kantorovich_order(n: int, k: int) -> None:
+    """Reject orders outside 0 <= k <= n and the degree n = 0, whose
+    Bernstein nodes j/n do not exist."""
+    if n < 1:
+        raise DomainError(f"Kantorovich operator needs degree n >= 1, got n = {n}")
+    if not 0 <= k <= n:
+        raise DomainError("Kantorovich order requires 0 <= k <= n")
+
+
 @dataclass(frozen=True)
 class KantorovichOp:
     """k-th Kantorovich modification of the degree-n Bernstein operator on [0, 1]."""
@@ -47,8 +56,7 @@ class KantorovichOp:
     k: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise DomainError("Kantorovich order requires 0 <= k <= n")
+        _require_kantorovich_order(self.n, self.k)
 
 
 OperatorSpec = Union[BSplineOp, KantorovichOp]
@@ -122,8 +130,7 @@ def kantorovich_poly(n: int, k: int, f: Poly, method: str = "definition") -> Pol
     Exact agreement of the two routes on polynomials is one of the
     verified identities.
     """
-    if not 0 <= k <= n:
-        raise DomainError("require 0 <= k <= n")
+    _require_kantorovich_order(n, k)
     if method == "definition":
         g = f
         for _ in range(k):

@@ -3,7 +3,9 @@ supported piecewise polynomials.
 
 Coefficients are stdlib :class:`fractions.Fraction` throughout; nothing in
 this module ever rounds.  ``Poly`` and ``PiecewisePoly`` are immutable value
-types, so they are safe to share freely between threads.
+types, so they are safe to share freely between threads.  Products and
+binary forms run over Python ints on lcm-scaled coefficients and build
+one ``Fraction`` per output coefficient.
 """
 
 from __future__ import annotations
@@ -115,18 +117,13 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
+        """Exact product.  A scalar scales; two polynomials are multiplied
+        in integer form: each is scaled by the lcm of its denominators, the
+        integer lists are convolved, and one ``Fraction`` is built per
+        output coefficient (see :func:`_convolve`)."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly(tuple(_convolve(self.coeffs, _as_poly(other).coeffs)))
 
     __rmul__ = __mul__
 
@@ -201,6 +198,20 @@ def _int_mul(p: list[int], q: list[int]) -> list[int]:
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return out
+
+
+def _convolve(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients of the product of two rational coefficient lists
+    (lowest degree first), empty if either is.
+
+    With L_p and L_q the lcm of the denominators of p and q, the product
+    is (L_p p)(L_q q) / (L_p L_q): one integer convolution, then one
+    ``Fraction`` per output coefficient.
+    """
+    lp = math.lcm(*(c.denominator for c in p))
+    lq = math.lcm(*(c.denominator for c in q))
+    den = lp * lq
+    return [Fraction(t, den) for t in _int_mul(_scaled(p, lp), _scaled(q, lq))]
 
 
 def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Poly:

@@ -26,7 +26,7 @@ from .errors import (
     InadmissibleMode,
     MissingParam,
 )
-from .exactalg import E0, E1, E2, Poly, binary_form, rat
+from .exactalg import E0, E1, E2, Poly, _convolve, binary_form, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
@@ -154,11 +154,9 @@ def _coeff_gap(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> float:
 
 
 def _cauchy(a: Sequence[Fraction], b: Sequence[Fraction], count: int) -> list[Fraction]:
-    return [
-        sum((a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)),
-            Fraction(0))
-        for k in range(count)
-    ]
+    """First ``count`` coefficients of the product of two series, zero-padded."""
+    out = _convolve(a[:count], b[:count])[:count]
+    return out + [Fraction(0)] * (count - len(out))
 
 
 def _binom_series(exponent: Fraction, scale: Fraction, count: int) -> list[Fraction]:
@@ -554,6 +552,8 @@ def _check_i48(params, mode):
     n, j = params["n"], params["j"]
     hp = _params_k_family(n, j)
     k0 = kn_deriv_zero(n, j)
+    if k0 == 0:
+        raise DomainError(f"I48 needs n >= 1 for j >= 1: at n = {n}, K^({j})(0) = 0 cannot normalize")
     if mode.kind == "exact":
         depth = COEFF_DEPTH
         h = confluent_heun_coeffs(hp, depth)

@@ -23,6 +23,13 @@ Terminating Heun, confluent Heun and Gauss polynomials are built once per
 parameter set and cached.  They are evaluated exactly at the rational
 value of ``x`` (a float converted exactly) by integer Horner, and the
 exact value is rounded to a float once.
+
+Exact coefficient prefixes are built once as well: one per rational Heun
+or confluent Heun parameter set, and one per ``n`` for the Taylor
+coefficients of K_n.  A longer request computes only the missing
+coefficients (the three-term recurrences restart from the last two stored
+ones), each call returns a new list, and float parameter sets never read
+these caches.
 """
 
 from __future__ import annotations
@@ -147,8 +154,10 @@ class ConfluentHeunParams:
 # ---------------------------------------------------------------------------
 
 
-def _heun_stream(params: HeunParams, exact: bool) -> Iterator:
-    """Yield the local-series coefficients c_0 = 1, c_1, c_2, ...
+def _heun_stream(params: HeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
+                 c: Scalar = 1) -> Iterator:
+    """Yield the local-series coefficients c_k, c_{k+1}, ... from
+    c_{k-1} = ``c_prev`` and c_k = ``c`` (by default c_0 = 1, c_1, ...).
 
     Recurrence (coefficient of x^k in the polynomial form of the ODE):
 
@@ -162,10 +171,8 @@ def _heun_stream(params: HeunParams, exact: bool) -> Iterator:
     ga, de = conv(params.gamma), conv(params.delta)
     eps = al + be + 1 - ga - de
     lin = ga * (1 + a) + de * a + eps
-    c_prev = 0 if exact else 0.0
-    c = Fraction(1) if exact else 1.0
+    c_prev, c = conv(c_prev), conv(c)
     yield c
-    k = 0
     while True:
         num = ((1 + a) * k * (k - 1) + lin * k + q) * c - (k - 1 + al) * (k - 1 + be) * c_prev
         c_prev, c = c, num / (a * (k + 1) * (k + ga))
@@ -173,8 +180,10 @@ def _heun_stream(params: HeunParams, exact: bool) -> Iterator:
         k += 1
 
 
-def _confluent_stream(params: ConfluentHeunParams, exact: bool) -> Iterator:
-    """Yield the series coefficients of the confluent Heun function at 0.
+def _confluent_stream(params: ConfluentHeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
+                      c: Scalar = 1) -> Iterator:
+    """Yield the series coefficients c_k, c_{k+1}, ... of the confluent
+    Heun function at 0 from c_{k-1} = ``c_prev`` and c_k = ``c``.
 
         (k+1)(k+gamma) c_{k+1}
             = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}
@@ -182,10 +191,8 @@ def _confluent_stream(params: ConfluentHeunParams, exact: bool) -> Iterator:
     conv: Callable = Fraction if exact else float
     p, ga, de = conv(params.p), conv(params.gamma), conv(params.delta)
     al, sg = conv(params.alpha), conv(params.sigma)
-    c_prev = 0 if exact else 0.0
-    c = Fraction(1) if exact else 1.0
+    c_prev, c = conv(c_prev), conv(c)
     yield c
-    k = 0
     while True:
         num = (k * (k - 1) + (ga + de - 4 * p) * k - sg) * c + 4 * p * (k - 1 + al) * c_prev
         c_prev, c = c, num / ((k + 1) * (k + ga))
@@ -246,6 +253,15 @@ def _power_terms(stream: Iterator, x: float, deriv: bool) -> Iterator[float]:
 #: entries kept by each cache of exact polynomials
 _CACHE_SIZE = 256
 
+
+def _bounded_put(cache: dict, key, value) -> None:
+    """Store ``value``, first emptying ``cache`` if a new key would take it
+    past ``_CACHE_SIZE`` entries."""
+    if key not in cache and len(cache) >= _CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+
+
 #: integer forms of evaluated polynomials, keyed by identity: the cached
 #: polynomials come back as the same objects, and hashing their Fraction
 #: coefficients would cost more than an evaluation.  Each entry holds its
@@ -260,9 +276,7 @@ def _integer_form(p: Poly) -> tuple[tuple[int, ...], int]:
     if hit is None:
         lcm = math.lcm(*(c.denominator for c in p.coeffs))
         hit = (p, tuple(c.numerator * (lcm // c.denominator) for c in reversed(p.coeffs)), lcm)
-        if len(_INTEGER_FORMS) >= _CACHE_SIZE:
-            _INTEGER_FORMS.clear()
-        _INTEGER_FORMS[id(p)] = hit
+        _bounded_put(_INTEGER_FORMS, id(p), hit)
     return hit[1], hit[2]
 
 
@@ -314,13 +328,13 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     if stop is not None and all(_is_exact(v) for v in (a, b, c)) and _is_exact(x):
         return SeriesResult(_eval_exact_poly(hyp2f1_poly(a, b, c), x), stop + 1, True, 0.0)
 
-    xf = float(x)
+    xf, af, bf, cf = float(x), float(a), float(b), float(c)
 
     def terms() -> Iterator[float]:
         t = 1.0
         for k in itertools.count():
             yield t * xf**k
-            t = t * (float(a) + k) * (float(b) + k) / ((float(c) + k) * (k + 1))
+            t = t * (af + k) * (bf + k) / ((cf + k) * (k + 1))
 
     if stop is None:
         return _sum_terms(terms(), tol, abs(xf))
@@ -414,8 +428,7 @@ def heun_radius(params: HeunParams) -> float:
 
 def heun_coeffs(params: HeunParams, count: int) -> list:
     """First ``count`` local-series coefficients (exact when the parameters are)."""
-    stream = _heun_stream(params, params.is_rational)
-    return [c for _, c in zip(range(count), stream)]
+    return _series_coeffs(params, count)
 
 
 def _heun_stop_degree(params: HeunParams) -> int | None:
@@ -479,8 +492,8 @@ def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
 
 
 def confluent_heun_coeffs(params: ConfluentHeunParams, count: int) -> list:
-    stream = _confluent_stream(params, params.is_rational)
-    return [c for _, c in zip(range(count), stream)]
+    """First ``count`` series coefficients (exact when the parameters are)."""
+    return _series_coeffs(params, count)
 
 
 def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
@@ -549,6 +562,31 @@ _FAMILIES = {
     HeunParams: ("local Heun", _heun_stop_degree, _heun_stream),
     ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream),
 }
+
+
+#: exact coefficient prefixes, one tuple per rational parameter set
+_PREFIXES: dict = {}
+
+
+def _series_coeffs(params, count: int) -> list:
+    """First ``count`` series coefficients of either Heun family, as a new list.
+
+    Float parameters give the float stream.  Rational ones read the cached
+    exact prefix.  A prefix that is too short is replaced by a longer one,
+    built by restarting the recurrence from its last two coefficients;
+    stored prefixes are never changed in place.  A float set that equals a
+    rational one never reads the cache.
+    """
+    stream = _FAMILIES[type(params)][2]
+    if not params.is_rational:
+        return [c for _, c in zip(range(count), stream(params, False))]
+    prefix = _PREFIXES.get(params, (Fraction(1),))
+    k = len(prefix) - 1
+    if count > k + 1:
+        rest = stream(params, True, k, prefix[-2] if k else 0, prefix[-1])
+        prefix += tuple(itertools.islice(rest, 1, count - k))
+        _bounded_put(_PREFIXES, params, prefix)
+    return list(prefix[:max(count, 0)])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -667,21 +705,33 @@ def kn_deriv_zero(n: int, j: int) -> Fraction:
     return Fraction(-2 * n) ** j * s
 
 
+#: Taylor coefficients of K_n, one tuple per n
+_KN_TAYLOR: dict[int, tuple[Fraction, ...]] = {}
+
+
 def kn_taylor_coeffs(n: int, count: int) -> list[Fraction]:
     """Exact Taylor coefficients of ``exp(-2nx) * sum_k (nx)^(2k)/(k!)^2``
     at the origin, by Cauchy product of the two factor series.
 
-    Independent oracle for the closed form of :func:`kn_deriv_zero`.
+    Independent oracle for the closed form of :func:`kn_deriv_zero`.  The
+    coefficients are kept per ``n`` and only the missing ones are computed;
+    a new list is returned.
     """
-    out = []
-    for m in range(count):
-        acc = Fraction(0)
-        for k in range(m // 2 + 1):
-            acc += Fraction(n ** (2 * k), math.factorial(k) ** 2) * Fraction(
-                (-2 * n) ** (m - 2 * k), math.factorial(m - 2 * k)
-            )
-        out.append(acc)
-    return out
+    prefix = _KN_TAYLOR.get(n, ())
+    if count > len(prefix):
+        prefix += tuple(_kn_taylor_coeff(n, m) for m in range(len(prefix), count))
+        _bounded_put(_KN_TAYLOR, n, prefix)
+    return list(prefix[:max(count, 0)])
+
+
+def _kn_taylor_coeff(n: int, m: int) -> Fraction:
+    """Coefficient of x^m in the Cauchy product of :func:`kn_taylor_coeffs`."""
+    acc = Fraction(0)
+    for k in range(m // 2 + 1):
+        acc += Fraction(n ** (2 * k), math.factorial(k) ** 2) * Fraction(
+            (-2 * n) ** (m - 2 * k), math.factorial(m - 2 * k)
+        )
+    return acc
 
 
 def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
@@ -695,6 +745,8 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     which avoids the cancellation of repeated termwise differentiation.
     At x = 0 the exact closed form is used.
     """
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
     if j < 0:
         raise IndexOutOfRange("derivative order must be non-negative")
     if j > 16:

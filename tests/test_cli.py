@@ -95,6 +95,11 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_negative_poisson_index_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "K", "n=-1", "x=1/2")
+        assert code == 2 and out == ""
+        assert err == "error: family index must be non-negative\n"
+
     def test_missing_grid_value_is_usage_error(self, capsys):
         for tail in ([], ["--json"]):
             with pytest.raises(SystemExit) as exc:
@@ -125,6 +130,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--id", "I22", "--params", "x=1")
         assert code == 2 and out == ""
         assert "['m']" in err and "Traceback" not in err
+
+    def test_zero_normalization_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--id", "I48", "--params", "n=0,j=1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: I48 needs n >= 1") and "Fraction" not in err
 
     def test_failure_exit_code(self, capsys):
         # an absurd tolerance turns a passing numeric check into a failure

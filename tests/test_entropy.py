@@ -63,6 +63,15 @@ class TestKantorovich:
     def test_hat_center(self):
         assert kantorovich_apply(2, 2, E1, F(1, 2)) == F(1, 2)
 
+    def test_degree_zero_operator_rejected(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            KantorovichOp(0, 0)
+
+    @pytest.mark.parametrize("method", ("definition", "bspline-form"))
+    def test_degree_zero_polynomial_rejected(self, method):
+        with pytest.raises(DomainError, match="n >= 1"):
+            kantorovich_poly(0, 0, E1, method)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_representation_equality(self, n):
         # the two computation routes must agree exactly on polynomials

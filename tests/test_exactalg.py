@@ -84,6 +84,33 @@ def test_product_rule(p, q):
     assert lhs == rhs
 
 
+def _fraction_product(p: Poly, q: Poly) -> Poly:
+    """Schoolbook product over Fraction, the reference for the integer form of ``Poly.__mul__``."""
+    if not p.coeffs or not q.coeffs:
+        return Poly()
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(tuple(out))
+
+
+sparse_polys = st.lists(st.one_of(st.just(F(0)), fractions), max_size=8).map(lambda cs: Poly(tuple(cs)))
+
+
+@settings(max_examples=100)
+@given(sparse_polys, sparse_polys)
+@example(Poly(), Poly.of(F(1, 3), 2))
+@example(Poly.of(F(1, 3), 2), Poly())
+@example(Poly.of(F(1, 3), 0, F(-2, 7)), Poly.of(0, F(5, 4), 0, F(1, 9)))
+@example(Poly.of(F(1, 2), F(1, 2)), Poly.of(1, -1))
+def test_mul_matches_fraction_double_loop(p, q):
+    got = p * q
+    assert got == _fraction_product(p, q)
+    assert all(type(c) is F for c in got.coeffs)
+    assert q * p == got
+
+
 @settings(max_examples=60)
 @given(small_polys, fractions, fractions, fractions)
 def test_compose_affine_evaluation(p, a, b, x):

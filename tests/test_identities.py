@@ -1,9 +1,12 @@
 """The identity registry: representative checks, the derivative ladders,
 registry completeness and the mutation controls."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunops import identities, specfun
 from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam
@@ -77,6 +80,36 @@ class TestVerify:
     def test_report_serialization(self):
         d = verify("I49", {"n": 2, "j": 3}, "exact").to_dict()
         assert d["id"] == "I49" and d["pass"] is True and d["mode"] == "exact"
+
+
+    def test_i48_rejects_zero_normalization(self):
+        for mode in ("exact", "numeric"):
+            with pytest.raises(DomainError, match="n >= 1"):
+                verify("I48", {"n": 0, "j": 1}, mode)
+        assert verify("I48", {"n": 0, "j": 0}, "exact").passed
+
+
+def _generator_cauchy(a, b, count):
+    """Truncated Cauchy product as a generator sum over Fraction, the reference for ``_cauchy``."""
+    return [
+        sum((a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)), F(0))
+        for k in range(count)
+    ]
+
+
+_series = st.lists(st.one_of(st.just(F(0)), st.builds(F, st.integers(-9, 9), st.integers(1, 9))),
+                   max_size=10)
+
+
+@settings(max_examples=100)
+@given(_series, _series, st.integers(0, 14))
+@example([], [F(1, 2)], 3)
+@example([F(1, 3), 0, F(-2, 7)], [0, F(5, 4), F(1, 9)], 2)
+@example([F(1, 2)] * 5, [F(1, 3)] * 7, 14)
+def test_cauchy_matches_generator_sum(a, b, count):
+    got = identities._cauchy(a, b, count)
+    assert got == _generator_cauchy(a, b, count)
+    assert len(got) == count and all(type(c) is F for c in got)
 
 
 class TestI314:
@@ -188,6 +221,22 @@ class TestFullSuite:
         assert a == b
 
 
+class TestBuildOnce:
+    def test_kn_taylor_coefficient_built_once_per_order(self, monkeypatch):
+        counts = Counter()
+        real = specfun._kn_taylor_coeff
+
+        def counting(n, m):
+            counts[n, m] += 1
+            return real(n, m)
+
+        monkeypatch.setattr(specfun, "_KN_TAYLOR", {})
+        monkeypatch.setattr(specfun, "_kn_taylor_coeff", counting)
+        assert all(r.passed for r in verify_all())
+        assert {n for n, _ in counts} == {1, 2, 3}
+        assert max(counts.values()) == 1
+
+
 class TestMutationControls:
     def test_perturbed_i314_breaks_only_itself(self, monkeypatch):
         real = identities.i314_rhs.__wrapped__ if hasattr(identities.i314_rhs, "__wrapped__") else identities.i314_rhs
@@ -219,3 +268,19 @@ class TestMutationControls:
             IdentityId.I313,
         }
         assert failing == expected
+
+    def test_perturbations_with_warm_caches(self, monkeypatch):
+        """Every cache is filled first, so a cache above a perturbed seam
+        would hide the perturbation."""
+        assert all(r.passed for r in verify_all())
+        real_rhs = identities.i314_rhs
+        monkeypatch.setattr(identities, "i314_rhs",
+                            lambda n, i: real_rhs(n, i) + Poly.monomial(1, F(1, 1000)))
+        assert {r.id for r in verify_all() if not r.passed} == {IdentityId.I314}
+        monkeypatch.undo()
+
+        real_f = specfun.f_poly
+        monkeypatch.setattr(specfun, "f_poly", lambda n: real_f(n) + Poly.monomial(1, F(1, 1000)))
+        expected = {IdentityId.I33, IdentityId.I34, IdentityId.I35, IdentityId.I36,
+                    IdentityId.I37, IdentityId.I39, IdentityId.I313}
+        assert {r.id for r in verify_all() if not r.passed} == expected

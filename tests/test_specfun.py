@@ -1,6 +1,7 @@
 """Series evaluators, their exact polynomial forms, residual certificates
 and the quadrature rules, each against an independent oracle."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -516,6 +517,97 @@ class TestSzaszK:
             szasz_K(1, 0, -0.5)
         with pytest.raises(DomainError):
             szasz_K(1, 17, 0.5)
+
+
+    def test_negative_family_index(self):
+        with pytest.raises(IndexOutOfRange):
+            szasz_K(-1, 0, 0.5)
+        with pytest.raises(IndexOutOfRange):
+            szasz_K(-1, 2, 0.0)
+
+
+def _kn_taylor_fresh(n, count):
+    """The uncached Cauchy product of the two factor series of K_n."""
+    return [
+        sum((F(n ** (2 * k), math.factorial(k) ** 2)
+             * F((-2 * n) ** (m - 2 * k), math.factorial(m - 2 * k)) for k in range(m // 2 + 1)), F(0))
+        for m in range(count)
+    ]
+
+
+#: rational parameter sets of both families, terminating and not
+_PREFIX_PARAMS = (
+    HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1),
+    HeunParams(F(1, 2), -3, -6, 1, 1, 1),
+    ConfluentHeunParams(2, 1, 0, F(1, 2), 4),
+    ConfluentHeunParams(F(1, 3), 2, 2, -2, F(-7, 5)),
+)
+#: counts in an order that grows, repeats and shrinks the cached prefixes
+_PREFIX_COUNTS = (2, 5, 1, 17, 17, 0, 30, 3, 31, 12)
+
+
+def _fresh_exact(params, count):
+    stream = specfun._FAMILIES[type(params)][2](params, True)
+    return list(itertools.islice(stream, count))
+
+
+def _coeffs_of(params, count):
+    return (heun_coeffs if isinstance(params, HeunParams) else confluent_heun_coeffs)(params, count)
+
+
+class TestCoefficientPrefixes:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_PREFIXES", {})
+        monkeypatch.setattr(specfun, "_KN_TAYLOR", {})
+
+    @pytest.mark.parametrize("params", _PREFIX_PARAMS)
+    def test_cached_prefix_equals_fresh_stream(self, params):
+        for count in _PREFIX_COUNTS:
+            got = _coeffs_of(params, count)
+            assert got == _fresh_exact(params, count)
+            assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3))
+    def test_kn_prefix_equals_fresh_cauchy_product(self, n):
+        for count in _PREFIX_COUNTS:
+            assert kn_taylor_coeffs(n, count) == _kn_taylor_fresh(n, count)
+
+    def test_negative_count_gives_empty_list(self):
+        assert heun_coeffs(_PREFIX_PARAMS[0], 4) and heun_coeffs(_PREFIX_PARAMS[0], -1) == []
+        assert kn_taylor_coeffs(2, 4) and kn_taylor_coeffs(2, -1) == []
+
+    @pytest.mark.parametrize("params", _PREFIX_PARAMS)
+    def test_mutating_a_returned_list_leaves_the_cache(self, params):
+        got = _coeffs_of(params, 10)
+        got[3] = F(99)
+        got.append(F(7))
+        del got[0]
+        assert _coeffs_of(params, 10) == _fresh_exact(params, 10)
+        kn = kn_taylor_coeffs(2, 10)
+        kn[1] = F(99)
+        kn.clear()
+        assert kn_taylor_coeffs(2, 10) == _kn_taylor_fresh(2, 10)
+
+    def test_caches_stay_bounded(self):
+        for i in range(specfun._CACHE_SIZE + 5):
+            assert confluent_heun_coeffs(ConfluentHeunParams(i, 1, 0, F(1, 2), 0), 3)[0] == 1
+            assert kn_taylor_coeffs(i, 2)[0] == 1
+        assert 0 < len(specfun._PREFIXES) <= specfun._CACHE_SIZE
+        assert 0 < len(specfun._KN_TAYLOR) <= specfun._CACHE_SIZE
+
+    def test_float_parameters_after_equal_rational_ones_stay_float(self):
+        pairs = (
+            (HeunParams(F(1, 2), F(1, 4), F(3, 2), 2, 1, 1), HeunParams(0.5, 0.25, 1.5, 2.0, 1.0, 1.0)),
+            (ConfluentHeunParams(2, 1, 0, F(1, 2), 4), ConfluentHeunParams(2.0, 1.0, 0.0, 0.5, 4.0)),
+        )
+        for exact, floats in pairs:
+            assert exact == floats and hash(exact) == hash(floats)
+            assert all(type(c) is F for c in _coeffs_of(exact, 12))
+            got = _coeffs_of(floats, 12)
+            stream = specfun._FAMILIES[type(floats)][2](floats, False)
+            assert got == list(itertools.islice(stream, 12))
+            assert all(type(c) is float for c in got)
 
 
 class TestKnDerivZero:
