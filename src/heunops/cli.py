@@ -104,9 +104,13 @@ def _parse_sigma(spec: str):
     if kind == "table":
         xs, values = [], []
         with open(rest, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].startswith("#"):
                     continue
+                if len(row) != 2:
+                    raise HeunopsError(f"sigma table {rest}, line {reader.line_num}: "
+                                       f"expected 2 fields x,sigma, got {len(row)}")
                 xs.append(Fraction(row[0]))
                 values.append(Fraction(row[1]))
         return bspline.TableSigma(tuple(xs), tuple(values))
@@ -214,6 +218,10 @@ def _cmd_verify(args) -> int:
     if not args.all and not args.id:
         raise HeunopsError("choose --all or --id IDENTITY")
     if args.all:
+        given = [opt for opt, v in (("--id", args.id), ("--params", args.params),
+                                    ("--mode", args.mode), ("--tol", args.tol)) if v is not None]
+        if given:
+            raise HeunopsError(f"--all runs the default suite and takes no {', '.join(given)}")
         reports = identities.verify_all()
     else:
         entry = identities.REGISTRY[identities._resolve_id(args.id)]
@@ -253,6 +261,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    if args.op == "bspline" and args.k is not None:
+        raise HeunopsError("--k applies only to --op kantorovich")
+    if args.op == "kantorovich" and args.sigma is not None:
+        raise HeunopsError("--sigma applies only to --op bspline")
     xs = _parse_grid(args.grid)
     if args.op == "bspline":
         sigma = _parse_sigma(args.sigma or "const:1")

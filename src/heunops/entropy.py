@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedK,
 )
 from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, integrate_product, rat
-from .specfun import _eval_exact_poly, periodic_trapezoid, quadrature
+from .specfun import periodic_trapezoid, quadrature
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ def _kantorovich_point(op: KantorovichOp, x: Fraction) -> EntropyPoint:
     if x < 0 or x > 1:
         raise DomainError(f"x = {x} outside the operator domain [0, 1]")
     s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
-    return _point(x, _eval_exact_poly(s_poly, x), _eval_exact_poly(var_poly, x))
+    return _point(x, s_poly.rounded(x), var_poly.rounded(x))
 
 
 def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
@@ -287,9 +287,8 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     (sigma = 1, x = 0), scaled exactly: s = c_n / sigma(x) and variance
     sigma(x)^2 times the unit variance.  Kantorovich polynomials are built
     once per (n, k) and evaluated at each grid point by integer Horner,
-    rounded once (``specfun._eval_exact_poly``).  Either
-    way each output float is the rounding of the same exact rational as
-    a per-point rebuild."""
+    rounded once (:meth:`Poly.rounded`).  Either way each output float is
+    the rounding of the same exact rational as a per-point rebuild."""
     xs = [rat(x) for x in xs]
     if isinstance(op, BSplineOp):
         return [_bspline_point(op, x) for x in xs]

@@ -3,9 +3,12 @@ supported piecewise polynomials.
 
 Coefficients are stdlib :class:`fractions.Fraction` throughout; nothing in
 this module ever rounds.  ``Poly`` and ``PiecewisePoly`` are immutable value
-types, so they are safe to share freely between threads.  Products and
-binary forms run over Python ints on lcm-scaled coefficients and build
-one ``Fraction`` per output coefficient.
+types, so they are safe to share freely between threads.
+
+Each ``Poly`` carries its integer form (its coefficients times the lcm of
+their denominators), built on first use and kept on the object.  Products,
+binary forms and the correctly rounded evaluation :meth:`Poly.rounded` run
+over Python ints on these forms and divide once at the end.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import IndexOutOfRange
@@ -78,6 +82,17 @@ class Poly:
     def degree(self) -> Union[int, float]:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """``(C, L)``: L is the lcm of the coefficient denominators and
+        C_i = L * coeffs[i], lowest degree first.
+
+        Built once per object, on first use.  It is not a dataclass field,
+        so ``==``, ``hash`` and ``repr`` never see it.
+        """
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -97,6 +112,27 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def rounded(self, x) -> float:
+        """Value at ``x``, rounded once: a float ``x`` is converted exactly,
+        because float Horner on large alternating coefficients cancels.
+
+        With x = u/v and the integer form (C, L), the value is
+        sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers,
+        then one correctly rounded int/int division, which is what ``float``
+        of the equal ``Fraction`` computes (``OverflowError`` included).
+        """
+        ints, lcm = self.integer_form
+        if isinstance(x, (int, Fraction)):
+            u, v = x.numerator, x.denominator
+        else:
+            u, v = float(x).as_integer_ratio()
+        it = reversed(ints)
+        acc, vpow = next(it, 0), 1
+        for c in it:
+            vpow *= v
+            acc = acc * u + c * vpow
+        return acc / (lcm * vpow)
 
     # -- ring operations -------------------------------------------------
 
@@ -118,12 +154,14 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         """Exact product.  A scalar scales; two polynomials are multiplied
-        in integer form: each is scaled by the lcm of its denominators, the
-        integer lists are convolved, and one ``Fraction`` is built per
-        output coefficient (see :func:`_convolve`)."""
+        in integer form: with (C, L) and (D, M) their integer forms, the
+        product is the convolution of C and D over L M, and one
+        ``Fraction`` is built per output coefficient."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
-        return Poly(tuple(_convolve(self.coeffs, _as_poly(other).coeffs)))
+        (p, lp), (q, lq) = self.integer_form, _as_poly(other).integer_form
+        den = lp * lq
+        return Poly(tuple(Fraction(t, den) for t in _int_mul(p, q)))
 
     __rmul__ = __mul__
 
@@ -183,12 +221,7 @@ E1 = Poly.monomial(1)
 E2 = Poly.monomial(2)
 
 
-def _scaled(coeffs: Sequence[Fraction], lcm: int) -> list[int]:
-    """``lcm * c`` for each ``c``; ``lcm`` is a multiple of every denominator."""
-    return [c.numerator * (lcm // c.denominator) for c in coeffs]
-
-
-def _int_mul(p: list[int], q: list[int]) -> list[int]:
+def _int_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
     """Product of two integer coefficient lists (lowest degree first)."""
     if not p or not q:
         return []
@@ -200,20 +233,6 @@ def _int_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _convolve(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients of the product of two rational coefficient lists
-    (lowest degree first), empty if either is.
-
-    With L_p and L_q the lcm of the denominators of p and q, the product
-    is (L_p p)(L_q q) / (L_p L_q): one integer convolution, then one
-    ``Fraction`` per output coefficient.
-    """
-    lp = math.lcm(*(c.denominator for c in p))
-    lq = math.lcm(*(c.denominator for c in q))
-    den = lp * lq
-    return [Fraction(t, den) for t in _int_mul(_scaled(p, lp), _scaled(q, lq))]
-
-
 def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Poly:
     """Exact ``sum_k coeffs[k] * a**k * b**(degree - k)``.
 
@@ -222,7 +241,8 @@ def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Pol
 
     The form is homogeneous of degree d = ``degree`` in (a, b).  With L the
     lcm of the denominators of the coefficients c_k and D that of the
-    coefficients of a and b, it equals
+    coefficients of a and b (the lcm of their integer-form scales), it
+    equals
 
         sum_k (L c_k) (D a)^k (D b)^(d-k) / (L D^d),
 
@@ -232,12 +252,10 @@ def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Pol
     """
     if len(coeffs) > degree + 1:
         raise IndexOutOfRange(f"{len(coeffs)} coefficients exceed a form of degree {degree}")
-    if not coeffs:
-        return Poly()
-    cs = [rat(c) for c in coeffs]
-    lc = math.lcm(*(c.denominator for c in cs))
-    d = math.lcm(*(c.denominator for c in a.coeffs + b.coeffs))
-    ci, ai, bi = _scaled(cs, lc), _scaled(a.coeffs, d), _scaled(b.coeffs, d)
+    ci, lc = Poly(tuple(coeffs)).integer_form
+    (ai, la), (bi, lb) = a.integer_form, b.integer_form
+    d = math.lcm(la, lb)
+    ai, bi = [t * (d // la) for t in ai], [t * (d // lb) for t in bi]
     b_powers = [[1]]
     for _ in range(degree):
         b_powers.append(_int_mul(b_powers[-1], bi))

@@ -26,7 +26,7 @@ from .errors import (
     InadmissibleMode,
     MissingParam,
 )
-from .exactalg import E0, E1, E2, Poly, _convolve, binary_form, rat
+from .exactalg import E0, E1, E2, Poly, binary_form, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
@@ -144,18 +144,30 @@ def _spread(values: Sequence[float]) -> float:
     return worst
 
 
-def _poly_gap(p: Poly, q: Poly) -> float:
-    diff = p - q
-    return max((abs(float(c)) for c in diff.coeffs), default=0.0)
+def _exact_verdict(diffs: Iterable[Fraction], points: int) -> tuple[float, int, bool]:
+    """Checker result from exact differences: the largest |float(d)| (inf
+    if one overflows a float), ``points``, and whether every d is 0.
+
+    The verdict never reads the rounded values, so a difference that
+    underflows to 0.0 still fails."""
+    err, exact = 0.0, True
+    for d in diffs:
+        if d:
+            exact = False
+            try:
+                err = max(err, abs(float(d)))
+            except OverflowError:
+                err = math.inf
+    return err, points, exact
 
 
-def _coeff_gap(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> float:
-    return max((abs(float(a - b)) for a, b in zip(xs, ys)), default=0.0)
+def _differences(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> list[Fraction]:
+    return [a - b for a, b in zip(xs, ys)]
 
 
 def _cauchy(a: Sequence[Fraction], b: Sequence[Fraction], count: int) -> list[Fraction]:
     """First ``count`` coefficients of the product of two series, zero-padded."""
-    out = _convolve(a[:count], b[:count])[:count]
+    out = list((Poly(tuple(a[:count])) * Poly(tuple(b[:count]))).coeffs[:count])
     return out + [Fraction(0)] * (count - len(out))
 
 
@@ -244,10 +256,9 @@ def _check_i22(params, mode):
     if mode.kind == "exact":
         direct = entropy.s_direct_poly(m, 2)
         sums = entropy.s2_sum_poly(m)
-        gap = _poly_gap(direct, sums)
         pts = max(len(direct.coeffs), len(sums.coeffs))
-        value_gap = max(abs(float(direct(x) - sums(x))) for x in _X9)
-        return max(gap, value_gap), pts + len(_X9), gap == 0.0 and value_gap == 0.0
+        values = [direct(x) - sums(x) for x in _X9]
+        return _exact_verdict([*(direct - sums).coeffs, *values], pts + len(_X9))
     sums = entropy.s2_sum_poly(m)
     worst = 0.0
     for x in _X9:
@@ -299,9 +310,8 @@ def _check_i33(params, mode):
     p = specfun.f_poly(n)
     if mode.kind == "ode":
         res = heun_ode_residual(_params_f_family(n), p)
-        err = max((abs(float(c)) for c in res.coeffs), default=0.0)
-        norm_ok = p(Fraction(0)) == 1
-        return err, len(p.coeffs) + 1, res.is_zero() and norm_ok
+        err, pts, ok = _exact_verdict(res.coeffs, len(p.coeffs) + 1)
+        return err, pts, ok and p(Fraction(0)) == 1
     worst = 0.0
     for x in mode.grid:
         worst = max(worst, _rel(heun_local(_params_f_family(n), x, SERIES_TOL).value, float(p(x))))
@@ -345,13 +355,9 @@ def _check_i35(params, mode):
     depth = 4 * n + 6
     series = [Fraction(comb(n + k - 1, k)) ** 2 for k in range(depth)]
     qcoef = _cauchy(series, _binom_series(Fraction(2 * n - 1), Fraction(-1), depth), depth)
-    tail = max((abs(float(c)) for c in qcoef[n:]), default=0.0)
     lhs = binary_form(qcoef[:n], E2, Poly.of(1, -2, 1), n - 1)
-    gap = _poly_gap(lhs, fp)
     cert = _clear_denominator_residual(_params_g_family(n), fp, 1 - 2 * n)
-    cert_err = max((abs(float(c)) for c in cert.coeffs), default=0.0)
-    err = max(tail, gap, cert_err)
-    return err, depth + len(fp.coeffs), err == 0.0
+    return _exact_verdict([*qcoef[n:], *(lhs - fp).coeffs, *cert.coeffs], depth + len(fp.coeffs))
 
 
 def _check_i36(params, mode):
@@ -363,8 +369,7 @@ def _check_i36(params, mode):
         Fraction(comb(n, k // 2)) ** 2 if k % 2 == 0 else Fraction(0) for k in range(2 * n + 1)
     ))
     rhs = binary_form(fp.coeffs, E1, Poly.of(1, 1), 2 * n)
-    gap = _poly_gap(lhs, rhs)
-    return gap, max(len(lhs.coeffs), len(rhs.coeffs)), gap == 0.0
+    return _exact_verdict((lhs - rhs).coeffs, max(len(lhs.coeffs), len(rhs.coeffs)))
 
 
 def _check_i37(params, mode):
@@ -375,32 +380,27 @@ def _check_i37(params, mode):
     depth = 4 * n + 8
     series = [Fraction(comb(n + k, k)) ** 2 for k in range(depth)]
     acoef = _cauchy(series, _binom_series(Fraction(2 * n + 1), Fraction(-1), depth), depth)
-    tail = max((abs(float(c)) for c in acoef[n + 1:]), default=0.0)
     a_even = [Fraction(0)] * (2 * n + 1)
     for i, c in enumerate(acoef[: n + 1]):
         a_even[2 * i] = c
     one_minus = Poly.of(1, -1)
     lhs = Poly(tuple(a_even)) * one_minus
     rhs = binary_form(fp.coeffs, E0, one_minus, 2 * n + 1)
-    gap = _poly_gap(lhs, rhs)
-    err = max(tail, gap)
-    return err, depth + len(rhs.coeffs), err == 0.0
+    return _exact_verdict([*acoef[n + 1:], *(lhs - rhs).coeffs], depth + len(rhs.coeffs))
 
 
 def _check_i38(params, mode):
     n = params["n"]
     lhs = hyp2f1_poly(-n, n + 1, 1)
     rhs = legendre_poly(n).compose_affine(-2, 1)
-    gap = _poly_gap(lhs, rhs)
-    return gap, len(rhs.coeffs), gap == 0.0
+    return _exact_verdict((lhs - rhs).coeffs, len(rhs.coeffs))
 
 
 def _check_i39(params, mode):
     n = params["n"]
     fp = specfun.f_poly(n)
     rhs = binary_form(legendre_poly(n).coeffs, Poly.of(1, -2, 2), Poly.of(1, -2), n)
-    gap = _poly_gap(fp, rhs)
-    return gap, len(fp.coeffs), gap == 0.0
+    return _exact_verdict((fp - rhs).coeffs, len(fp.coeffs))
 
 
 def _check_i311_312(params, mode):
@@ -423,8 +423,7 @@ def _check_i311_312(params, mode):
         e12 = heun_coeffs(rhs12, depth)
         power = _binom_series(exponent, Fraction(-2), depth)
         r12 = [factor * v for v in _cauchy(power, e12, depth)]
-        err = max(_coeff_gap(deriv, r11), _coeff_gap(r11, r12))
-        return err, 2 * depth, err == 0.0
+        return _exact_verdict(_differences(deriv, r11) + _differences(r11, r12), 2 * depth)
 
     def rhs_forms(x):
         v11 = float(factor) * (1 - 2 * x) * heun_local(rhs11, x, SERIES_TOL).value
@@ -444,8 +443,7 @@ def _check_i313(params, mode):
     lhs = specfun.f_poly(n).derivative()
     hp = HeunParams(Fraction(1, 2), 3 - 3 * n, 2 - 2 * n, 3, 2, 2)
     rhs = (Poly.of(-1, 2) * heun_poly(hp)).scale(2 * n)
-    gap = _poly_gap(lhs, rhs)
-    return gap, max(len(lhs.coeffs), 1), gap == 0.0
+    return _exact_verdict((lhs - rhs).coeffs, max(len(lhs.coeffs), 1))
 
 
 def _check_i314(params, mode):
@@ -453,13 +451,10 @@ def _check_i314(params, mode):
     rhs = i314_rhs(n, i)
     hp = _params_314(n, i)
     if mode.kind == "ode":
-        res = heun_ode_residual(hp, rhs)
-        err = max((abs(float(c)) for c in res.coeffs), default=0.0)
-        norm_ok = rhs(Fraction(0)) == 1
-        return err, len(rhs.coeffs) + 1, res.is_zero() and norm_ok
-    series = heun_poly(hp)
-    gap = _poly_gap(series, rhs)
-    return gap, len(rhs.coeffs), gap == 0.0 and rhs(Fraction(0)) == 1
+        err, pts, ok = _exact_verdict(heun_ode_residual(hp, rhs).coeffs, len(rhs.coeffs) + 1)
+    else:
+        err, pts, ok = _exact_verdict((heun_poly(hp) - rhs).coeffs, len(rhs.coeffs))
+    return err, pts, ok and rhs(Fraction(0)) == 1
 
 
 def _hc_ladder_params(p, gamma, alpha):
@@ -480,8 +475,8 @@ def _hc_ladder_check(lhs: ConfluentHeunParams, rhs: ConfluentHeunParams, mode, t
     if mode.kind == "exact":
         deriv = _deriv_coeffs(confluent_heun_coeffs(lhs, COEFF_DEPTH + 1))
         e = confluent_heun_coeffs(rhs, COEFF_DEPTH)
-        err = _coeff_gap(deriv, [target(e, k) for k in range(COEFF_DEPTH)])
-        return err, COEFF_DEPTH, err == 0.0
+        rhs_coeffs = [target(e, k) for k in range(COEFF_DEPTH)]
+        return _exact_verdict(_differences(deriv, rhs_coeffs), COEFF_DEPTH)
     worst_series, worst_fd = _ladder_errors(
         mode.grid, lambda x: confluent_heun_deriv(lhs, x, SERIES_TOL).value,
         lambda x: _central_diff(lambda t: confluent_heun(lhs, t, SERIES_TOL).value, x),
@@ -510,8 +505,7 @@ def _check_i45(params, mode):
     if mode.kind == "exact":
         depth = COEFF_DEPTH + 6
         hc = confluent_heun_coeffs(_params_k_family(n, 0), depth)
-        err = _coeff_gap(hc, kn_taylor_coeffs(n, depth))
-        return err, depth, err == 0.0
+        return _exact_verdict(_differences(hc, kn_taylor_coeffs(n, depth)), depth)
     return _check_i48({"n": n, "j": 0}, mode)  # (4.5) is the j = 0 case of (4.8)
 
 
@@ -520,14 +514,16 @@ def _k1_ladder_check(n: int, hp: ConfluentHeunParams, mode, coeff, route):
 
     Exact mode compares Taylor coefficients, ``coeff(h, k)`` being the
     k-th one of the confluent side from the coefficients ``h`` of Hc(hp).
-    Numeric mode compares on the grid with ``route(x, K'(x))``.
+    Numeric mode compares on the grid with ``route(x, K'(x))``.  Both
+    right sides divide by 2n, so n = 0 is rejected in either mode.
     """
+    if n == 0:
+        raise DomainError("the K' ladders (4.6)/(4.7) need n >= 1: their right sides divide by 2n = 0")
     if mode.kind == "exact":
         depth = COEFF_DEPTH + 6
         h = confluent_heun_coeffs(hp, depth)
         kprime = _deriv_coeffs(kn_taylor_coeffs(n, depth + 1))
-        err = _coeff_gap([coeff(h, k) for k in range(depth)], kprime)
-        return err, depth, err == 0.0
+        return _exact_verdict(_differences([coeff(h, k) for k in range(depth)], kprime), depth)
     worst_series, worst_fd = _ladder_errors(
         mode.grid, lambda x: route(x, szasz_K(n, 1, x)),
         lambda x: route(x, _central_diff(lambda t: szasz_K(n, 0, t), x)),
@@ -562,8 +558,7 @@ def _check_i48(params, mode):
             taylor[m + j] * Fraction(math.factorial(m + j), math.factorial(m)) for m in range(depth)
         ]
         target = [c / k0 for c in deriv_coeffs]
-        err = _coeff_gap(h, target)
-        return err, depth, err == 0.0
+        return _exact_verdict(_differences(h, target), depth)
     worst = 0.0
     for x in mode.grid:
         worst = max(
@@ -586,8 +581,7 @@ def _check_i49(params, mode):
     n, j = params["n"], params["j"]
     closed = kn_deriv_zero(n, j)
     oracle = kn_taylor_coeffs(n, j + 1)[j] * math.factorial(j)
-    err = abs(float(closed - oracle))
-    return err, 1, closed == oracle
+    return _exact_verdict([closed - oracle], 1)
 
 
 def _check_i410(params, mode):
@@ -599,9 +593,7 @@ def _check_i410(params, mode):
         + Poly.of(j + 1, 4 * n) * u.derivative()
         + u.scale(2 * n * (2 * j + 1))
     )
-    bad = [abs(float(residual.coeff(k))) for k in range(depth - 1)]
-    err = max(bad, default=0.0)
-    return err, depth - 1, err == 0.0
+    return _exact_verdict([residual.coeff(k) for k in range(depth - 1)], depth - 1)
 
 
 # ---------------------------------------------------------------------------

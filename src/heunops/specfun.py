@@ -21,8 +21,9 @@ that can stop only above ``MAX_DEGREE`` is rejected with
 
 Terminating Heun, confluent Heun and Gauss polynomials are built once per
 parameter set and cached.  They are evaluated exactly at the rational
-value of ``x`` (a float converted exactly) by integer Horner, and the
-exact value is rounded to a float once.
+value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
+runs integer Horner on the polynomial's integer form and rounds the exact
+value to a float once.
 
 Exact coefficient prefixes are built once as well: one per rational Heun
 or confluent Heun parameter set, and one per ``n`` for the Taylor
@@ -262,44 +263,6 @@ def _bounded_put(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-#: integer forms of evaluated polynomials, keyed by identity: the cached
-#: polynomials come back as the same objects, and hashing their Fraction
-#: coefficients would cost more than an evaluation.  Each entry holds its
-#: polynomial, so an id cannot be reused while the entry exists.
-_INTEGER_FORMS: dict[int, tuple[Poly, tuple[int, ...], int]] = {}
-
-
-def _integer_form(p: Poly) -> tuple[tuple[int, ...], int]:
-    """Coefficients of ``p`` times the lcm L of their denominators, highest
-    degree first, and L."""
-    hit = _INTEGER_FORMS.get(id(p))
-    if hit is None:
-        lcm = math.lcm(*(c.denominator for c in p.coeffs))
-        hit = (p, tuple(c.numerator * (lcm // c.denominator) for c in reversed(p.coeffs)), lcm)
-        _bounded_put(_INTEGER_FORMS, id(p), hit)
-    return hit[1], hit[2]
-
-
-def _eval_exact_poly(p: Poly, x) -> float:
-    """Value at ``x``, rounded once: a float ``x`` is converted exactly,
-    because float Horner on large alternating coefficients cancels.
-
-    With x = u/v and the integer form C_k = L c_k, the value is
-    sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers,
-    then one correctly rounded int/int division, which is what ``float``
-    of the equal ``Fraction`` computes.
-    """
-    ints, lcm = _integer_form(p)
-    xq = rat(x) if _is_exact(x) else Fraction(float(x))
-    u, v = xq.numerator, xq.denominator
-    it = iter(ints)
-    acc, vpow = next(it, 0), 1
-    for c in it:
-        vpow *= v
-        acc = acc * u + c * vpow
-    return acc / (lcm * vpow)
-
-
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric series
 # ---------------------------------------------------------------------------
@@ -326,7 +289,7 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
         if abs(float(x)) >= 1.0:
             raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
     if stop is not None and all(_is_exact(v) for v in (a, b, c)) and _is_exact(x):
-        return SeriesResult(_eval_exact_poly(hyp2f1_poly(a, b, c), x), stop + 1, True, 0.0)
+        return SeriesResult(hyp2f1_poly(a, b, c).rounded(x), stop + 1, True, 0.0)
 
     xf, af, bf, cf = float(x), float(a), float(b), float(c)
 
@@ -629,7 +592,7 @@ def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> 
     inside the disk of convergence."""
     p = _terminating_poly(params)
     if p is not None:
-        value = _eval_exact_poly(_terminating_deriv(params) if deriv else p, x)
+        value = (_terminating_deriv(params) if deriv else p).rounded(x)
         return SeriesResult(value, len(p.coeffs), True, 0.0)
     name, _, stream = _FAMILIES[type(params)]
     xf = float(x)

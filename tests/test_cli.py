@@ -136,6 +136,20 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: I48 needs n >= 1") and "Fraction" not in err
 
+    @pytest.mark.parametrize("iid", ("I46", "I47"))
+    def test_k1_ladder_zero_n_is_usage_error(self, capsys, iid):
+        for mode in ("exact", "numeric"):
+            code, out, err = run(capsys, "verify", "--id", iid, "--params", "n=0", "--mode", mode)
+            assert code == 2 and out == ""
+            assert "n >= 1" in err and "division" not in err
+
+    @pytest.mark.parametrize("extra", (["--id", "I39"], ["--params", "n=1"], ["--mode", "numeric"],
+                                       ["--tol", "1e300"]))
+    def test_all_rejects_single_check_options(self, capsys, extra):
+        code, out, err = run(capsys, "verify", "--all", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --all") and extra[0] in err
+
     def test_failure_exit_code(self, capsys):
         # an absurd tolerance turns a passing numeric check into a failure
         code, out, _ = run(capsys, "verify", "--id", "I48", "--params", "n=3,j=4",
@@ -228,6 +242,22 @@ class TestEntropy:
         rows = [line.split(",") for line in out.splitlines()[1:6]]
         assert abs(float(rows[2][4]) - (2 * 2) / 6) < 1e-15
         assert abs(float(rows[0][4]) - (1.5 * 1.5) / 6) < 1e-15
+
+    @pytest.mark.parametrize("text, line, fields", (("0,1\n1\n", 2, 1), ("# x,sigma\n0,1,9\n1,2\n", 2, 3)))
+    def test_table_sigma_row_needs_two_fields(self, capsys, tmp_path, text, line, fields):
+        table = tmp_path / "sigma.csv"
+        table.write_text(text)
+        code, out, err = run(capsys, "entropy", "--op", "bspline", "--n", "2",
+                             "--sigma", f"table:{table}", "--grid", "0:1:3")
+        assert code == 2 and out == ""
+        assert f"line {line}: expected 2 fields x,sigma, got {fields}" in err
+
+    @pytest.mark.parametrize("op, extra", (("kantorovich", ["--sigma", "const:1"]),
+                                           ("bspline", ["--k", "2"])))
+    def test_option_of_the_other_family_is_rejected(self, capsys, op, extra):
+        code, out, err = run(capsys, "entropy", "--op", op, "--n", "3", *extra, "--grid", "0:1:3")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {extra[0]} applies only to")
 
     def test_json_has_synchronicity(self, capsys):
         code, out, _ = run(capsys, "entropy", "--op", "kantorovich", "--n", "4", "--k", "2",

@@ -1,5 +1,6 @@
 """Exact polynomial and piecewise-polynomial arithmetic."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -137,6 +138,73 @@ def test_binary_form_rejects_more_coefficients_than_degree():
         binary_form([1, 2, 3], Poly.of(0, 1), Poly.of(1, -1), 1)
     with pytest.raises(IndexOutOfRange):
         binary_form([1], Poly.of(0, 1), Poly.of(1, -1), -1)
+
+
+def _xs():
+    """Evaluation points of every kind ``Poly.rounded`` accepts."""
+    near = lambda e: st.floats(2.0 ** (e - 1), 2.0 ** (e + 1))
+    return st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.fractions(max_denominator=10**9),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+        near(60), near(-60), near(60).map(lambda v: -v), near(-60).map(lambda v: -v),
+    )
+
+
+class TestExactEvaluation:
+    """Integer Horner must round the exact value once, as ``float`` of the
+    Fraction Horner value does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=10**12), max_size=61), _xs())
+    @example([F(0), F(1, 3)], 1e-310)  # subnormal value
+    @example([F(0), F(-1, 3)], 5e-324)  # underflows to -0.0
+    @example([F(1, 10**12)] * 61, 2.0**60)  # overflows
+    @example([], -0.0)
+    def test_matches_fraction_route_bit_for_bit(self, coeffs, x):
+        p = Poly(tuple(coeffs))
+        try:
+            ref = float(p(F(x)))
+        except OverflowError:
+            for _ in range(2):  # a cold and a cached integer form
+                with pytest.raises(OverflowError):
+                    p.rounded(x)
+            return
+        for _ in range(2):
+            got = p.rounded(x)
+            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+class TestIntegerForm:
+    def test_built_once_per_object(self, monkeypatch):
+        calls = []
+        real = math.lcm
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        p, q = Poly.of(F(1, 3), F(-2, 5), F(7, 6)), Poly.of(F(1, 4), 2)
+        monkeypatch.setattr(math, "lcm", counting)
+        for x in (F(1, 7), 0.3, 2, F(-5, 2)):
+            assert p.rounded(x) == float(p(F(x)))
+        assert len(calls) == 1
+        for _ in range(3):
+            assert p * q == _fraction_product(p, q)
+            assert q * p == _fraction_product(p, q)
+        # one more build for q; each product is a new object that is never read
+        assert len(calls) == 2
+        assert p.integer_form == ((10, -12, 35), 30)
+
+    def test_value_semantics_ignore_the_cached_form(self):
+        p, twin = Poly.of(F(1, 2), 0, F(-3, 4)), Poly.of(F(1, 2), 0, F(-3, 4))
+        before = (repr(p), hash(p))
+        p.rounded(0.5)
+        assert "integer_form" in vars(p) and "integer_form" not in vars(twin)
+        assert (repr(p), hash(p)) == before == (repr(twin), hash(twin))
+        assert p == twin and twin == p and {p, twin} == {twin}
+        assert p * 1 == twin
 
 
 def _pp(breaks, *pieces):

@@ -1,6 +1,7 @@
 """The identity registry: representative checks, the derivative ladders,
 registry completeness and the mutation controls."""
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunops import identities, specfun
+from heunops.cli import main
 from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam
 from heunops.exactalg import Poly
 from heunops.identities import (
@@ -87,6 +89,13 @@ class TestVerify:
             with pytest.raises(DomainError, match="n >= 1"):
                 verify("I48", {"n": 0, "j": 1}, mode)
         assert verify("I48", {"n": 0, "j": 0}, "exact").passed
+
+    @pytest.mark.parametrize("iid", ("I46", "I47"))
+    @pytest.mark.parametrize("mode", ("exact", "numeric"))
+    def test_k1_ladders_reject_zero_n(self, iid, mode):
+        with pytest.raises(DomainError, match="n >= 1"):
+            verify(iid, {"n": 0}, mode)
+        assert verify(iid, {"n": 1}, mode).passed
 
 
 def _generator_cauchy(a, b, count):
@@ -268,6 +277,31 @@ class TestMutationControls:
             IdentityId.I313,
         }
         assert failing == expected
+
+    #: the exact and ode checks that read f_poly(3), with their parameters
+    F3_CHECKS = (("I33", {"n": 3}, "ode"), ("I35", {"n": 4}, "exact"), ("I36", {"n": 3}, "exact"),
+                 ("I37", {"n": 3}, "exact"), ("I39", {"n": 3}, "exact"), ("I313", {"n": 3}, "exact"))
+
+    def _perturb_f3(self, monkeypatch, size):
+        real = specfun.f_poly
+        monkeypatch.setattr(specfun, "f_poly",
+                            lambda n: real(n) + Poly.monomial(1, size) if n == 3 else real(n))
+
+    def test_perturbation_below_float_range_fails(self, monkeypatch):
+        # the differences round to 0.0, so only an exact verdict sees them
+        self._perturb_f3(monkeypatch, F(1, 10**400))
+        for iid, params, mode in self.F3_CHECKS:
+            assert not verify(iid, params, mode).passed, iid
+        rep = verify("I39", {"n": 3}, "exact")
+        assert rep.max_abs_err == 0.0 and not rep.passed
+
+    def test_perturbation_above_float_range_fails(self, monkeypatch, capsys):
+        self._perturb_f3(monkeypatch, F(10**400))
+        for iid, params, mode in self.F3_CHECKS:
+            rep = verify(iid, params, mode)
+            assert not rep.passed and rep.max_abs_err == math.inf, iid
+        assert main(["verify", "--id", "I36", "--params", "n=3"]) == 1
+        assert "FAIL  max_err=inf" in capsys.readouterr().out
 
     def test_perturbations_with_warm_caches(self, monkeypatch):
         """Every cache is filled first, so a cache above a perturbed seam

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import scipy.special
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heunops import specfun
@@ -363,40 +363,8 @@ def _ode_value(coeffs, rhs, x) -> float:
         return float(sol(_mp(x))[0])
 
 
-def _xs():
-    """Evaluation points of every kind the exact route accepts."""
-    near = lambda e: st.floats(2.0 ** (e - 1), 2.0 ** (e + 1))
-    return st.one_of(
-        st.integers(-(10**6), 10**6),
-        st.fractions(max_denominator=10**9),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
-        near(60), near(-60), near(60).map(lambda v: -v), near(-60).map(lambda v: -v),
-    )
-
-
 class TestExactEvaluation:
-    """Integer Horner must round the exact value once, as ``float`` of the
-    Fraction Horner value does."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.fractions(max_denominator=10**12), max_size=61), _xs())
-    @example([F(0), F(1, 3)], 1e-310)  # subnormal value
-    @example([F(0), F(-1, 3)], 5e-324)  # underflows to -0.0
-    @example([F(1, 10**12)] * 61, 2.0**60)  # overflows
-    @example([], -0.0)
-    def test_matches_fraction_route_bit_for_bit(self, coeffs, x):
-        p = Poly(tuple(coeffs))
-        try:
-            ref = float(p(F(x)))
-        except OverflowError:
-            for _ in range(2):  # a cold and a cached integer form
-                with pytest.raises(OverflowError):
-                    specfun._eval_exact_poly(p, x)
-            return
-        for _ in range(2):
-            got = specfun._eval_exact_poly(p, x)
-            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+    """Terminating series are built once and evaluated by ``Poly.rounded``."""
 
     def test_value_and_derivative_share_one_build(self, monkeypatch):
         calls = []
