@@ -167,7 +167,7 @@ def c_constant(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _unit_variance(n: int) -> Fraction:
+def unit_variance(n: int) -> Fraction:
     """Exact variance of the unit kernel W_n(0, .) at sigma = 1, from its
     Cox-de Boor moments; at width w the variance is w^2 times this."""
     k = kernel(n, ConstantSigma(1), 0)

@@ -224,9 +224,13 @@ def _cmd_verify(args) -> int:
             raise HeunopsError(f"--all runs the default suite and takes no {', '.join(given)}")
         reports = identities.verify_all()
     else:
-        entry = identities.REGISTRY[identities._resolve_id(args.id)]
+        entry = identities.REGISTRY[identities.resolve_id(args.id)]
         params = _parse_kv(args.params) if args.params else None
         modes = [args.mode] if args.mode else list(entry.modes)
+        if args.tol is not None and modes != ["numeric"]:
+            hint = ("add --mode numeric" if "numeric" in entry.modes
+                    else f"{entry.id.value} has no numeric mode")
+            raise HeunopsError(f"--tol applies only to numeric mode; {hint}")
         if params:
             reports = [identities.verify(args.id, params, m, args.tol) for m in modes]
         else:

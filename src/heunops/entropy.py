@@ -276,7 +276,7 @@ def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
     # w = sigma(x) and centred at x: exact, so s and the variance scale too
     c = bspline.c_constant(op.n)
     w = op.sigma.at(x)
-    return _point(x, c / w, w * w * bspline._unit_variance(op.n))
+    return _point(x, c / w, w * w * bspline.unit_variance(op.n))
 
 
 def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:

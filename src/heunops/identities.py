@@ -7,6 +7,14 @@ numerically otherwise (independent evaluation routes compared on a fixed
 grid).  The registry table ties every identity to its display-equation
 tag, admissible modes and default parameter ranges; the CLI exports the
 table as JSON.
+
+A checker only builds its routes or coefficient sides.  The verdict comes
+from one helper per kind of check: ``_exact_chain`` (coefficient lists
+equal term by term; ``_exact_verdict`` decides every exact and ode check),
+``_grid_check`` (numeric routes within ``mode.tol``) and ``_ladder_check``
+(a derivative ladder: its exact chain, or series derivative within
+``mode.tol`` and central difference within ``FD_TOL``).  A numeric route
+that overflows a float fails its check with error inf.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence, Union
 
@@ -30,7 +39,6 @@ from .exactalg import E0, E1, E2, Poly, binary_form, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
-    _heun_operator,
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
@@ -38,6 +46,7 @@ from .specfun import (
     heun_local,
     heun_local_deriv,
     heun_ode_residual,
+    heun_operator,
     heun_poly,
     hyp2f1,
     hyp2f1_pfaff,
@@ -132,16 +141,15 @@ _X9 = tuple(Fraction(i, 8) for i in range(9))
 
 
 def _rel(a: float, b: float) -> float:
+    """Relative difference of two route values; inf if one is not finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
 def _spread(values: Sequence[float]) -> float:
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, _rel(values[i], values[j]))
-    return worst
+    return max((_rel(a, b) for a, b in combinations(values, 2)), default=0.0)
 
 
 def _exact_verdict(diffs: Iterable[Fraction], points: int) -> tuple[float, int, bool]:
@@ -161,8 +169,44 @@ def _exact_verdict(diffs: Iterable[Fraction], points: int) -> tuple[float, int, 
     return err, points, exact
 
 
-def _differences(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> list[Fraction]:
-    return [a - b for a, b in zip(xs, ys)]
+def _exact_chain(*sides: Sequence[Fraction]) -> tuple[float, int, bool]:
+    """Exact verdict that each coefficient list agrees term by term with
+    the next; every compared term is one point."""
+    diffs = [a - b for xs, ys in zip(sides, sides[1:]) for a, b in zip(xs, ys)]
+    return _exact_verdict(diffs, len(diffs))
+
+
+def _grid_check(mode: NumericGrid, routes, per_x: int = 1) -> tuple[float, int, bool]:
+    """Numeric verdict on the worst relative spread over ``mode.grid`` of
+    the independent route values ``routes(x)``; each grid point counts
+    ``per_x`` points."""
+    worst = 0.0
+    for x in mode.grid:
+        try:
+            worst = max(worst, _spread(routes(x)))
+        except OverflowError:
+            worst = math.inf
+            break
+    return worst, per_x * len(mode.grid), worst <= mode.tol
+
+
+def _ladder_check(mode, sides, series, fd, rhs) -> tuple[float, int, bool]:
+    """Verdict of one derivative ladder.  Exact mode chains ``sides()``:
+    the derivative's coefficients, then each right-side form's.  Numeric
+    mode chains the series derivative ``series(x)`` and the forms
+    ``rhs(x)`` within ``mode.tol``, and takes the central difference
+    ``fd(x)`` against the first form within FD_TOL; each value is a point.
+    """
+    if mode.kind == "exact":
+        return _exact_chain(*sides())
+    worst_series = worst_fd = 0.0
+    points = 0
+    for x in mode.grid:
+        chain = (series(x), *rhs(x))
+        worst_series = max(worst_series, *(_rel(a, b) for a, b in zip(chain, chain[1:])))
+        worst_fd = max(worst_fd, _rel(fd(x), chain[1]))
+        points += len(chain)
+    return worst_series, points, worst_series <= mode.tol and worst_fd <= FD_TOL
 
 
 def _cauchy(a: Sequence[Fraction], b: Sequence[Fraction], count: int) -> list[Fraction]:
@@ -186,23 +230,6 @@ def _deriv_coeffs(c: Sequence[Fraction]) -> list[Fraction]:
 
 def _central_diff(f, x: float) -> float:
     return (f(x + FD_STEP) - f(x - FD_STEP)) / (2 * FD_STEP)
-
-
-def _ladder_errors(grid, series, fd, rhs) -> tuple[float, float]:
-    """Worst relative errors over ``grid`` of the series-derivative route
-    ``series(x)`` and of the finite-difference route ``fd(x)`` against the
-    right side.
-
-    ``rhs(x)`` returns one or more forms of the right side; the series
-    error also covers each form against the next.
-    """
-    worst_series = 0.0
-    worst_fd = 0.0
-    for x in grid:
-        chain = (series(x), *rhs(x))
-        worst_series = max(worst_series, *(_rel(a, b) for a, b in zip(chain, chain[1:])))
-        worst_fd = max(worst_fd, _rel(fd(x), chain[1]))
-    return worst_series, worst_fd
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +280,13 @@ def i314_rhs(n: int, i: int) -> Poly:
 
 def _check_i22(params, mode):
     m = params["m"]
+    sums = entropy.s2_sum_poly(m)
     if mode.kind == "exact":
         direct = entropy.s_direct_poly(m, 2)
-        sums = entropy.s2_sum_poly(m)
         pts = max(len(direct.coeffs), len(sums.coeffs))
         values = [direct(x) - sums(x) for x in _X9]
         return _exact_verdict([*(direct - sums).coeffs, *values], pts + len(_X9))
-    sums = entropy.s2_sum_poly(m)
-    worst = 0.0
-    for x in _X9:
-        worst = max(worst, _rel(entropy.s2_integral_form(m, float(x)), float(sums(x))))
-    return worst, len(_X9), worst <= mode.tol
+    return _grid_check(mode, lambda x: (entropy.s2_integral_form(m, x), float(sums(Fraction(x)))))
 
 
 def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
@@ -276,22 +299,20 @@ def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
 def _check_i31(params, mode):
     q = rat(params["q"])
     hp = HeunParams(Fraction(1, 2), q, 2 * q, 1, 1, 1)
-    worst = 0.0
-    for x in mode.grid:
-        series = heun_local(hp, x, SERIES_TOL).value
+
+    def routes(x):
         z = (x / (x - 1.0)) ** 2
         gauss = (1.0 - x) ** (-2 * float(q)) * hyp2f1(float(q), float(q), 1, z, SERIES_TOL).value
-        integ = _phi_integral(float(q), x)
-        worst = max(worst, _spread((series, gauss, integ)))
-    return worst, 3 * len(mode.grid), worst <= mode.tol
+        return heun_local(hp, x, SERIES_TOL).value, gauss, _phi_integral(float(q), x)
+
+    return _grid_check(mode, routes, per_x=3)
 
 
 def _check_i32(params, mode):
     q = rat(params["q"])
     hp = HeunParams(Fraction(1, 2), q, 2 * q, 1, 1, 1)
-    worst = 0.0
-    for x in mode.grid:
-        series = heun_local(hp, x, SERIES_TOL).value
+
+    def routes(x):
         w = x * x / (2 * x - 1.0)
         if abs(w) < 0.95:
             inner = hyp2f1(float(q), 1 - float(q), 1, w, SERIES_TOL).value
@@ -300,9 +321,9 @@ def _check_i32(params, mode):
             # map on the second parameter, which keeps the evaluation
             # independent of the (q, q; 1; .) route
             inner = hyp2f1_pfaff(float(q), 1 - float(q), 1, w, SERIES_TOL).value
-        val = (1.0 - 2 * x) ** (-float(q)) * inner
-        worst = max(worst, _rel(series, val))
-    return worst, len(mode.grid), worst <= mode.tol
+        return heun_local(hp, x, SERIES_TOL).value, (1.0 - 2 * x) ** (-float(q)) * inner
+
+    return _grid_check(mode, routes)
 
 
 def _check_i33(params, mode):
@@ -312,10 +333,7 @@ def _check_i33(params, mode):
         res = heun_ode_residual(_params_f_family(n), p)
         err, pts, ok = _exact_verdict(res.coeffs, len(p.coeffs) + 1)
         return err, pts, ok and p(Fraction(0)) == 1
-    worst = 0.0
-    for x in mode.grid:
-        worst = max(worst, _rel(heun_local(_params_f_family(n), x, SERIES_TOL).value, float(p(x))))
-    return worst, len(mode.grid), worst <= mode.tol
+    return _grid_check(mode, lambda x: (heun_local(_params_f_family(n), x, SERIES_TOL).value, float(p(x))))
 
 
 def _check_i34(params, mode):
@@ -325,24 +343,22 @@ def _check_i34(params, mode):
     # all n and the raw series only serves as a small-n spot check
     n = params["n"]
     fp = specfun.f_poly(n - 1)
-    worst = 0.0
-    points = 0
-    for x in mode.grid:
+    spot_check = n <= 4
+
+    def routes(x):
         xr = Fraction(x).limit_denominator(10**6)
-        g = specfun.kernel_sum("G", n, x, SERIES_TOL)
-        reduced = float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1))
-        values = [g, reduced]
-        if n <= 4:
-            values.append(heun_local(_params_g_family(n), -x, SERIES_TOL).value)
-        worst = max(worst, _spread(values))
-        points += len(values)
-    return worst, points, worst <= mode.tol
+        values = (specfun.kernel_sum("G", n, x, SERIES_TOL), float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1)))
+        if spot_check:
+            values += (heun_local(_params_g_family(n), -x, SERIES_TOL).value,)
+        return values
+
+    return _grid_check(mode, routes, per_x=3 if spot_check else 2)
 
 
 def _clear_denominator_residual(hp: HeunParams, p: Poly, s: int) -> Poly:
     """Residual of u = (1-2x)^s p(x) in Heun's equation, multiplied through
     by (1-2x)^(2-s) so everything is polynomial."""
-    m, nn, lin = _heun_operator(hp)
+    m, nn, lin = heun_operator(hp)
     d = Poly.of(1, -2)
     term2 = d * d * p.derivative().derivative() - d.scale(4 * s) * p.derivative() + p.scale(4 * s * (s - 1))
     term1 = d * (d * p.derivative() - p.scale(2 * s))
@@ -406,24 +422,20 @@ def _check_i39(params, mode):
 def _check_i311_312(params, mode):
     alpha, beta, gamma = rat(params["alpha"]), rat(params["beta"]), rat(params["gamma"])
     lhs = HeunParams(Fraction(1, 2), alpha * beta / 2, alpha, beta, gamma, gamma)
-    rhs11 = HeunParams(
-        Fraction(1, 2), (alpha + 2) * (beta + 2) / 2, alpha + 2, beta + 2, gamma + 1, gamma + 1
-    )
-    rhs12 = HeunParams(
-        Fraction(1, 2), (2 * gamma - alpha) * (2 * gamma - beta) / 2,
-        2 * gamma - alpha, 2 * gamma - beta, gamma + 1, gamma + 1
-    )
+    a12, b12 = 2 * gamma - alpha, 2 * gamma - beta
+    rhs11 = HeunParams(Fraction(1, 2), (alpha + 2) * (beta + 2) / 2, alpha + 2, beta + 2,
+                       gamma + 1, gamma + 1)
+    rhs12 = HeunParams(Fraction(1, 2), a12 * b12 / 2, a12, b12, gamma + 1, gamma + 1)
     factor = alpha * beta / gamma
     exponent = 2 * gamma - alpha - beta - 1
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH
-        deriv = _deriv_coeffs(heun_coeffs(lhs, depth + 1))
+    depth = COEFF_DEPTH
+
+    def sides():
         e11 = heun_coeffs(rhs11, depth)
-        r11 = [factor * (e11[k] - (2 * e11[k - 1] if k else 0)) for k in range(depth)]
-        e12 = heun_coeffs(rhs12, depth)
         power = _binom_series(exponent, Fraction(-2), depth)
-        r12 = [factor * v for v in _cauchy(power, e12, depth)]
-        return _exact_verdict(_differences(deriv, r11) + _differences(r11, r12), 2 * depth)
+        return (_deriv_coeffs(heun_coeffs(lhs, depth + 1)),
+                [factor * (e11[k] - (2 * e11[k - 1] if k else 0)) for k in range(depth)],
+                [factor * v for v in _cauchy(power, heun_coeffs(rhs12, depth), depth)])
 
     def rhs_forms(x):
         v11 = float(factor) * (1 - 2 * x) * heun_local(rhs11, x, SERIES_TOL).value
@@ -431,11 +443,9 @@ def _check_i311_312(params, mode):
                * heun_local(rhs12, x, SERIES_TOL).value)
         return v11, v12
 
-    worst_series, worst_fd = _ladder_errors(
-        mode.grid, lambda x: heun_local_deriv(lhs, x, SERIES_TOL).value,
-        lambda x: _central_diff(lambda t: heun_local(lhs, t, SERIES_TOL).value, x), rhs_forms)
-    passed = worst_series <= mode.tol and worst_fd <= FD_TOL
-    return worst_series, 3 * len(mode.grid), passed
+    return _ladder_check(mode, sides, lambda x: heun_local_deriv(lhs, x, SERIES_TOL).value,
+                         lambda x: _central_diff(lambda t: heun_local(lhs, t, SERIES_TOL).value, x),
+                         rhs_forms)
 
 
 def _check_i313(params, mode):
@@ -466,29 +476,22 @@ def _hc_ladder_params(p, gamma, alpha):
 
 
 def _hc_ladder_check(lhs: ConfluentHeunParams, rhs: ConfluentHeunParams, mode, target, rhs_value):
-    """Derivative of Hc(lhs) against a right side built from Hc(rhs).
-
-    Exact mode compares series coefficients, ``target(e, k)`` being the
-    k-th right-side coefficient from those ``e`` of Hc(rhs).  Numeric mode
-    compares on the grid with ``rhs_value(x, Hc(rhs; x))``.
-    """
-    if mode.kind == "exact":
-        deriv = _deriv_coeffs(confluent_heun_coeffs(lhs, COEFF_DEPTH + 1))
-        e = confluent_heun_coeffs(rhs, COEFF_DEPTH)
-        rhs_coeffs = [target(e, k) for k in range(COEFF_DEPTH)]
-        return _exact_verdict(_differences(deriv, rhs_coeffs), COEFF_DEPTH)
-    worst_series, worst_fd = _ladder_errors(
-        mode.grid, lambda x: confluent_heun_deriv(lhs, x, SERIES_TOL).value,
+    """Derivative of Hc(lhs) against a right side built from Hc(rhs): its
+    coefficients ``target(e)`` from those ``e`` of Hc(rhs), its value
+    ``rhs_value(x, Hc(rhs; x))``."""
+    return _ladder_check(
+        mode, lambda: (_deriv_coeffs(confluent_heun_coeffs(lhs, COEFF_DEPTH + 1)),
+                       target(confluent_heun_coeffs(rhs, COEFF_DEPTH))),
+        lambda x: confluent_heun_deriv(lhs, x, SERIES_TOL).value,
         lambda x: _central_diff(lambda t: confluent_heun(lhs, t, SERIES_TOL).value, x),
         lambda x: (rhs_value(x, confluent_heun(rhs, x, SERIES_TOL).value),))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
 
 
 def _check_i42(params, mode):
     p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
     lhs, rhs, _, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = -sigma / gamma
-    return _hc_ladder_check(lhs, rhs, mode, lambda e, k: factor * e[k],
+    return _hc_ladder_check(lhs, rhs, mode, lambda e: [factor * c for c in e],
                             lambda x, v: float(factor) * v)
 
 
@@ -496,7 +499,7 @@ def _check_i43(params, mode):
     p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
     lhs, _, rhs, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = sigma / gamma
-    return _hc_ladder_check(lhs, rhs, mode, lambda e, k: factor * ((e[k - 1] if k else 0) - e[k]),
+    return _hc_ladder_check(lhs, rhs, mode, lambda e: [factor * (a - b) for a, b in zip([0, *e], e)],
                             lambda x, v: float(factor) * (x - 1) * v)
 
 
@@ -504,44 +507,39 @@ def _check_i45(params, mode):
     n = params["n"]
     if mode.kind == "exact":
         depth = COEFF_DEPTH + 6
-        hc = confluent_heun_coeffs(_params_k_family(n, 0), depth)
-        return _exact_verdict(_differences(hc, kn_taylor_coeffs(n, depth)), depth)
+        return _exact_chain(confluent_heun_coeffs(_params_k_family(n, 0), depth),
+                            kn_taylor_coeffs(n, depth))
     return _check_i48({"n": n, "j": 0}, mode)  # (4.5) is the j = 0 case of (4.8)
 
 
-def _k1_ladder_check(n: int, hp: ConfluentHeunParams, mode, coeff, route):
-    """First derivative K' of the squared Poisson-weight sum against Hc(hp).
-
-    Exact mode compares Taylor coefficients, ``coeff(h, k)`` being the
-    k-th one of the confluent side from the coefficients ``h`` of Hc(hp).
-    Numeric mode compares on the grid with ``route(x, K'(x))``.  Both
-    right sides divide by 2n, so n = 0 is rejected in either mode.
+def _k1_ladder_check(n: int, hp: ConfluentHeunParams, mode, coeffs, route):
+    """First derivative K' of the squared Poisson-weight sum against Hc(hp):
+    the Taylor coefficients of K' against ``coeffs(h)`` from those ``h`` of
+    Hc(hp), and ``route(x, K'(x))`` against Hc(hp; x).  Both right sides
+    divide by 2n, so n = 0 is rejected in either mode.
     """
     if n == 0:
         raise DomainError("the K' ladders (4.6)/(4.7) need n >= 1: their right sides divide by 2n = 0")
-    if mode.kind == "exact":
-        depth = COEFF_DEPTH + 6
-        h = confluent_heun_coeffs(hp, depth)
-        kprime = _deriv_coeffs(kn_taylor_coeffs(n, depth + 1))
-        return _exact_verdict(_differences([coeff(h, k) for k in range(depth)], kprime), depth)
-    worst_series, worst_fd = _ladder_errors(
-        mode.grid, lambda x: route(x, szasz_K(n, 1, x)),
+    depth = COEFF_DEPTH + 6
+    return _ladder_check(
+        mode, lambda: (_deriv_coeffs(kn_taylor_coeffs(n, depth + 1)),
+                       coeffs(confluent_heun_coeffs(hp, depth))),
+        lambda x: route(x, szasz_K(n, 1, x)),
         lambda x: route(x, _central_diff(lambda t: szasz_K(n, 0, t), x)),
         lambda x: (confluent_heun(hp, x, SERIES_TOL).value,))
-    return worst_series, 2 * len(mode.grid), worst_series <= mode.tol and worst_fd <= FD_TOL
 
 
 def _check_i46(params, mode):
     n = params["n"]
     return _k1_ladder_check(n, ConfluentHeunParams(n, 2, 2, Fraction(5, 2), 6 * n - 2), mode,
-                            lambda h, k: 2 * n * ((h[k - 1] if k else 0) - h[k]),
+                            lambda h: [2 * n * (a - b) for a, b in zip([0, *h], h)],
                             lambda x, k1: k1 / (2 * n * (x - 1)))
 
 
 def _check_i47(params, mode):
     n = params["n"]
     return _k1_ladder_check(n, ConfluentHeunParams(n, 2, 0, Fraction(3, 2), 6 * n), mode,
-                            lambda h, k: -2 * n * h[k], lambda x, k1: -k1 / (2 * n))
+                            lambda h: [-2 * n * c for c in h], lambda x, k1: -k1 / (2 * n))
 
 
 def _check_i48(params, mode):
@@ -557,14 +555,9 @@ def _check_i48(params, mode):
         deriv_coeffs = [
             taylor[m + j] * Fraction(math.factorial(m + j), math.factorial(m)) for m in range(depth)
         ]
-        target = [c / k0 for c in deriv_coeffs]
-        return _exact_verdict(_differences(h, target), depth)
-    worst = 0.0
-    for x in mode.grid:
-        worst = max(
-            worst, _rel(confluent_heun(hp, x, SERIES_TOL).value, szasz_K(n, j, x) / float(k0))
-        )
-    return worst, len(mode.grid), worst <= mode.tol
+        return _exact_chain(h, [c / k0 for c in deriv_coeffs])
+    return _grid_check(mode, lambda x: (confluent_heun(hp, x, SERIES_TOL).value,
+                                        szasz_K(n, j, x) / float(k0)))
 
 
 def _check_i48_rung(params, mode):
@@ -581,7 +574,7 @@ def _check_i49(params, mode):
     n, j = params["n"], params["j"]
     closed = kn_deriv_zero(n, j)
     oracle = kn_taylor_coeffs(n, j + 1)[j] * math.factorial(j)
-    return _exact_verdict([closed - oracle], 1)
+    return _exact_chain([closed], [oracle])
 
 
 def _check_i410(params, mode):
@@ -727,7 +720,8 @@ def registry_table() -> list[dict]:
     return [REGISTRY[i].to_dict() for i in IdentityId]
 
 
-def _resolve_id(identity) -> IdentityId:
+def resolve_id(identity) -> IdentityId:
+    """The IdentityId named by ``identity`` (an IdentityId or its string)."""
     if isinstance(identity, IdentityId):
         return identity
     try:
@@ -739,13 +733,14 @@ def _resolve_id(identity) -> IdentityId:
 def _resolve_mode(entry: RegistryEntry, mode, tol) -> CheckMode:
     if mode is None:
         mode = entry.modes[0]
-    if isinstance(mode, (ExactPoly, OdeResidual, NumericGrid)):
-        kind = mode.kind
-        if kind not in entry.modes:
-            raise InadmissibleMode(f"{entry.id.value} does not support mode {kind!r}")
+    instance = isinstance(mode, (ExactPoly, OdeResidual, NumericGrid))
+    kind = mode.kind if instance else mode
+    if kind not in entry.modes:
+        raise InadmissibleMode(f"{entry.id.value} does not support mode {kind!r}")
+    if tol is not None and (instance or kind != "numeric"):  # a CheckMode carries its own tolerance
+        raise InadmissibleMode(f"{entry.id.value}: tol applies only to mode 'numeric', not {mode!r}")
+    if instance:
         return mode
-    if mode not in entry.modes:
-        raise InadmissibleMode(f"{entry.id.value} does not support mode {mode!r}")
     if mode == "exact":
         return ExactPoly()
     if mode == "ode":
@@ -774,9 +769,10 @@ def verify(identity, params: dict | None = None, mode=None, tol: float | None = 
     """Run one identity check and return its report.
 
     ``mode`` may be ``"exact"``, ``"ode"``, ``"numeric"``, a CheckMode
-    instance, or None for the identity's default mode.
+    instance, or None for the identity's default mode.  ``tol`` replaces
+    the registry tolerance of ``"numeric"``; any other mode rejects it.
     """
-    iid = _resolve_id(identity)
+    iid = resolve_id(identity)
     entry = REGISTRY[iid]
     resolved = _resolve_mode(entry, mode, tol)
     norm = _normalize_params(entry, params)
@@ -797,6 +793,11 @@ def verify_all(param_ranges: dict | None = None) -> list[VerificationReport]:
     return reports
 
 
+#: the identity behind each derivative-ladder family
+_LADDER_FAMILIES = {"heun-3.11": IdentityId.I311_312, "heun-3.12": IdentityId.I311_312,
+                    "hc-4.2": IdentityId.I42, "hc-4.3": IdentityId.I43, "hc-4.8": IdentityId.I48}
+
+
 def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | None = None,
                             tol: float = 1e-9) -> VerificationReport:
     """Check one derivative-ladder instance by finite differences and by
@@ -806,22 +807,20 @@ def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | N
     optionally q, which must equal a*alpha*beta), ``hc-4.2``, ``hc-4.3``
     (parameters p, gamma, alpha), ``hc-4.8`` (parameters n, j).
     """
-    if family in ("heun-3.11", "heun-3.12"):
+    if family not in _LADDER_FAMILIES:
+        raise DomainError(f"unknown ladder family {family!r}")
+    entry = REGISTRY[_LADDER_FAMILIES[family]]
+    if entry.id is IdentityId.I311_312:
         ps = {k: rat(params[k]) for k in ("alpha", "beta", "gamma")}
         if "q" in params and rat(params["q"]) != ps["alpha"] * ps["beta"] / 2:
             raise ConstraintViolated("accessory parameter must equal a*alpha*beta = alpha*beta/2")
-        iid, checker, default_grid = IdentityId.I311_312, _check_i311_312, _GRID_SHORT
-    elif family in ("hc-4.2", "hc-4.3"):
+    elif entry.id is IdentityId.I48:
+        ps = _normalize_params(entry, {k: v for k, v in params.items() if k in ("n", "j")})
+    else:
         ps = {k: rat(params[k]) for k in ("p", "gamma", "alpha")}
         if "sigma" in params and rat(params["sigma"]) != 4 * ps["p"] * ps["alpha"]:
             raise ConstraintViolated("ladder requires sigma = 4 p alpha")
-        iid, checker = (IdentityId.I42, _check_i42) if family == "hc-4.2" else (IdentityId.I43, _check_i43)
-        default_grid = _GRID_HC
-    elif family == "hc-4.8":
-        iid, checker, default_grid = IdentityId.I48, _check_i48_rung, _GRID_HC
-        ps = _normalize_params(REGISTRY[iid], {k: v for k, v in params.items() if k in ("n", "j")})
-    else:
-        raise DomainError(f"unknown ladder family {family!r}")
-    mode = NumericGrid(tuple(grid) if grid is not None else default_grid, tol)
+    mode = NumericGrid(tuple(grid) if grid is not None else entry.grid, tol)
+    checker = _check_i48_rung if entry.id is IdentityId.I48 else entry.checker
     err, pts, ok = checker(ps, mode)
-    return VerificationReport(iid, ps, mode, err, pts, ok)
+    return VerificationReport(entry.id, ps, mode, err, pts, ok)

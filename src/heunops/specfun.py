@@ -423,7 +423,7 @@ def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> Serie
     return _series_value(params, x, tol, heun_radius(params), deriv=True)
 
 
-def _heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
+def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
     """Coefficients (m, n, lin) of Heun's equation m u'' + n u' + lin u = 0
     in polynomial form."""
     a, q = rat(params.a), rat(params.q)
@@ -445,7 +445,7 @@ def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
     """
     if not params.is_rational:
         raise TypeError("exact residual requires rational parameters")
-    m, n, lin = _heun_operator(params)
+    m, n, lin = heun_operator(params)
     return m * p.derivative().derivative() + n * p.derivative() + lin * p
 
 

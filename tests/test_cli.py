@@ -150,6 +150,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: --all") and extra[0] in err
 
+    @pytest.mark.parametrize("argv, hint", (
+        (["--id", "I39", "--params", "n=3", "--tol", "5"], "I39 has no numeric mode"),
+        (["--id", "I39", "--params", "n=3", "--mode", "exact", "--tol", "5"], "I39 has no numeric mode"),
+        (["--id", "I22", "--params", "m=3", "--tol", "1e-8"], "--mode numeric"),
+        (["--id", "I33", "--mode", "ode", "--tol", "1e-3"], "--mode numeric"),
+    ))
+    def test_tol_outside_numeric_mode_is_usage_error(self, capsys, argv, hint):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol applies only to numeric mode") and hint in err
+
     def test_failure_exit_code(self, capsys):
         # an absurd tolerance turns a passing numeric check into a failure
         code, out, _ = run(capsys, "verify", "--id", "I48", "--params", "n=3,j=4",

@@ -239,7 +239,7 @@ class TestNoPerPointRebuild:
     @staticmethod
     def _clear_caches():
         for fn in (entropy.s_direct_poly, entropy._kantorovich_profile_polys,
-                   bspline.c_constant, bspline._unit_variance,
+                   bspline.c_constant, bspline.unit_variance,
                    bspline._bspline_density_cached):
             fn.cache_clear()
 

@@ -83,6 +83,26 @@ class TestVerify:
         d = verify("I49", {"n": 2, "j": 3}, "exact").to_dict()
         assert d["id"] == "I49" and d["pass"] is True and d["mode"] == "exact"
 
+    @pytest.mark.parametrize("iid, params, mode", (
+        ("I39", {"n": 3}, "exact"), ("I39", {"n": 3}, None), ("I33", {"n": 3}, "ode"),
+        ("I22", {"m": 3}, None), ("I48", {"n": 3, "j": 4}, identities.NumericGrid((0.1, 0.3), 1e-9)),
+    ))
+    def test_tol_rejected_outside_numeric_mode(self, iid, params, mode):
+        # a tolerance the check would ignore is an error: exact and ode
+        # checks have none, and a CheckMode instance carries its own
+        with pytest.raises(InadmissibleMode, match="tol applies only to mode 'numeric'"):
+            verify(iid, params, mode, tol=5)
+        assert verify(iid, params, mode).passed
+
+    def test_non_finite_route_fails(self, monkeypatch):
+        # |inf - v| / inf is nan, which max() would drop: a route value
+        # that is not finite must fail with error inf instead
+        for bad in (math.inf, math.nan):
+            monkeypatch.setattr(identities, "szasz_K", lambda n, j, x, bad=bad: bad)
+            for iid, params in (("I48", {"n": 2, "j": 1}), ("I46", {"n": 2})):
+                rep = verify(iid, params, "numeric")
+                assert not rep.passed and rep.max_abs_err == math.inf, (iid, bad)
+
 
     def test_i48_rejects_zero_normalization(self):
         for mode in ("exact", "numeric"):
@@ -207,6 +227,32 @@ class TestLadders:
         monkeypatch.setattr(identities, "FD_TOL", 0.0)
         assert not any(run())
 
+    @pytest.mark.parametrize("family, iid, params", (
+        ("heun-3.11", "I311_312", {"alpha": 3, "beta": 1, "gamma": 2}),
+        ("heun-3.12", "I311_312", {"alpha": F(1, 2), "beta": 1, "gamma": 1}),
+        ("hc-4.2", "I42", {"p": 1, "gamma": 2, "alpha": 1}),
+        ("hc-4.3", "I43", {"p": 2, "gamma": 1, "alpha": F(1, 2)}),
+    ))
+    @pytest.mark.parametrize("grid, tol", ((None, 1e-9), ((0.2, 0.35), 1e-12), ((0.3,), 1e-16)))
+    def test_ladder_check_matches_registry_verify(self, family, iid, params, grid, tol):
+        entry = identities.REGISTRY[IdentityId(iid)]
+        ladder = derivative_ladder_check(family, params, grid, tol)
+        rep = verify(iid, params, identities.NumericGrid(entry.grid if grid is None else grid, tol))
+        assert (ladder.max_abs_err, ladder.points_checked, ladder.passed) == \
+            (rep.max_abs_err, rep.points_checked, rep.passed)
+
+    @pytest.mark.parametrize("family, iid, params", (
+        ("heun-3.11", "I311_312", {"alpha": 1, "beta": 1, "gamma": 1}),
+        ("heun-3.12", "I311_312", {"alpha": 1, "beta": 1, "gamma": 1}),
+        ("hc-4.2", "I42", {"p": 1, "gamma": 1, "alpha": F(1, 2)}),
+        ("hc-4.3", "I43", {"p": 1, "gamma": 1, "alpha": F(1, 2)}),
+        ("hc-4.8", "I48", {"n": 1, "j": 2}),
+    ))
+    def test_ladder_default_grid_is_registry_grid(self, family, iid, params):
+        rep = derivative_ladder_check(family, params)
+        assert rep.id is IdentityId(iid)
+        assert rep.mode.grid == identities.REGISTRY[rep.id].grid
+
     def test_constraint_validation(self):
         with pytest.raises(ConstraintViolated):
             derivative_ladder_check("heun-3.11", {"alpha": 1, "beta": 1, "gamma": 1, "q": 7})
@@ -297,10 +343,13 @@ class TestMutationControls:
 
     def test_perturbation_above_float_range_fails(self, monkeypatch, capsys):
         self._perturb_f3(monkeypatch, F(10**400))
-        for iid, params, mode in self.F3_CHECKS:
+        # the numeric routes of I33 (n = 3) and I34 (n = 4) evaluate f_poly(3) at floats
+        for iid, params, mode in (*self.F3_CHECKS, ("I33", {"n": 3}, "numeric"), ("I34", {"n": 4}, "numeric")):
             rep = verify(iid, params, mode)
-            assert not rep.passed and rep.max_abs_err == math.inf, iid
+            assert not rep.passed and rep.max_abs_err == math.inf, (iid, mode)
         assert main(["verify", "--id", "I36", "--params", "n=3"]) == 1
+        assert "FAIL  max_err=inf" in capsys.readouterr().out
+        assert main(["verify", "--id", "I33", "--mode", "numeric", "--params", "n=3"]) == 1
         assert "FAIL  max_err=inf" in capsys.readouterr().out
 
     def test_perturbations_with_warm_caches(self, monkeypatch):

@@ -1,0 +1,49 @@
+"""Library modules use only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import heunops
+
+SRC = Path(heunops.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_uses(tree: ast.Module) -> list[str]:
+    """Private names that ``tree`` imports from, or reads off, a heunops module."""
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "heunops":
+                continue
+            package = module in ("", "heunops")  # ``from . import x`` or ``from heunops import x``
+            for alias in node.names:
+                if package and alias.name in MODULES:
+                    bound.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"from {'.' * node.level}{module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("heunops.") and alias.asname:
+                    bound.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_detector_sees_both_forms():
+    tree = ast.parse("from . import specfun\nfrom heunops import bspline as bs\n"
+                     "from .exactalg import _a, b\nspecfun._b(bs._c, specfun.d, specfun.__name__)\n")
+    assert private_uses(tree) == ["from .exactalg import _a", "specfun._b", "bs._c"]
+
+
+def test_no_private_names_across_modules():
+    uses = {path.name: private_uses(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
