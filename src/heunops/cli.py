@@ -41,8 +41,8 @@ def _fmt_value(v, exact: bool) -> str:
     return _fmt_float(v)
 
 
-def _parse_kv(pairs: list[str]) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
+def _parse_kv(pairs: list[str]) -> dict[str, str]:
+    out: dict[str, str] = {}
     for chunk in pairs:
         for item in chunk.split(","):
             if not item:
@@ -50,7 +50,10 @@ def _parse_kv(pairs: list[str]) -> dict[str, Fraction]:
             if "=" not in item:
                 raise HeunopsError(f"expected key=value, got {item!r}")
             key, _, raw = item.partition("=")
-            out[key.strip()] = raw.strip()
+            key = key.strip()
+            if key in out:
+                raise HeunopsError(f"parameter {key} is given twice")
+            out[key] = raw.strip()
     return out
 
 
@@ -121,8 +124,6 @@ def _parse_sigma(spec: str):
 # eval
 # ---------------------------------------------------------------------------
 
-EVAL_FUNCTIONS = ("hl", "hc", "2f1", "legendre", "F", "G", "U", "J", "K",
-                  "bspline", "c_n", "kn_deriv_zero")
 _EXACT_CAPABLE = {"hl", "hc", "2f1", "legendre", "F", "U", "bspline", "c_n", "kn_deriv_zero"}
 
 
@@ -133,6 +134,14 @@ _HEUN_FAMILIES = {
     "hc": (specfun.ConfluentHeunParams, ("p", "gamma", "delta", "alpha", "sigma"),
            specfun.confluent_heun_poly, specfun.confluent_heun),
 }
+
+#: the parameter keys of each function, x aside
+_EVAL_KEYS = {
+    "hl": _HEUN_FAMILIES["hl"][1], "hc": _HEUN_FAMILIES["hc"][1], "2f1": ("a", "b", "c"),
+    "legendre": ("n",), "F": ("n",), "G": ("n",), "U": ("n",), "J": ("n",), "K": ("n", "j"),
+    "bspline": ("knots",), "c_n": ("n",), "kn_deriv_zero": ("n", "j"),
+}
+EVAL_FUNCTIONS = tuple(_EVAL_KEYS)
 
 
 def _point_function(name: str, params: dict, exact: bool):
@@ -180,6 +189,10 @@ def _cmd_eval(args) -> int:
     if exact and args.function not in _EXACT_CAPABLE:
         raise HeunopsError(f"--exact is not available for {args.function}")
     needs_x = args.function not in ("c_n", "kn_deriv_zero")
+    known = _EVAL_KEYS[args.function] + (("x",) if needs_x else ())
+    unknown = [k for k in params if k not in known]
+    if unknown:
+        raise HeunopsError(f"{args.function} takes no parameter {unknown[0]}")
     if args.grid:
         xs = _parse_grid(args.grid)
     elif needs_x:
@@ -231,14 +244,8 @@ def _cmd_verify(args) -> int:
             hint = ("add --mode numeric" if "numeric" in entry.modes
                     else f"{entry.id.value} has no numeric mode")
             raise HeunopsError(f"--tol applies only to numeric mode; {hint}")
-        if params:
-            reports = [identities.verify(args.id, params, m, args.tol) for m in modes]
-        else:
-            reports = [
-                identities.verify(args.id, ps, m, args.tol)
-                for m in modes
-                for ps in entry.default_params
-            ]
+        reports = [identities.verify(args.id, ps, m, args.tol)
+                   for m in modes for ps in ([params] if params else entry.default_params)]
     all_pass = all(r.passed for r in reports)
     if args.json:
         doc = {

@@ -750,9 +750,13 @@ def _resolve_mode(entry: RegistryEntry, mode, tol) -> CheckMode:
 
 def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
     params = dict(params or {})
-    missing = [k for k in entry.default_params[0] if k not in params]
+    keys = entry.default_params[0]
+    missing = [k for k in keys if k not in params]
     if missing:
         raise MissingParam(f"{entry.id.value} requires parameters {missing}")
+    unknown = [k for k in params if k not in keys]
+    if unknown:
+        raise DomainError(f"{entry.id.value} takes no parameters {unknown}")
     out = {}
     for k, v in params.items():
         if k in ("n", "i", "j", "m"):
@@ -793,9 +797,11 @@ def verify_all(param_ranges: dict | None = None) -> list[VerificationReport]:
     return reports
 
 
-#: the identity behind each derivative-ladder family
-_LADDER_FAMILIES = {"heun-3.11": IdentityId.I311_312, "heun-3.12": IdentityId.I311_312,
-                    "hc-4.2": IdentityId.I42, "hc-4.3": IdentityId.I43, "hc-4.8": IdentityId.I48}
+#: the identity behind each derivative-ladder family, and the parameter that
+#: its constraint fixes, which a caller may give for checking
+_LADDER_FAMILIES = {"heun-3.11": (IdentityId.I311_312, "q"), "heun-3.12": (IdentityId.I311_312, "q"),
+                    "hc-4.2": (IdentityId.I42, "sigma"), "hc-4.3": (IdentityId.I43, "sigma"),
+                    "hc-4.8": (IdentityId.I48, None)}
 
 
 def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | None = None,
@@ -805,21 +811,20 @@ def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | N
 
     Families: ``heun-3.11``, ``heun-3.12`` (parameters alpha, beta, gamma,
     optionally q, which must equal a*alpha*beta), ``hc-4.2``, ``hc-4.3``
-    (parameters p, gamma, alpha), ``hc-4.8`` (parameters n, j).
+    (parameters p, gamma, alpha, optionally sigma, which must equal
+    4*p*alpha), ``hc-4.8`` (parameters n, j).  Parameters are normalized
+    as by :func:`verify`: a missing one raises :class:`MissingParam`, an
+    unknown one :class:`DomainError`.
     """
     if family not in _LADDER_FAMILIES:
         raise DomainError(f"unknown ladder family {family!r}")
-    entry = REGISTRY[_LADDER_FAMILIES[family]]
-    if entry.id is IdentityId.I311_312:
-        ps = {k: rat(params[k]) for k in ("alpha", "beta", "gamma")}
-        if "q" in params and rat(params["q"]) != ps["alpha"] * ps["beta"] / 2:
-            raise ConstraintViolated("accessory parameter must equal a*alpha*beta = alpha*beta/2")
-    elif entry.id is IdentityId.I48:
-        ps = _normalize_params(entry, {k: v for k, v in params.items() if k in ("n", "j")})
-    else:
-        ps = {k: rat(params[k]) for k in ("p", "gamma", "alpha")}
-        if "sigma" in params and rat(params["sigma"]) != 4 * ps["p"] * ps["alpha"]:
-            raise ConstraintViolated("ladder requires sigma = 4 p alpha")
+    iid, fixed = _LADDER_FAMILIES[family]
+    entry = REGISTRY[iid]
+    ps = _normalize_params(entry, {k: v for k, v in params.items() if k != fixed})
+    if fixed == "q" and "q" in params and rat(params["q"]) != ps["alpha"] * ps["beta"] / 2:
+        raise ConstraintViolated("accessory parameter must equal a*alpha*beta = alpha*beta/2")
+    if fixed == "sigma" and "sigma" in params and rat(params["sigma"]) != 4 * ps["p"] * ps["alpha"]:
+        raise ConstraintViolated("ladder requires sigma = 4 p alpha")
     mode = NumericGrid(tuple(grid) if grid is not None else entry.grid, tol)
     checker = _check_i48_rung if entry.id is IdentityId.I48 else entry.checker
     err, pts, ok = checker(ps, mode)

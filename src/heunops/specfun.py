@@ -9,14 +9,15 @@ Two arithmetic regimes coexist:
 * float mode for grid evaluation, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
 
-Termination is decided from the parameters (Ronveaux, *Heun's
-Differential Equations*, 1995; DLMF §31.5).  A local Heun series can
-stop at degree N only if (N + alpha)(N + beta) = 0, and a confluent Heun
-series only if 4p(N + alpha) = 0, where p = 0 means N(N - 1 + gamma +
-delta) = sigma.  The exact recurrence is then run over N + 2 terms, and
-only when such an N exists; float parameters are converted exactly for
-it.  Series that terminate are evaluated as exact polynomials.  A series
-that can stop only above ``MAX_DEGREE`` is rejected with
+One engine decides termination for all three families from the parameters
+(Ronveaux, *Heun's Differential Equations*, 1995; DLMF §31.5, §15.2).  A
+local Heun series can stop at degree N only if (N + alpha)(N + beta) = 0,
+a confluent Heun series only if 4p(N + alpha) = 0, where p = 0 means
+N(N - 1 + gamma + delta) = sigma, and a Gauss series stops at the first N
+with (N + a)(N + b) = 0.  The exact recurrence is then run over N + 2
+terms, and only when such an N exists; float parameters are converted
+exactly for it.  Series that terminate are evaluated as exact polynomials.
+A series that can stop only above ``MAX_DEGREE`` is rejected with
 :class:`DivergentSeries`, because its float sum cancels catastrophically.
 
 Terminating Heun, confluent Heun and Gauss polynomials are built once per
@@ -58,20 +59,13 @@ from .exactalg import E2, Poly, binary_form, rat
 Scalar = Union[Fraction, int, float]
 
 MAX_TERMS = 100_000
-#: highest degree of a terminating Heun or confluent Heun series that is
-#: built as an exact polynomial; longer ones are rejected
+#: highest degree of a terminating series of any of the three families
+#: that is built as an exact polynomial; longer ones are rejected
 MAX_DEGREE = 256
 
 
 def _is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-def _require_finite(params) -> None:
-    """Reject NaN and infinite float fields, which have no series."""
-    for name, v in vars(params).items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise DomainError(f"parameter {name} = {v} is not finite")
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
@@ -94,8 +88,36 @@ class SeriesResult:
     tail_estimate: float
 
 
+class _SeriesParams:
+    """Checks shared by the three parameter classes; NaN or infinite fields have no series."""
+
+    def __post_init__(self) -> None:
+        for name, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"parameter {name} = {v} is not finite")
+
+    @property
+    def is_rational(self) -> bool:
+        return all(_is_exact(v) for v in vars(self).values())
+
+
 @dataclass(frozen=True)
-class HeunParams:
+class GaussParams(_SeriesParams):
+    """Parameters (a, b; c) of the Gauss series ``sum (a)_k (b)_k / ((c)_k k!) x^k``."""
+
+    a: Scalar
+    b: Scalar
+    c: Scalar
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        stop = _gauss_stop_degree(self)
+        if _is_nonpositive_integer(self.c) and (stop is None or -int(self.c) < stop):
+            raise InvalidC("c hits a non-positive integer before the series terminates")
+
+
+@dataclass(frozen=True)
+class HeunParams(_SeriesParams):
     """Parameters (a, q; alpha, beta; gamma, delta) of the local Heun
     function normalized to 1 at the origin.
 
@@ -111,7 +133,7 @@ class HeunParams:
     delta: Scalar
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        super().__post_init__()
         if self.a == 0 or self.a == 1:
             raise DomainError("singularity location a must avoid 0 and 1")
         if _is_nonpositive_integer(self.gamma):
@@ -121,13 +143,9 @@ class HeunParams:
     def epsilon(self) -> Scalar:
         return self.alpha + self.beta + 1 - self.gamma - self.delta
 
-    @property
-    def is_rational(self) -> bool:
-        return all(_is_exact(v) for v in (self.a, self.q, self.alpha, self.beta, self.gamma, self.delta))
-
 
 @dataclass(frozen=True)
-class ConfluentHeunParams:
+class ConfluentHeunParams(_SeriesParams):
     """Parameters (p, gamma, delta, alpha, sigma) of the confluent Heun
     function u with u(0) = 1, solving
 
@@ -141,13 +159,9 @@ class ConfluentHeunParams:
     sigma: Scalar
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        super().__post_init__()
         if _is_nonpositive_integer(self.gamma):
             raise InvalidGamma("gamma must not be a non-positive integer")
-
-    @property
-    def is_rational(self) -> bool:
-        return all(_is_exact(v) for v in (self.p, self.gamma, self.delta, self.alpha, self.sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -268,69 +282,53 @@ def _bounded_put(cache: dict, key, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hyp2f1_stop_index(a: Scalar, b: Scalar) -> int | None:
-    """Largest index with a nonzero term when the series terminates, else None."""
-    stops = [int(-v) for v in (a, b) if _is_nonpositive_integer(v)]
+def _gauss_stop_degree(params: GaussParams) -> int | None:
+    """Degree of a terminating Gauss series, the first k with (k+a)(k+b) = 0, else None."""
+    stops = [int(-v) for v in (params.a, params.b) if _is_nonpositive_integer(v)]
     return min(stops) if stops else None
+
+
+def _gauss_stream(params: GaussParams, exact: bool) -> Iterator:
+    """Yield the coefficients c_0 = 1, c_1, ... with c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)).
+
+    A zero numerator is yielded undivided: past the stop, c + k may be 0.
+    """
+    conv: Callable = Fraction if exact else float
+    a, b, g, c = conv(params.a), conv(params.b), conv(params.c), conv(1)
+    for k in itertools.count():
+        yield c
+        num = c * (a + k) * (b + k)
+        c = num / ((g + k) * (k + 1)) if num else num
 
 
 def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
     """Gauss series ``sum (a)_k (b)_k / ((c)_k k!) x^k``.
 
-    Terminating cases (a or b a non-positive integer) are summed exactly
-    and work for any x; otherwise |x| < 1 is required.
+    Terminating cases (a or b a non-positive integer, degree at most
+    ``MAX_DEGREE``) are evaluated exactly and work for any x; otherwise
+    |x| < 1 is required.
     """
-    stop = _hyp2f1_stop_index(a, b)
-    if stop is not None and _is_nonpositive_integer(c) and -int(Fraction(c) if _is_exact(c) else c) < stop:
-        raise InvalidC("c hits a non-positive integer before the series terminates")
-    if stop is None:
-        if _is_nonpositive_integer(c):
-            raise InvalidC("c is a non-positive integer and the series does not terminate")
-        if abs(float(x)) >= 1.0:
-            raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
-    if stop is not None and all(_is_exact(v) for v in (a, b, c)) and _is_exact(x):
-        return SeriesResult(hyp2f1_poly(a, b, c).rounded(x), stop + 1, True, 0.0)
-
-    xf, af, bf, cf = float(x), float(a), float(b), float(c)
-
-    def terms() -> Iterator[float]:
-        t = 1.0
-        for k in itertools.count():
-            yield t * xf**k
-            t = t * (af + k) * (bf + k) / ((cf + k) * (k + 1))
-
-    if stop is None:
-        return _sum_terms(terms(), tol, abs(xf))
-    s = 0.0
-    # islice stops before the last term update, which may divide by c + stop = 0
-    for t in itertools.islice(terms(), stop + 1):
-        s += t
-    return SeriesResult(s, stop + 1, True, 0.0)
+    params = GaussParams(a, b, c)
+    p = _terminating_poly(params)
+    if p is not None:
+        return SeriesResult(p.rounded(x), len(p.coeffs), True, 0.0)
+    xf = float(x)
+    if abs(xf) >= 1.0:
+        raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
+    # xf**k, not a running power: the last bits of published values rest on it
+    return _sum_terms((t * xf**k for k, t in enumerate(_gauss_stream(params, False))), tol, abs(xf))
 
 
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
     """Exact polynomial form of a terminating Gauss series with rational parameters.
 
-    Typed caching keeps a float argument, which is rejected, apart from an
-    equal rational one.
+    Raises :class:`DivergentSeries` if the series does not terminate by
+    degree ``MAX_DEGREE``.
     """
-    if not all(_is_exact(v) for v in (a, b, c)):
+    params = GaussParams(a, b, c)
+    if not params.is_rational:
         raise TypeError("exact polynomial form requires rational parameters")
-    stop = _hyp2f1_stop_index(a, b)
-    if stop is None:
-        raise DivergentSeries("series does not terminate; no polynomial form")
-    a, b, c = rat(a), rat(b), rat(c)
-    coeffs = []
-    t = Fraction(1)
-    for k in range(stop + 1):
-        coeffs.append(t)
-        if k < stop:
-            denom = (c + k) * (k + 1)
-            if denom == 0:
-                raise InvalidC("c hits a non-positive integer before the series terminates")
-            t = t * (a + k) * (b + k) / denom
-    return Poly(tuple(coeffs))
+    return _series_poly(params)
 
 
 def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
@@ -517,13 +515,14 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# termination, polynomial form and evaluation of both Heun families
+# termination, polynomial form and evaluation of the three series families
 # ---------------------------------------------------------------------------
 
 #: series name, stop-degree rule and coefficient stream of each family
 _FAMILIES = {
     HeunParams: ("local Heun", _heun_stop_degree, _heun_stream),
     ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream),
+    GaussParams: ("Gauss", _gauss_stop_degree, _gauss_stream),
 }
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,10 +91,36 @@ class TestEval:
         assert code == 0 and out.splitlines() == ["x,value", "-1,-1", "0,0", "1,1"]
 
     def test_float_overflow_is_usage_error(self, capsys):
-        # the exact degree-300 polynomial at x = 1000 exceeds the float range
-        code, out, err = run(capsys, "eval", "2f1", "a=-300", "b=1/2", "c=3/2", "x=1000")
+        # the exact degree-200 polynomial at x = 1000 exceeds the float range
+        code, out, err = run(capsys, "eval", "2f1", "a=-200", "b=1/2", "c=3/2", "x=1000")
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "too large for a float" in err and "Traceback" not in err
+
+    def test_gauss_degree_above_cap_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "2f1", "a=-30000", "b=1/3", "c=3/2", "x=1/2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "degree 30000" in err
+
+    @pytest.mark.parametrize("argv, key", (
+        (["eval", "K", "n=1", "x=1", "jj=2"], "jj"),
+        (["eval", "c_n", "n=3", "x=1", "--exact"], "x"),
+        (["eval", "2f1", "a=-1", "b=1", "c=1", "d=2", "--grid", "0:1:3"], "d"),
+        (["verify", "--id", "I39", "--params", "n=3,bogus=1"], "bogus"),
+    ), ids=("eval-K", "eval-c_n", "eval-2f1", "verify"))
+    def test_unknown_parameter_is_usage_error(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("argv", (
+        ["eval", "F", "n=1", "n=2", "x=1/4", "--exact"],
+        ["verify", "--id", "I39", "--params", "n=3", "--params", "n=4"],
+    ), ids=("eval", "verify"))
+    def test_repeated_parameter_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: parameter n is given twice\n"
 
     def test_negative_poisson_index_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "K", "n=-1", "x=1/2")
@@ -335,7 +362,11 @@ class TestBuildOnce:
         assert run(capsys, "eval", "legendre", "n=2", "--grid", "0:1:3")[1].startswith("x,value\n")
         assert cli._parser() is parser
 
-    def test_terminating_heun_grid_builds_polynomial_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, rows", (
+        (["hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1", "--grid", "0:1:401"], 402),
+        (["2f1", "a=-10", "b=1/2", "c=3/2", "--grid=-1:1:41"], 42),
+    ), ids=("hl", "2f1"))
+    def test_terminating_grid_builds_polynomial_once(self, capsys, monkeypatch, argv, rows):
         calls = []
         real = specfun._exact_prefix
 
@@ -345,17 +376,9 @@ class TestBuildOnce:
 
         monkeypatch.setattr(specfun, "_exact_prefix", counting)
         specfun._terminating_poly.cache_clear()
-        code, out, _ = run(capsys, "eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1",
-                           "gamma=1", "delta=1", "--grid", "0:1:401")
-        assert code == 0 and len(out.splitlines()) == 402
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0 and len(out.splitlines()) == rows
         assert len(calls) == 1
-
-    def test_terminating_gauss_grid_builds_polynomial_once(self, capsys):
-        specfun.hyp2f1_poly.cache_clear()
-        code, out, _ = run(capsys, "eval", "2f1", "a=-10", "b=1/2", "c=3/2", "--grid=-1:1:41")
-        assert code == 0 and len(out.splitlines()) == 42
-        info = specfun.hyp2f1_poly.cache_info()
-        assert info.misses == 1 and info.hits == 40
 
 
 class TestDeterminism:

@@ -71,6 +71,10 @@ class TestVerify:
             with pytest.raises(MissingParam):
                 verify(iid, {})
 
+    def test_unknown_param(self):
+        with pytest.raises(DomainError, match="bogus"):
+            verify("I39", {"n": 3, "bogus": 1}, "exact")
+
     def test_empty_ranges_vacuous_pass(self):
         reports = verify_all({iid: () for iid in IdentityId})
         assert reports == []
@@ -252,6 +256,26 @@ class TestLadders:
         rep = derivative_ladder_check(family, params)
         assert rep.id is IdentityId(iid)
         assert rep.mode.grid == identities.REGISTRY[rep.id].grid
+
+    @pytest.mark.parametrize("family, params", (
+        ("heun-3.11", {"alpha": 1}),
+        ("heun-3.12", {"alpha": 1, "beta": 1, "q": F(1, 2)}),
+        ("hc-4.2", {"p": 1}),
+        ("hc-4.3", {"gamma": 1, "alpha": 1, "sigma": 4}),
+        ("hc-4.8", {"n": 1}),
+    ))
+    def test_missing_param(self, family, params):
+        with pytest.raises(MissingParam):
+            derivative_ladder_check(family, params)
+
+    @pytest.mark.parametrize("family, params, key", (
+        ("heun-3.11", {"alpha": 1, "beta": 1, "gamma": 1, "sigma": 2}, "sigma"),
+        ("hc-4.2", {"p": 1, "gamma": 1, "alpha": 1, "q": 2}, "q"),
+        ("hc-4.8", {"n": 1, "j": 2, "x": F(1, 2)}, "x"),
+    ))
+    def test_unknown_param(self, family, params, key):
+        with pytest.raises(DomainError, match=f"takes no parameters \\['{key}'\\]"):
+            derivative_ladder_check(family, params)
 
     def test_constraint_validation(self):
         with pytest.raises(ConstraintViolated):

@@ -23,6 +23,7 @@ from heunops.errors import (
 from heunops.exactalg import Poly
 from heunops.specfun import (
     ConfluentHeunParams,
+    GaussParams,
     HeunParams,
     confluent_heun,
     confluent_heun_coeffs,
@@ -89,6 +90,38 @@ class TestHyp2F1:
         mine = hyp2f1_pfaff(0.5, 0.5, 1, x, tol=1e-16).value
         ref = float(scipy.special.hyp2f1(0.5, 0.5, 1, x))
         assert abs(mine - ref) < 1e-12
+
+    def test_float_parameters_terminate_exactly(self):
+        # a float sum of these cancels: -9.4e13 for a value of 0.252, and
+        # 1.436e34 for 1.469e34 through the Pfaff map
+        with mpmath.workdps(40):
+            r = hyp2f1(-120.0, 1 / 3, 2.5, 0.95)
+            assert r.terminated and r == hyp2f1(-120, F(1 / 3), F(5, 2), F(0.95))
+            ref = mpmath.hyp2f1(-120, _mp(1 / 3), 2.5, _mp(0.95))
+            assert abs(r.value - ref) <= 1e-13 * abs(ref)
+            r = hyp2f1_pfaff(0.5, -60, 1.5, -3.0)
+            assert r.terminated and r.value == hyp2f1_pfaff(F(1, 2), -60, F(3, 2), -3).value
+            ref = mpmath.hyp2f1(0.5, -60, 1.5, -3)
+            assert abs(r.value - ref) <= 1e-13 * abs(ref)
+
+    def test_degree_above_max_degree_is_rejected(self):
+        for a in (-300, -300.0):
+            with pytest.raises(DivergentSeries, match="degree 300"):
+                hyp2f1(a, F(1, 2), F(3, 2), F(1, 2))
+        with pytest.raises(DivergentSeries, match="degree 300"):
+            hyp2f1_poly(-300, F(1, 2), F(3, 2))
+        assert hyp2f1_poly(-specfun.MAX_DEGREE, F(1, 2), F(3, 2)).degree == specfun.MAX_DEGREE
+
+    def test_poly_rejects_float_parameters(self):
+        # an equal rational set, already built, must not let a float set through
+        assert hyp2f1_poly(-2, 1, 1) == Poly.of(1, -2, 1)
+        with pytest.raises(TypeError):
+            hyp2f1_poly(-2.0, 1, 1)
+
+    def test_non_finite_parameters_rejected(self):
+        for bad in ((math.nan, 1, 1), (1, math.inf, 1), (1, 1, -math.inf)):
+            with pytest.raises(DomainError, match="not finite"):
+                hyp2f1(*bad, 0.5)
 
     def test_pfaff_matches_raw_inside_disk(self):
         # x < 1/2 keeps the transformed argument x/(x-1) inside the disk too
@@ -284,6 +317,20 @@ def confluent_cases(draw):
     return ConfluentHeunParams(p, gamma, delta, alpha, sigma + draw(near_miss))
 
 
+@st.composite
+def gauss_cases(draw):
+    a = draw(st.one_of(st.integers(-ORACLE_DEGREE, 0).map(F), small))
+    b = draw(st.one_of(st.integers(-ORACLE_DEGREE, 0).map(F), small))
+    stops = [-v for v in (a, b) if v <= 0 and v.denominator == 1]
+    # c = -stop and c = -stop - 1 are legal: the zero denominator comes after the stop
+    cs = [-min(stops), -min(stops) - 1] if stops else []
+    return GaussParams(a, b, draw(st.sampled_from([*cs, *cs, F(1, 2), F(1), F(3, 2), F(7, 3)])))
+
+
+def _poch(v, k):
+    return math.prod((v + i for i in range(k)), start=F(1))
+
+
 class TestTermination:
     def test_confluent_degree_above_old_scan(self):
         # p = 0: N(N - 1 + gamma + delta) = sigma at N = 150
@@ -322,6 +369,18 @@ class TestTermination:
         assert (poly is not None) == ref_terminated
         if ref_terminated:
             assert list(poly.coeffs) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(gauss_cases())
+    def test_gauss_stop_degree_matches_scan(self, gp):
+        poly = specfun._terminating_poly(gp)
+        ref, ref_terminated = _scan_oracle(specfun._gauss_stream(gp, True))
+        assert (poly is not None) == ref_terminated
+        if ref_terminated:
+            assert list(poly.coeffs) == ref
+        # the closed form (a)_k (b)_k / ((c)_k k!) up to the stop
+        assert ref == [_poch(gp.a, k) * _poch(gp.b, k) / (_poch(gp.c, k) * math.factorial(k))
+                       for k in range(len(ref))]
 
     def test_stop_above_max_degree_is_rejected(self):
         # the float sum of these cancels catastrophically: 819.17 against
