@@ -194,6 +194,8 @@ def _cmd_eval(args) -> int:
     if unknown:
         raise HeunopsError(f"{args.function} takes no parameter {unknown[0]}")
     if args.grid:
+        if "x" in params:
+            raise HeunopsError("--grid sets the points and takes no x")
         xs = _parse_grid(args.grid)
     elif needs_x:
         xs = [_frac(params, "x")]

@@ -26,7 +26,7 @@ class InvalidGamma(HeunopsError, ValueError):
 
 
 class NonFinite(HeunopsError, ArithmeticError):
-    """Integrand evaluated to a non-finite value at a quadrature node."""
+    """A NaN or infinite point, or an integrand that is not finite at a quadrature node."""
 
 
 class UnsupportedK(HeunopsError, ValueError):

@@ -44,8 +44,6 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Union
 
-import numpy as np
-
 from .errors import (
     DivergentSeries,
     DomainError,
@@ -66,6 +64,12 @@ MAX_DEGREE = 256
 
 def _is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def _check_point(x: Scalar) -> None:
+    """Reject a NaN or infinite point: no series or sum has a value there."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise NonFinite(f"point x = {x} is not finite")
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
@@ -309,6 +313,7 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     |x| < 1 is required.
     """
     params = GaussParams(a, b, c)
+    _check_point(x)
     p = _terminating_poly(params)
     if p is not None:
         return SeriesResult(p.rounded(x), len(p.coeffs), True, 0.0)
@@ -337,6 +342,7 @@ def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15)
 
     Restores convergence for x < -1, where the raw series diverges.
     """
+    _check_point(x)
     xf = float(x)
     if xf >= 1.0:
         raise DomainError("Pfaff-transformed evaluation requires x < 1")
@@ -589,6 +595,7 @@ def _series_poly(params) -> Poly:
 def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> SeriesResult:
     """Exact polynomial value of a terminating series, else the float sum
     inside the disk of convergence."""
+    _check_point(x)
     p = _terminating_poly(params)
     if p is not None:
         value = (_terminating_deriv(params) if deriv else p).rounded(x)
@@ -621,6 +628,7 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
+    _check_point(x)
     if kind == "F":
         acc = Fraction(0) if _is_exact(x) else 0.0
         for k in range(n + 1):
@@ -713,6 +721,7 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
         raise IndexOutOfRange("derivative order must be non-negative")
     if j > 16:
         raise DomainError("derivative ladder supported for j <= 16")
+    _check_point(x)
     if x < 0:
         raise DomainError("K is evaluated on x >= 0 only")
     xf = float(x)
@@ -785,30 +794,58 @@ def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule("periodic-trapezoid", npoints, float(a), float(b))
 
 
+def _legendre_with_deriv(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
-def _leggauss(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only because shared."""
-    nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _leggauss(npoints: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], immutable because shared.
+
+    Newton's method on P_n from cos(pi (i + 3/4) / (n + 1/2)), with the
+    weights 2 / ((1 - x^2) P_n'(x)^2) (Golub & Welsch, Math. Comp. 23, 1969;
+    Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The nodes are filled
+    symmetrically; for odd n the middle node is exactly 0.
+    """
+    n = npoints
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        if 2 * i + 1 == n:
+            x = 0.0
+        else:
+            x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(100):
+                p, dp = _legendre_with_deriv(n, x)
+                x -= p / dp
+                if abs(p / dp) <= 1e-16:
+                    break
+        dp = _legendre_with_deriv(n, x)[1]
+        # at the middle of an odd n the second store wins, leaving +0.0
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return tuple(nodes), tuple(weights)
 
 
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
     """Apply ``rule`` to ``f``."""
-    a, b = rule.a, rule.b
+    a, b, n = rule.a, rule.b, rule.npoints
     if rule.kind == "gauss-legendre":
-        nodes, weights = _leggauss(rule.npoints)
-        nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        weights = 0.5 * (b - a) * weights
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        nodes, weights = _leggauss(n)
+        nodes = [half * t + mid for t in nodes]
+        weights = [half * w for w in weights]
     else:
-        h = (b - a) / rule.npoints
-        nodes = np.linspace(a, b, rule.npoints + 1)
-        weights = np.full(rule.npoints + 1, h)
-        weights[0] = weights[-1] = h / 2
+        h = (b - a) / n
+        nodes = [a + i * h for i in range(n)] + [b]
+        weights = [h / 2] + [h] * (n - 1) + [h / 2]
     total = 0.0
     for t, w in zip(nodes, weights):
-        v = f(float(t))
+        v = f(t)
         if not math.isfinite(v):
             raise NonFinite(f"integrand is not finite at node {t}")
         total += w * v
-    return float(total)
+    return total

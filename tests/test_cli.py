@@ -122,6 +122,12 @@ class TestEval:
         assert code == 2 and out == ""
         assert err == "error: parameter n is given twice\n"
 
+    @pytest.mark.parametrize("tail", ([], ["--json"], ["--exact"]))
+    def test_point_with_grid_is_usage_error(self, capsys, tail):
+        code, out, err = run(capsys, "eval", "legendre", "n=2", "x=1/2", "--grid", "0:1:3", *tail)
+        assert code == 2 and out == ""
+        assert err == "error: --grid sets the points and takes no x\n"
+
     def test_negative_poisson_index_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "K", "n=-1", "x=1/2")
         assert code == 2 and out == ""

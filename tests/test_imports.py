@@ -1,6 +1,10 @@
-"""Library modules use only each other's public names."""
+"""Library modules use only each other's public names, and the CLI runs
+without numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import heunops
@@ -47,3 +51,20 @@ def test_detector_sees_both_forms():
 def test_no_private_names_across_modules():
     uses = {path.name: private_uses(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_cli_runs_without_numpy():
+    # verify --all takes the trapezoid rules of I22 and I31, and Gauss nodes
+    # are built without numpy as well
+    code = ("import io, sys, contextlib\n"
+            "import heunops, heunops.cli\n"
+            "from heunops import specfun\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert heunops.cli.main(['verify', '--all']) == 0\n"
+            "specfun.quadrature(specfun.gauss_legendre(8, 0, 1), lambda t: t)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr

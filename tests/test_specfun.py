@@ -27,6 +27,7 @@ from heunops.specfun import (
     HeunParams,
     confluent_heun,
     confluent_heun_coeffs,
+    confluent_heun_deriv,
     confluent_heun_ode_residual,
     confluent_heun_poly,
     f_poly,
@@ -675,12 +676,71 @@ class TestQuadrature:
 
     def test_gauss_nodes_shared_read_only(self):
         nodes, weights = specfun._leggauss(5)
-        assert specfun._leggauss(5)[0] is nodes
-        with pytest.raises(ValueError):
+        again = specfun._leggauss(5)
+        assert again[0] is nodes and again[1] is weights
+        assert type(nodes) is tuple and type(weights) is tuple
+        with pytest.raises(TypeError):
             nodes[0] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             weights[0] = 0.0
 
     def test_npoints_validation(self):
         with pytest.raises(DomainError):
             gauss_legendre(1, 0, 1)
+
+
+@pytest.mark.parametrize("n", (2, 5, 16, 32, 64, 128))
+class TestGaussLegendreNodes:
+    """The Newton-built nodes and weights against scipy and the moments of [-1, 1]."""
+
+    def test_against_scipy(self, n):
+        nodes, weights = specfun._leggauss(n)
+        ref_nodes, ref_weights = scipy.special.roots_legendre(n)
+        assert max(abs(x - r) for x, r in zip(nodes, ref_nodes)) <= 2e-16
+        assert max(abs(w - r) / r for w, r in zip(weights, ref_weights)) <= 1e-10
+
+    def test_moments(self, n):
+        nodes, weights = specfun._leggauss(n)
+        assert abs(sum(weights) - 2) <= 1e-14
+        for k in range(2 * n):
+            exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(sum(w * x**k for x, w in zip(nodes, weights)) - exact) <= 1e-14, k
+
+    def test_symmetric_with_exact_middle(self, n):
+        nodes, weights = specfun._leggauss(n)
+        assert list(nodes) == sorted(nodes)
+        assert nodes == tuple(-x for x in reversed(nodes))
+        assert weights == weights[::-1]
+        if n % 2:
+            middle = nodes[n // 2]
+            assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+
+#: one function of each kind that takes a point, mapping x to a float
+_POINT_FUNCTIONS = {
+    "hyp2f1-terminating": lambda x: hyp2f1(-2, 1, 1, x).value,
+    "hyp2f1-series": lambda x: hyp2f1(0.5, 0.5, 1, x).value,
+    "hyp2f1_pfaff-terminating": lambda x: hyp2f1_pfaff(-2, 1, 1, x).value,
+    "hyp2f1_pfaff-series": lambda x: hyp2f1_pfaff(0.5, 0.5, 1, x).value,
+    "heun_local-terminating": lambda x: heun_local(F_PARAMS(2), x).value,
+    "heun_local-series": lambda x: heun_local(HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1), x).value,
+    "heun_local_deriv": lambda x: heun_local_deriv(F_PARAMS(2), x).value,
+    "confluent_heun-terminating": lambda x: confluent_heun(ConfluentHeunParams(1, 1, 1, -2, 0), x).value,
+    "confluent_heun-series": lambda x: confluent_heun(ConfluentHeunParams(F(1, 2), 1, 1, F(1, 2), 1), x).value,
+    "confluent_heun_deriv": lambda x: confluent_heun_deriv(ConfluentHeunParams(1, 1, 1, -2, 0), x).value,
+    **{f"kernel_sum-{kind}": (lambda x, kind=kind: kernel_sum(kind, 2, x)) for kind in "FUGJ"},
+    "szasz_K": lambda x: szasz_K(2, 0, x),
+    "szasz_K-ladder": lambda x: szasz_K(2, 3, x),
+}
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf"))
+    def test_rejected(self, name, x):
+        with pytest.raises(NonFinite, match="not finite"):
+            _POINT_FUNCTIONS[name](x)
+
+    @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
+    def test_finite_point_still_evaluates(self, name):
+        assert math.isfinite(_POINT_FUNCTIONS[name](0.25))
