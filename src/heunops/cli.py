@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
@@ -124,39 +127,46 @@ def _parse_sigma(spec: str):
 # eval
 # ---------------------------------------------------------------------------
 
-_EXACT_CAPABLE = {"hl", "hc", "2f1", "legendre", "F", "U", "bspline", "c_n", "kn_deriv_zero"}
-
-
-#: Heun-type families: parameter class, its keys in order, exact and float routes
-_HEUN_FAMILIES = {
-    "hl": (specfun.HeunParams, ("a", "q", "alpha", "beta", "gamma", "delta"),
-           specfun.heun_poly, specfun.heun_local),
-    "hc": (specfun.ConfluentHeunParams, ("p", "gamma", "delta", "alpha", "sigma"),
-           specfun.confluent_heun_poly, specfun.confluent_heun),
+#: series families: parameter class, exact and float routes
+_SERIES_FAMILIES = {
+    "hl": (specfun.HeunParams, specfun.heun_poly, specfun.heun_local),
+    "hc": (specfun.ConfluentHeunParams, specfun.confluent_heun_poly, specfun.confluent_heun),
+    "2f1": (specfun.GaussParams, lambda g: specfun.hyp2f1_poly(g.a, g.b, g.c),
+            lambda g, x, tol: specfun.hyp2f1(g.a, g.b, g.c, x, tol)),
 }
 
-#: the parameter keys of each function, x aside
-_EVAL_KEYS = {
-    "hl": _HEUN_FAMILIES["hl"][1], "hc": _HEUN_FAMILIES["hc"][1], "2f1": ("a", "b", "c"),
-    "legendre": ("n",), "F": ("n",), "G": ("n",), "U": ("n",), "J": ("n",), "K": ("n", "j"),
-    "bspline": ("knots",), "c_n": ("n",), "kn_deriv_zero": ("n", "j"),
+
+class _EvalSpec(NamedTuple):
+    keys: tuple[str, ...]  # parameter keys, x aside
+    takes_x: bool = True
+    exact: bool = True  # whether --exact exists
+
+
+#: every function of ``eval``, in the order argparse lists them
+_EVAL_SPECS = {
+    **{name: _EvalSpec(tuple(f.name for f in dataclasses.fields(make)))
+       for name, (make, _, _) in _SERIES_FAMILIES.items()},
+    "legendre": _EvalSpec(("n",)),
+    "F": _EvalSpec(("n",)),
+    "G": _EvalSpec(("n",), exact=False),
+    "U": _EvalSpec(("n",)),
+    "J": _EvalSpec(("n",), exact=False),
+    "K": _EvalSpec(("n", "j"), exact=False),
+    "bspline": _EvalSpec(("knots",)),
+    "c_n": _EvalSpec(("n",), takes_x=False),
+    "kn_deriv_zero": _EvalSpec(("n", "j"), takes_x=False),
 }
-EVAL_FUNCTIONS = tuple(_EVAL_KEYS)
+EVAL_FUNCTIONS = tuple(_EVAL_SPECS)
 
 
 def _point_function(name: str, params: dict, exact: bool):
     """Parse ``params`` once and return the map x -> value of ``name``."""
-    if name in _HEUN_FAMILIES:
-        make, keys, poly, series = _HEUN_FAMILIES[name]
-        hp = make(*(_frac(params, k) for k in keys))
+    if name in _SERIES_FAMILIES:
+        make, poly, series = _SERIES_FAMILIES[name]
+        sp = make(*(_frac(params, k) for k in _EVAL_SPECS[name].keys))
         if exact:
-            return poly(hp)
-        return lambda x: series(hp, x, tol=1e-15).value
-    if name == "2f1":
-        a, b, c = _frac(params, "a"), _frac(params, "b"), _frac(params, "c")
-        if exact:
-            return specfun.hyp2f1_poly(a, b, c)
-        return lambda x: specfun.hyp2f1(a, b, c, x, tol=1e-15).value
+            return poly(sp)
+        return lambda x: series(sp, x, tol=1e-15).value
     if name == "legendre":
         n = _int(params, "n")
         if exact:
@@ -186,10 +196,10 @@ def _point_function(name: str, params: dict, exact: bool):
 def _cmd_eval(args) -> int:
     params = _parse_kv(args.params)
     exact = args.exact
-    if exact and args.function not in _EXACT_CAPABLE:
+    spec = _EVAL_SPECS[args.function]
+    if exact and not spec.exact:
         raise HeunopsError(f"--exact is not available for {args.function}")
-    needs_x = args.function not in ("c_n", "kn_deriv_zero")
-    known = _EVAL_KEYS[args.function] + (("x",) if needs_x else ())
+    known = spec.keys + (("x",) if spec.takes_x else ())
     unknown = [k for k in params if k not in known]
     if unknown:
         raise HeunopsError(f"{args.function} takes no parameter {unknown[0]}")
@@ -197,7 +207,7 @@ def _cmd_eval(args) -> int:
         if "x" in params:
             raise HeunopsError("--grid sets the points and takes no x")
         xs = _parse_grid(args.grid)
-    elif needs_x:
+    elif spec.takes_x:
         xs = [_frac(params, "x")]
     else:
         xs = [None]
@@ -273,6 +283,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: the columns of the entropy table, each an attribute of an entropy point
+_ENTROPY_COLUMNS = ("x", "squared_kernel_integral", "renyi", "tsallis", "variance")
+
+
 def _cmd_entropy(args) -> int:
     if args.op == "bspline" and args.k is not None:
         raise HeunopsError("--k applies only to --op kantorovich")
@@ -285,38 +299,25 @@ def _cmd_entropy(args) -> int:
     else:
         op = entropy.KantorovichOp(args.n, args.k if args.k is not None else 2)
     points = entropy.entropy_profile(op, xs)
-    variance = [p.variance for p in points]
-    renyi = [p.renyi for p in points]
-    tsallis = [p.tsallis for p in points]
-    sync = {
-        "variance~renyi": entropy.synchronicity_check(variance, renyi).passed,
-        "variance~tsallis": entropy.synchronicity_check(variance, tsallis).passed,
-        "renyi~tsallis": entropy.synchronicity_check(renyi, tsallis).passed,
-    }
+    measures = _ENTROPY_COLUMNS[-1:] + _ENTROPY_COLUMNS[2:-1]  # variance, renyi, tsallis
+    columns = {c: [getattr(p, c) for p in points] for c in measures}
+    sync = {f"{f}~{g}": entropy.synchronicity_check(columns[f], columns[g]).passed
+            for f, g in itertools.combinations(measures, 2)}
+    rows = [[_fmt_float(getattr(p, c)) for c in _ENTROPY_COLUMNS] for p in points]
     if args.json:
         doc = {
             "command": "entropy",
             "params": {"op": args.op, "n": args.n, "k": args.k,
                        "sigma": args.sigma, "grid": args.grid},
-            "rows": [
-                {
-                    "x": _fmt_float(p.x),
-                    "squared_kernel_integral": _fmt_float(p.squared_kernel_integral),
-                    "renyi": _fmt_float(p.renyi),
-                    "tsallis": _fmt_float(p.tsallis),
-                    "variance": _fmt_float(p.variance),
-                }
-                for p in points
-            ],
+            "rows": [dict(zip(_ENTROPY_COLUMNS, row)) for row in rows],
             "pass": all(sync.values()),
             "synchronicity": sync,
         }
         print(json.dumps(doc, indent=2))
     else:
-        print("x,squared_kernel_integral,renyi,tsallis,variance")
-        for p in points:
-            print(",".join(_fmt_float(v) for v in
-                           (p.x, p.squared_kernel_integral, p.renyi, p.tsallis, p.variance)))
+        print(",".join(_ENTROPY_COLUMNS))
+        for row in rows:
+            print(",".join(row))
         summary = " ".join(f"{k}={'pass' if v else 'fail'}" for k, v in sync.items())
         print(f"# synchronicity {summary}")
     return 0

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, NonFinite
 
 Rational = Fraction
 
@@ -306,6 +306,8 @@ class PiecewisePoly:
         return bisect_right(self.breakpoints, t) - 1
 
     def __call__(self, t):
+        if isinstance(t, float) and not math.isfinite(t):
+            raise NonFinite(f"point t = {t} is not finite")
         i = self.piece_index(t)
         if i < 0:
             return Fraction(0) if isinstance(t, (Fraction, int)) else 0.0

@@ -362,26 +362,28 @@ def legendre_poly(n: int) -> Poly:
     """Exact Legendre polynomial via the three-term recurrence."""
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
-    if n == 0:
-        return Poly.constant(1)
-    if n == 1:
-        return Poly.monomial(1)
-    p_prev, p = legendre_poly(n - 2), legendre_poly(n - 1)
-    k = n - 1
-    return (Poly.monomial(1) * p).scale(Fraction(2 * k + 1, k + 1)) - p_prev.scale(Fraction(k, k + 1))
+    x = Poly.monomial(1)
+    p_prev, p = Poly(), Poly.constant(1)
+    for k in range(n):
+        p_prev, p = p, (x * p).scale(Fraction(2 * k + 1, k + 1)) - p_prev.scale(Fraction(k, k + 1))
+    return p
+
+
+def _legendre_pair(n: int, x: Scalar) -> tuple:
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence (DLMF §18.9.1),
+    starting from P_{-1} = 0; exact for rational x."""
+    p_prev, p = 0, Fraction(1) if _is_exact(x) else 1.0
+    for k in range(n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p_prev, p
 
 
 def legendre_p(n: int, x: Scalar):
     """Value of P_n(x) by the three-term recurrence; exact for rational x."""
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
-    one = Fraction(1) if _is_exact(x) else 1.0
-    p_prev, p = one, x * one
-    if n == 0:
-        return p_prev
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
+    _check_point(x)
+    return _legendre_pair(n, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +706,10 @@ def _kn_taylor_coeff(n: int, m: int) -> Fraction:
     return acc
 
 
+#: largest n x at which :func:`szasz_K` sums its series; exp(-709) is subnormal
+KN_MAX_NX = 708
+
+
 def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     """j-th derivative of the squared Poisson-weight sum at x >= 0.
 
@@ -713,7 +719,9 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
         x K^(m) = -(4nx + m - 1) K^(m-1) - 2n(2m - 3) K^(m-2),
 
     which avoids the cancellation of repeated termwise differentiation.
-    At x = 0 the exact closed form is used.
+    At x = 0 the exact closed form is used.  The first Poisson weight is
+    exp(-nx), so n x must stay at most ``KN_MAX_NX``, where it is still a
+    normal float; a larger n x is rejected.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
@@ -727,6 +735,8 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     xf = float(x)
     if xf == 0.0:
         return float(kn_deriv_zero(n, j))
+    if n * xf > KN_MAX_NX:
+        raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {n * xf}")
 
     def poisson_weights() -> Iterator[float]:
         w = math.exp(-n * xf)
@@ -766,39 +776,44 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """A concrete quadrature rule on a closed interval.
+    """A quadrature rule: the sum of ``weights[i] * f(nodes[i])``."""
 
-    ``gauss-legendre`` uses ``npoints`` Gauss nodes; ``periodic-trapezoid``
-    uses the closed composite trapezoid with ``npoints`` subintervals,
-    which converges spectrally for smooth integrands extending to even
-    periodic functions.
-    """
-
-    kind: str
-    npoints: int
-    a: float
-    b: float
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gauss-legendre", "periodic-trapezoid"):
-            raise DomainError(f"unknown quadrature kind {self.kind!r}")
-        if self.npoints < 2:
-            raise DomainError("quadrature needs at least 2 points")
+        if len(self.nodes) != len(self.weights):
+            raise DomainError(f"{len(self.nodes)} quadrature nodes but {len(self.weights)} weights")
+
+
+def _check_npoints(npoints: int) -> None:
+    if npoints < 2:
+        raise DomainError("quadrature needs at least 2 points")
 
 
 def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
-    return QuadratureRule("gauss-legendre", npoints, float(a), float(b))
+    """``npoints`` Gauss-Legendre nodes on [a, b]."""
+    _check_npoints(npoints)
+    a, b = float(a), float(b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    nodes, weights = _leggauss(npoints)
+    return QuadratureRule(tuple(half * t + mid for t in nodes), tuple(half * w for w in weights))
 
 
 def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
-    return QuadratureRule("periodic-trapezoid", npoints, float(a), float(b))
+    """The closed composite trapezoid on [a, b] with ``npoints`` subintervals,
+    which converges spectrally for smooth integrands extending to even
+    periodic functions."""
+    _check_npoints(npoints)
+    a, b = float(a), float(b)
+    h = (b - a) / npoints
+    nodes = tuple(a + i * h for i in range(npoints)) + (b,)
+    return QuadratureRule(nodes, (h / 2,) + (h,) * (npoints - 1) + (h / 2,))
 
 
 def _legendre_with_deriv(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence."""
-    p_prev, p = 1.0, x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    """P_n(x) and P_n'(x) for |x| < 1."""
+    p_prev, p = _legendre_pair(n, x)
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
@@ -831,19 +846,9 @@ def _leggauss(npoints: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
-    """Apply ``rule`` to ``f``."""
-    a, b, n = rule.a, rule.b, rule.npoints
-    if rule.kind == "gauss-legendre":
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        nodes, weights = _leggauss(n)
-        nodes = [half * t + mid for t in nodes]
-        weights = [half * w for w in weights]
-    else:
-        h = (b - a) / n
-        nodes = [a + i * h for i in range(n)] + [b]
-        weights = [h / 2] + [h] * (n - 1) + [h / 2]
+    """Apply ``rule`` to ``f``; a non-finite value of ``f`` at a node is rejected."""
     total = 0.0
-    for t, w in zip(nodes, weights):
+    for t, w in zip(rule.nodes, rule.weights):
         v = f(t)
         if not math.isfinite(v):
             raise NonFinite(f"integrand is not finite at node {t}")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,26 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "legendre", "n=2", "--grid", "0:1:3", "--exact")
         assert code == 0
         assert out.splitlines() == ["x,value", "0,-1/2", "1/2,-1/8", "1,1"]
+
+    def test_exact_gauss_polynomial(self, capsys):
+        code, out, _ = run(capsys, "eval", "2f1", "a=-3", "b=1/2", "c=3/2", "x=2/7", "--exact")
+        expected = specfun.hyp2f1_poly(-3, Fraction(1, 2), Fraction(3, 2))(Fraction(2, 7))
+        assert code == 0 and out == f"{expected}\n" and "/" in out
+
+    def test_derivative_at_zero_takes_no_point(self, capsys):
+        # (-2n)^j (1 + C(3,2) C(2,1)/4) = -64 * 5/2 at n = 2, j = 3
+        assert run(capsys, "eval", "kn_deriv_zero", "n=2", "j=3") == (0, "-160\n", "")
+        assert run(capsys, "eval", "kn_deriv_zero", "n=2", "j=3", "--exact") == (0, "-160\n", "")
+
+    def test_one_point_grid(self, capsys):
+        code, out, _ = run(capsys, "eval", "legendre", "n=2", "--grid", "1/2:1/2:1", "--exact")
+        assert code == 0 and out.splitlines() == ["x,value", "1/2,-1/8"]
+
+    @pytest.mark.parametrize("n", ("709", "1000"))
+    def test_poisson_sum_past_underflow_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "eval", "K", f"n={n}", "x=1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "708" in err
 
     def test_missing_param(self, capsys):
         code, _, err = run(capsys, "eval", "F", "n=1")

@@ -85,6 +85,12 @@ class TestKantorovich:
                         n, k, f, x, "bspline-form"
                     )
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_k0_bspline_form_is_point_evaluation(self, n):
+        # k = 0 takes the point-evaluation branch of the B-spline form
+        for f in (E0, E1, E2, Poly.of(1, -3, 0, 2)):
+            assert kantorovich_poly(n, 0, f, "bspline-form") == kantorovich_poly(n, 0, f)
+
     def test_definition_ignores_antiderivative_constants(self):
         # same operator value whichever antiderivative representative is used
         got = kantorovich_poly(3, 2, E2, "definition")
@@ -107,6 +113,12 @@ class TestSquaredKernel:
         # both the direct definition and the closed sum give 2 at x = 0
         assert s_nk(3, 2, F(0), "direct") == 2
         assert s_nk(3, 2, F(0), "sum-form") == 2
+
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    def test_integral_form_through_s_nk(self, n):
+        for x in X9:
+            ref = s_nk(n, 2, x, "sum-form")
+            assert abs(s_nk(n, 2, x, "integral-form") - float(ref)) <= 1e-12 * float(ref)
 
     def test_unsupported_k(self):
         with pytest.raises(UnsupportedK):

@@ -3,7 +3,11 @@ and the quadrature rules, each against an independent oracle."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heunops import specfun
+from heunops.bspline import bspline_density
 from heunops.errors import (
     DivergentSeries,
     DomainError,
@@ -25,6 +30,7 @@ from heunops.specfun import (
     ConfluentHeunParams,
     GaussParams,
     HeunParams,
+    QuadratureRule,
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
@@ -150,6 +156,22 @@ class TestLegendre:
     def test_against_scipy(self, n):
         for x in (-0.8, 0.1, 0.9):
             assert abs(legendre_p(n, x) - float(scipy.special.eval_legendre(n, x))) < 1e-13
+
+    def test_poly_built_without_recursion(self):
+        # a fresh interpreter, so that no smaller degree is cached; the
+        # polynomial is built in a loop, not by recursion over the degree
+        code = ("import sys\n"
+                "from fractions import Fraction\n"
+                "from heunops.specfun import legendre_p, legendre_poly\n"
+                "sys.setrecursionlimit(150)\n"
+                "x = Fraction(1, 3)\n"
+                "assert legendre_poly(200)(x) == legendre_p(200, x)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHeunLocal:
@@ -508,10 +530,21 @@ class TestKernelSums:
         with pytest.raises(DivergentSeries):
             kernel_sum("J", 1, 1.0)
 
+    def test_g_order_zero(self):
+        # only the k = 0 term of the series survives
+        for x in (0.0, 0.5, 3.0):
+            assert kernel_sum("G", 0, x) == 1.0
+
+    @pytest.mark.parametrize("x", (F(-1), -1.0))
+    def test_u_pole(self, x):
+        with pytest.raises(DomainError, match="x = -1"):
+            kernel_sum("U", 2, x)
+
 
 class TestSzaszK:
     def test_value_at_zero(self):
-        for n in (1, 2, 5):
+        # the closed form at x = 0 holds for any n, past the n x bound too
+        for n in (1, 2, 5, 1000):
             assert szasz_K(n, 0, 0.0) == 1.0
 
     def test_bessel_product_oracle(self):
@@ -546,6 +579,23 @@ class TestSzaszK:
         with pytest.raises(DomainError):
             szasz_K(1, 17, 0.5)
 
+
+    @pytest.mark.parametrize("nx", (400, 700, 708))
+    def test_large_nx_against_scaled_bessel(self, nx):
+        # K_n = e^(-2nx) I_0(2nx) and K_n' = 2n e^(-2nx) (I_1 - I_0)(2nx)
+        for n, x in ((nx, 1.0), (4 * nx, 0.25)):
+            z = 2 * n * x
+            k0 = float(scipy.special.ive(0, z))
+            k1 = 2 * n * (float(scipy.special.ive(1, z)) - k0)
+            assert abs(szasz_K(n, 0, x) - k0) <= 1e-13 * k0
+            assert abs(szasz_K(n, 1, x) - k1) <= 1e-10 * abs(k1)
+
+    @pytest.mark.parametrize("nx", (709, 745, 1000))
+    @pytest.mark.parametrize("j", (0, 1, 3))
+    def test_underflowing_weight_rejected(self, nx, j):
+        # exp(-n x) is no longer a normal float past n x = 708
+        with pytest.raises(DomainError, match="708"):
+            szasz_K(nx, j, 1.0)
 
     def test_negative_family_index(self):
         with pytest.raises(IndexOutOfRange):
@@ -685,8 +735,22 @@ class TestQuadrature:
             weights[0] = 0.0
 
     def test_npoints_validation(self):
-        with pytest.raises(DomainError):
-            gauss_legendre(1, 0, 1)
+        for make in (gauss_legendre, periodic_trapezoid):
+            with pytest.raises(DomainError, match="at least 2 points"):
+                make(1, 0, 1)
+
+    def test_rule_is_nodes_and_weights(self):
+        rule = periodic_trapezoid(4, 0, 1)
+        assert rule.nodes == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert rule.weights == (0.125, 0.25, 0.25, 0.25, 0.125)
+        nodes, weights = specfun._leggauss(3)
+        rule = gauss_legendre(3, 1, 3)
+        assert rule.nodes == tuple(t + 2.0 for t in nodes) and rule.weights == weights
+
+    def test_direct_rule(self):
+        assert quadrature(QuadratureRule((0.0, 1.0), (0.5, 0.5)), lambda t: 4 * t) == 2.0
+        with pytest.raises(DomainError, match="2 quadrature nodes but 1 weights"):
+            QuadratureRule((0.0, 1.0), (1.0,))
 
 
 @pytest.mark.parametrize("n", (2, 5, 16, 32, 64, 128))
@@ -731,6 +795,8 @@ _POINT_FUNCTIONS = {
     **{f"kernel_sum-{kind}": (lambda x, kind=kind: kernel_sum(kind, 2, x)) for kind in "FUGJ"},
     "szasz_K": lambda x: szasz_K(2, 0, x),
     "szasz_K-ladder": lambda x: szasz_K(2, 3, x),
+    "legendre_p": lambda x: legendre_p(3, x),
+    "bspline_density": lambda x: bspline_density([0, 1, 2, 3])(x),
 }
 
 
