@@ -22,6 +22,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -96,8 +97,11 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise HeunopsError("grid count must be >= 1 (and a == b when count == 1)")
     if count == 1:
         return [a]
-    step = (b - a) / (count - 1)
-    return [a + step * i for i in range(count)]
+    # x_i = a + (b - a) i / (count - 1) = (A + i S) / D over the integers
+    lcm = math.lcm(a.denominator, b.denominator)
+    den = lcm * (count - 1)
+    start, step = int(a * den), int((b - a) * lcm)
+    return [Fraction(start + i * step, den) for i in range(count)]
 
 
 def _parse_sigma(spec: str):

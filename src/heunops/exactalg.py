@@ -7,8 +7,9 @@ types, so they are safe to share freely between threads.
 
 Each ``Poly`` carries its integer form (its coefficients times the lcm of
 their denominators), built on first use and kept on the object.  Products,
-binary forms and the correctly rounded evaluation :meth:`Poly.rounded` run
-over Python ints on these forms and divide once at the end.
+binary forms, the exact value :meth:`Poly.__call__` at a rational point and
+the correctly rounded evaluation :meth:`Poly.rounded` run over Python ints
+on these forms and divide once at the end.
 """
 
 from __future__ import annotations
@@ -106,8 +107,25 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------
 
+    def _int_horner(self, u: int, v: int) -> tuple[int, int]:
+        """``(N, L v^d)``, the numerator and denominator of the value at u/v.
+
+        With the integer form (C, L) and d the degree, the value is
+        sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers.
+        """
+        ints, lcm = self.integer_form
+        it = reversed(ints)
+        acc, vpow = next(it, 0), 1
+        for c in it:
+            vpow *= v
+            acc = acc * u + c * vpow
+        return acc, lcm * vpow
+
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments, float for floats."""
+        """Exact value for Fraction/int arguments, from :meth:`_int_horner`
+        and one ``Fraction``; float Horner for floats."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(*self._int_horner(x.numerator, x.denominator))
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -117,22 +135,16 @@ class Poly:
         """Value at ``x``, rounded once: a float ``x`` is converted exactly,
         because float Horner on large alternating coefficients cancels.
 
-        With x = u/v and the integer form (C, L), the value is
-        sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers,
-        then one correctly rounded int/int division, which is what ``float``
-        of the equal ``Fraction`` computes (``OverflowError`` included).
+        The integer value of :meth:`_int_horner` is divided once, correctly
+        rounded, which is what ``float`` of the equal ``Fraction`` computes
+        (``OverflowError`` included).
         """
-        ints, lcm = self.integer_form
         if isinstance(x, (int, Fraction)):
             u, v = x.numerator, x.denominator
         else:
             u, v = float(x).as_integer_ratio()
-        it = reversed(ints)
-        acc, vpow = next(it, 0), 1
-        for c in it:
-            vpow *= v
-            acc = acc * u + c * vpow
-        return acc / (lcm * vpow)
+        num, den = self._int_horner(u, v)
+        return num / den
 
     # -- ring operations -------------------------------------------------
 

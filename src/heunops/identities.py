@@ -100,6 +100,12 @@ class NumericGrid:
     tol: float = 1e-9
     kind: str = "numeric"
 
+    def __post_init__(self) -> None:
+        # a NaN, zero or negative tolerance fails every check, and an infinite
+        # one passes even a route whose error is inf
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tol}")
+
 
 CheckMode = Union[ExactPoly, OdeResidual, NumericGrid]
 

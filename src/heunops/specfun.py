@@ -26,12 +26,12 @@ value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
 runs integer Horner on the polynomial's integer form and rounds the exact
 value to a float once.
 
-Exact coefficient prefixes are built once as well: one per rational Heun
-or confluent Heun parameter set, and one per ``n`` for the Taylor
-coefficients of K_n.  A longer request computes only the missing
-coefficients (the three-term recurrences restart from the last two stored
-ones), each call returns a new list, and float parameter sets never read
-these caches.
+Coefficient prefixes are built once as well: an exact one per rational
+Heun or confluent Heun parameter set, a float one per parameter set whose
+float series is summed, so a grid runs its recurrence once, and one per
+``n`` for the Taylor coefficients of K_n.  A longer request computes only
+the missing coefficients, and each call returns a new list.  Exact values
+of P_n, F and U at a rational point run over the integers.
 """
 
 from __future__ import annotations
@@ -254,22 +254,7 @@ def _sum_terms(terms: Iterable[float], tol: float, ratio: float) -> SeriesResult
     raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
 
 
-def _power_terms(stream: Iterator, x: float, deriv: bool) -> Iterator[float]:
-    """Terms c_k x^k of a float coefficient stream, or k c_k x^(k-1) when ``deriv``."""
-    xpow = 1.0  # x^(k-1) when deriv else x^k
-    for k, c in enumerate(stream):
-        if abs(c) > 1e280:
-            raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
-        if deriv:
-            yield k * c * xpow if k else 0.0
-            if k:
-                xpow *= x
-        else:
-            yield c * xpow
-            xpow *= x
-
-
-#: entries kept by each cache of exact polynomials
+#: entries kept by each cache of polynomials and coefficient prefixes
 _CACHE_SIZE = 256
 
 
@@ -292,14 +277,17 @@ def _gauss_stop_degree(params: GaussParams) -> int | None:
     return min(stops) if stops else None
 
 
-def _gauss_stream(params: GaussParams, exact: bool) -> Iterator:
-    """Yield the coefficients c_0 = 1, c_1, ... with c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)).
+def _gauss_stream(params: GaussParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
+                  c: Scalar = 1) -> Iterator:
+    """Yield the coefficients c_k, c_{k+1}, ... from c_k = ``c`` (by default
+    c_0 = 1, c_1, ...) with c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)).
 
-    A zero numerator is yielded undivided: past the stop, c + k may be 0.
+    ``c_prev`` is unused: it keeps the signature of the Heun streams.  A
+    zero numerator is yielded undivided: past the stop, c + k may be 0.
     """
     conv: Callable = Fraction if exact else float
-    a, b, g, c = conv(params.a), conv(params.b), conv(params.c), conv(1)
-    for k in itertools.count():
+    a, b, g, c = conv(params.a), conv(params.b), conv(params.c), conv(c)
+    for k in itertools.count(k):
         yield c
         num = c * (a + k) * (b + k)
         c = num / ((g + k) * (k + 1)) if num else num
@@ -320,8 +308,7 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     xf = float(x)
     if abs(xf) >= 1.0:
         raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
-    # xf**k, not a running power: the last bits of published values rest on it
-    return _sum_terms((t * xf**k for k, t in enumerate(_gauss_stream(params, False))), tol, abs(xf))
+    return _float_series_sum(params, xf, tol, abs(xf), deriv=False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -369,21 +356,31 @@ def legendre_poly(n: int) -> Poly:
     return p
 
 
-def _legendre_pair(n: int, x: Scalar) -> tuple:
+def _legendre_pair(n: int, x: float) -> tuple[float, float]:
     """(P_{n-1}(x), P_n(x)) by the three-term recurrence (DLMF §18.9.1),
-    starting from P_{-1} = 0; exact for rational x."""
-    p_prev, p = 0, Fraction(1) if _is_exact(x) else 1.0
+    starting from P_{-1} = 0."""
+    p_prev, p = 0, 1.0
     for k in range(n):
         p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
     return p_prev, p
 
 
 def legendre_p(n: int, x: Scalar):
-    """Value of P_n(x) by the three-term recurrence; exact for rational x."""
+    """Value of P_n(x) by the three-term recurrence; exact for rational x.
+
+    At x = u/v the recurrence runs on the integers N_k = (2v)^k P_k(u/v),
+    (k+1) N_{k+1} = 2(2k+1) u N_k - 4k v^2 N_{k-1}, whose division is exact.
+    """
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
     _check_point(x)
-    return _legendre_pair(n, x)[1]
+    if not _is_exact(x):
+        return _legendre_pair(n, x)[1]
+    u, v = x.numerator, x.denominator
+    n_prev, n_k, vv = 0, 1, 4 * v * v
+    for k in range(n):
+        n_prev, n_k = n_k, (2 * (2 * k + 1) * u * n_k - k * vv * n_prev) // (k + 1)
+    return Fraction(n_k, (2 * v) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -534,29 +531,69 @@ _FAMILIES = {
 }
 
 
-#: exact coefficient prefixes, one tuple per rational parameter set
+#: coefficient prefixes, one tuple per parameter set and arithmetic,
+#: keyed ``(params, exact)``
 _PREFIXES: dict = {}
 
 
-def _series_coeffs(params, count: int) -> list:
-    """First ``count`` series coefficients of either Heun family, as a new list.
+def _prefix(params, count: int, exact: bool) -> tuple:
+    """The cached coefficient prefix of ``params``, at least ``count`` long.
 
-    Float parameters give the float stream.  Rational ones read the cached
-    exact prefix.  A prefix that is too short is replaced by a longer one,
-    built by restarting the recurrence from its last two coefficients;
-    stored prefixes are never changed in place.  A float set that equals a
-    rational one never reads the cache.
+    A prefix that is too short is replaced by a longer one, built by
+    restarting the recurrence from its last two coefficients.  Float sets
+    equal as values share a float prefix; their streams differ at most in
+    the sign of a zero.
     """
-    stream = _FAMILIES[type(params)][2]
-    if not params.is_rational:
-        return [c for _, c in zip(range(count), stream(params, False))]
-    prefix = _PREFIXES.get(params, (Fraction(1),))
+    key = (params, exact)
+    prefix = _PREFIXES.get(key, (Fraction(1) if exact else 1.0,))
     k = len(prefix) - 1
     if count > k + 1:
-        rest = stream(params, True, k, prefix[-2] if k else 0, prefix[-1])
+        rest = _FAMILIES[type(params)][2](params, exact, k, prefix[-2] if k else 0, prefix[-1])
         prefix += tuple(itertools.islice(rest, 1, count - k))
-        _bounded_put(_PREFIXES, params, prefix)
-    return list(prefix[:max(count, 0)])
+        _bounded_put(_PREFIXES, key, prefix)
+    return prefix
+
+
+def _series_coeffs(params, count: int) -> list:
+    """First ``count`` series coefficients, as a new list: exact for a
+    rational parameter set, float otherwise."""
+    return list(_prefix(params, count, params.is_rational)[:max(count, 0)])
+
+
+def _float_series_sum(params, xf: float, tol: float, ratio: float, deriv: bool) -> SeriesResult:
+    """Sum c_k x^k (k c_k x^(k-1) when ``deriv``) over the cached float
+    prefix, which grows by doubling, with the stop rule of :func:`_sum_terms`.
+
+    A Heun series takes a running power and rejects a coefficient above
+    1e280; a Gauss series takes ``xf**k``: the last bits of published
+    values rest on both.
+    """
+    gauss = type(params) is GaussParams
+    coeffs: tuple = ()
+    s, small, xpow = 0.0, 0, 1.0  # xpow is x^(k-1) when deriv else x^k
+    for k in range(MAX_TERMS):
+        if k == len(coeffs):
+            coeffs = _prefix(params, min(2 * k + 32, MAX_TERMS), False)
+        c = coeffs[k]
+        if gauss:
+            t = c * xf**k
+        else:
+            if abs(c) > 1e280:
+                raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+            if not deriv:
+                t = c * xpow
+                xpow *= xf
+            elif k:
+                t = k * c * xpow
+                xpow *= xf
+            else:
+                t = 0.0
+        s += t
+        small = small + 1 if abs(t) <= tol * abs(s) else 0
+        if small >= 3:
+            r = min(ratio, 0.999)
+            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
+    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -602,11 +639,11 @@ def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> 
     if p is not None:
         value = (_terminating_deriv(params) if deriv else p).rounded(x)
         return SeriesResult(value, len(p.coeffs), True, 0.0)
-    name, _, stream = _FAMILIES[type(params)]
     xf = float(x)
     if abs(xf) >= radius:
-        raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating {name} series")
-    return _sum_terms(_power_terms(stream(params, False), xf, deriv), tol, abs(xf) / radius)
+        raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating "
+                              f"{_FAMILIES[type(params)][0]} series")
+    return _float_series_sum(params, xf, tol, abs(xf) / radius, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -622,24 +659,40 @@ def f_poly(n: int) -> Poly:
     return binary_form([comb(n, k) ** 2 for k in range(n + 1)], E2, Poly.of(1, -2, 1), n)
 
 
+def _squared_binomial_form(n: int, a: int, b: int) -> int:
+    """sum_k C(n,k)^2 a^k b^(n-k) over the integers, by homogeneous Horner in a."""
+    acc, bpow = 1, 1
+    for k in reversed(range(n)):
+        bpow *= b
+        acc = acc * a + comb(n, k) ** 2 * bpow
+    return acc
+
+
 def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     """Squared-weight sums of the four discrete operator families.
 
-    ``F`` and ``U`` are finite sums, exact for rational ``x``.  ``G`` is
+    ``F`` and ``U`` are finite sums, exact for rational ``x`` = u/v, where
+    they are integer forms over v^2n and (u+v)^2n.  ``G`` is
     restricted to x >= 0 (the operator domain); ``J`` requires |x| < 1.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     _check_point(x)
     if kind == "F":
-        acc = Fraction(0) if _is_exact(x) else 0.0
+        if _is_exact(x):
+            u, v = x.numerator, x.denominator
+            return Fraction(_squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n))
+        acc = 0.0
         for k in range(n + 1):
             acc += (comb(n, k) ** 2) * x ** (2 * k) * (1 - x) ** (2 * (n - k))
         return acc
     if kind == "U":
         if x == -1:
             raise DomainError("U is undefined at x = -1")
-        acc = Fraction(0) if _is_exact(x) else 0.0
+        if _is_exact(x):
+            u, v = x.numerator, x.denominator
+            return Fraction(_squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n))
+        acc = 0.0
         for k in range(n + 1):
             acc += (comb(n, k) ** 2) * x ** (2 * k)
         return acc / (1 + x) ** (2 * n)
@@ -800,10 +853,12 @@ def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(tuple(half * t + mid for t in nodes), tuple(half * w for w in weights))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     """The closed composite trapezoid on [a, b] with ``npoints`` subintervals,
     which converges spectrally for smooth integrands extending to even
-    periodic functions."""
+    periodic functions.  A rule is immutable, so each is built once and
+    shared."""
     _check_npoints(npoints)
     a, b = float(a), float(b)
     h = (b - a) / npoints

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heunops import cli, identities, specfun
 from heunops.cli import main
@@ -161,6 +163,23 @@ class TestEval:
             assert exc.value.code == 2
             assert "--grid: expected one argument" in capsys.readouterr().err
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.fractions(-50, 50, max_denominator=10**6), st.fractions(-50, 50, max_denominator=10**6),
+           st.integers(1, 50))
+    def test_grid_points_equal_fraction_steps(self, a, b, count):
+        if count == 1:
+            b = a
+        xs = cli._parse_grid(f"{a}:{b}:{count}")
+        step = (b - a) / (count - 1) if count > 1 else 0
+        assert xs == [a + step * i for i in range(count)]
+        assert all(type(x) is Fraction for x in xs)
+
+    @pytest.mark.parametrize("tail", (["x=-1"], ["--grid=-2:0:3"]))
+    def test_u_pole_is_usage_error(self, capsys, tail):
+        code, out, err = run(capsys, "eval", "U", "n=2", *tail, "--exact")
+        assert code == 2 and out == ""
+        assert err == "error: U is undefined at x = -1\n"
+
     def test_grid_tokens_after_double_dash_are_left_alone(self):
         assert cli._join_grid_values(["eval", "F", "--grid", "-1:1:3", "--", "--grid", "-2"]) == [
             "eval", "F", "--grid=-1:1:3", "--", "--grid", "-2"]
@@ -214,6 +233,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: --tol applies only to numeric mode") and hint in err
+
+    @pytest.mark.parametrize("tol", ("nan", "-1", "0", "inf", "-inf"))
+    def test_meaningless_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--id", "I48", "--params", "n=3,j=4",
+                             "--mode", "numeric", f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerance must be finite and > 0")
+
+    def test_huge_finite_tolerance_is_valid(self, capsys):
+        code, out, _ = run(capsys, "verify", "--id", "I48", "--params", "n=3,j=4",
+                           "--mode", "numeric", "--tol", "1e300")
+        assert code == 0 and "PASS" in out
 
     def test_failure_exit_code(self, capsys):
         # an absurd tolerance turns a passing numeric check into a failure
@@ -459,6 +490,17 @@ class TestGolden:
             (["entropy", "--op", "kantorovich", "--n", "9", "--k", "4", "--grid", "0:1:33",
               "--json"],
              "3951b65d5a319d49e45a28ec5fb11a4cfcf11fa1f88aae53277a28f0075d8d60"),
+            (["eval", "legendre", "n=12", "--grid=-1:1:41", "--exact"],
+             "6054a7165f3f8e68fe28a73f6de10407de89b85f864d0917040cc4131d475f03"),
+            (["eval", "F", "n=8", "--grid=0:1:33", "--exact"],
+             "ac91ac4478a59566963381bd9e7f7a93a2cf8d399f36e10bd08191f1b1880616"),
+            (["eval", "U", "n=6", "--grid=-1/2:2:33", "--exact"],
+             "0eae8fa087666864363b76d4b0d1c38ce3059eed091d69ae7b224ea917f5b28e"),
+            (["eval", "hc", "p=1/2", "gamma=3/2", "delta=1/2", "alpha=1/2", "sigma=1",
+              "--grid=-3/4:3/4:41"],
+             "eb36e68161f243f4c8b9d1cb048ae9b490d8c5443ea3e50844338ed96ee97777"),
+            (["eval", "2f1", "a=1/2", "b=3/2", "c=2", "--grid=-3/4:3/4:41"],
+             "3a12df777ab6ddbad73ae02799b8299daaaded0239be5525904ee82c2669ee92"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -21,9 +21,20 @@ def test_rat_accepts_exact_types_only():
         rat(0.5)
 
 
+def _fraction_horner(p: Poly, x) -> F:
+    """Horner's rule over Fraction, the reference for the integer route of ``Poly.__call__``."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolyEval:
     def test_zero_poly_anywhere(self):
         assert Poly()(rat(7)) == 0
+        for x in (7, F(-3, 8)):
+            got = Poly()(x)
+            assert got == 0 and type(got) is F
 
     def test_direct_substitution(self):
         # direct oracle: 1 - 2/4 + 2/16 = 5/8
@@ -35,6 +46,20 @@ class TestPolyEval:
 
     def test_float_argument_gives_float(self):
         assert Poly.of(0, 0, 1)(0.5) == 0.25
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=10**12), max_size=20),
+           st.one_of(st.integers(-(10**9), 10**9), st.fractions(max_denominator=10**15)))
+    @example([], 0)
+    @example([], F(-2, 3))
+    @example([F(5, 7)], -4)
+    @example([F(-1, 10**12)], F(10**15 - 1, 10**15))
+    @example([F(1, 3), F(-2, 9), F(7, 10**12)], F(-(10**15) + 7, 999_999_999_999_989))
+    def test_rational_point_matches_fraction_horner(self, coeffs, x):
+        p = Poly(tuple(coeffs))
+        for _ in range(2):  # a cold and a cached integer form
+            got = p(x)
+            assert got == _fraction_horner(p, x) and type(got) is F
 
 
 class TestPolyArith:
@@ -165,7 +190,7 @@ class TestExactEvaluation:
     def test_matches_fraction_route_bit_for_bit(self, coeffs, x):
         p = Poly(tuple(coeffs))
         try:
-            ref = float(p(F(x)))
+            ref = float(_fraction_horner(p, F(x)))
         except OverflowError:
             for _ in range(2):  # a cold and a cached integer form
                 with pytest.raises(OverflowError):
@@ -188,7 +213,7 @@ class TestIntegerForm:
         p, q = Poly.of(F(1, 3), F(-2, 5), F(7, 6)), Poly.of(F(1, 4), 2)
         monkeypatch.setattr(math, "lcm", counting)
         for x in (F(1, 7), 0.3, 2, F(-5, 2)):
-            assert p.rounded(x) == float(p(F(x)))
+            assert p.rounded(x) == float(_fraction_horner(p, F(x)))
         assert len(calls) == 1
         for _ in range(3):
             assert p * q == _fraction_product(p, q)

@@ -79,6 +79,16 @@ class TestVerify:
         reports = verify_all({iid: () for iid in IdentityId})
         assert reports == []
 
+    @pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, math.inf, -math.inf))
+    def test_meaningless_tolerance_rejected(self, tol):
+        # NaN, zero and negative tolerances fail every check; an infinite one
+        # passes even a route whose error is inf
+        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+            identities.NumericGrid((0.1,), tol)
+        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+            verify("I48", {"n": 3, "j": 4}, "numeric", tol=tol)
+        assert verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e300).passed
+
     def test_tol_override_can_fail(self):
         rep = verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e-13)
         assert not rep.passed
@@ -314,6 +324,15 @@ class TestBuildOnce:
         assert all(r.passed for r in verify_all())
         assert {n for n, _ in counts} == {1, 2, 3}
         assert max(counts.values()) == 1
+
+
+    def test_trapezoid_rule_built_once(self):
+        # the I22 and I31 quadratures share one 257-node rule
+        specfun.periodic_trapezoid.cache_clear()
+        for iid, params in (("I22", {"m": 3}), ("I22", {"m": 5}), ("I31", {"q": 1}), ("I31", {"q": 2})):
+            assert verify(iid, params, "numeric").passed
+        info = specfun.periodic_trapezoid.cache_info()
+        assert info.misses == 1 and info.hits > 1
 
 
 class TestMutationControls:

@@ -31,6 +31,7 @@ from heunops.specfun import (
     GaussParams,
     HeunParams,
     QuadratureRule,
+    SeriesResult,
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
@@ -535,10 +536,48 @@ class TestKernelSums:
         for x in (0.0, 0.5, 3.0):
             assert kernel_sum("G", 0, x) == 1.0
 
-    @pytest.mark.parametrize("x", (F(-1), -1.0))
+    @pytest.mark.parametrize("x", (F(-1), -1, -1.0))
     def test_u_pole(self, x):
         with pytest.raises(DomainError, match="x = -1"):
             kernel_sum("U", 2, x)
+
+
+def _legendre_fraction(n, x):
+    """The Fraction recurrence (DLMF §18.9.1), the reference for the integer route of ``legendre_p``."""
+    p_prev, p = F(0), F(1)
+    for k in range(n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p
+
+
+def _kernel_sum_fraction(kind, n, x):
+    """The defining Fraction sums of F and U, the reference for their integer routes."""
+    if kind == "F":
+        return sum((math.comb(n, k) ** 2 * x ** (2 * k) * (1 - x) ** (2 * (n - k)) for k in range(n + 1)), F(0))
+    return sum((math.comb(n, k) ** 2 * x ** (2 * k) for k in range(n + 1)), F(0)) / (1 + x) ** (2 * n)
+
+
+#: rational points: integers, negatives and large denominators
+_RATIONAL_POINTS = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=10**12),
+                             st.fractions(-3, 3, max_denominator=10**15))
+
+
+class TestIntegerPointValues:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 40), _RATIONAL_POINTS)
+    def test_legendre_matches_fraction_routes(self, n, x):
+        got = legendre_p(n, x)
+        assert type(got) is F
+        assert got == _legendre_fraction(n, x) == legendre_poly(n)(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from("FU"), st.integers(0, 14), _RATIONAL_POINTS)
+    def test_kernel_sums_match_definition(self, kind, n, x):
+        if kind == "U" and x == -1:
+            return
+        got = kernel_sum(kind, n, x)
+        assert type(got) is F
+        assert got == _kernel_sum_fraction(kind, n, x)
 
 
 class TestSzaszK:
@@ -688,6 +727,85 @@ class TestCoefficientPrefixes:
             assert all(type(c) is float for c in got)
 
 
+def _fresh_float_sum(params, x, tol, radius, deriv=False):
+    """The float series summed from a fresh coefficient stream through a
+    generator of terms, the reference for the cached float prefixes."""
+    stream = specfun._FAMILIES[type(params)][2](params, False)
+
+    def terms():
+        xpow = 1.0  # x^(k-1) when deriv else x^k
+        for k, c in enumerate(stream):
+            if isinstance(params, GaussParams):
+                yield c * x**k
+                continue
+            if abs(c) > 1e280:
+                raise DivergentSeries("coefficient overflow")
+            if deriv:
+                yield k * c * xpow if k else 0.0
+                if k:
+                    xpow *= x
+            else:
+                yield c * xpow
+                xpow *= x
+
+    s, small = 0.0, 0
+    for k, t in zip(range(specfun.MAX_TERMS), terms()):
+        s += t
+        small = small + 1 if abs(t) <= tol * abs(s) else 0
+        if small >= 3:
+            r = min(abs(x) / radius, 0.999)
+            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
+    raise DivergentSeries("no convergence")
+
+
+def _gauss(g, x, tol):
+    return hyp2f1(g.a, g.b, g.c, x, tol)
+
+
+#: non-terminating series, rational and float: evaluator, parameters,
+#: radius, whether it sums the derivative
+_FLOAT_SERIES = (
+    (heun_local, HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1), 0.5, False),
+    (heun_local_deriv, HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1), 0.5, True),
+    (heun_local, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0), 1.0, False),
+    (heun_local_deriv, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0), 1.0, True),
+    (confluent_heun, ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5)), 1.0, False),
+    (confluent_heun_deriv, ConfluentHeunParams(0.25, 1.5, 0.5, 0.75, 1.0), 1.0, True),
+    (_gauss, GaussParams(F(1, 2), F(3, 2), 2), 1.0, False),
+    (_gauss, GaussParams(0.3, 0.7, 1.1), 1.0, False),
+)
+
+
+class TestFloatPrefixes:
+    @pytest.fixture(autouse=True)
+    def cold_caches(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_PREFIXES", {})
+
+    @pytest.mark.parametrize("evaluate, params, radius, deriv", _FLOAT_SERIES)
+    def test_cold_warm_and_extended_prefix_match_fresh_sum(self, evaluate, params, radius, deriv):
+        # cold, warm, a far point that extends the prefix, then points it covers
+        for frac in (0.05, 0.05, -0.93, 0.4, -0.05, 0.93):
+            x = frac * radius
+            for tol in (1e-12, 1e-15):
+                assert evaluate(params, x, tol) == _fresh_float_sum(params, x, tol, radius, deriv)
+        got = evaluate(params, 0.93 * radius, 1e-15)
+        (key,) = specfun._PREFIXES
+        assert key == (params, False) and len(specfun._PREFIXES[key]) >= got.terms_used
+
+    def test_coefficient_overflow_still_rejected(self):
+        params = HeunParams(0.5, 1e200, 1.5, 2.0, 1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(DivergentSeries, match="coefficient overflow"):
+                heun_local(params, 0.1)
+        with pytest.raises(DivergentSeries, match="coefficient overflow"):
+            _fresh_float_sum(params, 0.1, 1e-12, 0.5)
+
+    def test_float_prefixes_stay_bounded(self):
+        for i in range(specfun._CACHE_SIZE + 5):
+            assert confluent_heun(ConfluentHeunParams(0.25 + i, 1.5, 0.5, 0.75, 1.0), 0.0).value == 1.0
+        assert 0 < len(specfun._PREFIXES) <= specfun._CACHE_SIZE
+
+
 class TestKnDerivZero:
     def test_base_cases(self):
         assert kn_deriv_zero(1, 0) == 1
@@ -733,6 +851,11 @@ class TestQuadrature:
             nodes[0] = 0.0
         with pytest.raises(TypeError):
             weights[0] = 0.0
+
+    def test_trapezoid_rule_built_once(self):
+        rule = periodic_trapezoid(256, 0.0, math.pi)
+        assert periodic_trapezoid(256, 0, math.pi) is rule
+        assert rule == periodic_trapezoid.__wrapped__(256, 0.0, math.pi)
 
     def test_npoints_validation(self):
         for make in (gauss_legendre, periodic_trapezoid):
