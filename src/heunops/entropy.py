@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     IndexOutOfRange,
     LengthMismatch,
+    NonFinite,
     UnsupportedK,
 )
 from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, integrate_product, rat
@@ -301,11 +302,15 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
 
 def synchronicity_check(f_vals: Sequence[float], g_vals: Sequence[float]) -> SynchronicityReport:
     """Pairwise-product test: pass iff (f_i - f_j)(g_i - g_j) >= 0 for all
-    pairs, i.e. the two sequences move together on the grid."""
+    pairs, i.e. the two sequences move together on the grid.  A NaN or
+    infinite value raises :class:`NonFinite`: a NaN product is never the worst."""
     if len(f_vals) != len(g_vals):
         raise LengthMismatch(f"{len(f_vals)} f-values vs {len(g_vals)} g-values")
     if len(f_vals) < 2:
         raise LengthMismatch("need at least two grid points")
+    for v in (*f_vals, *g_vals):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise NonFinite(f"synchronicity needs finite values, got {v}")
     worst = math.inf
     worst_pair = (0, 1)
     for i in range(len(f_vals)):

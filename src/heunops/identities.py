@@ -96,7 +96,7 @@ class OdeResidual:
 
 @dataclass(frozen=True)
 class NumericGrid:
-    grid: tuple[float, ...] = ()
+    grid: tuple[float, ...]
     tol: float = 1e-9
     kind: str = "numeric"
 
@@ -105,6 +105,9 @@ class NumericGrid:
         # one passes even a route whose error is inf
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise DomainError(f"tolerance must be finite and > 0, got {self.tol}")
+        # an empty grid checks nothing, so it would pass every identity
+        if not self.grid:
+            raise DomainError("numeric grid needs at least one point")
 
 
 CheckMode = Union[ExactPoly, OdeResidual, NumericGrid]

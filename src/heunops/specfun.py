@@ -20,18 +20,15 @@ exactly for it.  Series that terminate are evaluated as exact polynomials.
 A series that can stop only above ``MAX_DEGREE`` is rejected with
 :class:`DivergentSeries`, because its float sum cancels catastrophically.
 
-Terminating Heun, confluent Heun and Gauss polynomials are built once per
-parameter set and cached.  They are evaluated exactly at the rational
-value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
-runs integer Horner on the polynomial's integer form and rounds the exact
-value to a float once.
-
-Coefficient prefixes are built once as well: an exact one per rational
-Heun or confluent Heun parameter set, a float one per parameter set whose
-float series is summed, so a grid runs its recurrence once, and one per
-``n`` for the Taylor coefficients of K_n.  A longer request computes only
-the missing coefficients, and each call returns a new list.  Exact values
-of P_n, F and U at a rational point run over the integers.
+Everything a parameter set fixes is resolved once into one cached record:
+the family name and radius of convergence, the exact and float coefficient
+prefixes, and the terminating polynomial with its derivative.  A
+terminating series is evaluated exactly at the rational value of ``x`` (a
+float converted exactly) by :meth:`Poly.rounded`, which runs integer Horner
+on the polynomial's integer form and rounds once.  A prefix that is too
+short is replaced by a longer one, so a grid runs its recurrence once; the
+Taylor coefficients of K_n are kept per ``n`` in the same way.  Exact
+values of P_n, F and U at a rational point run over the integers.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Union
 
@@ -254,7 +251,7 @@ def _sum_terms(terms: Iterable[float], tol: float, ratio: float) -> SeriesResult
     raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
 
 
-#: entries kept by each cache of polynomials and coefficient prefixes
+#: entries kept by each cache of series records, coefficient prefixes and rules
 _CACHE_SIZE = 256
 
 
@@ -300,15 +297,7 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     ``MAX_DEGREE``) are evaluated exactly and work for any x; otherwise
     |x| < 1 is required.
     """
-    params = GaussParams(a, b, c)
-    _check_point(x)
-    p = _terminating_poly(params)
-    if p is not None:
-        return SeriesResult(p.rounded(x), len(p.coeffs), True, 0.0)
-    xf = float(x)
-    if abs(xf) >= 1.0:
-        raise DivergentSeries("|x| >= 1 with a non-terminating Gauss series")
-    return _float_series_sum(params, xf, tol, abs(xf), deriv=False)
+    return _series_value(GaussParams(a, b, c), x, tol, deriv=False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -418,12 +407,12 @@ def heun_poly(params: HeunParams) -> Poly:
 
 def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Local Heun function at ``x`` (series at the origin, value 1 there)."""
-    return _series_value(params, x, tol, heun_radius(params), deriv=False)
+    return _series_value(params, x, tol, deriv=False)
 
 
 def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Termwise-differentiated local Heun series at ``x``."""
-    return _series_value(params, x, tol, heun_radius(params), deriv=True)
+    return _series_value(params, x, tol, deriv=True)
 
 
 def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
@@ -494,11 +483,11 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
 
 def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Confluent Heun function at ``x``, series at the origin with value 1."""
-    return _series_value(params, x, tol, 1.0, deriv=False)
+    return _series_value(params, x, tol, deriv=False)
 
 
 def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
-    return _series_value(params, x, tol, 1.0, deriv=True)
+    return _series_value(params, x, tol, deriv=True)
 
 
 def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
@@ -523,127 +512,118 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
 # termination, polynomial form and evaluation of the three series families
 # ---------------------------------------------------------------------------
 
-#: series name, stop-degree rule and coefficient stream of each family
+#: series name, stop-degree rule, coefficient stream and radius of
+#: convergence of each family
 _FAMILIES = {
-    HeunParams: ("local Heun", _heun_stop_degree, _heun_stream),
-    ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream),
-    GaussParams: ("Gauss", _gauss_stop_degree, _gauss_stream),
+    HeunParams: ("local Heun", _heun_stop_degree, _heun_stream, heun_radius),
+    ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream, lambda params: 1.0),
+    GaussParams: ("Gauss", _gauss_stop_degree, _gauss_stream, lambda params: 1.0),
 }
 
 
-#: coefficient prefixes, one tuple per parameter set and arithmetic,
-#: keyed ``(params, exact)``
-_PREFIXES: dict = {}
+class _Series:
+    """What one parameter set fixes.  Float sets equal as values share a
+    record; their float streams differ at most in the sign of a zero."""
+
+    def __init__(self, params) -> None:
+        self.params = params
+        self.name, self._stop_degree, self._stream, radius = _FAMILIES[type(params)]
+        self.radius = radius(params)
+        # keyed by ``exact``; a prefix is replaced, never grown in place
+        self.prefixes: dict[bool, tuple] = {True: (Fraction(1),), False: (1.0,)}
+
+    def prefix(self, count: int, exact: bool) -> tuple:
+        """The coefficient prefix, at least ``count`` long; a shorter one is
+        extended by restarting the recurrence from its last two coefficients."""
+        prefix = self.prefixes[exact]
+        k = len(prefix) - 1
+        if count > k + 1:
+            rest = self._stream(self.params, exact, k, prefix[-2] if k else 0, prefix[-1])
+            prefix += tuple(itertools.islice(rest, 1, count - k))
+            self.prefixes[exact] = prefix
+        return prefix
+
+    @cached_property
+    def poly(self) -> Poly | None:
+        """Exact polynomial form of a terminating series (float parameters
+        converted exactly), or None.  A series that can stop only above
+        ``MAX_DEGREE`` raises :class:`DivergentSeries` on every access: its
+        float sum cancels catastrophically and would be silently wrong.
+        """
+        stop = self._stop_degree(self.params)
+        if stop is None:
+            return None
+        coeffs, terminated = _exact_prefix(self._stream(self.params, True), min(stop, MAX_DEGREE) + 2)
+        if terminated:
+            return Poly(tuple(coeffs))
+        if stop > MAX_DEGREE:
+            raise DivergentSeries(f"{self.name} series can stop only at degree {stop}, "
+                                  f"above MAX_DEGREE = {MAX_DEGREE}")
+        return None
+
+    @cached_property
+    def deriv(self) -> Poly | None:
+        """Derivative of :attr:`poly`, or None."""
+        return None if self.poly is None else self.poly.derivative()
 
 
-def _prefix(params, count: int, exact: bool) -> tuple:
-    """The cached coefficient prefix of ``params``, at least ``count`` long.
-
-    A prefix that is too short is replaced by a longer one, built by
-    restarting the recurrence from its last two coefficients.  Float sets
-    equal as values share a float prefix; their streams differ at most in
-    the sign of a zero.
-    """
-    key = (params, exact)
-    prefix = _PREFIXES.get(key, (Fraction(1) if exact else 1.0,))
-    k = len(prefix) - 1
-    if count > k + 1:
-        rest = _FAMILIES[type(params)][2](params, exact, k, prefix[-2] if k else 0, prefix[-1])
-        prefix += tuple(itertools.islice(rest, 1, count - k))
-        _bounded_put(_PREFIXES, key, prefix)
-    return prefix
+#: the record of a parameter set, built once and shared
+_series = lru_cache(maxsize=_CACHE_SIZE)(_Series)
 
 
 def _series_coeffs(params, count: int) -> list:
     """First ``count`` series coefficients, as a new list: exact for a
     rational parameter set, float otherwise."""
-    return list(_prefix(params, count, params.is_rational)[:max(count, 0)])
+    return list(_series(params).prefix(count, params.is_rational)[:max(count, 0)])
 
 
-def _float_series_sum(params, xf: float, tol: float, ratio: float, deriv: bool) -> SeriesResult:
-    """Sum c_k x^k (k c_k x^(k-1) when ``deriv``) over the cached float
-    prefix, which grows by doubling, with the stop rule of :func:`_sum_terms`.
-
-    A Heun series takes a running power and rejects a coefficient above
-    1e280; a Gauss series takes ``xf**k``: the last bits of published
-    values rest on both.
+def _float_terms(series: _Series, xf: float, deriv: bool) -> Iterator[float]:
+    """Terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the record's float
+    prefix, which grows by doubling.  A Heun series takes a running power
+    and rejects a coefficient above 1e280; a Gauss series takes ``xf**k``:
+    the last bits of published values rest on both.
     """
-    gauss = type(params) is GaussParams
+    gauss = type(series.params) is GaussParams
     coeffs: tuple = ()
-    s, small, xpow = 0.0, 0, 1.0  # xpow is x^(k-1) when deriv else x^k
-    for k in range(MAX_TERMS):
+    xpow = 1.0  # x^(k-1) when deriv else x^k
+    for k in itertools.count():
         if k == len(coeffs):
-            coeffs = _prefix(params, min(2 * k + 32, MAX_TERMS), False)
+            coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
         c = coeffs[k]
         if gauss:
-            t = c * xf**k
+            yield c * xf**k
+        elif abs(c) > 1e280:
+            raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+        elif not deriv:
+            yield c * xpow
+            xpow *= xf
+        elif k:
+            yield k * c * xpow
+            xpow *= xf
         else:
-            if abs(c) > 1e280:
-                raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
-            if not deriv:
-                t = c * xpow
-                xpow *= xf
-            elif k:
-                t = k * c * xpow
-                xpow *= xf
-            else:
-                t = 0.0
-        s += t
-        small = small + 1 if abs(t) <= tol * abs(s) else 0
-        if small >= 3:
-            r = min(ratio, 0.999)
-            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
-    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _terminating_poly(params) -> Poly | None:
-    """Exact polynomial form of a terminating series, or None.
-
-    Float parameters are converted exactly, so a float field and an equal
-    rational one share a cache entry.  A series that can stop only above
-    ``MAX_DEGREE`` raises :class:`DivergentSeries` (not cached): a float
-    sum of it cancels catastrophically and would be silently wrong.
-    """
-    name, stop_degree, stream = _FAMILIES[type(params)]
-    stop = stop_degree(params)
-    if stop is None:
-        return None
-    coeffs, terminated = _exact_prefix(stream(params, True), min(stop, MAX_DEGREE) + 2)
-    if terminated:
-        return Poly(tuple(coeffs))
-    if stop > MAX_DEGREE:
-        raise DivergentSeries(f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {MAX_DEGREE}")
-    return None
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _terminating_deriv(params) -> Poly | None:
-    """Derivative of :func:`_terminating_poly`, or None."""
-    p = _terminating_poly(params)
-    return None if p is None else p.derivative()
+            yield 0.0
 
 
 def _series_poly(params) -> Poly:
-    p = _terminating_poly(params)
-    if p is None:
-        raise DivergentSeries(f"{_FAMILIES[type(params)][0]} series does not terminate; no polynomial form")
-    return p
+    series = _series(params)
+    if series.poly is None:
+        raise DivergentSeries(f"{series.name} series does not terminate; no polynomial form")
+    return series.poly
 
 
-def _series_value(params, x: Scalar, tol: float, radius: float, deriv: bool) -> SeriesResult:
+def _series_value(params, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
     """Exact polynomial value of a terminating series, else the float sum
     inside the disk of convergence."""
     _check_point(x)
-    p = _terminating_poly(params)
+    series = _series(params)
+    p = series.poly
     if p is not None:
-        value = (_terminating_deriv(params) if deriv else p).rounded(x)
-        return SeriesResult(value, len(p.coeffs), True, 0.0)
+        return SeriesResult((series.deriv if deriv else p).rounded(x), len(p.coeffs), True, 0.0)
     xf = float(x)
-    if abs(xf) >= radius:
-        raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating "
-                              f"{_FAMILIES[type(params)][0]} series")
-    return _float_series_sum(params, xf, tol, abs(xf) / radius, deriv)
+    if abs(xf) >= series.radius:
+        raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
+                              f"{series.name} series")
+    return _sum_terms(_float_terms(series, xf, deriv), tol, abs(xf) / series.radius)
 
 
 # ---------------------------------------------------------------------------

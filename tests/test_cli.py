@@ -433,10 +433,24 @@ class TestBuildOnce:
             return real(*args)
 
         monkeypatch.setattr(specfun, "_exact_prefix", counting)
-        specfun._terminating_poly.cache_clear()
+        specfun._series.cache_clear()
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 0 and len(out.splitlines()) == rows
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("argv, points", (
+        (["hl", "a=2", "q=-1/2", "alpha=1/2", "beta=3/2", "gamma=3/2", "delta=1/2", "--grid=-1/2:1/2:13"], 13),
+        (["2f1", "a=1/2", "b=3/2", "c=2", "--grid=-3/4:3/4:41"], 41),
+        (["hc", "p=1/3", "gamma=2", "delta=2", "alpha=1/2", "sigma=-7/5", "--grid=0:1/2:9"], 9),
+    ), ids=("hl", "2f1", "hc"))
+    def test_float_grid_resolves_parameters_once(self, capsys, argv, points):
+        # one record lookup per point, and the record is built at the first
+        specfun._series.cache_clear()
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0 and len(out.splitlines()) == points + 1
+        info = specfun._series.cache_info()
+        assert (info.misses, info.hits) == (1, points - 1)
 
 
 class TestDeterminism:

@@ -23,6 +23,7 @@ from heunops.errors import (
     DomainError,
     IndexOutOfRange,
     LengthMismatch,
+    NonFinite,
     UnsupportedK,
 )
 from heunops.exactalg import E0, E1, E2, Poly, integrate_product
@@ -320,6 +321,20 @@ class TestSynchronicity:
             synchronicity_check([1.0], [1.0, 2.0])
         with pytest.raises(LengthMismatch):
             synchronicity_check([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_value_rejected(self, bad):
+        # a NaN product compares false with the running minimum, so an
+        # all-NaN sequence used to pass with worst_product = inf
+        finite = [1.0, 2.0, 3.0]
+        for i in range(3):
+            seq = finite[:i] + [bad] + finite[i + 1:]
+            with pytest.raises(NonFinite):
+                synchronicity_check(seq, finite)
+            with pytest.raises(NonFinite):
+                synchronicity_check(finite, seq)
+        with pytest.raises(NonFinite):
+            synchronicity_check([bad, bad], [1.0, 2.0])
 
     def test_quadratic_width_profile(self):
         xs = [F(-2) + F(4, 32) * i for i in range(33)]

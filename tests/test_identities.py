@@ -89,6 +89,15 @@ class TestVerify:
             verify("I48", {"n": 3, "j": 4}, "numeric", tol=tol)
         assert verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e300).passed
 
+    def test_empty_grid_rejected(self):
+        # a grid with no point checks nothing and used to pass
+        with pytest.raises(DomainError, match="at least one point"):
+            verify("I31", {"q": 1}, identities.NumericGrid(()))
+        with pytest.raises(DomainError, match="at least one point"):
+            derivative_ladder_check("hc-4.2", {"p": 1, "gamma": 1, "alpha": "1/2"}, grid=[])
+        with pytest.raises(TypeError):
+            identities.NumericGrid()  # the grid is required
+
     def test_tol_override_can_fail(self):
         rep = verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e-13)
         assert not rep.passed

@@ -84,6 +84,10 @@ class TestHyp2F1:
     def test_divergent(self):
         with pytest.raises(DivergentSeries):
             hyp2f1(0.5, 0.5, 1, 1.2)
+        # the message is the one of every non-terminating series family
+        with pytest.raises(DivergentSeries,
+                           match=r"^\|x\| >= 1\.0: outside the disk of the non-terminating Gauss series$"):
+            hyp2f1(0.5, 0.5, 1, 1.0)
 
     def test_invalid_c(self):
         with pytest.raises(InvalidC):
@@ -379,7 +383,7 @@ class TestTermination:
     @settings(max_examples=200, deadline=None)
     @given(heun_cases())
     def test_heun_stop_degree_matches_scan(self, hp):
-        poly = specfun._terminating_poly(hp)
+        poly = specfun._series(hp).poly
         ref, ref_terminated = _scan_oracle(specfun._heun_stream(hp, True))
         assert (poly is not None) == ref_terminated
         if ref_terminated:
@@ -388,7 +392,7 @@ class TestTermination:
     @settings(max_examples=200, deadline=None)
     @given(confluent_cases())
     def test_confluent_stop_degree_matches_scan(self, cp):
-        poly = specfun._terminating_poly(cp)
+        poly = specfun._series(cp).poly
         ref, ref_terminated = _scan_oracle(specfun._confluent_stream(cp, True))
         assert (poly is not None) == ref_terminated
         if ref_terminated:
@@ -397,7 +401,7 @@ class TestTermination:
     @settings(max_examples=200, deadline=None)
     @given(gauss_cases())
     def test_gauss_stop_degree_matches_scan(self, gp):
-        poly = specfun._terminating_poly(gp)
+        poly = specfun._series(gp).poly
         ref, ref_terminated = _scan_oracle(specfun._gauss_stream(gp, True))
         assert (poly is not None) == ref_terminated
         if ref_terminated:
@@ -458,7 +462,7 @@ class TestExactEvaluation:
             return real(*args)
 
         monkeypatch.setattr(specfun, "_exact_prefix", counting)
-        specfun._terminating_poly.cache_clear()
+        specfun._series.cache_clear()
         hp = F_PARAMS(12)
         for x in (0.1, F(1, 3), 0.9):
             assert heun_local(hp, x).terminated and heun_local_deriv(hp, x).terminated
@@ -675,7 +679,7 @@ def _coeffs_of(params, count):
 class TestCoefficientPrefixes:
     @pytest.fixture(autouse=True)
     def cold_caches(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_PREFIXES", {})
+        specfun._series.cache_clear()
         monkeypatch.setattr(specfun, "_KN_TAYLOR", {})
 
     @pytest.mark.parametrize("params", _PREFIX_PARAMS)
@@ -710,7 +714,7 @@ class TestCoefficientPrefixes:
         for i in range(specfun._CACHE_SIZE + 5):
             assert confluent_heun_coeffs(ConfluentHeunParams(i, 1, 0, F(1, 2), 0), 3)[0] == 1
             assert kn_taylor_coeffs(i, 2)[0] == 1
-        assert 0 < len(specfun._PREFIXES) <= specfun._CACHE_SIZE
+        assert 0 < specfun._series.cache_info().currsize <= specfun._CACHE_SIZE
         assert 0 < len(specfun._KN_TAYLOR) <= specfun._CACHE_SIZE
 
     def test_float_parameters_after_equal_rational_ones_stay_float(self):
@@ -778,8 +782,8 @@ _FLOAT_SERIES = (
 
 class TestFloatPrefixes:
     @pytest.fixture(autouse=True)
-    def cold_caches(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_PREFIXES", {})
+    def cold_caches(self):
+        specfun._series.cache_clear()
 
     @pytest.mark.parametrize("evaluate, params, radius, deriv", _FLOAT_SERIES)
     def test_cold_warm_and_extended_prefix_match_fresh_sum(self, evaluate, params, radius, deriv):
@@ -789,8 +793,10 @@ class TestFloatPrefixes:
             for tol in (1e-12, 1e-15):
                 assert evaluate(params, x, tol) == _fresh_float_sum(params, x, tol, radius, deriv)
         got = evaluate(params, 0.93 * radius, 1e-15)
-        (key,) = specfun._PREFIXES
-        assert key == (params, False) and len(specfun._PREFIXES[key]) >= got.terms_used
+        # one record, whose float prefix covers the sum and whose exact one was never grown
+        record = specfun._series(params)
+        assert specfun._series.cache_info().currsize == 1 and len(record.prefixes[True]) == 1
+        assert len(record.prefixes[False]) >= got.terms_used
 
     def test_coefficient_overflow_still_rejected(self):
         params = HeunParams(0.5, 1e200, 1.5, 2.0, 1.0, 1.0)
@@ -803,7 +809,7 @@ class TestFloatPrefixes:
     def test_float_prefixes_stay_bounded(self):
         for i in range(specfun._CACHE_SIZE + 5):
             assert confluent_heun(ConfluentHeunParams(0.25 + i, 1.5, 0.5, 0.75, 1.0), 0.0).value == 1.0
-        assert 0 < len(specfun._PREFIXES) <= specfun._CACHE_SIZE
+        assert 0 < specfun._series.cache_info().currsize <= specfun._CACHE_SIZE
 
 
 class TestKnDerivZero:
