@@ -125,7 +125,9 @@ def bspline_density(knots: Union[KnotVector, Sequence]) -> PiecewisePoly:
     return _bspline_density_cached(knots.points)
 
 
-@lru_cache(maxsize=None)
+# bounded like the series records of ``specfun``: a grid of kernels whose
+# knots move with x would otherwise keep one density per point
+@lru_cache(maxsize=256)
 def _bspline_density_cached(pts: tuple[Fraction, ...]) -> PiecewisePoly:
     m = len(pts) - 1
     # level 0: indicators of the m knot intervals, one list of per-interval polys each

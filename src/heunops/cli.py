@@ -154,7 +154,7 @@ _EVAL_SPECS = {
     "F": _EvalSpec(("n",)),
     "G": _EvalSpec(("n",), exact=False),
     "U": _EvalSpec(("n",)),
-    "J": _EvalSpec(("n",), exact=False),
+    "J": _EvalSpec(("n",)),
     "K": _EvalSpec(("n", "j"), exact=False),
     "bspline": _EvalSpec(("knots",)),
     "c_n": _EvalSpec(("n",), takes_x=False),
@@ -175,26 +175,25 @@ def _point_function(name: str, params: dict, exact: bool):
         n = _int(params, "n")
         if exact:
             return lambda x: specfun.legendre_p(n, x)
-        return lambda x: float(specfun.legendre_p(n, float(x)))
+        return lambda x: specfun.legendre_p(n, float(x))
     if name in ("F", "U", "G", "J"):
         n = _int(params, "n")
-        return lambda x: specfun.kernel_sum(name, n, x if exact else float(x))
+        return lambda x: specfun.kernel_sum(name, n, x)
     if name == "K":
         n, j = _int(params, "n"), _int(params, "j", default=0)
-        return lambda x: specfun.szasz_K(n, j, float(x))
+        return lambda x: specfun.szasz_K(n, j, x)
     if name == "bspline":
         knots = [Fraction(tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:
             raise HeunopsError("bspline needs knots=k0;k1;...")
-        density = bspline.bspline_density(knots)
-        return lambda x: density(x if exact else float(x))
+        return bspline.bspline_density(knots)
     if name == "c_n":
         v = bspline.c_constant(_int(params, "n"))
     elif name == "kn_deriv_zero":
         v = specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))
     else:
         raise HeunopsError(f"unknown function {name!r}")
-    return lambda _x: v if exact else float(v)
+    return lambda _x: v
 
 
 def _cmd_eval(args) -> int:
@@ -415,10 +414,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except HeunopsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
+    except (HeunopsError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

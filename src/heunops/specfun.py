@@ -28,7 +28,8 @@ float converted exactly) by :meth:`Poly.rounded`, which runs integer Horner
 on the polynomial's integer form and rounds once.  A prefix that is too
 short is replaced by a longer one, so a grid runs its recurrence once; the
 Taylor coefficients of K_n are kept per ``n`` in the same way.  Exact
-values of P_n, F and U at a rational point run over the integers.
+values of P_n at a rational point, and of F, U and J at any point, run
+over the integers.
 """
 
 from __future__ import annotations
@@ -651,31 +652,30 @@ def _squared_binomial_form(n: int, a: int, b: int) -> int:
 def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     """Squared-weight sums of the four discrete operator families.
 
-    ``F`` and ``U`` are finite sums, exact for rational ``x`` = u/v, where
-    they are integer forms over v^2n and (u+v)^2n.  ``G`` is
-    restricted to x >= 0 (the operator domain); ``J`` requires |x| < 1.
+    ``F`` and ``U`` are finite sums: at x = u/v they are integer binomial-
+    square forms over v^2n and (u+v)^2n.  ``J`` requires |x| < 1 and takes
+    the same form through Euler's transformation (DLMF 15.8.1), which gives
+    J_n(x) = (1-x)/(1+x) U_n(x).  A rational ``x`` gives the exact
+    ``Fraction``; a float ``x`` is converted exactly and the exact value is
+    rounded once.  ``G`` is restricted to x >= 0 (the operator domain) and
+    is summed in floats to ``tol``.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     _check_point(x)
-    if kind == "F":
-        if _is_exact(x):
-            u, v = x.numerator, x.denominator
-            return Fraction(_squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n))
-        acc = 0.0
-        for k in range(n + 1):
-            acc += (comb(n, k) ** 2) * x ** (2 * k) * (1 - x) ** (2 * (n - k))
-        return acc
-    if kind == "U":
-        if x == -1:
-            raise DomainError("U is undefined at x = -1")
-        if _is_exact(x):
-            u, v = x.numerator, x.denominator
-            return Fraction(_squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n))
-        acc = 0.0
-        for k in range(n + 1):
-            acc += (comb(n, k) ** 2) * x ** (2 * k)
-        return acc / (1 + x) ** (2 * n)
+    if kind in ("F", "U", "J"):
+        u, v = x.as_integer_ratio()
+        if kind == "F":
+            num, den = _squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n)
+        else:
+            if kind == "J" and abs(u) >= v:
+                raise DivergentSeries("J series requires |x| < 1")
+            if u == -v:
+                raise DomainError("U is undefined at x = -1")
+            num, den = _squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n)
+            if kind == "J":
+                num, den = num * (v - u), den * (v + u)
+        return Fraction(num, den) if _is_exact(x) else num / den
     if kind == "G":
         if x < 0:
             raise DomainError("G is evaluated on x >= 0 only")
@@ -684,13 +684,6 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
         xf = float(x)
         terms = ((comb(n + k - 1, k) * xf**k * (1 + xf) ** (-n - k)) ** 2 for k in itertools.count())
         return _sum_terms(terms, tol, 0.0).value
-    if kind == "J":
-        if abs(float(x)) >= 1:
-            raise DivergentSeries("J series requires |x| < 1")
-        xf = float(x)
-        pref = (1 - xf) ** (2 * (n + 1))
-        terms = ((comb(n + k, k) * xf**k) ** 2 for k in itertools.count())
-        return pref * _sum_terms(terms, tol, 0.0).value
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 

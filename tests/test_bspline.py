@@ -102,6 +102,13 @@ class TestKernel:
             moved = kernel(n, ConstantSigma(F(7, 3)), F(5, 2))
             assert moved.density == base.density.shift(F(5, 2))
 
+    def test_density_cache_is_bounded(self):
+        # regression: one density per distinct kernel was kept forever
+        for i in range(300):
+            kernel(3, QuadraticSigma(1, F(1, 2)), F(i, 300))
+        info = bspline._bspline_density_cached.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
+
 
 class TestConstants:
     def test_first_three_constants(self):

@@ -33,6 +33,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "F", "n=1", "x=1/4", "--exact")
         assert code == 0 and out == "5/8\n"
 
+    # regression: the J series printed 6390.9999999999973, failed near 1 and
+    # had no --exact; float F overflowed from n ~ 520 on
+    @pytest.mark.parametrize("argv, out", (
+        (["J", "n=2", "x=1/2", "--exact"], "11/81\n"),
+        (["J", "n=2", "x=-3/4"], "6391\n"),
+        (["J", "n=3", "x=9999/10000"], "1.5625781312505471e-05\n"),
+        (["F", "n=600", "x=3/10"], "0.025127762869435213\n"),
+    ), ids=("J-exact", "J-negative", "J-near-1", "F-large-n"))
+    def test_kernel_sum_value(self, capsys, argv, out):
+        assert run(capsys, "eval", *argv) == (0, out, "")
+
     def test_float_poisson_sum(self, capsys):
         code, out, _ = run(capsys, "eval", "K", "n=1", "x=1")
         assert code == 0
@@ -515,6 +526,12 @@ class TestGolden:
              "eb36e68161f243f4c8b9d1cb048ae9b490d8c5443ea3e50844338ed96ee97777"),
             (["eval", "2f1", "a=1/2", "b=3/2", "c=2", "--grid=-3/4:3/4:41"],
              "3a12df777ab6ddbad73ae02799b8299daaaded0239be5525904ee82c2669ee92"),
+            # float rows, each the correct rounding of the exact value at its
+            # grid point (regression: 34 J rows and 7 F rows were not)
+            (["eval", "J", "n=2", "--grid=-3/4:3/4:41"],
+             "ed4954f454bf49c14eef42f49d53341034c22663418a084eb9fc91dd24baa181"),
+            (["eval", "F", "n=8", "--grid=0:1:33"],
+             "ac66ee4f5c08bee865fb1130f1411ab917736e6eb3d9d9c44128538e78a25546"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

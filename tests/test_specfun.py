@@ -545,6 +545,22 @@ class TestKernelSums:
         with pytest.raises(DomainError, match="x = -1"):
             kernel_sum("U", 2, x)
 
+    # regression: J was a float series even at rational x, 5.8e-13 off at
+    # 0.999, and raised DivergentSeries at 9999/10000
+    @pytest.mark.parametrize("n", (0, 1, 3, 8, 40))
+    @pytest.mark.parametrize("x", (F(1, 3), F(-9, 10), F(999, 1000), F(9999, 10000), 0.3, -0.75, 0.999))
+    def test_j_matches_hypergeometric_oracle(self, n, x):
+        # the defining (1-x)^(2n+2) 2F1(n+1, n+1; 1; x^2), not the Euler relation
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x.numerator) / x.denominator if isinstance(x, F) else mpmath.mpf(x)
+            ref = (1 - xm) ** (2 * n + 2) * mpmath.hyp2f1(n + 1, n + 1, 1, xm * xm)
+            got = kernel_sum("J", n, x)
+            if isinstance(x, F):
+                assert type(got) is F
+                assert abs(mpmath.mpf(got.numerator) / got.denominator - ref) <= mpmath.mpf(10) ** -45 * ref
+            else:
+                assert type(got) is float and got == float(ref)
+
 
 def _legendre_fraction(n, x):
     """The Fraction recurrence (DLMF §18.9.1), the reference for the integer route of ``legendre_p``."""
@@ -582,6 +598,20 @@ class TestIntegerPointValues:
         got = kernel_sum(kind, n, x)
         assert type(got) is F
         assert got == _kernel_sum_fraction(kind, n, x)
+
+    # regression: the float loops of F and U were up to ~100 ulps off and
+    # the float J series more
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from("FUJ"), st.integers(0, 60), st.floats(-0.999, 0.999))
+    def test_float_point_rounds_exact_value(self, kind, n, x):
+        try:
+            want = float(kernel_sum(kind, n, F(x)))
+        except OverflowError:  # U near -1: the exact value is past the float range
+            with pytest.raises(OverflowError):
+                kernel_sum(kind, n, x)
+            return
+        got = kernel_sum(kind, n, x)
+        assert type(got) is float and got == want
 
 
 class TestSzaszK:
