@@ -194,12 +194,9 @@ class Poly:
         return out
 
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "Poly":
-        """Exact substitution ``p(a*x + b)``; ``a = 0`` yields a constant."""
-        affine = Poly.of(b, a)
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * affine + Poly.constant(c)
-        return acc
+        """Exact substitution ``p(a*x + b)``, the binary form of ``p`` in
+        (a x + b, 1); ``a = 0`` yields a constant."""
+        return binary_form(self.coeffs, Poly.of(b, a), E0, max(len(self.coeffs) - 1, 0))
 
     # -- calculus --------------------------------------------------------
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -580,20 +581,16 @@ def _series_coeffs(params, count: int) -> list:
 
 def _float_terms(series: _Series, xf: float, deriv: bool) -> Iterator[float]:
     """Terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the record's float
-    prefix, which grows by doubling.  A Heun series takes a running power
-    and rejects a coefficient above 1e280; a Gauss series takes ``xf**k``:
-    the last bits of published values rest on both.
+    prefix, which grows by doubling, with a running power of x.  A
+    coefficient above 1e280 is rejected: its term would overflow.
     """
-    gauss = type(series.params) is GaussParams
     coeffs: tuple = ()
     xpow = 1.0  # x^(k-1) when deriv else x^k
     for k in itertools.count():
         if k == len(coeffs):
             coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
         c = coeffs[k]
-        if gauss:
-            yield c * xf**k
-        elif abs(c) > 1e280:
+        if abs(c) > 1e280:
             raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
         elif not deriv:
             yield c * xpow
@@ -649,6 +646,33 @@ def _squared_binomial_form(n: int, a: int, b: int) -> int:
     return acc
 
 
+def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float) -> tuple[float, float]:
+    """``(sum w_k^2, sum 2n w_k (w_{k-1} - w_k))`` over w_0 = ``w``,
+    w_{k+1} = w_k c (m + b k)/(k + 1) and w_{-1} = 0: negative-binomial
+    weights for b = 1, Poisson weights (and K_n') for b = 0.  The integer
+    m + b k keeps the rounding of each ratio from drifting along the pass.
+
+    The pass stops once three squares in a row are at most ``tol`` times
+    the first sum; leading squares that underflow to 0 come before the
+    peak and are not counted.  A first weight that is not a normal float
+    raises :class:`DomainError`, a sum still running after ``MAX_TERMS``
+    weights :class:`DivergentSeries`.
+    """
+    if not w >= sys.float_info.min:
+        raise DomainError(f"first weight {w!r} of the squared-weight sum is not a normal float")
+    s0 = s1 = w_prev = 0.0
+    small = 0
+    for k in range(MAX_TERMS):
+        s0 += w * w
+        s1 += 2 * n * w * (w_prev - w)
+        if s0:
+            small = small + 1 if w * w <= tol * s0 else 0
+            if small >= 3:
+                return s0, s1
+        w_prev, w = w, w * (c * (m + b * k)) / (k + 1)
+    raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
+
+
 def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     """Squared-weight sums of the four discrete operator families.
 
@@ -658,7 +682,10 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     J_n(x) = (1-x)/(1+x) U_n(x).  A rational ``x`` gives the exact
     ``Fraction``; a float ``x`` is converted exactly and the exact value is
     rounded once.  ``G`` is restricted to x >= 0 (the operator domain) and
-    is summed in floats to ``tol``.
+    sums the squared negative-binomial weights w_0 = (1-p)^n, w_{k+1} =
+    w_k p (n+k)/(k+1), p = x/(1+x), by :func:`_squared_weight_sums`.  Past
+    their peak the squares fall by a ratio near p^2, so the stop compares
+    them with ``tol``/(1+x).
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
@@ -679,11 +706,8 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     if kind == "G":
         if x < 0:
             raise DomainError("G is evaluated on x >= 0 only")
-        if n == 0:
-            return 1.0  # only the k = 0 term survives
-        xf = float(x)
-        terms = ((comb(n + k - 1, k) * xf**k * (1 + xf) ** (-n - k)) ** 2 for k in itertools.count())
-        return _sum_terms(terms, tol, 0.0).value
+        p = float(x) / (1 + float(x))
+        return _squared_weight_sums((1 - p) ** n, p, n, 1, n, tol * (1 - p))[0]
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 
@@ -745,9 +769,10 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
         x K^(m) = -(4nx + m - 1) K^(m-1) - 2n(2m - 3) K^(m-2),
 
     which avoids the cancellation of repeated termwise differentiation.
-    At x = 0 the exact closed form is used.  The first Poisson weight is
-    exp(-nx), so n x must stay at most ``KN_MAX_NX``, where it is still a
-    normal float; a larger n x is rejected.
+    At x = 0 the exact closed form is used.  Both seeds come from one
+    :func:`_squared_weight_sums` pass over the Poisson weights, whose first
+    is exp(-nx); n x must stay at most ``KN_MAX_NX``, where it is still a
+    normal float, and a larger n x is rejected.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
@@ -764,27 +789,7 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     if n * xf > KN_MAX_NX:
         raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {n * xf}")
 
-    def poisson_weights() -> Iterator[float]:
-        w = math.exp(-n * xf)
-        k = 0
-        while True:
-            yield w
-            w = w * (n * xf) / (k + 1)
-            k += 1
-
-    k0 = 0.0
-    k1 = 0.0
-    w_prev = 0.0
-    small = 0
-    for idx, w in enumerate(poisson_weights()):
-        k0 += w * w
-        k1 += 2 * n * w * (w_prev - w)
-        w_prev = w
-        small = small + 1 if w * w <= tol * k0 else 0
-        if small >= 3 and idx > n * xf:
-            break
-        if idx > MAX_TERMS:
-            raise DivergentSeries("Poisson-weight series did not converge")
+    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, tol)
     if j == 0:
         return k0
     if j == 1:

@@ -44,6 +44,21 @@ class TestEval:
     def test_kernel_sum_value(self, capsys, argv, out):
         assert run(capsys, "eval", *argv) == (0, out, "")
 
+    # regression: these printed inf, inf, 4.88e-79 and 0, and the last
+    # exited 2 with a bare "(34, 'Numerical result out of range')";
+    # references (1-p)^(2n) 2F1(n, n; 1; p^2), p = x/(1+x), by mpmath at 50 digits
+    @pytest.mark.parametrize("n, x, ref", (
+        ("20", "10", 6.1302529349166009e-3),
+        ("5", "30", 4.4832705173717202e-3),
+        ("20", "1000", 6.4260538294127349e-5),
+        ("100", "100", 2.8175294345940031e-4),
+        ("1", "100", 4.9751243781094527e-3),
+    ))
+    def test_negative_binomial_sum_at_large_x(self, capsys, n, x, ref):
+        code, out, err = run(capsys, "eval", "G", f"n={n}", f"x={x}")
+        assert code == 0 and err == ""
+        assert abs(float(out) - ref) <= 1e-12 * ref
+
     def test_float_poisson_sum(self, capsys):
         code, out, _ = run(capsys, "eval", "K", "n=1", "x=1")
         assert code == 0
@@ -489,9 +504,9 @@ class TestGolden:
         "argv, digest",
         (
             (["verify", "--all"],
-             "dba842e07ca9ef42eea4da6f5a18e46fd1de15a3716cba370244766ebabff8d2"),
+             "10829309425f9f938fb75d3bb5e70b040031a36a311f1a56542eaa1381e7cebe"),
             (["verify", "--all", "--json"],
-             "3c48dd784799761e471d5f710d750b1848d92bf756e1b7160247b6e2fd1fd9a6"),
+             "480352562ad44dc9a585522ddce0b4f998126212a225415dc547d4753062385a"),
             (["entropy", "--op", "kantorovich", "--n", "12", "--k", "3", "--grid", "0:1:129",
               "--json"],
              "e3b2652b78ef2ea0db2daec1e35be25b80217d781c12dbb70347e6524085e6c5"),

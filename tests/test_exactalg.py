@@ -139,6 +139,7 @@ def test_mul_matches_fraction_double_loop(p, q):
 
 @settings(max_examples=60)
 @given(small_polys, fractions, fractions, fractions)
+@example(Poly(), F(1, 3), F(-2, 5), F(7, 4))
 def test_compose_affine_evaluation(p, a, b, x):
     assert p.compose_affine(a, b)(x) == p(a * x + b)
 

@@ -20,6 +20,7 @@ from heunops.bspline import bspline_density
 from heunops.errors import (
     DivergentSeries,
     DomainError,
+    HeunopsError,
     IndexOutOfRange,
     InvalidC,
     InvalidGamma,
@@ -540,6 +541,38 @@ class TestKernelSums:
         for x in (0.0, 0.5, 3.0):
             assert kernel_sum("G", 0, x) == 1.0
 
+    # regression: the power form xf**k (1+xf)**(-n-k) gave inf, 0, values
+    # off by 74 orders of magnitude and a bare OverflowError from x ~ 10 on
+    @pytest.mark.parametrize("n", (0, 1, 3, 10, 20, 40, 100))
+    def test_g_matches_hypergeometric_oracle(self, n):
+        # G_n(x) = (1-p)^(2n) 2F1(n, n; 1; p^2) with p = x/(1+x), three points a decade
+        for x in (10 ** (i / 3) for i in range(-12, 10)):
+            try:
+                got = kernel_sum("G", n, x)
+            except HeunopsError:
+                # only where the weights peak far out, near k = n x
+                assert n * x >= 1e4, (n, x)
+                continue
+            with mpmath.workdps(50):
+                p = mpmath.mpf(x) / (1 + mpmath.mpf(x))
+                ref = (1 - p) ** (2 * n) * mpmath.hyp2f1(n, n, 1, p * p)
+                assert abs(got - ref) <= 1e-12 * ref, (n, x)
+
+    def test_g_skips_leading_squares_that_underflow(self):
+        # the first weights 101^-100 ~ 1e-200 are normal floats, their squares 0
+        assert (1 + 100.0) ** -100 > 0 and ((1 + 100.0) ** -100) ** 2 == 0
+        assert abs(kernel_sum("G", 100, 100.0) - 2.8175294345940e-4) <= 1e-12 * 2.8175294345940e-4
+
+    def test_g_first_weight_underflow(self):
+        # (1 + 1e4)^-300 is 0.0: no sum to start from
+        with pytest.raises(DomainError, match="first weight"):
+            kernel_sum("G", 300, 1e4)
+
+    def test_g_peak_past_max_terms(self):
+        # the weights peak near k = n x = 2e5, past MAX_TERMS
+        with pytest.raises(DivergentSeries):
+            kernel_sum("G", 20, 1e4)
+
     @pytest.mark.parametrize("x", (F(-1), -1, -1.0))
     def test_u_pole(self, x):
         with pytest.raises(DomainError, match="x = -1"):
@@ -769,9 +802,6 @@ def _fresh_float_sum(params, x, tol, radius, deriv=False):
     def terms():
         xpow = 1.0  # x^(k-1) when deriv else x^k
         for k, c in enumerate(stream):
-            if isinstance(params, GaussParams):
-                yield c * x**k
-                continue
             if abs(c) > 1e280:
                 raise DivergentSeries("coefficient overflow")
             if deriv:
