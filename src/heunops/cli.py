@@ -135,8 +135,7 @@ def _parse_sigma(spec: str):
 _SERIES_FAMILIES = {
     "hl": (specfun.HeunParams, specfun.heun_poly, specfun.heun_local),
     "hc": (specfun.ConfluentHeunParams, specfun.confluent_heun_poly, specfun.confluent_heun),
-    "2f1": (specfun.GaussParams, lambda g: specfun.hyp2f1_poly(g.a, g.b, g.c),
-            lambda g, x, tol: specfun.hyp2f1(g.a, g.b, g.c, x, tol)),
+    "2f1": (specfun.GaussParams, lambda g: specfun.hyp2f1_poly(g.a, g.b, g.c), specfun.gauss_series),
 }
 
 

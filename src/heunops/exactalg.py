@@ -1,25 +1,27 @@
 """Exact arithmetic over the rationals: dense polynomials and compactly
 supported piecewise polynomials.
 
-Coefficients are stdlib :class:`fractions.Fraction` throughout; nothing in
-this module ever rounds.  ``Poly`` and ``PiecewisePoly`` are immutable value
-types, so they are safe to share freely between threads.
+Nothing in this module ever rounds.  ``Poly`` and ``PiecewisePoly`` are
+immutable value types, so they are safe to share freely between threads.
 
-Each ``Poly`` carries its integer form (its coefficients times the lcm of
-their denominators), built on first use and kept on the object.  Products,
-binary forms, the exact value :meth:`Poly.__call__` at a rational point and
-the correctly rounded evaluation :meth:`Poly.rounded` run over Python ints
-on these forms and divide once at the end.
+A ``Poly`` is stored fraction-free, in integer form: integer numerators
+over one positive denominator that shares no factor with all of them (the
+representation FLINT uses for ``fmpq_poly``; Hart, "FLINT: Fast Library
+for Number Theory").  Sums, products, scaling, derivatives,
+antiderivatives, binary forms, the exact value :meth:`Poly.__call__` at a
+rational point and the correctly rounded :meth:`Poly.rounded` run over
+Python ints and normalise once with ``math.gcd``.  The coefficients as
+stdlib :class:`fractions.Fraction` are a view, built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from itertools import zip_longest
+from typing import Iterable, Sequence, Union
 
 from .errors import IndexOutOfRange, NonFinite
 
@@ -46,28 +48,42 @@ def rat(value: _Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of ``x**i``; trailing zeros are trimmed
-    on construction.  The zero polynomial is the empty tuple and reports
-    degree ``NEG_INFINITY``.
+    Stored in integer form: numerators C_i, lowest degree first, over one
+    positive denominator L with gcd(L, C_0, C_1, ...) = 1, so that
+    coefficient i is C_i / L.  Trailing zeros are trimmed, and the zero
+    polynomial is ``((), 1)`` and reports degree ``NEG_INFINITY``.  The
+    form is unique, so ``==`` and ``hash`` compare it directly.
+
+    ``coeffs`` is a ``Fraction`` view of the form, built on first read and
+    kept; a ``Poly`` built from coefficients keeps those as its view.
+    Instances are immutable.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("_ints", "_den", "_coeffs")
 
-    def __post_init__(self) -> None:
-        cs = tuple(rat(c) for c in self.coeffs)
+    def __new__(cls, coeffs: Iterable[_Scalar] = ()) -> "Poly":
+        cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+            cs.pop()
+        den = math.lcm(*(c.denominator for c in cs))
+        return _make(tuple(c.numerator * (den // c.denominator) for c in cs), den, tuple(cs))
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"Poly is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _make, (self._ints, self._den)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(*coeffs: _Scalar) -> "Poly":
-        return Poly(tuple(rat(c) for c in coeffs))
+        return Poly(coeffs)
 
     @staticmethod
     def constant(c: _Scalar) -> "Poly":
@@ -80,30 +96,43 @@ class Poly:
     # -- basic queries -------------------------------------------------
 
     @property
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s, lowest degree first."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = tuple(Fraction(c, den) for c in self._ints)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
-    @cached_property
+    @property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """``(C, L)``: L is the lcm of the coefficient denominators and
-        C_i = L * coeffs[i], lowest degree first.
+        C_i = L * coeffs[i], lowest degree first."""
+        return self._ints, self._den
 
-        Built once per object, on first use.  It is not a dataclass field,
-        so ``==``, ``hash`` and ``repr`` never see it.
-        """
-        lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+    @property
+    def degree(self) -> Union[int, float]:
+        return len(self._ints) - 1 if self._ints else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
+        if 0 <= power < len(self._ints):
             return self.coeffs[power]
         return Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            return self._den == other._den and self._ints == other._ints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._ints, self._den))
 
     # -- evaluation ----------------------------------------------------
 
@@ -113,17 +142,16 @@ class Poly:
         With the integer form (C, L) and d the degree, the value is
         sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers.
         """
-        ints, lcm = self.integer_form
-        it = reversed(ints)
+        it = reversed(self._ints)
         acc, vpow = next(it, 0), 1
         for c in it:
             vpow *= v
             acc = acc * u + c * vpow
-        return acc, lcm * vpow
+        return acc, self._den * vpow
 
     def __call__(self, x):
         """Exact value for Fraction/int arguments, from :meth:`_int_horner`
-        and one ``Fraction``; float Horner for floats."""
+        and one ``Fraction``; float Horner over :attr:`coeffs` for floats."""
         if isinstance(x, (int, Fraction)):
             return Fraction(*self._int_horner(x.numerator, x.denominator))
         acc = 0
@@ -148,38 +176,43 @@ class Poly:
 
     # -- ring operations -------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, sign * (den // other._den)
+        return _normal([a * s + b * t for a, b in zip_longest(self._ints, other._ints, fillvalue=0)], den)
+
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
+        return self._combine(_as_poly(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(tuple(-a for a in self._ints), self._den)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
+        return self._combine(_as_poly(other), -1)
 
     def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
+        return _as_poly(other)._combine(self, -1)
 
     def __mul__(self, other) -> "Poly":
         """Exact product.  A scalar scales; two polynomials are multiplied
         in integer form: with (C, L) and (D, M) their integer forms, the
-        product is the convolution of C and D over L M, and one
-        ``Fraction`` is built per output coefficient."""
+        product is the convolution of C and D over L M."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
-        (p, lp), (q, lq) = self.integer_form, _as_poly(other).integer_form
-        den = lp * lq
-        return Poly(tuple(Fraction(t, den) for t in _int_mul(p, q)))
+        other = _as_poly(other)
+        return _normal(_int_mul(self._ints, other._ints), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: _Scalar) -> "Poly":
         c = rat(c)
-        return Poly(tuple(c * a for a in self.coeffs))
+        if not c:
+            return _ZERO
+        u = c.numerator
+        return _normal([a * u for a in self._ints], self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -196,26 +229,52 @@ class Poly:
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "Poly":
         """Exact substitution ``p(a*x + b)``, the binary form of ``p`` in
         (a x + b, 1); ``a = 0`` yields a constant."""
-        return binary_form(self.coeffs, Poly.of(b, a), E0, max(len(self.coeffs) - 1, 0))
+        return _binary_form(self._ints, self._den, Poly.of(b, a), E0, max(len(self._ints) - 1, 0))
 
     # -- calculus --------------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return _normal([i * c for i, c in enumerate(self._ints)][1:], self._den)
 
     def antiderivative(self) -> "Poly":
-        """Antiderivative with constant term fixed to 0."""
-        return Poly((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        """Antiderivative with constant term fixed to 0: C_i x^i / L
+        becomes C_i (m / (i+1)) x^(i+1) / (L m) with m = lcm(1, ..., d+1)."""
+        m = math.lcm(*range(1, len(self._ints) + 1))
+        return _normal([0] + [c * (m // i) for i, c in enumerate(self._ints, 1)], self._den * m)
 
     def integrate(self, lo: _Scalar, hi: _Scalar) -> Fraction:
         anti = self.antiderivative()
-        return anti(rat(hi)) - anti(rat(lo))
+        lo, hi = rat(lo), rat(hi)
+        n1, d1 = anti._int_horner(hi.numerator, hi.denominator)
+        n0, d0 = anti._int_horner(lo.numerator, lo.denominator)
+        return Fraction(n1 * d0 - n0 * d1, d1 * d0)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self._ints:
             return "Poly(0)"
         terms = " + ".join(f"{c}*x^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c)
         return f"Poly({terms})"
+
+
+def _make(ints: tuple[int, ...], den: int, coeffs: tuple[Fraction, ...] | None = None) -> Poly:
+    """The ``Poly`` of an integer form that is already normal, with its
+    ``Fraction`` view if one is at hand."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "_ints", ints)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+    return p
+
+
+def _normal(ints: list[int], den: int) -> Poly:
+    """The ``Poly`` sum ints[i] x^i / den, den > 0: trailing zeros trimmed
+    and the gcd of den and the numerators divided out."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(den, *ints)
+    if g == 1:
+        return _make(tuple(ints), den)
+    return _make(tuple(c // g for c in ints), den // g)
 
 
 def _as_poly(v) -> Poly:
@@ -223,6 +282,8 @@ def _as_poly(v) -> Poly:
         return v
     return Poly.constant(rat(v))
 
+
+_ZERO = Poly()
 
 #: convenience monomials e_0, e_1, e_2
 E0 = Poly.constant(1)
@@ -247,21 +308,26 @@ def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Pol
 
     Fewer than ``degree + 1`` coefficients leave the missing high terms
     zero; more raise :class:`IndexOutOfRange`.
-
-    The form is homogeneous of degree d = ``degree`` in (a, b).  With L the
-    lcm of the denominators of the coefficients c_k and D that of the
-    coefficients of a and b (the lcm of their integer-form scales), it
-    equals
-
-        sum_k (L c_k) (D a)^k (D b)^(d-k) / (L D^d),
-
-    where every factor of the sum is an integer polynomial.  Horner's rule
-    in D a then runs over Python ints, each power of D b is built once, and
-    one ``Fraction`` per output coefficient is formed at the end.
     """
     if len(coeffs) > degree + 1:
         raise IndexOutOfRange(f"{len(coeffs)} coefficients exceed a form of degree {degree}")
-    ci, lc = Poly(tuple(coeffs)).integer_form
+    c = Poly(coeffs)
+    return _binary_form(c._ints, c._den, a, b, degree)
+
+
+def _binary_form(ci: Sequence[int], lc: int, a: Poly, b: Poly, degree: int) -> Poly:
+    """:func:`binary_form` of the coefficients C_k / L given in integer form.
+
+    The form is homogeneous of degree d = ``degree`` in (a, b).  With D
+    the lcm of the denominators of a and b, it equals
+
+        sum_k C_k (D a)^k (D b)^(d-k) / (L D^d),
+
+    where every factor of the sum is an integer polynomial.  Horner's rule
+    in D a then runs over Python ints and each power of D b is built once.
+    """
+    if not ci:
+        return _ZERO
     (ai, la), (bi, lb) = a.integer_form, b.integer_form
     d = math.lcm(la, lb)
     ai, bi = [t * (d // la) for t in ai], [t * (d // lb) for t in bi]
@@ -275,8 +341,7 @@ def binary_form(coeffs: Sequence[_Scalar], a: Poly, b: Poly, degree: int) -> Pol
         total += [0] * (len(term) - len(total))
         for i, t in enumerate(term):
             total[i] += ci[k] * t
-    den = lc * d**degree
-    return Poly(tuple(Fraction(t, den) for t in total))
+    return _normal(total, lc * d**degree)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ rules used by their integral representations.
 Two arithmetic regimes coexist:
 
 * exact mode (``Fraction`` parameters) for coefficient recurrences,
-  termination detection and polynomial extraction;
+  termination detection and polynomial extraction, run over the integers;
 * float mode for grid evaluation, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
 
@@ -19,6 +19,13 @@ terms, and only when such an N exists; float parameters are converted
 exactly for it.  Series that terminate are evaluated as exact polynomials.
 A series that can stop only above ``MAX_DEGREE`` is rejected with
 :class:`DivergentSeries`, because its float sum cancels catastrophically.
+
+The exact coefficients of all three families come from one integer driver.
+Each family writes its recurrence as c_{k+1} = (A_k c_k - B_k c_{k-1}) / C_k,
+where A_k, B_k and C_k are integer quadratics in k built from the parameters
+scaled by the lcm of their denominators (B = 0 for Gauss).  The driver keeps
+c_{k-1} and c_k as two integer numerators over one denominator and builds one
+``Fraction`` per yielded coefficient.
 
 Everything a parameter set fixes is resolved once into one cached record:
 the family name and radius of convergence, the exact and float coefficient
@@ -183,13 +190,25 @@ def _heun_stream(params: HeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0
             = [(1+a)k(k-1) + (gamma(1+a) + delta*a + epsilon)k + q] c_k
               - (k-1+alpha)(k-1+beta) c_{k-1}
     """
-    conv: Callable = Fraction if exact else float
-    a, q = conv(params.a), conv(params.q)
-    al, be = conv(params.alpha), conv(params.beta)
-    ga, de = conv(params.gamma), conv(params.delta)
+    if not exact:
+        return _heun_floats(params, k, c_prev, c)
+    # the recurrence times s^2, in the parameters times s
+    s, (a, q, al, be, ga, de) = _scaled(params.a, params.q, params.alpha, params.beta,
+                                        params.gamma, params.delta)
+    eps = al + be + s - ga - de
+    lin = ga * (s + a) + de * a + eps * s
+    return _exact_stream(((s + a) * s, lin - (s + a) * s, q * s),
+                         (s * s, s * (al + be - 2 * s), (al - s) * (be - s)),
+                         (a * s, a * (s + ga), a * ga), k, c_prev, c)
+
+
+def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
+    a, q = float(params.a), float(params.q)
+    al, be = float(params.alpha), float(params.beta)
+    ga, de = float(params.gamma), float(params.delta)
     eps = al + be + 1 - ga - de
     lin = ga * (1 + a) + de * a + eps
-    c_prev, c = conv(c_prev), conv(c)
+    c_prev, c = float(c_prev), float(c)
     yield c
     while True:
         num = ((1 + a) * k * (k - 1) + lin * k + q) * c - (k - 1 + al) * (k - 1 + be) * c_prev
@@ -206,15 +225,62 @@ def _confluent_stream(params: ConfluentHeunParams, exact: bool, k: int = 0, c_pr
         (k+1)(k+gamma) c_{k+1}
             = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}
     """
-    conv: Callable = Fraction if exact else float
-    p, ga, de = conv(params.p), conv(params.gamma), conv(params.delta)
-    al, sg = conv(params.alpha), conv(params.sigma)
-    c_prev, c = conv(c_prev), conv(c)
+    if not exact:
+        return _confluent_floats(params, k, c_prev, c)
+    # the recurrence times s^2, in the parameters times s
+    s, (p, ga, de, al, sg) = _scaled(params.p, params.gamma, params.delta, params.alpha, params.sigma)
+    return _exact_stream((s * s, s * (ga + de - 4 * p) - s * s, -sg * s),
+                         (0, -4 * p * s, -4 * p * (al - s)),
+                         (s * s, s * (s + ga), s * ga), k, c_prev, c)
+
+
+def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
+    p, ga, de = float(params.p), float(params.gamma), float(params.delta)
+    al, sg = float(params.alpha), float(params.sigma)
+    c_prev, c = float(c_prev), float(c)
     yield c
     while True:
         num = (k * (k - 1) + (ga + de - 4 * p) * k - sg) * c + 4 * p * (k - 1 + al) * c_prev
         c_prev, c = c, num / ((k + 1) * (k + ga))
         yield c
+        k += 1
+
+
+def _scaled(*values: Scalar) -> tuple[int, list[int]]:
+    """``(s, [s v, ...])``: s is the lcm of the denominators of the values,
+    each converted exactly to a ``Fraction`` (floats included)."""
+    fs = [Fraction(v) for v in values]
+    s = math.lcm(*(f.denominator for f in fs))
+    return s, [f.numerator * (s // f.denominator) for f in fs]
+
+
+def _exact_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int, int, int],
+                  k: int, c_prev: Scalar, c: Scalar) -> Iterator[Fraction]:
+    """Yield c_k, c_{k+1}, ... of c_{k+1} = (A_k c_k - B_k c_{k-1}) / C_k
+    from c_{k-1} = ``c_prev`` and c_k = ``c``, exactly.
+
+    A_k, B_k and C_k are integer quadratics in k, given highest coefficient
+    first.  The pair (c_{k-1}, c_k) is kept as two integer numerators over
+    one common denominator, from which each step divides their gcd, and one
+    ``Fraction`` is built per yielded coefficient.  A zero numerator is
+    yielded undivided: past the stop of a Gauss series C_k may be 0.
+    """
+    c_prev, c = Fraction(c_prev), Fraction(c)
+    d = math.lcm(c_prev.denominator, c.denominator)
+    u, v = c_prev.numerator * (d // c_prev.denominator), c.numerator * (d // c.denominator)
+    (a2, a1, a0), (b2, b1, b0), (g2, g1, g0) = A, B, C
+    yield c
+    while True:
+        num = ((a2 * k + a1) * k + a0) * v - ((b2 * k + b1) * k + b0) * u
+        if num:
+            den = (g2 * k + g1) * k + g0
+            u, v, d = v * den, num, d * den
+            g = math.gcd(u, v, d)
+            if g != 1:
+                u, v, d = u // g, v // g, d // g
+        else:
+            u, v = v, 0
+        yield Fraction(v, d)
         k += 1
 
 
@@ -284,8 +350,16 @@ def _gauss_stream(params: GaussParams, exact: bool, k: int = 0, c_prev: Scalar =
     ``c_prev`` is unused: it keeps the signature of the Heun streams.  A
     zero numerator is yielded undivided: past the stop, c + k may be 0.
     """
-    conv: Callable = Fraction if exact else float
-    a, b, g, c = conv(params.a), conv(params.b), conv(params.c), conv(c)
+    if not exact:
+        return _gauss_floats(params, k, c)
+    # the recurrence times s^2, in the parameters times s
+    s, (a, b, g) = _scaled(params.a, params.b, params.c)
+    return _exact_stream((s * s, s * (a + b), a * b), (0, 0, 0), (s * s, s * (s + g), s * g),
+                         k, c_prev, c)
+
+
+def _gauss_floats(params: GaussParams, k: int, c: Scalar) -> Iterator[float]:
+    a, b, g, c = float(params.a), float(params.b), float(params.c), float(c)
     for k in itertools.count(k):
         yield c
         num = c * (a + k) * (b + k)
@@ -300,6 +374,12 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     |x| < 1 is required.
     """
     return _series_value(GaussParams(a, b, c), x, tol, deriv=False)
+
+
+def gauss_series(params: GaussParams, x: Scalar, tol: float = 1e-15) -> SeriesResult:
+    """:func:`hyp2f1` of a parameter set built once, as :func:`heun_local`
+    takes one, so that a grid of points checks the parameters once."""
+    return _series_value(params, x, tol, deriv=False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:

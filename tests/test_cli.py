@@ -478,6 +478,21 @@ class TestBuildOnce:
         info = specfun._series.cache_info()
         assert (info.misses, info.hits) == (1, points - 1)
 
+    def test_gauss_grid_builds_parameter_set_once(self, capsys, monkeypatch):
+        built = []
+        real = specfun.GaussParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(specfun.GaussParams, "__post_init__", counting)
+        for argv in (["a=1/2", "b=3/2", "c=2", "--grid=-3/4:3/4:41"], ["a=-10", "b=1/2", "c=3/2", "--grid=-1:1:41"]):
+            built.clear()
+            code, out, _ = run(capsys, "eval", "2f1", *argv)
+            assert code == 0 and len(out.splitlines()) == 42
+            assert len(built) == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """Exact polynomial and piecewise-polynomial arithmetic."""
 
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -202,35 +205,161 @@ class TestExactEvaluation:
             assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(xs, ys, sign=1):
+    n = max(len(xs), len(ys))
+    pad = lambda cs: list(cs) + [F(0)] * (n - len(cs))
+    return _trim(a + sign * b for a, b in zip(pad(xs), pad(ys)))
+
+
+def _ref_mul(xs, ys):
+    return _fraction_product(Poly(xs), Poly(ys)).coeffs
+
+
+def _ref_pow(xs, n):
+    acc = (F(1),)
+    for _ in range(n):
+        acc = _ref_mul(acc, xs)
+    return acc
+
+
+def _ref_compose_affine(xs, a, b):
+    """sum_k c_k (a x + b)^k, by Horner over Fraction coefficient lists."""
+    acc = ()
+    for c in reversed(xs):
+        acc = _ref_add(_ref_mul(acc, (b, a)), (c,))
+    return acc
+
+
+def _assert_normal(p: Poly):
+    ints, den = p.integer_form
+    assert den > 0 and math.gcd(den, *ints) == 1
+    assert all(type(c) is int for c in ints) and (not ints or ints[-1] != 0)
+    assert p.coeffs == tuple(F(c, den) for c in ints)
+
+
+class TestFractionReference:
+    """Every ring and calculus operation of the integer form against the
+    same operation on the ``Fraction`` coefficients."""
+
+    @settings(max_examples=150)
+    @given(sparse_polys, sparse_polys, st.one_of(st.just(F(0)), fractions), st.integers(0, 4))
+    @example(Poly(), Poly(), F(0), 0)
+    @example(Poly.of(F(1, 2), F(-2, 3)), Poly.of(F(1, 2), F(-2, 3)), F(-3, 7), 3)
+    @example(Poly.of(1, F(1, 3), 2), Poly.of(0, F(1, 3), 2), F(-1, 6), 2)
+    @example(Poly.of(F(2, 9), F(4, 9)), Poly.of(F(3, 4), F(9, 4), 0, F(1, 6)), F(9, 2), 1)
+    def test_operations_match_fraction_reference(self, p, q, c, n):
+        xs, ys = p.coeffs, q.coeffs
+        cases = [
+            (p + q, _ref_add(xs, ys)),
+            (p - q, _ref_add(xs, ys, -1)),
+            (p - p, ()),
+            (q + c, _ref_add(ys, (c,))),
+            (c - q, _ref_add((c,), ys, -1)),
+            (-p, _trim(-a for a in xs)),
+            (p * q, _ref_mul(xs, ys)),
+            (p * c, _trim(a * c for a in xs)),
+            (p.scale(c), _trim(c * a for a in xs)),
+            (p.scale(-abs(c)), _trim(-abs(c) * a for a in xs)),
+            (p.scale(0), ()),
+            (p ** n, _ref_pow(xs, n)),
+            (p.derivative(), _trim(i * a for i, a in enumerate(xs))[1:]),
+            (p.antiderivative(), _trim((F(0),) + tuple(a / (i + 1) for i, a in enumerate(xs)))),
+            (p.compose_affine(c, F(1, 3)), _ref_compose_affine(xs, c, F(1, 3))),
+        ]
+        for got, want in cases:
+            _assert_normal(got)
+            assert got.coeffs == want
+            assert got.degree == (len(want) - 1 if want else NEG_INFINITY)
+        anti = lambda x: sum((a * x ** (i + 1) / (i + 1) for i, a in enumerate(xs)), F(0))
+        assert p.integrate(c, F(5, 4)) == anti(F(5, 4)) - anti(c)
+
+    def test_cancellation_and_trimming(self):
+        p = Poly.of(F(1, 6), F(1, 3), F(1, 2))
+        for zero in (p - p, p + (-p), p.scale(0), p * Poly(), Poly.of(0, 0, 0), Poly.constant(5).derivative()):
+            _assert_normal(zero)
+            assert zero.integer_form == ((), 1) and zero == Poly() and not zero
+        top = p - Poly.monomial(2, F(1, 2))  # the leading term cancels
+        _assert_normal(top)
+        assert top.coeffs == (F(1, 6), F(1, 3)) and top.integer_form == ((1, 2), 6)
+        # content shared by every numerator and the denominator is divided out
+        assert (p * 6).integer_form == ((1, 2, 3), 1)
+        assert (p + Poly.of(F(1, 3), F(2, 3), F(1, 2))).integer_form == ((1, 2, 2), 2)
+        assert Poly.of(F(-2, 4), 0, 0).integer_form == ((-1,), 2)
+
+
+def _count_fractions(monkeypatch) -> list:
+    """Count every ``Fraction`` built from now on; the list grows by one per build."""
+    built = []
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    return built
+
+
 class TestIntegerForm:
+    """A ``Poly`` is stored in integer form; its ``Fraction`` view is built
+    on first read and kept."""
+
     def test_built_once_per_object(self, monkeypatch):
-        calls = []
-        real = math.lcm
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
         p, q = Poly.of(F(1, 3), F(-2, 5), F(7, 6)), Poly.of(F(1, 4), 2)
-        monkeypatch.setattr(math, "lcm", counting)
-        for x in (F(1, 7), 0.3, 2, F(-5, 2)):
-            assert p.rounded(x) == float(_fraction_horner(p, F(x)))
-        assert len(calls) == 1
+        ref, xs = _fraction_product(p, q), (F(1, 7), 0.3, 2, F(-5, 2), -0.0)
+        built = _count_fractions(monkeypatch)
+        for x in xs:
+            p.rounded(x)
+        prod, total = p * q, p + q - q * p
+        deriv, form = total.derivative(), binary_form(p.coeffs, q, prod, 5)
         for _ in range(3):
-            assert p * q == _fraction_product(p, q)
-            assert q * p == _fraction_product(p, q)
-        # one more build for q; each product is a new object that is never read
-        assert len(calls) == 2
+            assert q * p == prod and p + q - prod == total
+        # no product, sum, derivative, rounding or binary form builds a view
+        assert built == []
+        assert prod.coeffs is prod.coeffs and prod.coeffs == ref.coeffs
+        assert len(built) == len(ref.coeffs)
+        for r in (total, deriv, form):
+            assert r.coeffs is r.coeffs
+        assert len(built) == len(ref.coeffs) + len(total.coeffs) + len(deriv.coeffs) + len(form.coeffs)
         assert p.integer_form == ((10, -12, 35), 30)
+        assert (p * 6).integer_form == ((10, -12, 35), 5) and q.integer_form == ((1, 8), 4)
 
     def test_value_semantics_ignore_the_cached_form(self):
-        p, twin = Poly.of(F(1, 2), 0, F(-3, 4)), Poly.of(F(1, 2), 0, F(-3, 4))
-        before = (repr(p), hash(p))
-        p.rounded(0.5)
-        assert "integer_form" in vars(p) and "integer_form" not in vars(twin)
-        assert (repr(p), hash(p)) == before == (repr(twin), hash(twin))
+        x = Poly.of(0, 1)
+        p, twin = x * x * F(-3, 4) + F(1, 2), F(1, 2) - (x * x).scale(F(3, 4))
+        before = (repr(p), hash(p), repr(twin), hash(twin))
+        assert p == twin and {p, twin} == {twin}
+        assert p.coeffs == (F(1, 2), 0, F(-3, 4))
+        assert (repr(p), hash(p), repr(twin), hash(twin)) == before
+        assert repr(p) == repr(twin) == "Poly(1/2 + -3/4*x^2)" and hash(p) == hash(twin)
         assert p == twin and twin == p and {p, twin} == {twin}
         assert p * 1 == twin
+        for copied in (copy.copy(p), copy.deepcopy(twin), pickle.loads(pickle.dumps(p))):
+            assert copied == p and hash(copied) == hash(p) and repr(copied) == repr(p)
+        with pytest.raises(FrozenInstanceError):
+            p._ints = ()
+        with pytest.raises(FrozenInstanceError):
+            del twin._den
+        assert p == twin and p.integer_form == ((2, 0, -3), 4)
+
+    @settings(max_examples=100)
+    @given(st.lists(fractions, max_size=8), sparse_polys, fractions.filter(bool))
+    @example([], Poly(), F(1))
+    @example([F(1, 2), 0, 0], Poly.of(F(-1, 2)), F(-3, 7))
+    def test_fraction_built_equals_integer_reached(self, cs, q, c):
+        built = Poly(tuple(cs))
+        for reached in ((built + q) - q, (built * q.scale(0) + built.scale(c)).scale(1 / c),
+                        built.compose_affine(1, 0), -(-built), built * Poly.constant(1)):
+            assert reached == built and built == reached
+            assert hash(reached) == hash(built) and repr(reached) == repr(built)
+            assert reached.integer_form == built.integer_form and reached.coeffs == built.coeffs
 
 
 def _pp(breaks, *pieces):

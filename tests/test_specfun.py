@@ -71,6 +71,13 @@ class TestHyp2F1:
         assert r.value == 1 - 2 * 0.3
         assert hyp2f1_poly(-1, 2, 1) == Poly.of(1, -2)
 
+    @pytest.mark.parametrize("a, b, c", ((F(1, 2), F(3, 2), 2), (-10, F(1, 2), F(3, 2)), (0.3, 0.7, 1.1)))
+    def test_parameter_set_route_matches_hyp2f1(self, a, b, c):
+        params = GaussParams(a, b, c)
+        for x in (-0.93, -0.5, 0.0, 0.25, F(1, 3), 0.9):
+            for tol in (1e-12, 1e-15):
+                assert specfun.gauss_series(params, x, tol) == hyp2f1(a, b, c, x, tol)
+
     def test_log_closed_form(self):
         # oracle: -ln(1 - x)/x at x = 1/2 equals 2 ln 2
         r = hyp2f1(1, 1, 2, 0.5)
@@ -731,8 +738,34 @@ _PREFIX_COUNTS = (2, 5, 1, 17, 17, 0, 30, 3, 31, 12)
 
 
 def _fresh_exact(params, count):
-    stream = specfun._FAMILIES[type(params)][2](params, True)
-    return list(itertools.islice(stream, count))
+    """The first ``count`` coefficients from the recurrence each stream
+    docstring states, run over ``Fraction`` with every parameter converted
+    exactly: the oracle of the library's integer streams."""
+    v = {name: F(value) for name, value in vars(params).items()}
+    cs, c_prev = [F(1)], F(0)
+    for k in range(count - 1):
+        c = cs[-1]
+        if isinstance(params, HeunParams):
+            a, q, al, be, ga, de = (v[n] for n in ("a", "q", "alpha", "beta", "gamma", "delta"))
+            eps = al + be + 1 - ga - de
+            num = (((1 + a) * k * (k - 1) + (ga * (1 + a) + de * a + eps) * k + q) * c
+                   - (k - 1 + al) * (k - 1 + be) * c_prev)
+            nxt = num / (a * (k + 1) * (k + ga))
+        elif isinstance(params, ConfluentHeunParams):
+            p, ga, de, al, sg = (v[n] for n in ("p", "gamma", "delta", "alpha", "sigma"))
+            num = (k * (k - 1) + (ga + de - 4 * p) * k - sg) * c + 4 * p * (k - 1 + al) * c_prev
+            nxt = num / ((k + 1) * (k + ga))
+        else:  # past the stop c + k may vanish, with a zero numerator
+            num = c * (k + v["a"]) * (k + v["b"])
+            nxt = num / ((k + v["c"]) * (k + 1)) if num else num
+        c_prev = c
+        cs.append(nxt)
+    return cs[:max(count, 0)]
+
+
+def _as_floats(params):
+    """The parameter set with every value rounded to a float."""
+    return type(params)(*(float(value) for value in vars(params).values()))
 
 
 def _coeffs_of(params, count):
@@ -760,6 +793,20 @@ class TestCoefficientPrefixes:
     def test_negative_count_gives_empty_list(self):
         assert heun_coeffs(_PREFIX_PARAMS[0], 4) and heun_coeffs(_PREFIX_PARAMS[0], -1) == []
         assert kn_taylor_coeffs(2, 4) and kn_taylor_coeffs(2, -1) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(heun_cases(), confluent_cases(), gauss_cases()), st.booleans())
+    def test_exact_stream_and_restarts_match_fraction_recurrence(self, params, floats):
+        if floats:  # converted exactly by the stream; the series need not terminate
+            params = _as_floats(params)
+        count = 48
+        ref = _fresh_exact(params, count)
+        assert list(itertools.islice(specfun._FAMILIES[type(params)][2](params, True), count)) == ref
+        specfun._series.cache_clear()
+        record = specfun._series(params)
+        for n in (*_PREFIX_COUNTS, count, 40):
+            got = record.prefix(n, True)
+            assert got[:n] == tuple(ref[:n]) and all(type(c) is F for c in got)
 
     @pytest.mark.parametrize("params", _PREFIX_PARAMS)
     def test_mutating_a_returned_list_leaves_the_cache(self, params):
