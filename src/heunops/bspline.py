@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth
-from .exactalg import E1, E2, PiecewisePoly, Poly, integrate_product, rat
+from .exactalg import E1, E2, PiecewisePoly, Poly, rat
 from .specfun import gauss_legendre, quadrature
 
 
@@ -144,10 +145,36 @@ def _bspline_density_cached(pts: tuple[Fraction, ...]) -> PiecewisePoly:
     return pp.scale(1 / total)
 
 
+def require_order(n, what: str = "kernel order n") -> None:
+    """Reject an order that is a bool, not an int, or below 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidKnots(f"{what} must be an int, got {n!r}")
+    if n < 1:
+        raise InvalidKnots(f"{what} must be >= 1, got {n}")
+
+
+def cardinal_bspline(m: int, t) -> Fraction:
+    """Cardinal B-spline M_m (knots 0, 1, ..., m, integral 1) at rational t,
+    by the explicit sum
+
+        M_m(t) = sum_{j < t} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!
+
+    over integers at t = p/q.  The j = 0 term always counts, so that M_1
+    is 1 on the closed [0, 1], like :func:`bspline_density` at its knots.
+    """
+    require_order(m, "cardinal B-spline order m")
+    t = rat(t)
+    if not 0 <= t <= m:
+        return Fraction(0)
+    p, q = t.numerator, t.denominator
+    top = max(1, -(-p // q))
+    total = sum((-1) ** j * comb(m, j) * (p - j * q) ** (m - 1) for j in range(top))
+    return Fraction(total, q ** (m - 1) * factorial(m - 1))
+
+
 def kernel(n: int, sigma, x) -> KernelInstance:
     """Kernel slice with width sigma(x) and n equal knot intervals."""
-    if n < 1:
-        raise InvalidKnots("kernel order n must be >= 1")
+    require_order(n)
     x = rat(x)
     w = sigma.at(x)
     step = 2 * w / n
@@ -155,26 +182,27 @@ def kernel(n: int, sigma, x) -> KernelInstance:
     return KernelInstance(n, x, w, bspline_density(knots))
 
 
-@lru_cache(maxsize=None)
+# typed, so that True or 2.0 never reaches the entry of 1 or 2 past the check
+@lru_cache(maxsize=None, typed=True)
 def c_constant(n: int) -> Fraction:
     """Exact squared-kernel constant: sigma(x) * integral of W_n(x,.)^2.
 
-    Computed at sigma = 1, x = 0.  ``entropy_profile`` relies on the
-    independence from x and sigma (it divides c_n by sigma(x) instead of
-    rebuilding each kernel); acceptance criterion 1 tests it against
-    Cox-de Boor kernels at the actual knots.
+    W_n(0,.) at sigma = 1 is (n/2) M_n(n(t+1)/2), and M_n is symmetric with
+    M_n * M_n = M_2n, so c_n = (n/2) M_2n(n) (:func:`cardinal_bspline`),
+    whatever x and sigma.  ``entropy_profile`` divides it by sigma(x);
+    the tests check it against Cox-de Boor kernels at the actual knots.
     """
-    k = kernel(n, ConstantSigma(1), 0)
-    return integrate_product(k.density, k.density)
+    require_order(n)
+    return n * cardinal_bspline(2 * n, n) / 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def unit_variance(n: int) -> Fraction:
-    """Exact variance of the unit kernel W_n(0, .) at sigma = 1, from its
-    Cox-de Boor moments; at width w the variance is w^2 times this."""
-    k = kernel(n, ConstantSigma(1), 0)
-    m1 = k.density.moment(1)
-    return k.density.moment(2) - m1 * m1
+    """Exact variance 1/(3n) of the unit kernel W_n(0, .) at sigma = 1:
+    M_n has variance n/12 and the kernel is M_n scaled by 2/n.  At width w
+    the variance is w^2 times this."""
+    require_order(n)
+    return Fraction(1, 3 * n)
 
 
 def kernel_moment(k: KernelInstance, order: int) -> Fraction:

@@ -28,7 +28,7 @@ from .errors import (
     NonFinite,
     UnsupportedK,
 )
-from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, integrate_product, rat
+from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, rat
 from .specfun import periodic_trapezoid, quadrature
 
 
@@ -39,10 +39,21 @@ class BSplineOp:
     n: int
     sigma: bspline.SigmaSpec
 
+    def __post_init__(self) -> None:
+        bspline.require_order(self.n)
+
+
+def _require_ints(n, k) -> None:
+    """Reject a Kantorovich degree or order that is a bool or not an int."""
+    for name, value in (("degree n", n), ("order k", k)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"Kantorovich {name} must be an int, got {value!r}")
+
 
 def _require_kantorovich_order(n: int, k: int) -> None:
-    """Reject orders outside 0 <= k <= n and the degree n = 0, whose
-    Bernstein nodes j/n do not exist."""
+    """Reject non-int orders, orders outside 0 <= k <= n and the degree
+    n = 0, whose Bernstein nodes j/n do not exist."""
+    _require_ints(n, k)
     if n < 1:
         raise DomainError(f"Kantorovich operator needs degree n >= 1, got n = {n}")
     if not 0 <= k <= n:
@@ -163,27 +174,30 @@ def kantorovich_apply(n: int, k: int, f: Poly, x, method: str = "definition") ->
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# typed, so that (True, 1) never reaches the entry of (1, 1) past the check
+@lru_cache(maxsize=None, typed=True)
 def s_direct_poly(n: int, k: int) -> Poly:
     """Squared-kernel integral of the k-th Kantorovich modification as an
     exact polynomial in x, straight from the definition (m = n - k):
 
         sum_{j,j'} b_{m,j}(x) b_{m,j'}(x) * integral B_j B_j'
 
-    The cells B_j sit on the equidistant knots j/n, ..., (j+k)/n, so B_j is
-    B_0 translated by j/n and the overlap integral depends only on
-    d = |j - j'|: it is I_d = integral B_0 B_d, which vanishes for d >= k.
-    So min(k, m + 1) exact integrals serve the whole double sum.  Since
+    The cells B_j sit on the equidistant knots j/n, ..., (j+k)/n, so
+    B_j(t) = n M_k(nt - j) for the cardinal B-spline M_k, and the overlap
+    integral depends only on d = |j - j'|.  By the symmetry of M_k and
+    M_k * M_k = M_2k it is I_d = n M_2k(k + d)
+    (:func:`bspline.cardinal_bspline`), which vanishes for d >= k; no cell
+    is built.  Since
     b_{m,j} b_{m,j'} = C(m,j) C(m,j') x^(j+j') (1-x)^(2m-j-j'), the sum is
     the degree-2m binary form in (x, 1 - x) with coefficients
 
         a_l = sum_{j + j' = l, |j - j'| < k} C(m,j) C(m,j') I_{|j-j'|}.
     """
+    _require_ints(n, k)
     if not 1 <= k <= n:
         raise UnsupportedK("squared kernel defined for 1 <= k <= n (k = 0 is the discrete family)")
     m = n - k
-    cell0 = _kantorovich_cell(n, k, 0)
-    overlaps = [integrate_product(cell0, _kantorovich_cell(n, k, d)) for d in range(min(k, m + 1))]
+    overlaps = [n * bspline.cardinal_bspline(2 * k, k + d) for d in range(min(k, m + 1))]
     coeffs = [Fraction(0)] * (2 * m + 1)
     for j in range(m + 1):
         for jp in range(max(0, j - k + 1), min(m, j + k - 1) + 1):
@@ -281,12 +295,15 @@ def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
 
 
 def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
-    """Per-point squared-kernel integral, both entropies, and the variance
-    computed from exact moments (never from the closed forms).
+    """Per-point squared-kernel integral, both entropies, and the variance.
 
-    B-spline values come from the exact quantities of the unit kernel
-    (sigma = 1, x = 0), scaled exactly: s = c_n / sigma(x) and variance
-    sigma(x)^2 times the unit variance.  Kantorovich polynomials are built
+    No Cox-de Boor density is built.  B-spline values scale the exact
+    constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
+    with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n).  Kantorovich
+    squared kernels take their cell overlaps from M_2k
+    (:func:`s_direct_poly`); the variance is ``L e_2 - (L e_1)^2`` from the
+    exact moment polynomials of the definition route, not from the k = 2
+    closed forms.  Kantorovich polynomials are built
     once per (n, k) and evaluated at each grid point by integer Horner,
     rounded once (:meth:`Poly.rounded`).  Either way each output float is
     the rounding of the same exact rational as a per-point rebuild."""

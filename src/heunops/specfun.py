@@ -726,11 +726,13 @@ def _squared_binomial_form(n: int, a: int, b: int) -> int:
     return acc
 
 
-def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float) -> tuple[float, float]:
+def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
+                         deriv: bool = False) -> tuple[float, float | None]:
     """``(sum w_k^2, sum 2n w_k (w_{k-1} - w_k))`` over w_0 = ``w``,
     w_{k+1} = w_k c (m + b k)/(k + 1) and w_{-1} = 0: negative-binomial
     weights for b = 1, Poisson weights (and K_n') for b = 0.  The integer
     m + b k keeps the rounding of each ratio from drifting along the pass.
+    The second sum is accumulated only with ``deriv``, else it is None.
 
     The pass stops once three squares in a row are at most ``tol`` times
     the first sum; leading squares that underflow to 0 come before the
@@ -740,11 +742,13 @@ def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float)
     """
     if not w >= sys.float_info.min:
         raise DomainError(f"first weight {w!r} of the squared-weight sum is not a normal float")
-    s0 = s1 = w_prev = 0.0
+    s0 = w_prev = 0.0
+    s1 = 0.0 if deriv else None
     small = 0
     for k in range(MAX_TERMS):
         s0 += w * w
-        s1 += 2 * n * w * (w_prev - w)
+        if deriv:
+            s1 += 2 * n * w * (w_prev - w)
         if s0:
             small = small + 1 if w * w <= tol * s0 else 0
             if small >= 3:
@@ -869,7 +873,7 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     if n * xf > KN_MAX_NX:
         raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {n * xf}")
 
-    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, tol)
+    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, tol, deriv=j >= 1)
     if j == 0:
         return k0
     if j == 1:

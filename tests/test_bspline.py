@@ -15,8 +15,10 @@ from heunops.bspline import (
     apply_Ln,
     bspline_density,
     c_constant,
+    cardinal_bspline,
     kernel,
     kernel_moment,
+    unit_variance,
 )
 from heunops.errors import HeunopsError, InvalidKnots, NonpositiveWidth
 from heunops.exactalg import E0, E1, E2, Poly, integrate_product
@@ -111,18 +113,60 @@ class TestKernel:
 
 
 class TestConstants:
+    """c_n = (n/2) M_2n(n) and v_n = 1/(3n) against Cox-de Boor kernels
+    built at the actual knots x - sigma + 2 sigma i / n."""
+
     def test_first_three_constants(self):
         assert c_constant(1) == F(1, 2)
         assert c_constant(2) == F(2, 3)
         assert c_constant(3) == F(33, 40)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_independent_of_x_and_sigma(self, n):
-        expected = c_constant(n)
         for s in SIGMAS:
             for x in XS:
-                inst = kernel(n, ConstantSigma(s), x)
-                assert s * integrate_product(inst.density, inst.density) == expected
+                density = kernel(n, ConstantSigma(s), x).density
+                m1 = density.moment(1)
+                assert s * integrate_product(density, density) == c_constant(n)
+                assert density.moment(0) == 1 and m1 == x
+                assert (density.moment(2) - m1 * m1) / (s * s) == unit_variance(n)
+
+    @pytest.mark.parametrize("fn", (c_constant, unit_variance))
+    @pytest.mark.parametrize("n", (True, False, 2.0, F(2), 0, -1))
+    def test_malformed_order_rejected(self, fn, n):
+        fn(1)  # a cached entry of 1 must not answer for True
+        with pytest.raises(InvalidKnots):
+            fn(n)
+
+
+class TestCardinalBSpline:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_against_cox_de_boor(self, m):
+        # the knots, the half-integers, thirds and points outside [0, m]
+        density = bspline_density(range(m + 1))
+        ts = [F(i, 2) for i in range(-4, 2 * m + 5)] + [F(i, 3) for i in range(3 * m + 1)]
+        for t in ts + [F(-7, 5), F(m) + F(1, 7), F(10**6)]:
+            assert cardinal_bspline(m, t) == density(t), t
+
+    def test_integer_and_string_points(self):
+        assert cardinal_bspline(2, 1) == 1
+        assert cardinal_bspline(3, "3/2") == F(3, 4)
+        assert cardinal_bspline(4, F(2)) == F(2, 3)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_against_scipy_basis_element(self, m):
+        np = pytest.importorskip("numpy")
+        interpolate = pytest.importorskip("scipy.interpolate")
+        # on the unit knots 0..m the basis element integrates to 1, so it is M_m
+        element = interpolate.BSpline.basis_element(np.arange(m + 1), extrapolate=False)
+        for t in [F(i, 7) for i in range(1, 7 * m)]:
+            ref = float(element(float(t)))
+            assert abs(float(cardinal_bspline(m, t)) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("m", (True, False, 2.0, F(2), "2", None, 0, -3))
+    def test_malformed_order_rejected(self, m):
+        with pytest.raises(InvalidKnots):
+            cardinal_bspline(m, F(1, 2))
 
 
 class TestMoments:

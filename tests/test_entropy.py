@@ -1,11 +1,15 @@
 """Entropies, variances, the Kantorovich representation and synchronicity."""
 
+import itertools
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heunops import bspline, entropy
+from heunops import bspline, cli, entropy, exactalg
 from heunops.entropy import (
     BSplineOp,
     EntropyPoint,
@@ -22,6 +26,7 @@ from heunops.errors import (
     ConstraintViolated,
     DomainError,
     IndexOutOfRange,
+    InvalidKnots,
     LengthMismatch,
     NonFinite,
     UnsupportedK,
@@ -67,6 +72,19 @@ class TestKantorovich:
     def test_degree_zero_operator_rejected(self):
         with pytest.raises(DomainError, match="n >= 1"):
             KantorovichOp(0, 0)
+
+    @pytest.mark.parametrize("n, k", ((2.0, 1), (True, 1), (2, 1.0), (2, True), (F(2), 1), ("2", 1)))
+    def test_malformed_order_rejected(self, n, k):
+        with pytest.raises(DomainError, match="must be an int"):
+            KantorovichOp(n, k)
+        entropy.s_direct_poly(1, 1)  # a cached entry of (1, 1) must not answer for (True, 1)
+        with pytest.raises(DomainError, match="must be an int"):
+            entropy.s_direct_poly(n, k)
+
+    @pytest.mark.parametrize("n", (2.0, True, False, F(2), 0, -1))
+    def test_malformed_bspline_order_rejected(self, n):
+        with pytest.raises(InvalidKnots):
+            BSplineOp(n, bspline.ConstantSigma(1))
 
     @pytest.mark.parametrize("method", ("definition", "bspline-form"))
     def test_degree_zero_polynomial_rejected(self, method):
@@ -120,6 +138,15 @@ class TestSquaredKernel:
         for x in X9:
             ref = s_nk(n, 2, x, "sum-form")
             assert abs(s_nk(n, 2, x, "integral-form") - float(ref)) <= 1e-12 * float(ref)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_overlaps_against_cell_integrals(self, n):
+        # I_d = n M_2k(k + d) against the Cox-de Boor cells on j/n, ..., (j+k)/n
+        for k in range(1, n + 1):
+            cell0 = entropy._kantorovich_cell(n, k, 0)
+            for d in range(n - k + 1):
+                overlap = integrate_product(cell0, entropy._kantorovich_cell(n, k, d))
+                assert n * bspline.cardinal_bspline(2 * k, k + d) == overlap
 
     def test_unsupported_k(self):
         with pytest.raises(UnsupportedK):
@@ -246,8 +273,13 @@ class TestProfileOracles:
                 assert pt.variance == float(var)
 
 
+OPS = (KantorovichOp(6, 3), BSplineOp(4, bspline.QuadraticSigma(1, F(1, 2))))
+
+
 class TestNoPerPointRebuild:
-    """Kernel data is built once per operator, whatever the grid size."""
+    """Kernel data is built once per operator, whatever the grid size, and
+    no Cox-de Boor density is built at all: the B-spline constants and the
+    Kantorovich cell overlaps are cardinal B-spline values."""
 
     @staticmethod
     def _clear_caches():
@@ -264,45 +296,61 @@ class TestNoPerPointRebuild:
 
         monkeypatch.setattr(module, name, counted)
 
-    def _count_calls(self, monkeypatch, op, count):
-        counts: dict = {}
+    def _count_builds(self, monkeypatch, run):
+        """Calls of the kernel builders made by ``run()`` on cold caches,
+        with the Cox-de Boor density misses as ``density``."""
+        counts: dict = {"integrate_product": 0}
         self._clear_caches()
         for module, name in ((entropy, "s_direct_poly"), (entropy, "kantorovich_poly"),
-                             (entropy, "integrate_product"), (bspline, "integrate_product")):
+                             (exactalg, "integrate_product"), (bspline, "cardinal_bspline")):
             self._counting(monkeypatch, counts, module, name, getattr(module, name))
         try:
-            entropy_profile(op, [F(i, count - 1) for i in range(count)])
+            run()
+            counts["density"] = bspline._bspline_density_cached.cache_info().misses
         finally:
             monkeypatch.undo()
             self._clear_caches()
         return counts
 
-    @pytest.mark.parametrize(
-        "op",
-        (KantorovichOp(6, 3), BSplineOp(4, bspline.QuadraticSigma(1, F(1, 2)))),
-        ids=("kantorovich", "bspline"),
-    )
+    @pytest.mark.parametrize("op", OPS, ids=("kantorovich", "bspline"))
     def test_build_counts_independent_of_grid(self, monkeypatch, op):
-        small = self._count_calls(monkeypatch, op, 9)
-        large = self._count_calls(monkeypatch, op, 65)
+        small = self._count_builds(
+            monkeypatch, lambda: entropy_profile(op, [F(i, 8) for i in range(9)]))
+        large = self._count_builds(
+            monkeypatch, lambda: entropy_profile(op, [F(i, 64) for i in range(65)]))
         assert small == large
+        assert small["density"] == 0 and small["integrate_product"] == 0
         if isinstance(op, KantorovichOp):
             assert small["s_direct_poly"] == 1 and small["kantorovich_poly"] == 2
-        else:
-            assert small["integrate_product"] == 1
+
+    @pytest.mark.parametrize("argv", (
+        ["--op", "kantorovich", "--n", "12", "--k", "6"],
+        ["--op", "bspline", "--n", "12", "--sigma", "quad:1:1/2"],
+    ), ids=("kantorovich", "bspline"))
+    def test_cli_entropy_builds_no_density(self, monkeypatch, capsys, argv):
+        counts = self._count_builds(
+            monkeypatch, lambda: cli.main(["entropy", *argv, "--grid", "0:1:9", "--json"]))
+        assert counts["density"] == 0 and counts["integrate_product"] == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     @pytest.mark.parametrize("n, k", ((1, 1), (6, 3), (9, 4), (12, 2), (12, 11), (40, 3)))
     def test_one_overlap_integral_per_cell_distance(self, monkeypatch, n, k):
-        counts: dict = {}
-        self._clear_caches()
-        self._counting(monkeypatch, counts, entropy, "integrate_product",
-                       entropy.integrate_product)
-        try:
-            entropy.s_direct_poly(n, k)
-        finally:
-            monkeypatch.undo()
-            self._clear_caches()
-        assert counts["integrate_product"] == min(k, n - k + 1)
+        # each overlap I_d is one value n M_2k(k + d); no cell is built
+        counts = self._count_builds(monkeypatch, lambda: entropy.s_direct_poly(n, k))
+        assert counts["cardinal_bspline"] == min(k, n - k + 1)
+        assert counts["density"] == 0 and counts["integrate_product"] == 0
+
+
+WIDTHS = st.fractions(F(1, 16), 16, max_denominator=16)
+SIGMA_SPECS = st.one_of(
+    st.builds(bspline.ConstantSigma, WIDTHS),
+    st.builds(bspline.QuadraticSigma, WIDTHS, st.fractions(0, 4, max_denominator=16)),
+    st.integers(2, 5).flatmap(lambda size: st.builds(
+        bspline.TableSigma,
+        st.lists(st.fractions(-4, 4, max_denominator=8), min_size=size, max_size=size,
+                 unique=True).map(lambda xs: tuple(sorted(xs))),
+        st.lists(WIDTHS, min_size=size, max_size=size).map(tuple))),
+)
 
 
 class TestSynchronicity:
@@ -342,3 +390,14 @@ class TestSynchronicity:
         variance = [p.variance for p in pts]
         renyi = [p.renyi for p in pts]
         assert synchronicity_check(variance, renyi).passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 16), sigma=SIGMA_SPECS,
+           xs=st.lists(st.fractions(-4, 4, max_denominator=16), min_size=2, max_size=12))
+    def test_bspline_profiles_are_synchronous(self, n, sigma, xs):
+        # s = c_n / sigma(x) and v = sigma(x)^2 / (3n) move with sigma(x)
+        # alone, so every pair of measures is synchronous by construction
+        pts = entropy_profile(BSplineOp(n, sigma), xs)
+        columns = {c: [getattr(p, c) for p in pts] for c in ("variance", "renyi", "tsallis")}
+        for f, g in itertools.combinations(columns, 2):
+            assert synchronicity_check(columns[f], columns[g]).passed
