@@ -11,7 +11,14 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error.  Diagnostics go to standard error; output is deterministic
 (two runs with identical arguments are byte-identical).  Floats print
 with 17 significant digits (zero unsigned), exact rationals as ``p/q``
-strings.
+strings.  ``--json`` output is ``json.dumps(doc, indent=2)``, the same
+bytes on every supported Python (see :func:`_dumps`).
+
+``main`` parses an argv that starts with a command name by that
+command's own sub-parser, so an unrecognized argument is reported with
+the sub-command's usage (``heunops eval: error: unrecognized arguments:
+--bogus``).  Every other argv (empty, ``-h``, an unknown command) goes
+to the top-level parser.
 """
 
 from __future__ import annotations
@@ -32,6 +39,72 @@ from typing import NamedTuple
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
 from .exactalg import Poly
+
+
+#: ``json``'s C encoder factory; None where the C accelerator is missing
+_C_MAKE_ENCODER = json.encoder.c_make_encoder
+_encode_str = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _json_level(depth: int):
+    """The C encoder of a container whose members sit at ``depth``, and the
+    line break and indentation that ``indent=2`` puts before each member."""
+    pad = "\n" + "  " * depth
+    encoder = _C_MAKE_ENCODER(None, json.JSONEncoder().default, _encode_str, None, ": ",
+                              "," + pad, False, False, True)
+    return encoder, pad
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document with
+    str keys.
+
+    Up to Python 3.12 ``json.dumps`` writes an indented document in pure
+    Python.  Here a container whose members are all scalars is written by
+    one call of a C encoder whose item separator holds the line break and
+    indentation of its depth, and so is a list of such dicts (table rows);
+    other containers recurse here.  Python 3.13 indents in C itself."""
+    if _C_MAKE_ENCODER is None or sys.version_info >= (3, 13):
+        return json.dumps(doc, indent=2)
+    return _dump(doc, 0)
+
+
+def _dump(o, depth: int) -> str:
+    is_dict = isinstance(o, dict)
+    if is_dict:
+        members = o.values()
+    elif isinstance(o, (list, tuple)):
+        members = o
+    else:
+        return "".join(_json_level(depth)[0](o, 0))
+    if not o:
+        return "{}" if is_dict else "[]"
+    encoder, pad = _json_level(depth + 1)
+    end = _json_level(depth)[1]
+    for m in members:
+        if isinstance(m, _CONTAINERS):
+            break
+    else:  # scalars only
+        s = "".join(encoder(o, 0))
+        return s[0] + pad + s[1:-1] + end + s[-1]
+    if is_dict:
+        body = ("," + pad).join([
+            f"{_encode_str(k)}: {_encode_str(v) if v.__class__ is str else _dump(v, depth + 1)}"
+            for k, v in o.items()])
+        return "{" + pad + body + end + "}"
+    if all(type(m) is dict and m and not any(isinstance(v, _CONTAINERS) for v in m.values())
+           for m in o):
+        # table rows, by one C call: an encoded scalar holds no line break,
+        # so only a row's end puts "}" before a separator
+        row_encoder, row_pad = _json_level(depth + 2)
+        body = "".join(row_encoder(o, 0))[2:-2].replace(
+            "}," + row_pad + "{", pad + "}," + pad + "{" + row_pad)
+        return "[" + pad + "{" + row_pad + body + pad + "}" + end + "]"
+    body = ("," + pad).join([_encode_str(m) if m.__class__ is str else _dump(m, depth + 1)
+                             for m in o])
+    return "[" + pad + body + end + "]"
 
 
 def _fmt_float(v: float) -> str:
@@ -226,7 +299,7 @@ def _cmd_eval(args) -> int:
                 for x, v in rows
             ],
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     elif args.grid:
         print("x,value")
         for x, v in rows:
@@ -268,7 +341,7 @@ def _cmd_verify(args) -> int:
             "rows": [r.to_dict() for r in reports],
             "pass": all_pass,
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         for r in reports:
             ps = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
@@ -315,7 +388,7 @@ def _cmd_entropy(args) -> int:
             "pass": all(sync.values()),
             "synchronicity": sync,
         }
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         print(",".join(_ENTROPY_COLUMNS))
         for row in rows:
@@ -333,7 +406,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_registry(args) -> int:
     rows = identities.registry_table()
     if args.json:
-        print(json.dumps({"command": "registry", "rows": rows}, indent=2))
+        print(_dumps({"command": "registry", "rows": rows}))
     else:
         for row in rows:
             modes = "/".join(row["modes"])
@@ -379,6 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_registry = sub.add_parser("registry", help="identity registry table")
     p_registry.add_argument("--json", action="store_true")
 
+    # each command's sub-parser, by name, for main to parse a command's argv
+    # without the top-level pass
+    ap.commands = sub.choices
     return ap
 
 
@@ -403,8 +479,14 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser().parse_args(_join_grid_values(argv))
+    argv = _join_grid_values(sys.argv[1:] if argv is None else argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:])
+        args.command = argv[0]
     handlers = {
         "eval": _cmd_eval,
         "verify": _cmd_verify,

@@ -5,6 +5,10 @@ class HeunopsError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NotExact(HeunopsError, TypeError):
+    """An exact routine was given a value that is not an exact rational (a float, say)."""
+
+
 class InvalidKnots(HeunopsError, ValueError):
     """Knot vector is not strictly increasing or not exactly equidistant."""
 

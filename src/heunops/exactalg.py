@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-from .errors import IndexOutOfRange, NonFinite
+from .errors import IndexOutOfRange, NonFinite, NotExact
 
 Rational = Fraction
 
@@ -45,7 +45,7 @@ def rat(value: _Scalar) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    raise NotExact(f"expected an exact rational, got {type(value).__name__}")
 
 
 class Poly:

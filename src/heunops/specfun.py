@@ -57,6 +57,7 @@ from .errors import (
     InvalidC,
     InvalidGamma,
     NonFinite,
+    NotExact,
 )
 from .exactalg import E2, Poly, binary_form, rat
 
@@ -390,7 +391,7 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
     """
     params = GaussParams(a, b, c)
     if not params.is_rational:
-        raise TypeError("exact polynomial form requires rational parameters")
+        raise NotExact("exact polynomial form requires rational parameters")
     return _series_poly(params)
 
 
@@ -518,7 +519,7 @@ def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
     The zero polynomial certifies that ``p`` solves the equation.
     """
     if not params.is_rational:
-        raise TypeError("exact residual requires rational parameters")
+        raise NotExact("exact residual requires rational parameters")
     m, n, lin = heun_operator(params)
     return m * p.derivative().derivative() + n * p.derivative() + lin * p
 
@@ -581,7 +582,7 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
     vanish through the truncation order.
     """
     if not params.is_rational:
-        raise TypeError("exact residual requires rational parameters")
+        raise NotExact("exact residual requires rational parameters")
     p, ga, de = rat(params.p), rat(params.gamma), rat(params.delta)
     al, sg = rat(params.alpha), rat(params.sigma)
     m = Poly.of(0, -1, 1)

@@ -24,6 +24,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exits(capsys, call):
+    """The exit code, stdout and stderr of a ``call`` that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestEval:
     def test_exact_constant(self, capsys):
         code, out, _ = run(capsys, "eval", "c_n", "n=3", "--exact")
@@ -401,6 +409,112 @@ class TestRegistry:
             assert set(row) >= {"id", "equation", "modes", "default_params", "description"}
 
 
+class TestUsageErrors:
+    """A command's argv is parsed by its own sub-parser; every other argv
+    still goes to the top-level parser."""
+
+    @pytest.mark.parametrize("argv, prog", (
+        (["eval", "F", "n=3", "x=1/2", "--bogus"], "heunops eval"),
+        (["verify", "--id", "I39", "--mode", "exact", "extra"], "heunops verify"),
+    ), ids=("eval", "verify"))
+    def test_unrecognized_argument_shows_command_usage(self, capsys, argv, prog):
+        code, out, err = exits(capsys, lambda: main(argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1] == f"{prog}: error: unrecognized arguments: {argv[-1]}"
+
+    @pytest.mark.parametrize("argv, code, line", (
+        ([], 2, "heunops: error: the following arguments are required: command"),
+        (["--help"], 0, None),
+        (["eval", "nosuch"], 2, "heunops eval: error: argument function: invalid choice: 'nosuch'"),
+        (["eval", "--grid"], 2, "heunops eval: error: argument --grid: expected one argument"),
+    ), ids=("empty", "help", "unknown-function", "grid-without-value"))
+    def test_other_usage_as_before(self, capsys, argv, code, line):
+        got = exits(capsys, lambda: main(argv))
+        # the top-level parser alone is how main parsed every argv before
+        assert got == exits(capsys, lambda: cli._parser().parse_args(argv))
+        assert got[0] == code
+        if line is None:
+            assert got[1].startswith("usage: heunops [-h] {eval,verify,entropy,registry}")
+            assert got[2] == ""
+        else:
+            assert got[1] == "" and got[2].splitlines()[-1].startswith(line)
+
+    def test_command_argv_skips_top_level_parser(self, capsys, monkeypatch):
+        parser = cli._parser()
+        calls = []
+        real = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        for argv in (["eval", "c_n", "n=3", "--exact", "--json"],
+                     ["verify", "--id", "I39", "--mode", "exact", "--json"],
+                     ["entropy", "--op", "kantorovich", "--n", "3", "--grid", "0:1:3", "--json"],
+                     ["registry", "--json"]):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        exits(capsys, lambda: main([]))
+        assert len(calls) == 1
+
+
+#: JSON text with quotes, backslashes, control characters, non-ASCII
+#: characters and lone surrogates
+_json_text = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u00e9\u20ac\U0001f600\ud800\udfff')),
+    max_size=8)
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**300, 10**300),
+    st.floats(), st.sampled_from((-0.0, math.nan, math.inf, -math.inf)), _json_text)
+
+
+def _json_values(depth: int):
+    """Nested JSON values up to ``depth`` levels of dicts, lists and tuples."""
+    if depth == 0:
+        return _json_scalars
+    kids = _json_values(depth - 1)
+    return st.one_of(
+        kids,
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_json_text, kids, max_size=4),
+        # table rows: a list of non-empty dicts of scalars
+        st.lists(st.dictionaries(_json_text, _json_scalars, min_size=1, max_size=4),
+                 min_size=1, max_size=4),
+    )
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_json_values(4))
+    def test_same_bytes_as_indented_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None or sys.version_info >= (3, 13),
+                        reason="the writer is json.dumps itself here")
+    def test_json_commands_skip_pure_python_encoder(self, capsys, monkeypatch):
+        calls = []
+        real = json.encoder._make_iterencode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        json.dumps({"rows": [1]}, indent=2)
+        assert calls == [1]  # the count sees json.dumps's own route
+        calls.clear()
+        for argv in (["eval", "legendre", "n=3", "--grid=-1:1:5", "--json"],
+                     ["verify", "--id", "I39", "--mode", "exact", "--json"],
+                     ["entropy", "--op", "kantorovich", "--n", "3", "--grid", "0:1:3", "--json"],
+                     ["registry", "--json"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.startswith("{\n")
+        assert calls == []
+
+
 class TestModuleEntryPoint:
     def test_python_m_heunops(self, capsys):
         root = Path(__file__).resolve().parents[1]
@@ -562,6 +676,14 @@ class TestGolden:
              "ed4954f454bf49c14eef42f49d53341034c22663418a084eb9fc91dd24baa181"),
             (["eval", "F", "n=8", "--grid=0:1:33"],
              "ac66ee4f5c08bee865fb1130f1411ab917736e6eb3d9d9c44128538e78a25546"),
+            # --json layouts: float rows, exact rows, and the nested registry
+            (["eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1",
+              "--grid", "0:1:41", "--json"],
+             "8f00cd6f4176d42b747bd5251b7f6775e094aa9ee919aec287707d2b385bb017"),
+            (["eval", "legendre", "n=12", "--grid=-1:1:41", "--exact", "--json"],
+             "dfc8243ff2f691a4c72d0acc6732451982fcefa6b874024d345963af44fe433f"),
+            (["registry", "--json"],
+             "502cc78c8bc743d6aa6c938e37f520a30a5d4bbb1ebc503cd249986ad0531113"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunops.errors import IndexOutOfRange
+from heunops.bspline import ConstantSigma
+from heunops.entropy import BSplineOp, KantorovichOp, entropy_profile
+from heunops.errors import HeunopsError, IndexOutOfRange
 from heunops.exactalg import NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product, rat
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -22,6 +24,16 @@ def test_rat_accepts_exact_types_only():
     assert rat(7) == 7
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: entropy_profile(BSplineOp(2, ConstantSigma(1)), [0.5]),
+    lambda: entropy_profile(KantorovichOp(2, 1), [0.5]),
+    lambda: ConstantSigma(0.5),
+), ids=("bspline-profile", "kantorovich-profile", "constant-sigma"))
+def test_float_in_exact_routine_is_package_error(call):
+    with pytest.raises(HeunopsError, match="expected an exact rational, got float"):
+        call()
 
 
 def _fraction_horner(p: Poly, x) -> F:
