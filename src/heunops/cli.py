@@ -112,12 +112,6 @@ def _fmt_float(v: float) -> str:
     return format(float(v) + 0.0, ".17g")
 
 
-def _fmt_value(v, exact: bool) -> str:
-    if exact:
-        return str(v)
-    return _fmt_float(v)
-
-
 def _parse_kv(pairs: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     for chunk in pairs:
@@ -204,11 +198,12 @@ def _parse_sigma(spec: str):
 # eval
 # ---------------------------------------------------------------------------
 
-#: series families: parameter class, exact and float routes
+#: series families: parameter class and exact route; the float route of
+#: all three is :func:`specfun.series_values`, one call per grid
 _SERIES_FAMILIES = {
-    "hl": (specfun.HeunParams, specfun.heun_poly, specfun.heun_local),
-    "hc": (specfun.ConfluentHeunParams, specfun.confluent_heun_poly, specfun.confluent_heun),
-    "2f1": (specfun.GaussParams, lambda g: specfun.hyp2f1_poly(g.a, g.b, g.c), specfun.gauss_series),
+    "hl": (specfun.HeunParams, specfun.heun_poly),
+    "hc": (specfun.ConfluentHeunParams, specfun.confluent_heun_poly),
+    "2f1": (specfun.GaussParams, lambda g: specfun.hyp2f1_poly(g.a, g.b, g.c)),
 }
 
 
@@ -221,7 +216,7 @@ class _EvalSpec(NamedTuple):
 #: every function of ``eval``, in the order argparse lists them
 _EVAL_SPECS = {
     **{name: _EvalSpec(tuple(f.name for f in dataclasses.fields(make)))
-       for name, (make, _, _) in _SERIES_FAMILIES.items()},
+       for name, (make, _) in _SERIES_FAMILIES.items()},
     "legendre": _EvalSpec(("n",)),
     "F": _EvalSpec(("n",)),
     "G": _EvalSpec(("n",), exact=False),
@@ -235,37 +230,45 @@ _EVAL_SPECS = {
 EVAL_FUNCTIONS = tuple(_EVAL_SPECS)
 
 
-def _point_function(name: str, params: dict, exact: bool):
-    """Parse ``params`` once and return the map x -> value of ``name``."""
+def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
+    """Parse ``params`` once and return the values of ``name`` at ``xs``."""
     if name in _SERIES_FAMILIES:
-        make, poly, series = _SERIES_FAMILIES[name]
+        make, poly = _SERIES_FAMILIES[name]
         sp = make(*(_frac(params, k) for k in _EVAL_SPECS[name].keys))
-        if exact:
-            return poly(sp)
-        return lambda x: series(sp, x, tol=1e-15).value
-    if name == "legendre":
+        if not exact:
+            return [r.value for r in specfun.series_values(sp, xs, 1e-15)]
+        f = poly(sp)
+    elif name == "legendre":
         n = _int(params, "n")
         if exact:
-            return lambda x: specfun.legendre_p(n, x)
-        return lambda x: specfun.legendre_p(n, float(x))
-    if name in ("F", "U", "G", "J"):
+            f = lambda x: specfun.legendre_p(n, x)
+        else:
+            f = lambda x: specfun.legendre_p(n, float(x))
+    elif name in ("F", "U", "G", "J"):
         n = _int(params, "n")
-        return lambda x: specfun.kernel_sum(name, n, x)
-    if name == "K":
+        f = lambda x: specfun.kernel_sum(name, n, x)
+    elif name == "K":
         n, j = _int(params, "n"), _int(params, "j", default=0)
-        return lambda x: specfun.szasz_K(n, j, x)
-    if name == "bspline":
+        f = lambda x: specfun.szasz_K(n, j, x)
+    elif name == "bspline":
         knots = [Fraction(tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:
             raise HeunopsError("bspline needs knots=k0;k1;...")
-        return bspline.bspline_density(knots)
-    if name == "c_n":
-        v = bspline.c_constant(_int(params, "n"))
+        f = bspline.bspline_density(knots)
+    elif name == "c_n":
+        return [bspline.c_constant(_int(params, "n"))] * len(xs)
     elif name == "kn_deriv_zero":
-        v = specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))
+        return [specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))] * len(xs)
     else:
         raise HeunopsError(f"unknown function {name!r}")
-    return lambda _x: v
+    return [f(x) for x in xs]
+
+
+def _fmt_point(x: Fraction) -> str:
+    """A grid point as a float row prints it: x.numerator / x.denominator
+    is the correctly rounded double of ``x``, as ``float(x)`` is, and never
+    a negative zero."""
+    return format(x.numerator / x.denominator, ".17g")
 
 
 def _cmd_eval(args) -> int:
@@ -286,26 +289,24 @@ def _cmd_eval(args) -> int:
         xs = [_frac(params, "x")]
     else:
         xs = [None]
-    f = _point_function(args.function, params, exact)
-    rows = [(x, f(x)) for x in xs]
+    values = _eval_values(args.function, params, exact, xs)
+    fmt_x, fmt_value = (str, str) if exact else (_fmt_point, _fmt_float)
     if args.json:
         doc = {
             "command": "eval",
             "params": {"function": args.function, **{k: str(v) for k, v in sorted(params.items())},
                        "exact": exact},
-            "rows": [
-                {**({"x": _fmt_value(x, exact)} if x is not None else {}),
-                 "value": _fmt_value(v, exact)}
-                for x, v in rows
-            ],
+            "rows": [{"x": fmt_x(x), "value": fmt_value(v)} if x is not None
+                     else {"value": fmt_value(v)}
+                     for x, v in zip(xs, values)],
         }
         print(_dumps(doc))
     elif args.grid:
         print("x,value")
-        for x, v in rows:
-            print(f"{_fmt_value(x, exact)},{_fmt_value(v, exact)}")
+        for x, v in zip(xs, values):
+            print(f"{fmt_x(x)},{fmt_value(v)}")
     else:
-        print(_fmt_value(rows[0][1], exact))
+        print(fmt_value(values[0]))
     return 0
 
 

@@ -34,7 +34,10 @@ terminating series is evaluated exactly at the rational value of ``x`` (a
 float converted exactly) by :meth:`Poly.rounded`, which runs integer Horner
 on the polynomial's integer form and rounds once.  A prefix that is too
 short is replaced by a longer one, so a grid runs its recurrence once; the
-Taylor coefficients of K_n are kept per ``n`` in the same way.  Exact
+Taylor coefficients of K_n are kept per ``n`` in the same way.
+:func:`series_values` looks the record up once for a whole grid.  Every
+float sum of the three families, values and derivatives, is one loop over
+the record's float prefix (:func:`_float_sum`).  Exact
 values of P_n at a rational point, and of F, U and J at any point, run
 over the integers.
 """
@@ -302,24 +305,6 @@ def _exact_prefix(stream: Iterator, cap: int) -> tuple[list[Fraction], bool]:
             return coeffs, False
 
 
-def _sum_terms(terms: Iterable[float], tol: float, ratio: float) -> SeriesResult:
-    """Sum ``terms`` until three consecutive ones fall below ``tol`` times
-    the partial sum.
-
-    ``ratio`` is |x| over the radius of convergence; the tail estimate
-    continues the last term geometrically with it (capped at 0.999).
-    """
-    s = 0.0
-    small = 0
-    for k, t in zip(range(MAX_TERMS), terms):
-        s += t
-        small = small + 1 if abs(t) <= tol * abs(s) else 0
-        if small >= 3:
-            r = min(ratio, 0.999)
-            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
-    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
-
-
 #: entries kept by each cache of series records, coefficient prefixes and rules
 _CACHE_SIZE = 256
 
@@ -374,13 +359,13 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     ``MAX_DEGREE``) are evaluated exactly and work for any x; otherwise
     |x| < 1 is required.
     """
-    return _series_value(GaussParams(a, b, c), x, tol, deriv=False)
+    return _point_value(_series(GaussParams(a, b, c)), x, tol, False)
 
 
 def gauss_series(params: GaussParams, x: Scalar, tol: float = 1e-15) -> SeriesResult:
     """:func:`hyp2f1` of a parameter set built once, as :func:`heun_local`
     takes one, so that a grid of points checks the parameters once."""
-    return _series_value(params, x, tol, deriv=False)
+    return _point_value(_series(params), x, tol, False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -490,12 +475,12 @@ def heun_poly(params: HeunParams) -> Poly:
 
 def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Local Heun function at ``x`` (series at the origin, value 1 there)."""
-    return _series_value(params, x, tol, deriv=False)
+    return _point_value(_series(params), x, tol, False)
 
 
 def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Termwise-differentiated local Heun series at ``x``."""
-    return _series_value(params, x, tol, deriv=True)
+    return _point_value(_series(params), x, tol, True)
 
 
 def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
@@ -566,11 +551,11 @@ def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
 
 def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Confluent Heun function at ``x``, series at the origin with value 1."""
-    return _series_value(params, x, tol, deriv=False)
+    return _point_value(_series(params), x, tol, False)
 
 
 def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
-    return _series_value(params, x, tol, deriv=True)
+    return _point_value(_series(params), x, tol, True)
 
 
 def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
@@ -660,29 +645,6 @@ def _series_coeffs(params, count: int) -> list:
     return list(_series(params).prefix(count, params.is_rational)[:max(count, 0)])
 
 
-def _float_terms(series: _Series, xf: float, deriv: bool) -> Iterator[float]:
-    """Terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the record's float
-    prefix, which grows by doubling, with a running power of x.  A
-    coefficient above 1e280 is rejected: its term would overflow.
-    """
-    coeffs: tuple = ()
-    xpow = 1.0  # x^(k-1) when deriv else x^k
-    for k in itertools.count():
-        if k == len(coeffs):
-            coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
-        c = coeffs[k]
-        if abs(c) > 1e280:
-            raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
-        elif not deriv:
-            yield c * xpow
-            xpow *= xf
-        elif k:
-            yield k * c * xpow
-            xpow *= xf
-        else:
-            yield 0.0
-
-
 def _series_poly(params) -> Poly:
     series = _series(params)
     if series.poly is None:
@@ -690,11 +652,20 @@ def _series_poly(params) -> Poly:
     return series.poly
 
 
-def _series_value(params, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
+def series_values(params, xs: Iterable[Scalar], tol: float) -> list[SeriesResult]:
+    """The series of ``params`` (a :class:`HeunParams`,
+    :class:`ConfluentHeunParams` or :class:`GaussParams`) at each point of
+    ``xs``, each as :func:`heun_local`, :func:`confluent_heun` or
+    :func:`gauss_series` gives it, with the same checks and exceptions;
+    the record of ``params`` is looked up once for the whole grid."""
+    series = _series(params)
+    return [_point_value(series, x, tol, False) for x in xs]
+
+
+def _point_value(series: _Series, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
     """Exact polynomial value of a terminating series, else the float sum
     inside the disk of convergence."""
     _check_point(x)
-    series = _series(params)
     p = series.poly
     if p is not None:
         return SeriesResult((series.deriv if deriv else p).rounded(x), len(p.coeffs), True, 0.0)
@@ -702,7 +673,46 @@ def _series_value(params, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
     if abs(xf) >= series.radius:
         raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
                               f"{series.name} series")
-    return _sum_terms(_float_terms(series, xf, deriv), tol, abs(xf) / series.radius)
+    return _float_sum(series, xf, tol, deriv)
+
+
+def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesResult:
+    """Sum the terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the
+    record's float prefix, which grows by doubling, until three consecutive
+    terms fall below ``tol`` times the partial sum.
+
+    x^k (x^(k-1) when ``deriv``) is kept as a running power.  A coefficient
+    above 1e280 is rejected: its term would overflow.  The tail estimate
+    continues the last term geometrically with |x| over the radius of
+    convergence (capped at 0.999).
+    """
+    s = 0.0
+    xpow = 1.0  # x^(k-1) when deriv else x^k
+    small = 0
+    coeffs: tuple = ()
+    for k in range(MAX_TERMS):
+        if k == len(coeffs):
+            coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
+        c = coeffs[k]
+        if abs(c) > 1e280:
+            raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+        if not deriv:
+            t = c * xpow
+            xpow *= xf
+        elif k:
+            t = k * c * xpow
+            xpow *= xf
+        else:
+            t = 0.0
+        s += t
+        if abs(t) <= tol * abs(s):
+            small += 1
+            if small == 3:
+                r = min(abs(xf) / series.radius, 0.999)
+                return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
+        else:
+            small = 0
+    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +757,19 @@ def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
     s1 = 0.0 if deriv else None
     small = 0
     for k in range(MAX_TERMS):
-        s0 += w * w
+        sq = w * w
+        s0 += sq
         if deriv:
             s1 += 2 * n * w * (w_prev - w)
-        if s0:
-            small = small + 1 if w * w <= tol * s0 else 0
-            if small >= 3:
-                return s0, s1
-        w_prev, w = w, w * (c * (m + b * k)) / (k + 1)
+            w_prev = w
+        if sq <= tol * s0:
+            if s0:  # while s0 = 0 every square so far has underflowed
+                small += 1
+                if small == 3:
+                    return s0, s1
+        else:
+            small = 0
+        w = w * (c * (m + b * k)) / (k + 1)
     raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
@@ -791,7 +806,8 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     if kind == "G":
         if x < 0:
             raise DomainError("G is evaluated on x >= 0 only")
-        p = float(x) / (1 + float(x))
+        xf = float(x)
+        p = xf / (1 + xf)
         return _squared_weight_sums((1 - p) ** n, p, n, 1, n, tol * (1 - p))[0]
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 

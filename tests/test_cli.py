@@ -585,12 +585,39 @@ class TestBuildOnce:
         (["hc", "p=1/3", "gamma=2", "delta=2", "alpha=1/2", "sigma=-7/5", "--grid=0:1/2:9"], 9),
     ), ids=("hl", "2f1", "hc"))
     def test_float_grid_resolves_parameters_once(self, capsys, argv, points):
-        # one record lookup per point, and the record is built at the first
+        # one record lookup per grid, which builds the record
         specfun._series.cache_clear()
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 0 and len(out.splitlines()) == points + 1
         info = specfun._series.cache_info()
-        assert (info.misses, info.hits) == (1, points - 1)
+        assert (info.misses, info.hits) == (1, 0)
+
+    @pytest.mark.parametrize("argv, lines", (
+        (["hl", "a=2", "q=-1/2", "alpha=1/2", "beta=3/2", "gamma=3/2", "delta=1/2", "--grid=-1/2:1/2:13"], 14),
+        (["hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1", "--grid", "0:1:41"], 42),
+        (["2f1", "a=1/2", "b=3/2", "c=2", "--grid=-3/4:3/4:41"], 42),
+        (["hc", "p=1/3", "gamma=2", "delta=2", "alpha=1/2", "sigma=-7/5", "--grid=0:1/2:9"], 10),
+        (["hc", "p=1/2", "gamma=3/2", "delta=1/2", "alpha=1/2", "sigma=1", "x=1/4"], 1),
+    ), ids=("hl", "hl-terminating", "2f1", "hc", "hc-point"))
+    def test_float_series_grid_is_one_library_call(self, capsys, monkeypatch, argv, lines):
+        # the single-point wrappers are never called; the grid is one call
+        calls = {name: 0 for name in ("heun_local", "confluent_heun", "gauss_series", "hyp2f1",
+                                      "series_values")}
+
+        def counting(name):
+            real = getattr(specfun, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(specfun, name, counting(name))
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0 and len(out.splitlines()) == lines
+        assert calls == {"heun_local": 0, "confluent_heun": 0, "gauss_series": 0, "hyp2f1": 0,
+                         "series_values": 1}
 
     def test_gauss_grid_builds_parameter_set_once(self, capsys, monkeypatch):
         built = []
@@ -684,6 +711,19 @@ class TestGolden:
              "dfc8243ff2f691a4c72d0acc6732451982fcefa6b874024d345963af44fe433f"),
             (["registry", "--json"],
              "502cc78c8bc743d6aa6c938e37f520a30a5d4bbb1ebc503cd249986ad0531113"),
+            # float rows of every float route: weight sums, Legendre, series
+            (["eval", "G", "n=4", "--grid=0:11/4:101", "--json"],
+             "12e5cbae84f94cd0088cec5287fc2a4051bb609fb86c5dd211c331b41dbd0dfd"),
+            (["eval", "K", "n=2", "j=1", "--grid=0:2:101"],
+             "8d604e96d984e5bf2269ab37d62c9d37f04e2aca91dfdbe777e16d5c93c7fed6"),
+            (["eval", "legendre", "n=16", "--grid=-1/2:1:41"],
+             "d39d0542d4921cf1c43b71a166d1cc27413e56e335d67a8b670cb8877d6c79fb"),
+            (["eval", "hl", "a=2", "q=1/2", "alpha=1/2", "beta=3/2", "gamma=1", "delta=1",
+              "--grid=-1/2:1/2:41", "--json"],
+             "4780816dc63f6b56a0f722b5b7280fd9e18830f88ae2c4a45422f4cb7a067d85"),
+            (["eval", "hc", "p=1", "gamma=2", "delta=0", "alpha=3/2", "sigma=6",
+              "--grid=-3/4:3/4:41", "--json"],
+             "0a2517f733cd95f7c266b358f08502a7516f3d979742c570e63c007691f7150d"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

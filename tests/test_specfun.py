@@ -1,6 +1,7 @@
 """Series evaluators, their exact polynomial forms, residual certificates
 and the quadrature rules, each against an independent oracle."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -710,6 +711,20 @@ class TestSzaszK:
         with pytest.raises(DomainError, match="708"):
             szasz_K(nx, j, 1.0)
 
+    def test_weight_sums_digest(self):
+        # G and K (j in {0, 1, 2, 5}) for n <= 6 at 199 points from 1e-3 to ~1e3,
+        # recorded before the weight loop was tightened
+        h = hashlib.sha256()
+        for n in range(7):
+            for x in (10 ** (i / 33 - 3) for i in range(199)):
+                for kind, j in (("G", None), ("K", 0), ("K", 1), ("K", 2), ("K", 5)):
+                    try:
+                        out = (kernel_sum("G", n, x) if kind == "G" else szasz_K(n, j, x)).hex()
+                    except HeunopsError as exc:
+                        out = type(exc).__name__
+                    h.update(f"{kind} {n} {j} {x!r} {out}\n".encode())
+        assert h.hexdigest() == "b9eee7cd89290a52abf1f46bc514194c40c82e613a32c100a1c89741257648b5"
+
     def test_negative_family_index(self):
         with pytest.raises(IndexOutOfRange):
             szasz_K(-1, 0, 0.5)
@@ -919,6 +934,150 @@ class TestFloatPrefixes:
         assert 0 < specfun._series.cache_info().currsize <= specfun._CACHE_SIZE
 
 
+def _two_stage_sum(record, xf, tol, deriv):
+    """The float sum as a generator of terms feeding a summing loop: the
+    reference for the fused loop, with its messages and prefix growth."""
+    ratio = abs(xf) / record.radius
+
+    def terms():
+        coeffs = ()
+        xpow = 1.0  # x^(k-1) when deriv else x^k
+        for k in itertools.count():
+            if k == len(coeffs):
+                coeffs = record.prefix(min(2 * k + 32, specfun.MAX_TERMS), False)
+            c = coeffs[k]
+            if abs(c) > 1e280:
+                raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+            elif not deriv:
+                yield c * xpow
+                xpow *= xf
+            elif k:
+                yield k * c * xpow
+                xpow *= xf
+            else:
+                yield 0.0
+
+    s = 0.0
+    small = 0
+    for k, t in zip(range(specfun.MAX_TERMS), terms()):
+        s += t
+        small = small + 1 if abs(t) <= tol * abs(s) else 0
+        if small >= 3:
+            r = min(ratio, 0.999)
+            return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
+    raise DivergentSeries(f"no convergence within {specfun.MAX_TERMS} terms")
+
+
+def _outcome(f, *args):
+    """A result, or the type and message of the exception raised."""
+    try:
+        return f(*args)
+    except HeunopsError as exc:
+        return type(exc), str(exc)
+
+
+_free = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def free_series_params(draw):
+    """Rational parameters of any of the three families, mostly non-terminating."""
+    kind = draw(st.sampled_from(["hl", "hc", "2f1"]))
+    gamma = draw(_free.filter(lambda v: not (v <= 0 and v.denominator == 1)))
+    if kind == "hl":
+        a = draw(_free.filter(lambda v: abs(v) >= F(1, 4) and v != 1))
+        return HeunParams(a, draw(_free), draw(_free), draw(_free), gamma, draw(_free))
+    if kind == "hc":
+        return ConfluentHeunParams(draw(_free), gamma, draw(_free), draw(_free), draw(_free))
+    return GaussParams(draw(_free), draw(_free), gamma)
+
+
+class TestFusedSum:
+    """The one summation loop against the two-stage reference, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(free_series_params(), heun_cases(), confluent_cases(), gauss_cases()),
+           st.lists(st.floats(-0.97, 0.97), min_size=1, max_size=4),
+           st.sampled_from([None, 0, 1, 2, 5, 40]))
+    def test_equals_two_stage_sum(self, params, fracs, max_terms):
+        specfun._series.cache_clear()
+        record = specfun._series(params)
+        with pytest.MonkeyPatch.context() as mp:
+            if max_terms is not None:
+                mp.setattr(specfun, "MAX_TERMS", max_terms)
+            for frac in fracs:
+                xf = frac * record.radius
+                for tol, deriv in itertools.product((1e-12, 1e-15), (False, True)):
+                    assert (_outcome(specfun._float_sum, record, xf, tol, deriv)
+                            == _outcome(_two_stage_sum, record, xf, tol, deriv))
+
+    @pytest.mark.parametrize("params, error", (
+        (HeunParams(0.5, 1e200, 1.5, 2.0, 1.0, 1.0), "coefficient overflow"),
+        (HeunParams(F(1, 2), 10**200, F(3, 2), 2, 1, 1), "coefficient overflow"),
+        (GaussParams(F(1, 2), F(3, 2), 2), "no convergence within"),
+    ), ids=("heun-float", "heun-rational", "gauss"))
+    @pytest.mark.parametrize("max_terms", (100_000, 33, 3, 0))
+    def test_overflow_and_max_terms_errors_equal(self, params, error, max_terms, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", max_terms)
+        record = specfun._series(params)
+        # at 0.995 R the tail estimate's ratio is capped at 0.999
+        for xf in (0.1 * record.radius, -0.9 * record.radius, 0.995 * record.radius):
+            for deriv in (False, True):
+                got = _outcome(specfun._float_sum, record, xf, 1e-15, deriv)
+                assert got == _outcome(_two_stage_sum, record, xf, 1e-15, deriv)
+                if max_terms == 3:  # the Gauss sum needs more terms; the Heun ones overflow at k = 2
+                    assert got[0] is DivergentSeries and error in got[1]
+                if max_terms == 0:
+                    assert got == (DivergentSeries, "no convergence within 0 terms")
+
+    def test_overflow_guard_is_at_1e280(self, monkeypatch):
+        # c_1 = 2q = 1e285 is a finite float; with two terms only the guard raises
+        monkeypatch.setattr(specfun, "MAX_TERMS", 2)
+        record = specfun._series(HeunParams(0.5, 5e284, 1.5, 2.0, 1.0, 1.0))
+        for deriv in (False, True):
+            got = _outcome(specfun._float_sum, record, 0.1, 1e-15, deriv)
+            assert got == _outcome(_two_stage_sum, record, 0.1, 1e-15, deriv)
+            assert got == (DivergentSeries, "coefficient overflow; argument too close to the disk boundary")
+
+    def test_derivative_grid_digest(self):
+        # recorded before the two-stage sum became one loop
+        grid = [F(i, 40) for i in range(-20, 21)]
+        sets = ((heun_local_deriv, HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)),
+                (heun_local_deriv, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0)),
+                (confluent_heun_deriv, ConfluentHeunParams(1, 2, 0, F(3, 2), 6)),
+                (confluent_heun_deriv, ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5))))
+        h = hashlib.sha256()
+        for tol in (1e-12, 1e-15):
+            for x in grid:
+                for f, params in sets:
+                    r = f(params, x, tol)
+                    h.update(f"{r.value.hex()} {r.terms_used} {r.terminated} "
+                             f"{r.tail_estimate.hex()}\n".encode())
+        assert h.hexdigest() == "5c24484131f83cbd2aa5628cd8c8050885ca23f3faa645fdcc3e78959ae799ea"
+
+    @pytest.mark.parametrize("params", (
+        HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1),
+        HeunParams(F(1, 2), -20, -40, 1, 1, 1),
+        ConfluentHeunParams(1, 2, 0, F(3, 2), 6),
+        GaussParams(F(1, 2), F(3, 2), 2),
+        GaussParams(-3, F(1, 2), F(3, 2)),
+    ), ids=("hl", "hl-terminating", "hc", "2f1", "2f1-terminating"))
+    def test_series_values_equal_single_points(self, params):
+        single = {HeunParams: heun_local, ConfluentHeunParams: confluent_heun,
+                  GaussParams: specfun.gauss_series}[type(params)]
+        xs = [F(i, 20) for i in range(-19, 20)] + [0.3, -0.45, 1e-300, 0]
+        for tol in (1e-12, 1e-15):
+            assert specfun.series_values(params, xs, tol) == [single(params, x, tol) for x in xs]
+
+    def test_series_values_raise_as_single_points(self):
+        params = HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1)
+        with pytest.raises(DivergentSeries, match="outside the disk"):
+            specfun.series_values(params, [0.1, F(1, 2)], 1e-15)
+        with pytest.raises(NonFinite):
+            specfun.series_values(params, [0.1, math.nan], 1e-15)
+        assert specfun.series_values(params, [], 1e-15) == []
+
+
 class TestKnDerivZero:
     def test_base_cases(self):
         assert kn_deriv_zero(1, 0) == 1
@@ -1032,6 +1191,8 @@ _POINT_FUNCTIONS = {
     "szasz_K": lambda x: szasz_K(2, 0, x),
     "szasz_K-ladder": lambda x: szasz_K(2, 3, x),
     "legendre_p": lambda x: legendre_p(3, x),
+    "series_values": lambda x: specfun.series_values(ConfluentHeunParams(F(1, 2), 1, 1, F(1, 2), 1),
+                                                     [0.25, x], 1e-15)[-1].value,
     "bspline_density": lambda x: bspline_density([0, 1, 2, 3])(x),
 }
 
