@@ -9,37 +9,41 @@ Two arithmetic regimes coexist:
 * float mode for grid evaluation, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
 
-One engine decides termination for all three families from the parameters
-(Ronveaux, *Heun's Differential Equations*, 1995; DLMF §31.5, §15.2).  A
-local Heun series can stop at degree N only if (N + alpha)(N + beta) = 0,
-a confluent Heun series only if 4p(N + alpha) = 0, where p = 0 means
-N(N - 1 + gamma + delta) = sigma, and a Gauss series stops at the first N
-with (N + a)(N + b) = 0.  The exact recurrence is then run over N + 2
-terms, and only when such an N exists; float parameters are converted
-exactly for it.  Series that terminate are evaluated as exact polynomials.
-A series that can stop only above ``MAX_DEGREE`` is rejected with
-:class:`DivergentSeries`, because its float sum cancels catastrophically.
+Each family declares its recurrence once, as
+c_{k+1} C_k = A_k c_k - B_k c_{k-1}, where A_k, B_k and C_k are integer
+quadratics in k built from the parameters scaled by the lcm of their
+denominators (B = 0 for Gauss); float parameters are converted exactly.
+One integer driver runs it for the exact coefficients of all three
+families: it keeps c_{k-1} and c_k as two integer numerators over one
+denominator and builds one ``Fraction`` per yielded coefficient.
 
-The exact coefficients of all three families come from one integer driver.
-Each family writes its recurrence as c_{k+1} = (A_k c_k - B_k c_{k-1}) / C_k,
-where A_k, B_k and C_k are integer quadratics in k built from the parameters
-scaled by the lcm of their denominators (B = 0 for Gauss).  The driver keeps
-c_{k-1} and c_k as two integer numerators over one denominator and builds one
-``Fraction`` per yielded coefficient.
+Termination is read off the same (A, B, C) (Ronveaux, *Heun's Differential
+Equations*, 1995; Kauers & Paule, *The Concrete Tetrahedron*, 2011, ch. 7).
+Once c_{N+1} = 0, c_{N+2} = -B_{N+1} c_N / C_{N+1}, so with B not 0 a
+series can stop at degree N only if B_{N+1} = 0, and with B = 0 it stops at
+the first N with A_N = 0.  Each is a test for non-negative integer roots of
+an integer quadratic, and gives the conditions of DLMF §31.5 and §15.2: a
+local Heun series can stop only if (N + alpha)(N + beta) = 0, a confluent
+Heun series only if 4p(N + alpha) = 0, where p = 0 means
+N(N - 1 + gamma + delta) = sigma, and a Gauss series stops at the first N
+with (N + a)(N + b) = 0.  The record's exact prefix is then scanned through
+c_{N+2}, and only when such an N exists.  Series that terminate are
+evaluated as exact polynomials.  A series that can stop only above
+``MAX_DEGREE`` is rejected with :class:`DivergentSeries`, because its float
+sum cancels catastrophically.
 
 Everything a parameter set fixes is resolved once into one cached record:
-the family name and radius of convergence, the exact and float coefficient
-prefixes, and the terminating polynomial with its derivative.  A
-terminating series is evaluated exactly at the rational value of ``x`` (a
-float converted exactly) by :meth:`Poly.rounded`, which runs integer Horner
-on the polynomial's integer form and rounds once.  A prefix that is too
-short is replaced by a longer one, so a grid runs its recurrence once; the
-Taylor coefficients of K_n are kept per ``n`` in the same way.
-:func:`series_values` looks the record up once for a whole grid.  Every
-float sum of the three families, values and derivatives, is one loop over
-the record's float prefix (:func:`_float_sum`).  Exact
-values of P_n at a rational point, and of F, U and J at any point, run
-over the integers.
+the family name and radius of convergence, the recurrence, the exact and
+float coefficient prefixes, and the terminating polynomial with its
+derivative.  A terminating series is evaluated exactly at the rational
+value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
+runs integer Horner on the polynomial's integer form and rounds once.  A
+prefix that is too short is replaced by a longer one, so a grid runs its
+recurrence once; the Taylor coefficients of K_n are kept per ``n`` in the
+same way.  :func:`series_values` looks the record up once for a whole grid.
+Every float sum of the three families, values and derivatives, is one loop
+over the record's float prefix (:func:`_float_sum`).  Exact values of P_n
+at a rational point, and of F, U and J at any point, run over the integers.
 """
 
 from __future__ import annotations
@@ -80,6 +84,14 @@ def _check_point(x: Scalar) -> None:
     """Reject a NaN or infinite point: no series or sum has a value there."""
     if isinstance(x, float) and not math.isfinite(x):
         raise NonFinite(f"point x = {x} is not finite")
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol`` itself once checked: a NaN, infinite or negative tolerance
+    would stop a sum at once, or never."""
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tolerance tol = {tol} must be finite and non-negative")
+    return tol
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
@@ -125,8 +137,8 @@ class GaussParams(_SeriesParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        stop = _gauss_stop_degree(self)
-        if _is_nonpositive_integer(self.c) and (stop is None or -int(self.c) < stop):
+        stops = [int(-v) for v in (self.a, self.b) if _is_nonpositive_integer(v)]
+        if _is_nonpositive_integer(self.c) and (not stops or -int(self.c) < min(stops)):
             raise InvalidC("c hits a non-positive integer before the series terminates")
 
 
@@ -183,10 +195,8 @@ class ConfluentHeunParams(_SeriesParams):
 # ---------------------------------------------------------------------------
 
 
-def _heun_stream(params: HeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
-                 c: Scalar = 1) -> Iterator:
-    """Yield the local-series coefficients c_k, c_{k+1}, ... from
-    c_{k-1} = ``c_prev`` and c_k = ``c`` (by default c_0 = 1, c_1, ...).
+def _heun_recurrence(params: HeunParams) -> tuple:
+    """(A, B, C) of the local Heun series at 0, with c_{-1} = 0 and c_0 = 1.
 
     Recurrence (coefficient of x^k in the polynomial form of the ODE):
 
@@ -194,16 +204,14 @@ def _heun_stream(params: HeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0
             = [(1+a)k(k-1) + (gamma(1+a) + delta*a + epsilon)k + q] c_k
               - (k-1+alpha)(k-1+beta) c_{k-1}
     """
-    if not exact:
-        return _heun_floats(params, k, c_prev, c)
     # the recurrence times s^2, in the parameters times s
     s, (a, q, al, be, ga, de) = _scaled(params.a, params.q, params.alpha, params.beta,
                                         params.gamma, params.delta)
     eps = al + be + s - ga - de
     lin = ga * (s + a) + de * a + eps * s
-    return _exact_stream(((s + a) * s, lin - (s + a) * s, q * s),
-                         (s * s, s * (al + be - 2 * s), (al - s) * (be - s)),
-                         (a * s, a * (s + ga), a * ga), k, c_prev, c)
+    return (((s + a) * s, lin - (s + a) * s, q * s),
+            (s * s, s * (al + be - 2 * s), (al - s) * (be - s)),
+            (a * s, a * (s + ga), a * ga))
 
 
 def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
@@ -221,21 +229,17 @@ def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Itera
         k += 1
 
 
-def _confluent_stream(params: ConfluentHeunParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
-                      c: Scalar = 1) -> Iterator:
-    """Yield the series coefficients c_k, c_{k+1}, ... of the confluent
-    Heun function at 0 from c_{k-1} = ``c_prev`` and c_k = ``c``.
+def _confluent_recurrence(params: ConfluentHeunParams) -> tuple:
+    """(A, B, C) of the confluent Heun series at 0:
 
         (k+1)(k+gamma) c_{k+1}
             = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}
     """
-    if not exact:
-        return _confluent_floats(params, k, c_prev, c)
     # the recurrence times s^2, in the parameters times s
     s, (p, ga, de, al, sg) = _scaled(params.p, params.gamma, params.delta, params.alpha, params.sigma)
-    return _exact_stream((s * s, s * (ga + de - 4 * p) - s * s, -sg * s),
-                         (0, -4 * p * s, -4 * p * (al - s)),
-                         (s * s, s * (s + ga), s * ga), k, c_prev, c)
+    return ((s * s, s * (ga + de - 4 * p) - s * s, -sg * s),
+            (0, -4 * p * s, -4 * p * (al - s)),
+            (s * s, s * (s + ga), s * ga))
 
 
 def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
@@ -252,10 +256,10 @@ def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Sc
 
 def _scaled(*values: Scalar) -> tuple[int, list[int]]:
     """``(s, [s v, ...])``: s is the lcm of the denominators of the values,
-    each converted exactly to a ``Fraction`` (floats included)."""
-    fs = [Fraction(v) for v in values]
-    s = math.lcm(*(f.denominator for f in fs))
-    return s, [f.numerator * (s // f.denominator) for f in fs]
+    each converted exactly (floats included)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = math.lcm(*(d for _, d in ratios))
+    return s, [n * (s // d) for n, d in ratios]
 
 
 def _exact_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int, int, int],
@@ -288,21 +292,18 @@ def _exact_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int
         k += 1
 
 
-def _exact_prefix(stream: Iterator, cap: int) -> tuple[list[Fraction], bool]:
-    """Collect exact coefficients until two consecutive zeros (all later
-    ones vanish in a three-term recurrence) or ``cap`` terms.
-
-    Returns the collected list and whether the series terminated.
-    """
-    coeffs: list[Fraction] = []
-    for c in stream:
-        coeffs.append(c)
-        if len(coeffs) >= 2 and coeffs[-1] == 0 and coeffs[-2] == 0:
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            return coeffs, True
-        if len(coeffs) > cap:
-            return coeffs, False
+def _integer_roots(a2: int, a1: int, a0: int) -> set[int]:
+    """The non-negative integer roots of a2 k^2 + a1 k + a0, an integer
+    polynomial that is not 0."""
+    if a2:
+        disc = a1 * a1 - 4 * a2 * a0
+        root = math.isqrt(max(disc, 0))
+        if root * root != disc:
+            return set()
+        nums, den = (-a1 - root, -a1 + root), 2 * a2
+    else:
+        nums, den = (-a0,), a1
+    return {n // den for n in nums if den and n % den == 0 and n // den >= 0}
 
 
 #: entries kept by each cache of series records, coefficient prefixes and rules
@@ -322,29 +323,16 @@ def _bounded_put(cache: dict, key, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_stop_degree(params: GaussParams) -> int | None:
-    """Degree of a terminating Gauss series, the first k with (k+a)(k+b) = 0, else None."""
-    stops = [int(-v) for v in (params.a, params.b) if _is_nonpositive_integer(v)]
-    return min(stops) if stops else None
-
-
-def _gauss_stream(params: GaussParams, exact: bool, k: int = 0, c_prev: Scalar = 0,
-                  c: Scalar = 1) -> Iterator:
-    """Yield the coefficients c_k, c_{k+1}, ... from c_k = ``c`` (by default
-    c_0 = 1, c_1, ...) with c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)).
-
-    ``c_prev`` is unused: it keeps the signature of the Heun streams.  A
-    zero numerator is yielded undivided: past the stop, c + k may be 0.
-    """
-    if not exact:
-        return _gauss_floats(params, k, c)
+def _gauss_recurrence(params: GaussParams) -> tuple:
+    """(A, B, C) of c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)), with B = 0."""
     # the recurrence times s^2, in the parameters times s
     s, (a, b, g) = _scaled(params.a, params.b, params.c)
-    return _exact_stream((s * s, s * (a + b), a * b), (0, 0, 0), (s * s, s * (s + g), s * g),
-                         k, c_prev, c)
+    return (s * s, s * (a + b), a * b), (0, 0, 0), (s * s, s * (s + g), s * g)
 
 
-def _gauss_floats(params: GaussParams, k: int, c: Scalar) -> Iterator[float]:
+def _gauss_floats(params: GaussParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
+    """The float coefficients from c_k = ``c``; ``c_prev`` is unused.  A zero
+    numerator is yielded undivided: past the stop, c + k may be 0."""
     a, b, g, c = float(params.a), float(params.b), float(params.c), float(c)
     for k in itertools.count(k):
         yield c
@@ -359,13 +347,13 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     ``MAX_DEGREE``) are evaluated exactly and work for any x; otherwise
     |x| < 1 is required.
     """
-    return _point_value(_series(GaussParams(a, b, c)), x, tol, False)
+    return _point_value(_series(GaussParams(a, b, c)), x, _checked_tol(tol), False)
 
 
 def gauss_series(params: GaussParams, x: Scalar, tol: float = 1e-15) -> SeriesResult:
     """:func:`hyp2f1` of a parameter set built once, as :func:`heun_local`
     takes one, so that a grid of points checks the parameters once."""
-    return _point_value(_series(params), x, tol, False)
+    return _point_value(_series(params), x, _checked_tol(tol), False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -454,16 +442,6 @@ def heun_coeffs(params: HeunParams, count: int) -> list:
     return _series_coeffs(params, count)
 
 
-def _heun_stop_degree(params: HeunParams) -> int | None:
-    """Largest degree N at which the local series can terminate, else None.
-
-    c_{N+2} = -(N+alpha)(N+beta) c_N / (...) once c_{N+1} = 0, so N must
-    make alpha or beta equal to -N.
-    """
-    stops = [int(-v) for v in (params.alpha, params.beta) if _is_nonpositive_integer(v)]
-    return max(stops) if stops else None
-
-
 def heun_poly(params: HeunParams) -> Poly:
     """Exact polynomial form of a terminating local Heun series.
 
@@ -475,12 +453,12 @@ def heun_poly(params: HeunParams) -> Poly:
 
 def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Local Heun function at ``x`` (series at the origin, value 1 there)."""
-    return _point_value(_series(params), x, tol, False)
+    return _point_value(_series(params), x, _checked_tol(tol), False)
 
 
 def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Termwise-differentiated local Heun series at ``x``."""
-    return _point_value(_series(params), x, tol, True)
+    return _point_value(_series(params), x, _checked_tol(tol), True)
 
 
 def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
@@ -528,34 +506,13 @@ def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
     return _series_poly(params)
 
 
-def _confluent_stop_degree(params: ConfluentHeunParams) -> int | None:
-    """Largest degree N at which the confluent series can terminate, else None.
-
-    c_{N+2} = 4p(N+alpha) c_N / (...) once c_{N+1} = 0.  For p != 0 this
-    needs alpha = -N.  For p = 0 the recurrence has two terms, and N must
-    be a non-negative integer root of N^2 + (gamma+delta-1)N - sigma.
-    """
-    if params.p != 0:
-        return int(-params.alpha) if _is_nonpositive_integer(params.alpha) else None
-    b = Fraction(params.gamma) + Fraction(params.delta) - 1
-    disc = b * b + 4 * Fraction(params.sigma)
-    if disc < 0:
-        return None
-    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    if num * num != disc.numerator or den * den != disc.denominator:
-        return None
-    root = Fraction(num, den)
-    roots = [r for r in ((-b + root) / 2, (-b - root) / 2) if r >= 0 and r.denominator == 1]
-    return int(max(roots)) if roots else None
-
-
 def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     """Confluent Heun function at ``x``, series at the origin with value 1."""
-    return _point_value(_series(params), x, tol, False)
+    return _point_value(_series(params), x, _checked_tol(tol), False)
 
 
 def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
-    return _point_value(_series(params), x, tol, True)
+    return _point_value(_series(params), x, _checked_tol(tol), True)
 
 
 def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
@@ -580,12 +537,12 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
 # termination, polynomial form and evaluation of the three series families
 # ---------------------------------------------------------------------------
 
-#: series name, stop-degree rule, coefficient stream and radius of
+#: series name, integer recurrence, float coefficient loop and radius of
 #: convergence of each family
 _FAMILIES = {
-    HeunParams: ("local Heun", _heun_stop_degree, _heun_stream, heun_radius),
-    ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree, _confluent_stream, lambda params: 1.0),
-    GaussParams: ("Gauss", _gauss_stop_degree, _gauss_stream, lambda params: 1.0),
+    HeunParams: ("local Heun", _heun_recurrence, _heun_floats, heun_radius),
+    ConfluentHeunParams: ("confluent Heun", _confluent_recurrence, _confluent_floats, lambda params: 1.0),
+    GaussParams: ("Gauss", _gauss_recurrence, _gauss_floats, lambda params: 1.0),
 }
 
 
@@ -595,10 +552,24 @@ class _Series:
 
     def __init__(self, params) -> None:
         self.params = params
-        self.name, self._stop_degree, self._stream, radius = _FAMILIES[type(params)]
+        self.name, self._recurrence, self._floats, radius = _FAMILIES[type(params)]
         self.radius = radius(params)
         # keyed by ``exact``; a prefix is replaced, never grown in place
         self.prefixes: dict[bool, tuple] = {True: (Fraction(1),), False: (1.0,)}
+
+    @cached_property
+    def recurrence(self) -> tuple:
+        """Integer quadratics (A, B, C) of c_{k+1} C_k = A_k c_k - B_k c_{k-1}
+        in the parameters, float ones converted exactly."""
+        return self._recurrence(self.params)
+
+    def stream(self, exact: bool, k: int = 0, c_prev: Scalar = 0, c: Scalar = 1) -> Iterator:
+        """Yield the coefficients c_k, c_{k+1}, ... from c_{k-1} = ``c_prev``
+        and c_k = ``c`` (by default c_0 = 1, c_1, ...): exact over the
+        integers, else in floats."""
+        if exact:
+            return _exact_stream(*self.recurrence, k, c_prev, c)
+        return self._floats(self.params, k, c_prev, c)
 
     def prefix(self, count: int, exact: bool) -> tuple:
         """The coefficient prefix, at least ``count`` long; a shorter one is
@@ -606,7 +577,7 @@ class _Series:
         prefix = self.prefixes[exact]
         k = len(prefix) - 1
         if count > k + 1:
-            rest = self._stream(self.params, exact, k, prefix[-2] if k else 0, prefix[-1])
+            rest = self.stream(exact, k, prefix[-2] if k else 0, prefix[-1])
             prefix += tuple(itertools.islice(rest, 1, count - k))
             self.prefixes[exact] = prefix
         return prefix
@@ -614,16 +585,29 @@ class _Series:
     @cached_property
     def poly(self) -> Poly | None:
         """Exact polynomial form of a terminating series (float parameters
-        converted exactly), or None.  A series that can stop only above
-        ``MAX_DEGREE`` raises :class:`DivergentSeries` on every access: its
-        float sum cancels catastrophically and would be silently wrong.
+        converted exactly), or None.
+
+        The series stops at degree N when c_{N+1} = c_{N+2} = 0.  With B not
+        0 that needs B_{N+1} = 0, so the largest such N >= 0 bounds the
+        degree; with B = 0 the series stops at the first N >= 0 with A_N = 0.
+        The exact prefix is scanned up to that bound for two zeros in a row.
+        A series that can stop only above ``MAX_DEGREE`` raises
+        :class:`DivergentSeries` on every access: its float sum cancels
+        catastrophically and would be silently wrong.
         """
-        stop = self._stop_degree(self.params)
+        A, B, _ = self.recurrence
+        if any(B):  # once c_{N+1} = 0, c_{N+2} = -B_{N+1} c_N / C_{N+1}
+            b2, b1, b0 = B
+            stop = max(_integer_roots(b2, 2 * b2 + b1, b2 + b1 + b0), default=None)
+        else:  # c_{N+1} = A_N c_N / C_N
+            stop = min(_integer_roots(*A), default=None)
         if stop is None:
             return None
-        coeffs, terminated = _exact_prefix(self._stream(self.params, True), min(stop, MAX_DEGREE) + 2)
-        if terminated:
-            return Poly(tuple(coeffs))
+        cap = min(stop, MAX_DEGREE) + 2
+        coeffs = self.prefix(cap + 1, True)
+        for k in range(1, cap + 1):
+            if coeffs[k] == 0 and coeffs[k - 1] == 0:
+                return Poly(coeffs[:k - 1])
         if stop > MAX_DEGREE:
             raise DivergentSeries(f"{self.name} series can stop only at degree {stop}, "
                                   f"above MAX_DEGREE = {MAX_DEGREE}")
@@ -658,7 +642,7 @@ def series_values(params, xs: Iterable[Scalar], tol: float) -> list[SeriesResult
     ``xs``, each as :func:`heun_local`, :func:`confluent_heun` or
     :func:`gauss_series` gives it, with the same checks and exceptions;
     the record of ``params`` is looked up once for the whole grid."""
-    series = _series(params)
+    series, tol = _series(params), _checked_tol(tol)
     return [_point_value(series, x, tol, False) for x in xs]
 
 
@@ -790,6 +774,7 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     _check_point(x)
+    _checked_tol(tol)
     if kind in ("F", "U", "J"):
         u, v = x.as_integer_ratio()
         if kind == "F":
@@ -882,6 +867,7 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     if j > 16:
         raise DomainError("derivative ladder supported for j <= 16")
     _check_point(x)
+    _checked_tol(tol)
     if x < 0:
         raise DomainError("K is evaluated on x >= 0 only")
     xf = float(x)

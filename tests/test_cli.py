@@ -566,16 +566,17 @@ class TestBuildOnce:
     ), ids=("hl", "2f1"))
     def test_terminating_grid_builds_polynomial_once(self, capsys, monkeypatch, argv, rows):
         calls = []
-        real = specfun._exact_prefix
+        real = specfun._exact_stream
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(specfun, "_exact_prefix", counting)
+        monkeypatch.setattr(specfun, "_exact_stream", counting)
         specfun._series.cache_clear()
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 0 and len(out.splitlines()) == rows
+        # one exact stream, the record's prefix that the polynomial is read from
         assert len(calls) == 1
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heunops import specfun
@@ -314,9 +314,19 @@ gammas = st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(7, 3)])
 near_miss = st.sampled_from([F(0), F(0), F(1, 7)])
 
 
-def _scan_oracle(stream):
-    """Plain termination scan that ignores the parameters."""
-    return specfun._exact_prefix(stream, 3 * ORACLE_DEGREE)
+def _scan(coeffs):
+    """``(coefficients, True)`` cut before the first two zeros in a row, from
+    which a three-term recurrence stays 0, else ``(coeffs, False)``."""
+    for k in range(1, len(coeffs)):
+        if coeffs[k] == 0 and coeffs[k - 1] == 0:
+            return coeffs[:k - 1], True
+    return coeffs, False
+
+
+def _scan_oracle(params):
+    """Plain termination scan of the test-side ``Fraction`` recurrence, which
+    ignores where the parameters let the series stop."""
+    return _scan(_fresh_exact(params, 3 * ORACLE_DEGREE + 1))
 
 
 @st.composite
@@ -393,7 +403,7 @@ class TestTermination:
     @given(heun_cases())
     def test_heun_stop_degree_matches_scan(self, hp):
         poly = specfun._series(hp).poly
-        ref, ref_terminated = _scan_oracle(specfun._heun_stream(hp, True))
+        ref, ref_terminated = _scan_oracle(hp)
         assert (poly is not None) == ref_terminated
         if ref_terminated:
             assert list(poly.coeffs) == ref
@@ -402,7 +412,7 @@ class TestTermination:
     @given(confluent_cases())
     def test_confluent_stop_degree_matches_scan(self, cp):
         poly = specfun._series(cp).poly
-        ref, ref_terminated = _scan_oracle(specfun._confluent_stream(cp, True))
+        ref, ref_terminated = _scan_oracle(cp)
         assert (poly is not None) == ref_terminated
         if ref_terminated:
             assert list(poly.coeffs) == ref
@@ -411,7 +421,7 @@ class TestTermination:
     @given(gauss_cases())
     def test_gauss_stop_degree_matches_scan(self, gp):
         poly = specfun._series(gp).poly
-        ref, ref_terminated = _scan_oracle(specfun._gauss_stream(gp, True))
+        ref, ref_terminated = _scan_oracle(gp)
         assert (poly is not None) == ref_terminated
         if ref_terminated:
             assert list(poly.coeffs) == ref
@@ -427,6 +437,14 @@ class TestTermination:
         with pytest.raises(DivergentSeries, match="degree 300"):
             confluent_heun(ConfluentHeunParams(0, 1, 0, F(1, 2), 90000), F(1, 2))
 
+    def test_p0_series_stops_at_the_first_root(self):
+        # p = 0 and N^2 - 700 N + 120000 = (N - 300)(N - 400): the two-term
+        # series can stop only at the first root, so the message names 300
+        with pytest.raises(DivergentSeries, match="degree 300,"):
+            confluent_heun(ConfluentHeunParams(0, 1, -700, F(1, 2), -120000), F(1, 2))
+        # (N - 2)(N - 300): a quadratic
+        assert confluent_heun_poly(ConfluentHeunParams(0, 1, -302, F(1, 2), -600))(F(1, 2)) == F(23027, 2)
+
     def test_float_parameters_terminate_exactly(self):
         # 0.5 and the integers are exact binary floats, so the exact path
         # must reproduce the rational-parameter values bit for bit
@@ -436,6 +454,142 @@ class TestTermination:
         assert r == heun_local(F_PARAMS(20), 0.4)
         r = confluent_heun(ConfluentHeunParams(0.0, 1.0, 0.0, 0.5, 64.0), 0.9)
         assert r.terminated and r == confluent_heun(ConfluentHeunParams(0, 1, 0, F(1, 2), 64), 0.9)
+
+
+def _nonpositive_integer(v):
+    v = F(v)
+    return v <= 0 and v.denominator == 1
+
+
+def _heun_stop_degree(params):
+    """The largest N with (N + alpha)(N + beta) = 0, as c_{N+2} =
+    -(N+alpha)(N+beta) c_N / (...) once c_{N+1} = 0.
+
+    This rule and the next two are the hand-written stop rules that
+    termination read off the recurrence replaced; they are its oracles."""
+    stops = [int(-v) for v in (params.alpha, params.beta) if _nonpositive_integer(v)]
+    return max(stops) if stops else None
+
+
+def _p0_roots(params):
+    """Non-negative integer roots of N^2 + (gamma+delta-1)N - sigma."""
+    b = F(params.gamma) + F(params.delta) - 1
+    disc = b * b + 4 * F(params.sigma)
+    if disc < 0:
+        return []
+    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    root = F(num, den)
+    return [int(r) for r in ((-b + root) / 2, (-b - root) / 2) if r >= 0 and r.denominator == 1]
+
+
+def _confluent_stop_degree(params):
+    """alpha = -N for p != 0; for p = 0 the largest root of :func:`_p0_roots`."""
+    if params.p != 0:
+        return int(-params.alpha) if _nonpositive_integer(params.alpha) else None
+    return max(_p0_roots(params), default=None)
+
+
+def _gauss_stop_degree(params):
+    """The first N with (N+a)(N+b) = 0."""
+    stops = [int(-v) for v in (params.a, params.b) if _nonpositive_integer(v)]
+    return min(stops) if stops else None
+
+
+_STOP_RULES = {HeunParams: ("local Heun", _heun_stop_degree),
+               ConfluentHeunParams: ("confluent Heun", _confluent_stop_degree),
+               GaussParams: ("Gauss", _gauss_stop_degree)}
+
+
+def _above_max_degree(name, stop):
+    return f"{name} series can stop only at degree {stop}, above MAX_DEGREE = {specfun.MAX_DEGREE}"
+
+
+def _rule_poly(params):
+    """The polynomial form as the stop rules decided it: the test-side
+    recurrence scanned through c_{N+2} for the rule's N."""
+    name, rule = _STOP_RULES[type(params)]
+    stop = rule(params)
+    if stop is None:
+        return None
+    coeffs, terminated = _scan(_fresh_exact(params, min(stop, specfun.MAX_DEGREE) + 3))
+    if terminated:
+        return Poly(tuple(coeffs))
+    if stop > specfun.MAX_DEGREE:
+        raise DivergentSeries(_above_max_degree(name, stop))
+    return None
+
+
+#: a root at or below MAX_DEGREE, or one above it
+_root = st.one_of(st.integers(0, 12), st.integers(250, 300))
+
+
+@st.composite
+def p0_two_root_cases(draw):
+    """p = 0 with N(N - 1 + gamma + delta) = sigma at two non-negative integers."""
+    r, s = sorted((draw(_root), draw(_root)))
+    gamma = draw(gammas)
+    return ConfluentHeunParams(F(0), gamma, 1 - r - s - gamma, draw(small), F(-r * s))
+
+
+@st.composite
+def gauss_two_stop_cases(draw):
+    """a and b both non-positive integers."""
+    a, b = F(-draw(_root)), F(-draw(_root))
+    stop = min(-a, -b)
+    return GaussParams(a, b, draw(st.sampled_from([-stop, -stop - 1, F(1, 2), F(1), F(7, 3)])))
+
+
+@st.composite
+def integer_quadratics(draw):
+    """Integer polynomials a2 k^2 + a1 k + a0 other than 0: random ones, and
+    products scale (m k - r)(n k - s), which are linear for m = 0, lead
+    negatively for scale < 0 and have a double root for m = n and r = s."""
+    if draw(st.booleans()):
+        coeffs = tuple(draw(st.integers(-30, 30)) for _ in range(3))
+    else:
+        scale = draw(st.integers(-3, 3).filter(bool))
+        m, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        r = draw(st.integers(-6, 12))
+        s = draw(st.one_of(st.just(r), st.integers(-6, 12)))
+        coeffs = scale * m * n, -scale * (m * s + n * r), scale * r * s
+    assume(any(coeffs))
+    return coeffs
+
+
+class TestDerivedStopRule:
+    """Termination read off (A, B, C) against the stop rules it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(heun_cases(), confluent_cases(), gauss_cases(), p0_two_root_cases(),
+                     gauss_two_stop_cases()), st.booleans())
+    def test_same_polynomial_or_error_as_the_stop_rules(self, params, floats):
+        if floats:
+            params = _as_floats(params)
+        want = _outcome(_rule_poly, params)
+        if isinstance(params, ConfluentHeunParams) and params.p == 0 and _p0_roots(params):
+            first = min(_p0_roots(params))
+            if first > specfun.MAX_DEGREE:  # both roots above: the two-term series stops at the first
+                want = DivergentSeries, _above_max_degree("confluent Heun", first)
+        assert _outcome(lambda: specfun._Series(params).poly) == want
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(integer_quadratics())
+    def test_integer_roots_match_a_scan(self, coeffs):
+        a2, a1, a0 = coeffs
+        # a non-negative root k is at most |a1| + |a0|
+        scan = {k for k in range(abs(a1) + abs(a0) + 2) if (a2 * k + a1) * k + a0 == 0}
+        assert specfun._integer_roots(a2, a1, a0) == scan
+
+    @pytest.mark.parametrize("coeffs, roots", (
+        ((1, -6, 9), {3}),  # double root
+        ((-1, 7, -10), {2, 5}),  # negative leading coefficient
+        ((0, 2, -6), {3}), ((0, -2, 6), {3}), ((0, 2, -5), set()), ((0, 0, 7), set()),
+        ((1, 0, 0), {0}), ((1, 3, 2), set()), ((2, -1, -1), {1}), ((1, 0, 1), set()),
+    ))
+    def test_integer_roots_examples(self, coeffs, roots):
+        assert specfun._integer_roots(*coeffs) == roots
 
 
 def _mp(v) -> mpmath.mpf:
@@ -464,18 +618,18 @@ class TestExactEvaluation:
 
     def test_value_and_derivative_share_one_build(self, monkeypatch):
         calls = []
-        real = specfun._exact_prefix
+        real = specfun._exact_stream
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(specfun, "_exact_prefix", counting)
+        monkeypatch.setattr(specfun, "_exact_stream", counting)
         specfun._series.cache_clear()
         hp = F_PARAMS(12)
         for x in (0.1, F(1, 3), 0.9):
             assert heun_local(hp, x).terminated and heun_local_deriv(hp, x).terminated
-        assert len(calls) == 1
+        assert len(calls) == 1  # one exact stream for the record
         assert heun_local_deriv(hp, F(1, 3)).value == float(heun_poly(hp).derivative()(F(1, 3)))
 
 
@@ -816,7 +970,7 @@ class TestCoefficientPrefixes:
             params = _as_floats(params)
         count = 48
         ref = _fresh_exact(params, count)
-        assert list(itertools.islice(specfun._FAMILIES[type(params)][2](params, True), count)) == ref
+        assert list(itertools.islice(specfun._Series(params).stream(True), count)) == ref
         specfun._series.cache_clear()
         record = specfun._series(params)
         for n in (*_PREFIX_COUNTS, count, 40):
@@ -851,7 +1005,7 @@ class TestCoefficientPrefixes:
             assert exact == floats and hash(exact) == hash(floats)
             assert all(type(c) is F for c in _coeffs_of(exact, 12))
             got = _coeffs_of(floats, 12)
-            stream = specfun._FAMILIES[type(floats)][2](floats, False)
+            stream = specfun._Series(floats).stream(False)
             assert got == list(itertools.islice(stream, 12))
             assert all(type(c) is float for c in got)
 
@@ -859,7 +1013,7 @@ class TestCoefficientPrefixes:
 def _fresh_float_sum(params, x, tol, radius, deriv=False):
     """The float series summed from a fresh coefficient stream through a
     generator of terms, the reference for the cached float prefixes."""
-    stream = specfun._FAMILIES[type(params)][2](params, False)
+    stream = specfun._Series(params).stream(False)
 
     def terms():
         xpow = 1.0  # x^(k-1) when deriv else x^k
@@ -1207,3 +1361,33 @@ class TestNonFinitePoint:
     @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
     def test_finite_point_still_evaluates(self, name):
         assert math.isfinite(_POINT_FUNCTIONS[name](0.25))
+
+
+_TOL_HL = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)
+_TOL_HC = ConfluentHeunParams(1, 2, 0, F(3, 2), 6)
+_TOL_FUNCTIONS = {
+    "heun_local": lambda tol: heun_local(_TOL_HL, 0.9, tol),
+    "heun_local_deriv": lambda tol: heun_local_deriv(_TOL_HL, 0.5, tol),
+    "confluent_heun": lambda tol: confluent_heun(_TOL_HC, 0.5, tol),
+    "confluent_heun_deriv": lambda tol: confluent_heun_deriv(_TOL_HC, 0.5, tol),
+    "hyp2f1": lambda tol: hyp2f1(F(1, 2), F(3, 2), 2, 0.5, tol),
+    "gauss_series": lambda tol: specfun.gauss_series(GaussParams(F(1, 2), F(3, 2), 2), 0.5, tol),
+    "hyp2f1_pfaff": lambda tol: hyp2f1_pfaff(F(1, 2), F(3, 2), 2, -3.0, tol),
+    "series_values": lambda tol: specfun.series_values(_TOL_HL, [0.1, 0.9], tol),
+    "series_values_terminating": lambda tol: specfun.series_values(F_PARAMS(3), [0.5], tol),
+    "kernel_sum_G": lambda tol: kernel_sum("G", 4, 2.5, tol),
+    "kernel_sum_F": lambda tol: kernel_sum("F", 4, 0.25, tol),
+    "szasz_K": lambda tol: szasz_K(2, 0, 1.0, tol),
+    "szasz_K_at_0": lambda tol: szasz_K(2, 1, 0.0, tol),
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("name", _TOL_FUNCTIONS)
+    @pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1e-12),
+                             ids=("nan", "inf", "-inf", "negative"))
+    def test_malformed_tol_rejected(self, name, tol):
+        # an infinite tol would stop a sum at its first term, a NaN or
+        # negative one would run MAX_TERMS terms
+        with pytest.raises(DomainError, match="tol"):
+            _TOL_FUNCTIONS[name](tol)
