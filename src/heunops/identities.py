@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from . import entropy, specfun
 from .errors import (
@@ -86,19 +86,19 @@ class IdentityId(str, Enum):
 
 @dataclass(frozen=True)
 class ExactPoly:
-    kind: str = "exact"
+    kind: ClassVar[str] = "exact"
 
 
 @dataclass(frozen=True)
 class OdeResidual:
-    kind: str = "ode"
+    kind: ClassVar[str] = "ode"
 
 
 @dataclass(frozen=True)
 class NumericGrid:
     grid: tuple[float, ...]
     tol: float = 1e-9
-    kind: str = "numeric"
+    kind: ClassVar[str] = "numeric"
 
     def __post_init__(self) -> None:
         # a NaN, zero or negative tolerance fails every check, and an infinite

@@ -9,13 +9,15 @@ Two arithmetic regimes coexist:
 * float mode for grid evaluation, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
 
-Each family declares its recurrence once, as
-c_{k+1} C_k = A_k c_k - B_k c_{k-1}, where A_k, B_k and C_k are integer
-quadratics in k built from the parameters scaled by the lcm of their
-denominators (B = 0 for Gauss); float parameters are converted exactly.
-One integer driver runs it for the exact coefficients of all three
-families: it keeps c_{k-1} and c_k as two integer numerators over one
-denominator and builds one ``Fraction`` per yielded coefficient.
+Each family declares its differential equation m u'' + n u' + l u = 0
+once, as the integer coefficients of the polynomials s^2 m, s^2 n and
+s^2 l, where m(0) = 0 and s is the lcm of the parameter denominators
+(float parameters converted exactly).  The series recurrence
+c_{k+1} C_k = A_k c_k - B_k c_{k-1}, with integer quadratics A_k, B_k and
+C_k (B = 0 for Gauss), is read off the coefficient of x^k (Salvy &
+Zimmermann, "GFUN", ACM TOMS 20, 1994) and run over the integers for the
+exact coefficients of all three families; the exact ODE residuals read the
+same declaration as ``Poly`` coefficients.
 
 Termination is read off the same (A, B, C) (Ronveaux, *Heun's Differential
 Equations*, 1995; Kauers & Paule, *The Concrete Tetrahedron*, 2011, ch. 7).
@@ -26,11 +28,11 @@ an integer quadratic, and gives the conditions of DLMF §31.5 and §15.2: a
 local Heun series can stop only if (N + alpha)(N + beta) = 0, a confluent
 Heun series only if 4p(N + alpha) = 0, where p = 0 means
 N(N - 1 + gamma + delta) = sigma, and a Gauss series stops at the first N
-with (N + a)(N + b) = 0.  The record's exact prefix is then scanned through
-c_{N+2}, and only when such an N exists.  Series that terminate are
-evaluated as exact polynomials.  A series that can stop only above
-``MAX_DEGREE`` is rejected with :class:`DivergentSeries`, because its float
-sum cancels catastrophically.
+with (N + a)(N + b) = 0.  Only when such an N exists are the exact
+coefficients scanned, as they are built, up to c_{N+2} or the first two
+zeros in a row.  Series that terminate are evaluated as exact polynomials.
+A series that can stop only above ``MAX_DEGREE`` is rejected with
+:class:`DivergentSeries`, because its float sum cancels catastrophically.
 
 Everything a parameter set fixes is resolved once into one cached record:
 the family name and radius of convergence, the recurrence, the exact and
@@ -66,7 +68,7 @@ from .errors import (
     NonFinite,
     NotExact,
 )
-from .exactalg import E2, Poly, binary_form, rat
+from .exactalg import E2, Poly, binary_form
 
 Scalar = Union[Fraction, int, float]
 
@@ -95,9 +97,7 @@ def _checked_tol(tol: float) -> float:
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v <= 0 and Fraction(v).denominator == 1
-    return v <= 0 and float(v).is_integer()
+    return v <= 0 and v == int(v)
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,12 @@ class SeriesResult:
 
 
 class _SeriesParams:
-    """Checks shared by the three parameter classes; NaN or infinite fields have no series."""
+    """Checks shared by the three parameter classes: int, ``Fraction`` or finite float fields."""
 
     def __post_init__(self) -> None:
         for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction, float)):
+                raise DomainError(f"parameter {name} = {v!r} is not an int, Fraction or float")
             if isinstance(v, float) and not math.isfinite(v):
                 raise DomainError(f"parameter {name} = {v} is not finite")
 
@@ -195,23 +197,13 @@ class ConfluentHeunParams(_SeriesParams):
 # ---------------------------------------------------------------------------
 
 
-def _heun_recurrence(params: HeunParams) -> tuple:
-    """(A, B, C) of the local Heun series at 0, with c_{-1} = 0 and c_0 = 1.
-
-    Recurrence (coefficient of x^k in the polynomial form of the ODE):
-
-        a(k+1)(k+gamma) c_{k+1}
-            = [(1+a)k(k-1) + (gamma(1+a) + delta*a + epsilon)k + q] c_k
-              - (k-1+alpha)(k-1+beta) c_{k-1}
-    """
-    # the recurrence times s^2, in the parameters times s
-    s, (a, q, al, be, ga, de) = _scaled(params.a, params.q, params.alpha, params.beta,
-                                        params.gamma, params.delta)
+def _heun_ode(params: HeunParams) -> tuple:
+    """Heun's equation in the polynomial form of :func:`heun_ode_residual`."""
+    s, (a, q, al, be, ga, de) = _scaled(*vars(params).values())
     eps = al + be + s - ga - de
-    lin = ga * (s + a) + de * a + eps * s
-    return (((s + a) * s, lin - (s + a) * s, q * s),
-            (s * s, s * (al + be - 2 * s), (al - s) * (be - s)),
-            (a * s, a * (s + ga), a * ga))
+    return s, ((0, a * s, -(s + a) * s, s * s),
+               (ga * a, -(ga * (s + a) + de * a + eps * s), (ga + de + eps) * s),
+               (-q * s, al * be))
 
 
 def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
@@ -229,17 +221,10 @@ def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Itera
         k += 1
 
 
-def _confluent_recurrence(params: ConfluentHeunParams) -> tuple:
-    """(A, B, C) of the confluent Heun series at 0:
-
-        (k+1)(k+gamma) c_{k+1}
-            = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}
-    """
-    # the recurrence times s^2, in the parameters times s
-    s, (p, ga, de, al, sg) = _scaled(params.p, params.gamma, params.delta, params.alpha, params.sigma)
-    return ((s * s, s * (ga + de - 4 * p) - s * s, -sg * s),
-            (0, -4 * p * s, -4 * p * (al - s)),
-            (s * s, s * (s + ga), s * ga))
+def _confluent_ode(params: ConfluentHeunParams) -> tuple:
+    """The confluent Heun equation in the form of :func:`confluent_heun_ode_residual`."""
+    s, (p, ga, de, al, sg) = _scaled(*vars(params).values())
+    return s, ((0, -s * s, s * s, 0), (-ga * s, (ga + de - 4 * p) * s, 4 * p * s), (-sg * s, 4 * p * al))
 
 
 def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
@@ -252,6 +237,17 @@ def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Sc
         c_prev, c = c, num / ((k + 1) * (k + ga))
         yield c
         k += 1
+
+
+def _recurrence(m: tuple, n: tuple, lin: tuple) -> tuple:
+    """(A, B, C), integer quadratics in k given highest coefficient first, of
+    c_{k+1} C_k = A_k c_k - B_k c_{k-1} for m u'' + n u' + lin u = 0, from the
+    coefficients (lowest degree first) of m (degree 3, m(0) = 0), n (2) and
+    lin (1).  For u = sum c_k x^k the equation's x^k coefficient is
+    C_k c_{k+1} - A_k c_k + B_k c_{k-1}: C_k = (k+1)(m_1 k + n_0),
+    A_k = -(m_2 k(k-1) + n_1 k + l_0), B_k = m_3 (k-1)(k-2) + n_2 (k-1) + l_1."""
+    (_, m1, m2, m3), (n0, n1, n2), (l0, l1) = m, n, lin
+    return (-m2, m2 - n1, -l0), (m3, n2 - 3 * m3, 2 * m3 - n2 + l1), (m1, m1 + n0, n0)
 
 
 def _scaled(*values: Scalar) -> tuple[int, list[int]]:
@@ -323,11 +319,10 @@ def _bounded_put(cache: dict, key, value) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_recurrence(params: GaussParams) -> tuple:
-    """(A, B, C) of c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)), with B = 0."""
-    # the recurrence times s^2, in the parameters times s
-    s, (a, b, g) = _scaled(params.a, params.b, params.c)
-    return (s * s, s * (a + b), a * b), (0, 0, 0), (s * s, s * (s + g), s * g)
+def _gauss_ode(params: GaussParams) -> tuple:
+    """The hypergeometric equation x(1-x) u'' + [c - (a+b+1)x] u' - ab u = 0."""
+    s, (a, b, g) = _scaled(*vars(params).values())
+    return s, ((0, s * s, -s * s, 0), (g * s, -(a + b + s) * s, 0), (-a * b, 0))
 
 
 def _gauss_floats(params: GaussParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
@@ -462,15 +457,9 @@ def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> Serie
 
 
 def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
-    """Coefficients (m, n, lin) of Heun's equation m u'' + n u' + lin u = 0
-    in polynomial form."""
-    a, q = rat(params.a), rat(params.q)
-    al, be = rat(params.alpha), rat(params.beta)
-    ga, de = rat(params.gamma), rat(params.delta)
-    eps = al + be + 1 - ga - de
-    m = Poly.of(0, a, -(1 + a), 1)
-    n = Poly.of(a, -(1 + a), 1).scale(ga) + Poly.of(0, -a, 1).scale(de) + Poly.of(0, -1, 1).scale(eps)
-    return m, n, Poly.of(-q, al * be)
+    """Coefficients (m, n, lin) of Heun's equation m u'' + n u' + lin u = 0 in
+    the polynomial form of :func:`heun_ode_residual`; the parameters are rational."""
+    return _operator(params)
 
 
 def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
@@ -481,10 +470,7 @@ def heun_ode_residual(params: HeunParams, p: Poly) -> Poly:
 
     The zero polynomial certifies that ``p`` solves the equation.
     """
-    if not params.is_rational:
-        raise NotExact("exact residual requires rational parameters")
-    m, n, lin = heun_operator(params)
-    return m * p.derivative().derivative() + n * p.derivative() + lin * p
+    return _ode_residual(params, p)
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +509,35 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
     For a truncated series of a true solution the residual coefficients
     vanish through the truncation order.
     """
-    if not params.is_rational:
-        raise NotExact("exact residual requires rational parameters")
-    p, ga, de = rat(params.p), rat(params.gamma), rat(params.delta)
-    al, sg = rat(params.alpha), rat(params.sigma)
-    m = Poly.of(0, -1, 1)
-    n = m.scale(4 * p) + Poly.of(-ga, ga) + Poly.of(0, de)
-    lin = Poly.of(-sg, 4 * p * al)
-    return m * u.derivative().derivative() + n * u.derivative() + lin * u
+    return _ode_residual(params, u)
 
 
 # ---------------------------------------------------------------------------
 # termination, polynomial form and evaluation of the three series families
 # ---------------------------------------------------------------------------
 
-#: series name, integer recurrence, float coefficient loop and radius of
-#: convergence of each family
+#: series name, equation m u'' + n u' + lin u = 0 declared as (s, (s^2 m, s^2 n,
+#: s^2 lin)) with s the lcm of the parameter denominators and the polynomials
+#: as :func:`_recurrence` reads them, float loop and radius of each family
 _FAMILIES = {
-    HeunParams: ("local Heun", _heun_recurrence, _heun_floats, heun_radius),
-    ConfluentHeunParams: ("confluent Heun", _confluent_recurrence, _confluent_floats, lambda params: 1.0),
-    GaussParams: ("Gauss", _gauss_recurrence, _gauss_floats, lambda params: 1.0),
+    HeunParams: ("local Heun", _heun_ode, _heun_floats, heun_radius),
+    ConfluentHeunParams: ("confluent Heun", _confluent_ode, _confluent_floats, lambda params: 1.0),
+    GaussParams: ("Gauss", _gauss_ode, _gauss_floats, lambda params: 1.0),
 }
+
+
+def _operator(params) -> tuple[Poly, Poly, Poly]:
+    """The declared (m, n, lin) of a rational parameter set, as ``Poly``s."""
+    if not params.is_rational:
+        raise NotExact("the exact operator and residual require rational parameters")
+    s, ode = _FAMILIES[type(params)][1](params)
+    return tuple(Poly(Fraction(c, s * s) for c in coeffs) for coeffs in ode)
+
+
+def _ode_residual(params, u: Poly) -> Poly:
+    """m u'' + n u' + lin u for the declared operator of ``params``."""
+    m, n, lin = _operator(params)
+    return m * u.derivative().derivative() + n * u.derivative() + lin * u
 
 
 class _Series:
@@ -552,33 +546,35 @@ class _Series:
 
     def __init__(self, params) -> None:
         self.params = params
-        self.name, self._recurrence, self._floats, radius = _FAMILIES[type(params)]
+        self.name, self._ode, self._floats, radius = _FAMILIES[type(params)]
         self.radius = radius(params)
         # keyed by ``exact``; a prefix is replaced, never grown in place
         self.prefixes: dict[bool, tuple] = {True: (Fraction(1),), False: (1.0,)}
 
     @cached_property
     def recurrence(self) -> tuple:
-        """Integer quadratics (A, B, C) of c_{k+1} C_k = A_k c_k - B_k c_{k-1}
-        in the parameters, float ones converted exactly."""
-        return self._recurrence(self.params)
+        """Integer quadratics (A, B, C) of c_{k+1} C_k = A_k c_k - B_k c_{k-1},
+        read off the declared equation (float parameters converted exactly)."""
+        return _recurrence(*self._ode(self.params)[1])
 
     def stream(self, exact: bool, k: int = 0, c_prev: Scalar = 0, c: Scalar = 1) -> Iterator:
-        """Yield the coefficients c_k, c_{k+1}, ... from c_{k-1} = ``c_prev``
-        and c_k = ``c`` (by default c_0 = 1, c_1, ...): exact over the
-        integers, else in floats."""
+        """Yield c_k, c_{k+1}, ... from c_{k-1} = ``c_prev`` and c_k = ``c`` (by
+        default c_0 = 1, c_1, ...): exact over the integers, else in floats."""
         if exact:
             return _exact_stream(*self.recurrence, k, c_prev, c)
         return self._floats(self.params, k, c_prev, c)
 
-    def prefix(self, count: int, exact: bool) -> tuple:
-        """The coefficient prefix, at least ``count`` long; a shorter one is
-        extended by restarting the recurrence from its last two coefficients."""
+    def _rest(self, exact: bool) -> Iterator:
+        """The coefficients past the prefix, from the recurrence restarted at its last two."""
         prefix = self.prefixes[exact]
         k = len(prefix) - 1
-        if count > k + 1:
-            rest = self.stream(exact, k, prefix[-2] if k else 0, prefix[-1])
-            prefix += tuple(itertools.islice(rest, 1, count - k))
+        return itertools.islice(self.stream(exact, k, prefix[-2] if k else 0, prefix[-1]), 1, None)
+
+    def prefix(self, count: int, exact: bool) -> tuple:
+        """The coefficient prefix, at least ``count`` long: a shorter one is replaced."""
+        prefix = self.prefixes[exact]
+        if count > len(prefix):
+            prefix += tuple(itertools.islice(self._rest(exact), count - len(prefix)))
             self.prefixes[exact] = prefix
         return prefix
 
@@ -587,13 +583,12 @@ class _Series:
         """Exact polynomial form of a terminating series (float parameters
         converted exactly), or None.
 
-        The series stops at degree N when c_{N+1} = c_{N+2} = 0.  With B not
-        0 that needs B_{N+1} = 0, so the largest such N >= 0 bounds the
-        degree; with B = 0 the series stops at the first N >= 0 with A_N = 0.
-        The exact prefix is scanned up to that bound for two zeros in a row.
-        A series that can stop only above ``MAX_DEGREE`` raises
-        :class:`DivergentSeries` on every access: its float sum cancels
-        catastrophically and would be silently wrong.
+        The series stops at degree N when c_{N+1} = c_{N+2} = 0: with B not 0
+        at most at the largest N >= 0 with B_{N+1} = 0, with B = 0 at the
+        first N >= 0 with A_N = 0.  The exact prefix is built up to that bound
+        or the first two zeros in a row.  A series that can stop only above
+        ``MAX_DEGREE`` raises :class:`DivergentSeries` on every access: its
+        float sum cancels catastrophically and would be silently wrong.
         """
         A, B, _ = self.recurrence
         if any(B):  # once c_{N+1} = 0, c_{N+2} = -B_{N+1} c_N / C_{N+1}
@@ -603,11 +598,15 @@ class _Series:
             stop = min(_integer_roots(*A), default=None)
         if stop is None:
             return None
-        cap = min(stop, MAX_DEGREE) + 2
-        coeffs = self.prefix(cap + 1, True)
-        for k in range(1, cap + 1):
-            if coeffs[k] == 0 and coeffs[k - 1] == 0:
-                return Poly(coeffs[:k - 1])
+        coeffs = []
+        scan = itertools.chain(self.prefixes[True], self._rest(True))
+        for c in itertools.islice(scan, min(stop, MAX_DEGREE) + 3):
+            coeffs.append(c)
+            if c == 0 == coeffs[-2]:  # c_0 = 1, so a zero has a predecessor
+                break
+        self.prefixes[True] = max(self.prefixes[True], tuple(coeffs), key=len)
+        if c == 0 == coeffs[-2]:
+            return Poly(coeffs[:-2])
         if stop > MAX_DEGREE:
             raise DivergentSeries(f"{self.name} series can stop only at degree {stop}, "
                                   f"above MAX_DEGREE = {MAX_DEGREE}")

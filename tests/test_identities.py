@@ -98,6 +98,19 @@ class TestVerify:
         with pytest.raises(TypeError):
             identities.NumericGrid()  # the grid is required
 
+    @pytest.mark.parametrize("make, kind", (
+        (lambda **kw: identities.ExactPoly(**kw), "exact"),
+        (lambda **kw: identities.OdeResidual(**kw), "ode"),
+        (lambda **kw: identities.NumericGrid((0.1, 0.3), 1e-9, **kw), "numeric"),
+    ), ids=("ExactPoly", "OdeResidual", "NumericGrid"))
+    def test_mode_kind_is_fixed_by_its_class(self, make, kind):
+        # a kind= that disagrees with the class used to run another check
+        # (or fail with a bare AttributeError)
+        assert make().kind == kind
+        for other in ("exact", "ode", "numeric"):
+            with pytest.raises(TypeError):
+                make(kind=other)
+
     def test_tol_override_can_fail(self):
         rep = verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e-13)
         assert not rep.passed

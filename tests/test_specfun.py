@@ -1,6 +1,7 @@
 """Series evaluators, their exact polynomial forms, residual certificates
 and the quadrature rules, each against an independent oracle."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,6 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from heunops.errors import (
     InvalidC,
     InvalidGamma,
     NonFinite,
+    NotExact,
 )
 from heunops.exactalg import Poly
 from heunops.specfun import (
@@ -1391,3 +1394,174 @@ class TestTolerance:
         # negative one would run MAX_TERMS terms
         with pytest.raises(DomainError, match="tol"):
             _TOL_FUNCTIONS[name](tol)
+
+
+def _heun_recurrence(params):
+    """(A, B, C) of the local Heun series at 0, hand-expanded from the
+    coefficient of x^k in the polynomial form of the ODE:
+
+        a(k+1)(k+gamma) c_{k+1}
+            = [(1+a)k(k-1) + (gamma(1+a) + delta*a + epsilon)k + q] c_k
+              - (k-1+alpha)(k-1+beta) c_{k-1}
+
+    This and the next two are the hand-written recurrences that the one
+    read off each declared equation replaced; they are its oracles."""
+    s, (a, q, al, be, ga, de) = specfun._scaled(params.a, params.q, params.alpha, params.beta,
+                                                params.gamma, params.delta)
+    eps = al + be + s - ga - de
+    lin = ga * (s + a) + de * a + eps * s
+    return (((s + a) * s, lin - (s + a) * s, q * s),
+            (s * s, s * (al + be - 2 * s), (al - s) * (be - s)),
+            (a * s, a * (s + ga), a * ga))
+
+
+def _confluent_recurrence(params):
+    """(k+1)(k+gamma) c_{k+1} = [k(k-1) + (gamma + delta - 4p)k - sigma] c_k + 4p(k-1+alpha) c_{k-1}."""
+    s, (p, ga, de, al, sg) = specfun._scaled(params.p, params.gamma, params.delta, params.alpha, params.sigma)
+    return ((s * s, s * (ga + de - 4 * p) - s * s, -sg * s),
+            (0, -4 * p * s, -4 * p * (al - s)),
+            (s * s, s * (s + ga), s * ga))
+
+
+def _gauss_recurrence(params):
+    """c_{k+1} = c_k (k+a)(k+b) / ((k+c)(k+1)), with B = 0."""
+    s, (a, b, g) = specfun._scaled(params.a, params.b, params.c)
+    return (s * s, s * (a + b), a * b), (0, 0, 0), (s * s, s * (s + g), s * g)
+
+
+#: each family's hand-written (A, B, C) and the sign the derived one carries:
+#: the confluent equation is declared as its residual is oriented, x(x-1)
+#: u'' + ..., which is -1 times the equation the hand-written one expands
+_RECURRENCE_ORACLES = {HeunParams: (_heun_recurrence, 1), ConfluentHeunParams: (_confluent_recurrence, -1),
+                       GaussParams: (_gauss_recurrence, 1)}
+
+
+def _heun_operator_oracle(params):
+    """The ``Poly.of`` construction of Heun's operator that the declaration replaced."""
+    a, q, al, be, ga, de = (F(v) for v in vars(params).values())
+    eps = al + be + 1 - ga - de
+    m = Poly.of(0, a, -(1 + a), 1)
+    n = Poly.of(a, -(1 + a), 1).scale(ga) + Poly.of(0, -a, 1).scale(de) + Poly.of(0, -1, 1).scale(eps)
+    return m, n, Poly.of(-q, al * be)
+
+
+def _confluent_operator_oracle(params):
+    """The inline confluent operator that the declaration replaced."""
+    p, ga, de, al, sg = (F(v) for v in vars(params).values())
+    m = Poly.of(0, -1, 1)
+    return m, m.scale(4 * p) + Poly.of(-ga, ga) + Poly.of(0, de), Poly.of(-sg, 4 * p * al)
+
+
+def _quadratic(coeffs, k):
+    c2, c1, c0 = coeffs
+    return (c2 * k + c1) * k + c0
+
+
+_ints = st.integers(-50, 50)
+_small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+class TestDeclaredOperator:
+    """The recurrence and the residuals read off each family's one declared equation."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(heun_cases(), confluent_cases(), gauss_cases(), free_series_params()), st.booleans())
+    def test_derived_recurrence_matches_hand_written(self, params, floats):
+        if floats:
+            params = _as_floats(params)
+        oracle, sign = _RECURRENCE_ORACLES[type(params)]
+        want = tuple(tuple(sign * c for c in quadratic) for quadratic in oracle(params))
+        assert specfun._Series(params).recurrence == want
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.tuples(st.just(0), _ints, _ints, _ints), st.tuples(_ints, _ints, _ints), st.tuples(_ints, _ints),
+           st.integers(1, 40), st.tuples(_small_rationals, _small_rationals, _small_rationals))
+    def test_recurrence_is_the_x_k_coefficient_of_the_equation(self, m, n, lin, k, cs):
+        c_prev, c, c_next = cs
+        u = Poly.monomial(k - 1, c_prev) + Poly.monomial(k, c) + Poly.monomial(k + 1, c_next)
+        mp, np_, lp = (Poly(coeffs) for coeffs in (m, n, lin))
+        residual = mp * u.derivative().derivative() + np_ * u.derivative() + lp * u
+        A, B, C = specfun._recurrence(m, n, lin)
+        assert residual.coeff(k) == _quadratic(C, k) * c_next - _quadratic(A, k) * c + _quadratic(B, k) * c_prev
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(heun_cases(), confluent_cases(), free_series_params().filter(
+        lambda p: not isinstance(p, GaussParams))), st.lists(_small_rationals, min_size=1, max_size=8))
+    def test_operator_views_match_the_rational_construction(self, params, us):
+        u = Poly(tuple(us))
+        if isinstance(params, HeunParams):
+            m, n, lin = _heun_operator_oracle(params)
+            assert specfun.heun_operator(params) == (m, n, lin)
+            got = heun_ode_residual(params, u)
+        else:
+            m, n, lin = _confluent_operator_oracle(params)
+            got = confluent_heun_ode_residual(params, u)
+        assert got == m * u.derivative().derivative() + n * u.derivative() + lin * u
+
+    def test_float_parameters_have_no_exact_operator(self):
+        hp, cp = HeunParams(0.5, 0.25, 1.5, 2.0, 1.0, 1.0), ConfluentHeunParams(2.0, 1.0, 0.0, 0.5, 4.0)
+        for call in (lambda: specfun.heun_operator(hp), lambda: heun_ode_residual(hp, Poly.of(1)),
+                     lambda: confluent_heun_ode_residual(cp, Poly.of(1))):
+            with pytest.raises(NotExact):
+                call()
+
+
+class TestScanStopsAtTheStop:
+    def test_linear_series_with_a_large_second_root(self, monkeypatch):
+        # (N + alpha)(N + beta) = 0 at N = 1 and N = 300; the "degree 1"
+        # delta of heun_cases makes c_2 = 0, so the series is linear
+        built = []
+        real = specfun._exact_stream
+
+        def counting(*args):
+            for c in real(*args):
+                built.append(c)
+                yield c
+
+        monkeypatch.setattr(specfun, "_exact_stream", counting)
+        hp = HeunParams(2, F(1, 3), -1, -300, 1, F(6293, 3))
+        record = specfun._Series(hp)
+        assert record.poly == Poly(tuple(_fresh_exact(hp, 2))) and record.poly.degree == 1
+        assert record.poly == _rule_poly(hp)
+        assert len(record.prefixes[True]) <= 8 and len(built) <= 8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(heun_cases(), confluent_cases(), gauss_cases(), p0_two_root_cases()))
+    def test_prefix_ends_two_past_the_polynomial(self, params):
+        want = _outcome(_rule_poly, params)
+        assume(not isinstance(want, tuple))  # the errors are TestDerivedStopRule's
+        record = specfun._Series(params)
+        poly = record.poly
+        assert poly == want
+        if poly is not None:
+            assert len(record.prefixes[True]) == len(poly.coeffs) + 2
+            # a longer exact prefix continues the recurrence from the two zeros
+            assert list(record.prefix(30, True)[:30]) == _fresh_exact(params, 30)
+
+
+_BAD_PARAMETERS = (np.int64(2), np.float32(0.5), True, "1/2")
+_GOOD_SETS = {HeunParams: (2, F(1, 2), F(1, 2), F(3, 2), 1, 1), ConfluentHeunParams: (1, 2, 0, F(3, 2), 6),
+              GaussParams: (F(1, 2), F(3, 2), 2)}
+
+
+class TestParameterTypes:
+    @pytest.mark.parametrize("cls", _GOOD_SETS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("bad", _BAD_PARAMETERS, ids=repr)
+    def test_undeclared_types_rejected(self, cls, bad):
+        values = _GOOD_SETS[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        for i, name in enumerate(names):
+            with pytest.raises(DomainError, match=f"parameter {name} = "):
+                cls(*values[:i], bad, *values[i + 1:])
+
+    @pytest.mark.parametrize("call", (
+        lambda: heun_local(HeunParams(np.int64(2), 0.5, 0.5, 1.5, 1, 1), 0.3),
+        lambda: hyp2f1(np.int64(-3), 0.5, 1.5, 0.3),
+    ), ids=("heun_local", "hyp2f1"))
+    def test_numpy_integers_are_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="is not an int, Fraction or float"):
+            call()
+
+    def test_numpy_float64_is_a_float(self):
+        got = heun_local(HeunParams(np.float64(2), 0.5, 0.5, 1.5, 1, 1), 0.3)
+        assert got == heun_local(HeunParams(2.0, 0.5, 0.5, 1.5, 1, 1), 0.3)
