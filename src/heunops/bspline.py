@@ -9,6 +9,7 @@ equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,7 +102,7 @@ class TableSigma(SigmaSpec):
             return self.values[0]
         if x >= self.xs[-1]:
             return self.values[-1]
-        i = max(i for i in range(len(self.xs) - 1) if self.xs[i] <= x)
+        i = bisect_right(self.xs, x) - 1
         t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
         return self.values[i] + t * (self.values[i + 1] - self.values[i])
 

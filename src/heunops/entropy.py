@@ -125,7 +125,6 @@ def bernstein_apply(n: int, f: Poly) -> Poly:
                        E1, _ONE_MINUS_X, n)
 
 
-@lru_cache(maxsize=None)
 def _kantorovich_cell(n: int, k: int, j: int) -> PiecewisePoly:
     """Degree-(k-1) B-spline density on the k+1 knots j/n, ..., (j+k)/n."""
     return bspline.bspline_density([Fraction(j + i, n) for i in range(k + 1)])
@@ -153,14 +152,12 @@ def kantorovich_poly(n: int, k: int, f: Poly, method: str = "definition") -> Pol
         scale = Fraction(n**k * math.factorial(n - k), math.factorial(n))
         return out.scale(scale)
     if method == "bspline-form":
-        total = Poly()
-        for j in range(n - k + 1):
-            if k == 0:
-                weight = f(Fraction(j, n))
-            else:
-                weight = _kantorovich_cell(n, k, j).integrate(weight=f)
-            total = total + bernstein_poly(n - k, j).scale(weight)
-        return total
+        m = n - k
+        if k == 0:
+            weights = [f(Fraction(j, n)) for j in range(m + 1)]
+        else:
+            weights = [_kantorovich_cell(n, k, j).integrate(weight=f) for j in range(m + 1)]
+        return binary_form([comb(m, j) * w for j, w in enumerate(weights)], E1, _ONE_MINUS_X, m)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -279,41 +276,35 @@ def _point(x: Fraction, s, var) -> EntropyPoint:
     return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
 
 
-def _kantorovich_point(op: KantorovichOp, x: Fraction) -> EntropyPoint:
-    if x < 0 or x > 1:
-        raise DomainError(f"x = {x} outside the operator domain [0, 1]")
-    s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
-    return _point(x, s_poly.rounded(x), var_poly.rounded(x))
-
-
-def _bspline_point(op: BSplineOp, x: Fraction) -> EntropyPoint:
-    # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by
-    # w = sigma(x) and centred at x: exact, so s and the variance scale too
-    c = bspline.c_constant(op.n)
-    w = op.sigma.at(x)
-    return _point(x, c / w, w * w * bspline.unit_variance(op.n))
-
-
 def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     """Per-point squared-kernel integral, both entropies, and the variance.
 
-    No Cox-de Boor density is built.  B-spline values scale the exact
+    The operator's exact data is looked up once per call, not per point,
+    and no Cox-de Boor density is built.  B-spline values scale the exact
     constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
     with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n).  Kantorovich
     squared kernels take their cell overlaps from M_2k
     (:func:`s_direct_poly`); the variance is ``L e_2 - (L e_1)^2`` from the
     exact moment polynomials of the definition route, not from the k = 2
-    closed forms.  Kantorovich polynomials are built
-    once per (n, k) and evaluated at each grid point by integer Horner,
-    rounded once (:meth:`Poly.rounded`).  Either way each output float is
-    the rounding of the same exact rational as a per-point rebuild."""
+    closed forms.  Every point is checked against [0, 1] before the two
+    polynomials, built once per (n, k), are evaluated at each point by
+    integer Horner, rounded once (:meth:`Poly.rounded`).  Either way each
+    output float is the rounding of the same exact rational as a per-point
+    rebuild."""
     xs = [rat(x) for x in xs]
     if isinstance(op, BSplineOp):
-        return [_bspline_point(op, x) for x in xs]
+        # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by
+        # w = sigma(x) and centred at x: exact, so s and the variance scale too
+        c, unit_var = bspline.c_constant(op.n), bspline.unit_variance(op.n)
+        return [_point(x, c / w, w * w * unit_var) for x, w in zip(xs, map(op.sigma.at, xs))]
     if isinstance(op, KantorovichOp):
         if op.k < 1:
             raise UnsupportedK("entropy profile needs k >= 1 (k = 0 has a discrete kernel)")
-        return [_kantorovich_point(op, x) for x in xs]
+        for x in xs:
+            if x < 0 or x > 1:
+                raise DomainError(f"x = {x} outside the operator domain [0, 1]")
+        s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
+        return [_point(x, s_poly.rounded(x), var_poly.rounded(x)) for x in xs]
     raise DomainError(f"unknown operator spec {op!r}")
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
-from .errors import IndexOutOfRange, NonFinite, NotExact
+from .errors import DomainError, IndexOutOfRange, NonFinite, NotExact
 
 Rational = Fraction
 
@@ -216,7 +216,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise DomainError("negative polynomial power")
         out = Poly.constant(1)
         base = self
         while n:
@@ -362,9 +362,9 @@ class PiecewisePoly:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if len(self.pieces) != len(bps) - 1:
-            raise ValueError("need exactly one piece per breakpoint interval")
+            raise DomainError("need exactly one piece per breakpoint interval")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise DomainError("breakpoints must be strictly increasing")
 
     @property
     def support(self) -> tuple[Fraction, Fraction]:

@@ -306,7 +306,7 @@ def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
 
 
 def _check_i31(params, mode):
-    q = rat(params["q"])
+    q = params["q"]
     hp = HeunParams(Fraction(1, 2), q, 2 * q, 1, 1, 1)
 
     def routes(x):
@@ -318,7 +318,7 @@ def _check_i31(params, mode):
 
 
 def _check_i32(params, mode):
-    q = rat(params["q"])
+    q = params["q"]
     hp = HeunParams(Fraction(1, 2), q, 2 * q, 1, 1, 1)
 
     def routes(x):
@@ -429,7 +429,7 @@ def _check_i39(params, mode):
 
 
 def _check_i311_312(params, mode):
-    alpha, beta, gamma = rat(params["alpha"]), rat(params["beta"]), rat(params["gamma"])
+    alpha, beta, gamma = params["alpha"], params["beta"], params["gamma"]
     lhs = HeunParams(Fraction(1, 2), alpha * beta / 2, alpha, beta, gamma, gamma)
     a12, b12 = 2 * gamma - alpha, 2 * gamma - beta
     rhs11 = HeunParams(Fraction(1, 2), (alpha + 2) * (beta + 2) / 2, alpha + 2, beta + 2,
@@ -497,7 +497,7 @@ def _hc_ladder_check(lhs: ConfluentHeunParams, rhs: ConfluentHeunParams, mode, t
 
 
 def _check_i42(params, mode):
-    p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
+    p, gamma, alpha = params["p"], params["gamma"], params["alpha"]
     lhs, rhs, _, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = -sigma / gamma
     return _hc_ladder_check(lhs, rhs, mode, lambda e: [factor * c for c in e],
@@ -505,7 +505,7 @@ def _check_i42(params, mode):
 
 
 def _check_i43(params, mode):
-    p, gamma, alpha = rat(params["p"]), rat(params["gamma"]), rat(params["alpha"])
+    p, gamma, alpha = params["p"], params["gamma"], params["alpha"]
     lhs, _, rhs, sigma = _hc_ladder_params(p, gamma, alpha)
     factor = sigma / gamma
     return _hc_ladder_check(lhs, rhs, mode, lambda e: [factor * (a - b) for a, b in zip([0, *e], e)],
@@ -774,7 +774,7 @@ def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
                 raise DomainError(f"{entry.id.value}: index parameter {k} must be an integer, got {v!r}")
             out[k] = int(index)
         else:
-            out[k] = rat(v) if not isinstance(v, float) else v
+            out[k] = rat(v)
     return out
 
 

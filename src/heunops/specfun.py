@@ -33,6 +33,7 @@ coefficients scanned, as they are built, up to c_{N+2} or the first two
 zeros in a row.  Series that terminate are evaluated as exact polynomials.
 A series that can stop only above ``MAX_DEGREE`` is rejected with
 :class:`DivergentSeries`, because its float sum cancels catastrophically.
+The three public ``*_poly`` forms take rational parameter sets only.
 
 Everything a parameter set fixes is resolved once into one cached record:
 the family name and radius of convergence, the recurrence, the exact and
@@ -45,7 +46,8 @@ recurrence once; the Taylor coefficients of K_n are kept per ``n`` in the
 same way.  :func:`series_values` looks the record up once for a whole grid.
 Every float sum of the three families, values and derivatives, is one loop
 over the record's float prefix (:func:`_float_sum`).  Exact values of P_n
-at a rational point, and of F, U and J at any point, run over the integers.
+at a rational point, and of F, U and J at any point, run over the integers,
+as does the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
 """
 
 from __future__ import annotations
@@ -354,13 +356,10 @@ def gauss_series(params: GaussParams, x: Scalar, tol: float = 1e-15) -> SeriesRe
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
     """Exact polynomial form of a terminating Gauss series with rational parameters.
 
-    Raises :class:`DivergentSeries` if the series does not terminate by
-    degree ``MAX_DEGREE``.
+    Raises :class:`NotExact` for a float parameter, :class:`DivergentSeries`
+    if the series does not terminate by degree ``MAX_DEGREE``.
     """
-    params = GaussParams(a, b, c)
-    if not params.is_rational:
-        raise NotExact("exact polynomial form requires rational parameters")
-    return _series_poly(params)
+    return _series_poly(GaussParams(a, b, c))
 
 
 def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
@@ -386,14 +385,14 @@ def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15)
 
 @lru_cache(maxsize=None)
 def legendre_poly(n: int) -> Poly:
-    """Exact Legendre polynomial via the three-term recurrence."""
+    """Exact Legendre polynomial by its explicit sum over the integers,
+    2^(-n) sum_k (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k) (DLMF §18.5(iv))."""
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
-    x = Poly.monomial(1)
-    p_prev, p = Poly(), Poly.constant(1)
-    for k in range(n):
-        p_prev, p = p, (x * p).scale(Fraction(2 * k + 1, k + 1)) - p_prev.scale(Fraction(k, k + 1))
-    return p
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n)
+    return Poly(coeffs).scale(Fraction(1, 2**n))
 
 
 def _legendre_pair(n: int, x: float) -> tuple[float, float]:
@@ -438,10 +437,10 @@ def heun_coeffs(params: HeunParams, count: int) -> list:
 
 
 def heun_poly(params: HeunParams) -> Poly:
-    """Exact polynomial form of a terminating local Heun series.
+    """Exact polynomial form of a terminating local Heun series with rational parameters.
 
-    Raises :class:`DivergentSeries` if the series does not terminate by
-    degree ``MAX_DEGREE``.
+    Raises :class:`NotExact` for a float parameter, :class:`DivergentSeries`
+    if the series does not terminate by degree ``MAX_DEGREE``.
     """
     return _series_poly(params)
 
@@ -484,10 +483,10 @@ def confluent_heun_coeffs(params: ConfluentHeunParams, count: int) -> list:
 
 
 def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
-    """Exact polynomial form of a terminating confluent Heun series.
+    """Exact polynomial form of a terminating confluent Heun series with rational parameters.
 
-    Raises :class:`DivergentSeries` if the series does not terminate by
-    degree ``MAX_DEGREE``.
+    Raises :class:`NotExact` for a float parameter, :class:`DivergentSeries`
+    if the series does not terminate by degree ``MAX_DEGREE``.
     """
     return _series_poly(params)
 
@@ -629,6 +628,10 @@ def _series_coeffs(params, count: int) -> list:
 
 
 def _series_poly(params) -> Poly:
+    """The polynomial of a terminating series of rational ``params``.  The check
+    reads ``params``, not its record, which equal float and rational sets share."""
+    if not params.is_rational:
+        raise NotExact("exact polynomial form requires rational parameters")
     series = _series(params)
     if series.poly is None:
         raise DivergentSeries(f"{series.name} series does not terminate; no polynomial form")

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heunops import bspline
 from heunops.bspline import (
@@ -218,6 +220,16 @@ class TestApplyLn:
                 assert v == sig.at(x) ** 2 / F(3 * n)
 
 
+def _table_scan(xs, values, x):
+    """The per-point linear scan that ``TableSigma`` replaced by a bisection."""
+    if x <= xs[0]:
+        return values[0]
+    if x >= xs[-1]:
+        return values[-1]
+    i = max(i for i in range(len(xs) - 1) if xs[i] <= x)
+    return values[i] + (x - xs[i]) / (xs[i + 1] - xs[i]) * (values[i + 1] - values[i])
+
+
 class TestSigmaSpecs:
     def test_table_interpolates(self):
         sig = TableSigma((F(0), F(1), F(2)), (F(1), F(3), F(1)))
@@ -230,6 +242,17 @@ class TestSigmaSpecs:
             TableSigma(xs, values)
         with pytest.raises(ValueError):
             TableSigma(xs, values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 30).flatmap(lambda size: st.tuples(
+        st.lists(st.fractions(-8, 8, max_denominator=12), min_size=size, max_size=size, unique=True),
+        st.lists(st.fractions(F(1, 16), 16, max_denominator=16), min_size=size, max_size=size))))
+    def test_table_matches_linear_scan(self, table):
+        xs, values = sorted(table[0]), table[1]
+        sig = TableSigma(tuple(xs), tuple(values))
+        between = [a + (b - a) * t for a, b in zip(xs, xs[1:]) for t in (F(1, 3), F(1, 2))]
+        for x in (*xs, *between, xs[0] - 1, xs[-1] + F(1, 7)):
+            assert sig.at(x) == _table_scan(xs, values, x)
 
     def test_table_positivity_enforced(self):
         sig = TableSigma((F(0), F(1)), (F(1), F(-1)))

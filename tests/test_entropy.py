@@ -116,6 +116,29 @@ class TestKantorovich:
         assert got == kantorovich_poly(3, 2, E2, "bspline-form")
 
 
+def _bernstein_sum_oracle(n, k, f):
+    """The term-by-term Bernstein sum that the one binary form of the
+    ``bspline-form`` route replaced, with each cell built from its knots."""
+    total = Poly()
+    for j in range(n - k + 1):
+        if k == 0:
+            weight = f(F(j, n))
+        else:
+            weight = bspline.bspline_density([F(j + i, n) for i in range(k + 1)]).integrate(weight=f)
+        total = total + bernstein_poly(n - k, j).scale(weight)
+    return total
+
+
+class TestBSplineFormSum:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.lists(st.fractions(-6, 6, max_denominator=9), max_size=6))
+    def test_matches_term_by_term_sum(self, nk, coeffs):
+        n, k = nk
+        f = Poly(tuple(coeffs))
+        assert kantorovich_poly(n, k, f, "bspline-form") == _bernstein_sum_oracle(n, k, f)
+
+
 class TestSquaredKernel:
     def test_constant_family(self):
         # oracle: the n = k = 2 kernel is a single unit hat; its squared
@@ -339,6 +362,27 @@ class TestNoPerPointRebuild:
         counts = self._count_builds(monkeypatch, lambda: entropy.s_direct_poly(n, k))
         assert counts["cardinal_bspline"] == min(k, n - k + 1)
         assert counts["density"] == 0 and counts["integrate_product"] == 0
+
+
+class TestOneLookupPerProfile:
+    def test_out_of_range_point_fails_before_any_build(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("profile polynomials looked up before the grid was checked")
+
+        monkeypatch.setattr(entropy, "_kantorovich_profile_polys", unexpected)
+        with pytest.raises(DomainError, match="outside the operator domain"):
+            entropy_profile(KantorovichOp(6, 3), [F(0), F(1, 2), F(1), F(9, 8)])
+
+    def test_bspline_constants_looked_up_once(self, monkeypatch):
+        counts = {}
+        for name in ("c_constant", "unit_variance"):
+            def counted(n, real=getattr(bspline, name), name=name):
+                counts[name] = counts.get(name, 0) + 1
+                return real(n)
+
+            monkeypatch.setattr(bspline, name, counted)
+        pts = entropy_profile(BSplineOp(4, bspline.QuadraticSigma(1, F(1, 2))), X9)
+        assert len(pts) == len(X9) and counts == {"c_constant": 1, "unit_variance": 1}
 
 
 WIDTHS = st.fractions(F(1, 16), 16, max_denominator=16)

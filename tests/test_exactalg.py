@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heunops.bspline import ConstantSigma
 from heunops.entropy import BSplineOp, KantorovichOp, entropy_profile
-from heunops.errors import HeunopsError, IndexOutOfRange
+from heunops.errors import DomainError, HeunopsError, IndexOutOfRange
 from heunops.exactalg import NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product, rat
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -420,6 +420,18 @@ class TestPiecewise:
             _pp([0, 0], Poly.constant(1))
         with pytest.raises(ValueError):
             PiecewisePoly((F(0), F(1)), (Poly.constant(1), Poly.constant(2)))
+
+
+@pytest.mark.parametrize("call", (
+    lambda: Poly.of(1, 1) ** -1,
+    lambda: PiecewisePoly((F(0), F(1)), (Poly.constant(1), Poly.constant(2))),
+    lambda: PiecewisePoly((F(1), F(0)), (Poly.constant(1),)),
+), ids=("negative power", "piece count", "unordered breakpoints"))
+def test_malformed_input_is_a_library_error(call):
+    # a DomainError is a HeunopsError and still a ValueError
+    with pytest.raises(HeunopsError) as info:
+        call()
+    assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)
 
 
 @settings(max_examples=40)

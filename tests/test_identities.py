@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from heunops import identities, specfun
 from heunops.cli import main
-from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam
+from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam, NotExact
 from heunops.exactalg import Poly
 from heunops.identities import (
     IdentityId,
@@ -152,6 +152,15 @@ class TestVerify:
         with pytest.raises(DomainError, match="n >= 1"):
             verify(iid, {"n": 0}, mode)
         assert verify(iid, {"n": 1}, mode).passed
+
+    @pytest.mark.parametrize("iid, params", (
+        ("I31", {"q": 0.5}), ("I32", {"q": -1.0}),
+        ("I311_312", {"alpha": 1, "beta": 1.0, "gamma": 1}),
+        ("I42", {"p": 1, "gamma": 1, "alpha": 0.5}), ("I43", {"p": 2.0, "gamma": 1, "alpha": F(1, 2)}),
+    ))
+    def test_float_parameter_is_not_exact(self, iid, params):
+        with pytest.raises(NotExact, match="expected an exact rational, got float"):
+            verify(iid, params)
 
 
 def _generator_cauchy(a, b, count):

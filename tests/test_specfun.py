@@ -191,6 +191,47 @@ class TestLegendre:
         assert proc.returncode == 0, proc.stderr
 
 
+def _legendre_recurrence_oracle(top):
+    """P_0, ..., P_top by the three-term recurrence over ``Fraction``-scaled
+    polynomials (DLMF §18.9.1), the route the explicit sum of
+    ``legendre_poly`` replaced."""
+    x = Poly.monomial(1)
+    p_prev, p = Poly(), Poly.constant(1)
+    out = [p]
+    for k in range(top):
+        p_prev, p = p, (x * p).scale(F(2 * k + 1, k + 1)) - p_prev.scale(F(k, k + 1))
+        out.append(p)
+    return out
+
+
+class TestLegendreExplicitSum:
+    def test_matches_the_recurrence(self):
+        oracle = _legendre_recurrence_oracle(300)
+        for n in (*range(121), 200, 300):
+            assert legendre_poly(n) == oracle[n], n
+
+
+#: a terminating rational set, the float set equal to it, and the degree of its polynomial
+_EQUAL_FLOAT_SETS = {
+    "heun": (heun_poly, HeunParams(F(1, 2), -2, -4, 1, 1, 1), HeunParams(0.5, -2.0, -4.0, 1.0, 1.0, 1.0), 4),
+    "confluent": (confluent_heun_poly, ConfluentHeunParams(0, 1, 0, F(1, 2), 4),
+                  ConfluentHeunParams(0.0, 1.0, 0.0, 0.5, 4.0), 2),
+    "gauss": (lambda g: hyp2f1_poly(g.a, g.b, g.c), GaussParams(-2, 1, 1), GaussParams(-2.0, 1, 1), 2),
+}
+
+
+class TestPolyFormsNeedRationalParameters:
+    @pytest.mark.parametrize("family", _EQUAL_FLOAT_SETS)
+    def test_float_set_raises_after_the_equal_rational_set(self, family):
+        entry, exact, floats, degree = _EQUAL_FLOAT_SETS[family]
+        assert exact == floats  # so the two share one series record
+        poly = entry(exact)
+        assert poly.degree == degree
+        with pytest.raises(NotExact, match="exact polynomial form requires rational parameters"):
+            entry(floats)
+        assert entry(exact) == poly
+
+
 class TestHeunLocal:
     def test_normalization(self):
         assert heun_local(HeunParams(F(1, 2), F(1, 3), 1, 2, 1, 1), 0.0).value == 1.0
