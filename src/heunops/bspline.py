@@ -5,27 +5,30 @@ The B-spline here is density-normalized: the spline on knots
 ``x_0 < ... < x_m`` integrates to exactly 1 (degree m-1, smoothness
 C^(m-2)).  That normalization is what makes the squared-kernel integral
 equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.
+
+``KnotVector``, the width specs and ``KernelInstance`` are immutable value
+types (:class:`heunops.exactalg.Frozen`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth
-from .exactalg import E1, E2, PiecewisePoly, Poly, rat
+from .exactalg import E1, E2, Frozen, PiecewisePoly, Poly, rat
 from .specfun import gauss_legendre, quadrature
 
 
-@dataclass(frozen=True)
-class KnotVector:
+class KnotVector(Frozen):
     """Strictly increasing, exactly equidistant rational knots."""
 
-    points: tuple[Fraction, ...]
+    def __init__(self, points: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(points=points)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         pts = tuple(rat(p) for p in self.points)
@@ -39,7 +42,7 @@ class KnotVector:
             raise InvalidKnots("knots must be exactly equidistant")
 
 
-class SigmaSpec:
+class SigmaSpec(Frozen):
     """Positive width function sigma; subclasses are the closed family
     that keeps every kernel computation exact at rational points."""
 
@@ -53,9 +56,10 @@ class SigmaSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class ConstantSigma(SigmaSpec):
-    c: Fraction
+    def __init__(self, c: Fraction) -> None:
+        self.__dict__.update(c=c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", rat(self.c))
@@ -64,12 +68,12 @@ class ConstantSigma(SigmaSpec):
         return self.c
 
 
-@dataclass(frozen=True)
 class QuadraticSigma(SigmaSpec):
     """sigma(x) = c + d x^2."""
 
-    c: Fraction
-    d: Fraction
+    def __init__(self, c: Fraction, d: Fraction) -> None:
+        self.__dict__.update(c=c, d=d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", rat(self.c))
@@ -79,13 +83,13 @@ class QuadraticSigma(SigmaSpec):
         return self.c + self.d * x * x
 
 
-@dataclass(frozen=True)
 class TableSigma(SigmaSpec):
     """Piecewise-linear interpolation through rational sample points,
     extended by its end values outside the table."""
 
-    xs: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    def __init__(self, xs: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(xs=xs, values=values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         xs = tuple(rat(v) for v in self.xs)
@@ -107,15 +111,12 @@ class TableSigma(SigmaSpec):
         return self.values[i] + t * (self.values[i + 1] - self.values[i])
 
 
-@dataclass(frozen=True)
-class KernelInstance:
+class KernelInstance(Frozen):
     """One kernel slice t -> W_n(x, t): a B-spline density supported on
     [x - sigma(x), x + sigma(x)] with n equal subintervals."""
 
-    n: int
-    x: Fraction
-    width: Fraction
-    density: PiecewisePoly
+    def __init__(self, n: int, x: Fraction, width: Fraction, density: PiecewisePoly) -> None:
+        self.__dict__.update(n=n, x=x, width=width, density=density)
 
 
 def bspline_density(knots: Union[KnotVector, Sequence]) -> PiecewisePoly:

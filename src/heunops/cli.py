@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import itertools
 import json
 import math
@@ -38,7 +36,6 @@ from typing import NamedTuple
 
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
-from .exactalg import Poly
 
 
 #: ``json``'s C encoder factory; None where the C accelerator is missing
@@ -215,7 +212,7 @@ class _EvalSpec(NamedTuple):
 
 #: every function of ``eval``, in the order argparse lists them
 _EVAL_SPECS = {
-    **{name: _EvalSpec(tuple(f.name for f in dataclasses.fields(make)))
+    **{name: _EvalSpec(make.FIELDS)
        for name, (make, _) in _SERIES_FAMILIES.items()},
     "legendre": _EvalSpec(("n",)),
     "F": _EvalSpec(("n",)),

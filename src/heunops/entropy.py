@@ -8,12 +8,14 @@ For an operator with kernel density W(x, .) the quantities are
     Renyi entropy   -log s(x)
     Tsallis entropy 1 - s(x)
     variance        L e_2 (x) - (L e_1 (x))^2
+
+The operator specs, ``EntropyPoint`` and ``SynchronicityReport`` are
+immutable value types (:class:`heunops.exactalg.Frozen`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -28,16 +30,16 @@ from .errors import (
     NonFinite,
     UnsupportedK,
 )
-from .exactalg import E0, E1, E2, Poly, PiecewisePoly, binary_form, rat
+from .exactalg import E0, E1, E2, Frozen, Poly, PiecewisePoly, binary_form, rat
 from .specfun import periodic_trapezoid, quadrature
 
 
-@dataclass(frozen=True)
-class BSplineOp:
+class BSplineOp(Frozen):
     """Kernel-integral operator on the whole line: order n, width sigma."""
 
-    n: int
-    sigma: bspline.SigmaSpec
+    def __init__(self, n: int, sigma: bspline.SigmaSpec) -> None:
+        self.__dict__.update(n=n, sigma=sigma)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         bspline.require_order(self.n)
@@ -60,12 +62,12 @@ def _require_kantorovich_order(n: int, k: int) -> None:
         raise DomainError("Kantorovich order requires 0 <= k <= n")
 
 
-@dataclass(frozen=True)
-class KantorovichOp:
+class KantorovichOp(Frozen):
     """k-th Kantorovich modification of the degree-n Bernstein operator on [0, 1]."""
 
-    n: int
-    k: int
+    def __init__(self, n: int, k: int) -> None:
+        self.__dict__.update(n=n, k=k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _require_kantorovich_order(self.n, self.k)
@@ -74,13 +76,12 @@ class KantorovichOp:
 OperatorSpec = Union[BSplineOp, KantorovichOp]
 
 
-@dataclass(frozen=True)
-class EntropyPoint:
-    x: float
-    squared_kernel_integral: float
-    renyi: float
-    tsallis: float
-    variance: float
+class EntropyPoint(Frozen):
+    def __init__(self, x: float, squared_kernel_integral: float, renyi: float, tsallis: float,
+                 variance: float) -> None:
+        self.__dict__.update(x=x, squared_kernel_integral=squared_kernel_integral, renyi=renyi,
+                             tsallis=tsallis, variance=variance)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         s = self.squared_kernel_integral
@@ -92,11 +93,9 @@ class EntropyPoint:
             raise ConstraintViolated(f"tsallis {self.tsallis} != 1 - {s}")
 
 
-@dataclass(frozen=True)
-class SynchronicityReport:
-    passed: bool
-    worst_pair: tuple[int, int]
-    worst_product: float
+class SynchronicityReport(Frozen):
+    def __init__(self, passed: bool, worst_pair: tuple[int, int], worst_product: float) -> None:
+        self.__dict__.update(passed=passed, worst_pair=worst_pair, worst_product=worst_product)
 
 
 def bernstein_basis(n: int, j: int, x) -> Fraction:

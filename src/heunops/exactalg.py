@@ -3,6 +3,9 @@ supported piecewise polynomials.
 
 Nothing in this module ever rounds.  ``Poly`` and ``PiecewisePoly`` are
 immutable value types, so they are safe to share freely between threads.
+:class:`Frozen` is the base of ``PiecewisePoly`` and of the library's other
+immutable value types: plain classes with the value semantics of a frozen
+dataclass, so that importing the library does not import ``dataclasses``.
 
 A ``Poly`` is stored fraction-free, in integer form: integer numerators
 over one positive denominator that shares no factor with all of them (the
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence, Union
@@ -48,6 +50,59 @@ def rat(value: _Scalar) -> Fraction:
     raise NotExact(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _frozen(message: str) -> Exception:
+    """A ``dataclasses.FrozenInstanceError``; ``dataclasses`` (which loads
+    ``inspect``, ``ast`` and ``dis``) is imported only when one is raised."""
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Frozen:
+    """Base of the library's immutable value types.
+
+    A subclass declares its fields as the parameters of its ``__init__``,
+    which stores each argument, in that order, as the only entries of the
+    instance ``__dict__`` and then calls ``__post_init__`` if the class
+    validates its fields.  ``FIELDS`` (and ``__match_args__``) is the tuple
+    of field names, read off that signature when the class is created;
+    nothing is generated.  Instances behave like those of a frozen
+    dataclass: ``==`` holds only between instances of one class with equal
+    fields, ``hash`` is the hash of the field tuple, ``repr`` is
+    ``Name(field=value, ...)``, ``vars()`` lists the fields in order, and
+    assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.
+    """
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls.FIELDS = code.co_varnames[1:code.co_argcount]
+        cls.__match_args__ = cls.FIELDS
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -72,7 +127,7 @@ class Poly:
         return _make(tuple(c.numerator * (den // c.denominator) for c in cs), den, tuple(cs))
 
     def __setattr__(self, name, value=None):
-        raise FrozenInstanceError(f"Poly is immutable; cannot set or delete {name!r}")
+        raise _frozen(f"Poly is immutable; cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
@@ -344,8 +399,7 @@ def _binary_form(ci: Sequence[int], lc: int, a: Poly, b: Poly, degree: int) -> P
     return _normal(total, lc * d**degree)
 
 
-@dataclass(frozen=True)
-class PiecewisePoly:
+class PiecewisePoly(Frozen):
     """Piecewise polynomial with exact rational breakpoints, zero outside
     its support.
 
@@ -354,8 +408,9 @@ class PiecewisePoly:
     degree-0 splines.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Poly, ...]
+    def __init__(self, breakpoints: tuple[Fraction, ...], pieces: tuple[Poly, ...]) -> None:
+        self.__dict__.update(breakpoints=breakpoints, pieces=pieces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         bps = tuple(rat(b) for b in self.breakpoints)

@@ -15,17 +15,19 @@ equal term by term; ``_exact_verdict`` decides every exact and ode check),
 (a derivative ladder: its exact chain, or series derivative within
 ``mode.tol`` and central difference within ``FD_TOL``).  A numeric route
 that overflows a float fails its check with error inf.
+
+The check modes, ``VerificationReport`` and ``RegistryEntry`` are
+immutable value types (:class:`heunops.exactalg.Frozen`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import ClassVar, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import entropy, specfun
 from .errors import (
@@ -35,7 +37,7 @@ from .errors import (
     InadmissibleMode,
     MissingParam,
 )
-from .exactalg import E0, E1, E2, Poly, binary_form, rat
+from .exactalg import E0, E1, E2, Frozen, Poly, binary_form, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
@@ -84,21 +86,20 @@ class IdentityId(str, Enum):
     I410 = "I410"
 
 
-@dataclass(frozen=True)
-class ExactPoly:
-    kind: ClassVar[str] = "exact"
+class ExactPoly(Frozen):
+    kind = "exact"
 
 
-@dataclass(frozen=True)
-class OdeResidual:
-    kind: ClassVar[str] = "ode"
+class OdeResidual(Frozen):
+    kind = "ode"
 
 
-@dataclass(frozen=True)
-class NumericGrid:
-    grid: tuple[float, ...]
-    tol: float = 1e-9
-    kind: ClassVar[str] = "numeric"
+class NumericGrid(Frozen):
+    kind = "numeric"
+
+    def __init__(self, grid: tuple[float, ...], tol: float = 1e-9) -> None:
+        self.__dict__.update(grid=grid, tol=tol)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # a NaN, zero or negative tolerance fails every check, and an infinite
@@ -113,14 +114,11 @@ class NumericGrid:
 CheckMode = Union[ExactPoly, OdeResidual, NumericGrid]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    id: IdentityId
-    params: dict
-    mode: CheckMode
-    max_abs_err: float
-    points_checked: int
-    passed: bool
+class VerificationReport(Frozen):
+    def __init__(self, id: IdentityId, params: dict, mode: CheckMode, max_abs_err: float,
+                 points_checked: int, passed: bool) -> None:
+        self.__dict__.update(id=id, params=params, mode=mode, max_abs_err=max_abs_err,
+                             points_checked=points_checked, passed=passed)
 
     def to_dict(self) -> dict:
         out = {
@@ -603,16 +601,12 @@ def _check_i410(params, mode):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    id: IdentityId
-    equation: str
-    description: str
-    modes: tuple[str, ...]
-    default_params: tuple[dict, ...]
-    grid: tuple[float, ...]
-    tol: float
-    checker: callable
+class RegistryEntry(Frozen):
+    def __init__(self, id: IdentityId, equation: str, description: str, modes: tuple[str, ...],
+                 default_params: tuple[dict, ...], grid: tuple[float, ...], tol: float,
+                 checker: callable) -> None:
+        self.__dict__.update(id=id, equation=equation, description=description, modes=modes,
+                             default_params=default_params, grid=grid, tol=tol, checker=checker)
 
     def to_dict(self) -> dict:
         return {

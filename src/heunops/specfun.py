@@ -48,6 +48,10 @@ Every float sum of the three families, values and derivatives, is one loop
 over the record's float prefix (:func:`_float_sum`).  Exact values of P_n
 at a rational point, and of F, U and J at any point, run over the integers,
 as does the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
+
+The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
+immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
+set's ``FIELDS`` names its parameters in order.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -70,7 +73,7 @@ from .errors import (
     NonFinite,
     NotExact,
 )
-from .exactalg import E2, Poly, binary_form
+from .exactalg import E2, Frozen, Poly, binary_form
 
 Scalar = Union[Fraction, int, float]
 
@@ -102,21 +105,19 @@ def _is_nonpositive_integer(v: Scalar) -> bool:
     return v <= 0 and v == int(v)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Frozen):
     """Outcome of a truncated series evaluation.
 
     ``terminated`` means the series stopped exactly (polynomial case), in
     which case ``tail_estimate`` is 0 by construction.
     """
 
-    value: float
-    terms_used: int
-    terminated: bool
-    tail_estimate: float
+    def __init__(self, value: float, terms_used: int, terminated: bool, tail_estimate: float) -> None:
+        self.__dict__.update(value=value, terms_used=terms_used, terminated=terminated,
+                             tail_estimate=tail_estimate)
 
 
-class _SeriesParams:
+class _SeriesParams(Frozen):
     """Checks shared by the three parameter classes: int, ``Fraction`` or finite float fields."""
 
     def __post_init__(self) -> None:
@@ -131,13 +132,12 @@ class _SeriesParams:
         return all(_is_exact(v) for v in vars(self).values())
 
 
-@dataclass(frozen=True)
 class GaussParams(_SeriesParams):
     """Parameters (a, b; c) of the Gauss series ``sum (a)_k (b)_k / ((c)_k k!) x^k``."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
+        self.__dict__.update(a=a, b=b, c=c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -146,7 +146,6 @@ class GaussParams(_SeriesParams):
             raise InvalidC("c hits a non-positive integer before the series terminates")
 
 
-@dataclass(frozen=True)
 class HeunParams(_SeriesParams):
     """Parameters (a, q; alpha, beta; gamma, delta) of the local Heun
     function normalized to 1 at the origin.
@@ -155,12 +154,10 @@ class HeunParams(_SeriesParams):
     ``epsilon = alpha + beta + 1 - gamma - delta``.
     """
 
-    a: Scalar
-    q: Scalar
-    alpha: Scalar
-    beta: Scalar
-    gamma: Scalar
-    delta: Scalar
+    def __init__(self, a: Scalar, q: Scalar, alpha: Scalar, beta: Scalar, gamma: Scalar,
+                 delta: Scalar) -> None:
+        self.__dict__.update(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -174,7 +171,6 @@ class HeunParams(_SeriesParams):
         return self.alpha + self.beta + 1 - self.gamma - self.delta
 
 
-@dataclass(frozen=True)
 class ConfluentHeunParams(_SeriesParams):
     """Parameters (p, gamma, delta, alpha, sigma) of the confluent Heun
     function u with u(0) = 1, solving
@@ -182,11 +178,9 @@ class ConfluentHeunParams(_SeriesParams):
         u'' + (4p + gamma/x + delta/(x-1)) u' + (4 p alpha x - sigma)/(x(x-1)) u = 0.
     """
 
-    p: Scalar
-    gamma: Scalar
-    delta: Scalar
-    alpha: Scalar
-    sigma: Scalar
+    def __init__(self, p: Scalar, gamma: Scalar, delta: Scalar, alpha: Scalar, sigma: Scalar) -> None:
+        self.__dict__.update(p=p, gamma=gamma, delta=delta, alpha=alpha, sigma=sigma)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -894,12 +888,12 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Frozen):
     """A quadrature rule: the sum of ``weights[i] * f(nodes[i])``."""
 
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
+    def __init__(self, nodes: tuple[float, ...], weights: tuple[float, ...]) -> None:
+        self.__dict__.update(nodes=nodes, weights=weights)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.nodes) != len(self.weights):

@@ -1,5 +1,5 @@
 """Library modules use only each other's public names, and the CLI runs
-without numpy."""
+without numpy and without loading ``dataclasses`` or ``inspect``."""
 
 import ast
 import os
@@ -63,6 +63,27 @@ def test_cli_runs_without_numpy():
             "    assert heunops.cli.main(['verify', '--all']) == 0\n"
             "specfun.quadrature(specfun.gauss_legendre(8, 0, 1), lambda t: t)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # importing dataclasses loads inspect, ast and dis: ~10 ms of start-up;
+    # the eval grid builds a SeriesResult and the entropy table an
+    # EntropyPoint per point, and verify builds its mode and report
+    code = ("import io, sys, contextlib\n"
+            "import heunops, heunops.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert heunops.cli.main(['verify', '--id', 'I39']) == 0\n"
+            "    assert heunops.cli.main(['entropy', '--op', 'bspline', '--n', '4', '--sigma', 'quad:1:1/2',\n"
+            "                             '--grid=-1:1:9']) == 0\n"
+            "    assert heunops.cli.main(['eval', 'hl', 'a=2', 'q=1/2', 'alpha=1/2', 'beta=3/2', 'gamma=1',\n"
+            "                             'delta=1', '--grid=-1/2:1/2:9']) == 0\n"
+            "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,

@@ -1,7 +1,6 @@
 """Series evaluators, their exact polynomial forms, residual certificates
 and the quadrature rules, each against an independent oracle."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -1590,7 +1589,7 @@ class TestParameterTypes:
     @pytest.mark.parametrize("bad", _BAD_PARAMETERS, ids=repr)
     def test_undeclared_types_rejected(self, cls, bad):
         values = _GOOD_SETS[cls]
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = cls.FIELDS
         for i, name in enumerate(names):
             with pytest.raises(DomainError, match=f"parameter {name} = "):
                 cls(*values[:i], bad, *values[i + 1:])
