@@ -30,8 +30,8 @@ from .errors import (
     NonFinite,
     UnsupportedK,
 )
-from .exactalg import E0, E1, E2, Frozen, Poly, PiecewisePoly, binary_form, rat
-from .specfun import periodic_trapezoid, quadrature
+from .exactalg import E0, E1, Frozen, Poly, PiecewisePoly, binary_form, rat
+from .specfun import half_angle_table
 
 
 class BSplineOp(Frozen):
@@ -188,17 +188,24 @@ def s_direct_poly(n: int, k: int) -> Poly:
     the degree-2m binary form in (x, 1 - x) with coefficients
 
         a_l = sum_{j + j' = l, |j - j'| < k} C(m,j) C(m,j') I_{|j-j'|}.
+
+    At the integer point k + d the denominator of M_2k divides (2k-1)!, so
+    the a_l are summed as integers with the overlaps scaled by (2k-1)!, and
+    the form is scaled back once.
     """
     _require_ints(n, k)
     if not 1 <= k <= n:
         raise UnsupportedK("squared kernel defined for 1 <= k <= n (k = 0 is the discrete family)")
     m = n - k
-    overlaps = [n * bspline.cardinal_bspline(2 * k, k + d) for d in range(min(k, m + 1))]
-    coeffs = [Fraction(0)] * (2 * m + 1)
-    for j in range(m + 1):
+    scale = math.factorial(2 * k - 1)
+    overlaps = [(scale * bspline.cardinal_bspline(2 * k, k + d)).numerator
+                for d in range(min(k, m + 1))]
+    binoms = [comb(m, j) for j in range(m + 1)]
+    coeffs = [0] * (2 * m + 1)
+    for j, cj in enumerate(binoms):
         for jp in range(max(0, j - k + 1), min(m, j + k - 1) + 1):
-            coeffs[j + jp] += comb(m, j) * comb(m, jp) * overlaps[abs(j - jp)]
-    return binary_form(coeffs, E1, _ONE_MINUS_X, 2 * m)
+            coeffs[j + jp] += cj * binoms[jp] * overlaps[abs(j - jp)]
+    return binary_form(coeffs, E1, _ONE_MINUS_X, 2 * m).scale(Fraction(n, scale))
 
 
 @lru_cache(maxsize=None)
@@ -223,18 +230,22 @@ def s2_integral_form(n: int, x: float, npoints: int = 256) -> float:
 
         (n / 3 pi) * integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^(n-2)
                                    (1 + 2 cos^2(phi/2)) dphi
+
+    by the trapezoid rule of :func:`specfun.half_angle_table`, summed in
+    node order; a non-finite integrand value raises :class:`NonFinite`.
     """
     if n < 2:
         raise UnsupportedK("integral form needs operator index >= 2")
     m = n - 2
     xf = float(x)
-
-    def integrand(phi: float) -> float:
-        return (1 - 4 * xf * (1 - xf) * math.sin(phi / 2) ** 2) ** m * (
-            1 + 2 * math.cos(phi / 2) ** 2
-        )
-
-    return n / (3 * math.pi) * quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand)
+    a = 4 * xf * (1 - xf)
+    total = 0.0
+    for phi, w, s2, c2 in half_angle_table(npoints):
+        v = (1 - a * s2) ** m * (1 + 2 * c2)
+        if not math.isfinite(v):
+            raise NonFinite(f"integrand is not finite at node {phi}")
+        total += w * v
+    return n / (3 * math.pi) * total
 
 
 def s_nk(n: int, k: int, x, method: str = "direct"):
@@ -264,9 +275,20 @@ def s_nk(n: int, k: int, x, method: str = "direct"):
 @lru_cache(maxsize=None)
 def _kantorovich_profile_polys(n: int, k: int) -> tuple[Poly, Poly]:
     """Squared-kernel polynomial and variance polynomial
-    ``L e_2 - (L e_1)^2`` of the k-th Kantorovich modification."""
-    m1 = kantorovich_poly(n, k, E1)
-    return s_direct_poly(n, k), kantorovich_poly(n, k, E2) - m1 * m1
+    ``L e_2 - (L e_1)^2`` of the k-th Kantorovich modification.
+
+    The variance is the closed form (m x(1-x) + k/12) / n^2, m = n - k.
+    The operator draws the cell j with the Bernstein weight b_{m,j}(x) and
+    then a point of the B-spline density on the knots j/n, ..., (j+k)/n,
+    whose mean is (j + k/2)/n and whose variance is k / (12 n^2) (the
+    cardinal M_k has variance k/12).  Under the weights b_{m,j}, j has
+    mean m x and variance m x(1-x), so by the law of total variance the
+    operator's variance is k / (12 n^2) + m x(1-x) / n^2.  It is the same
+    exact polynomial as the definition route :func:`kantorovich_poly`
+    gives, which is not run here.
+    """
+    m, nn = n - k, n * n
+    return s_direct_poly(n, k), Poly.of(Fraction(k, 12 * nn), Fraction(m, nn), Fraction(-m, nn))
 
 
 def _point(x: Fraction, s, var) -> EntropyPoint:
@@ -283,13 +305,14 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
     with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n).  Kantorovich
     squared kernels take their cell overlaps from M_2k
-    (:func:`s_direct_poly`); the variance is ``L e_2 - (L e_1)^2`` from the
-    exact moment polynomials of the definition route, not from the k = 2
-    closed forms.  Every point is checked against [0, 1] before the two
-    polynomials, built once per (n, k), are evaluated at each point by
-    integer Horner, rounded once (:meth:`Poly.rounded`).  Either way each
-    output float is the rounding of the same exact rational as a per-point
-    rebuild."""
+    (:func:`s_direct_poly`); the variance ``L e_2 - (L e_1)^2`` is the
+    exact closed form (m x(1-x) + k/12) / n^2, m = n - k
+    (:func:`_kantorovich_profile_polys`), not the moment polynomials of
+    :func:`kantorovich_poly`.  Every point is checked against [0, 1]
+    before the two polynomials, built once per (n, k), are evaluated at
+    each point by integer Horner, rounded once (:meth:`Poly.rounded`).
+    Either way each output float is the rounding of the same exact
+    rational as a per-point rebuild."""
     xs = [rat(x) for x in xs]
     if isinstance(op, BSplineOp):
         # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by

@@ -36,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     InadmissibleMode,
     MissingParam,
+    NonFinite,
 )
 from .exactalg import E0, E1, E2, Frozen, Poly, binary_form, rat
 from .specfun import (
@@ -44,6 +45,7 @@ from .specfun import (
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
+    half_angle_table,
     heun_coeffs,
     heun_local,
     heun_local_deriv,
@@ -56,8 +58,6 @@ from .specfun import (
     kn_deriv_zero,
     kn_taylor_coeffs,
     legendre_poly,
-    periodic_trapezoid,
-    quadrature,
     szasz_K,
 )
 
@@ -297,10 +297,16 @@ def _check_i22(params, mode):
 
 
 def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
-    def integrand(phi: float) -> float:
-        return (1.0 - 4.0 * x * (1.0 - x) * math.sin(phi / 2) ** 2) ** (-q)
-
-    return quadrature(periodic_trapezoid(npoints, 0.0, math.pi), integrand) / math.pi
+    """(1/pi) integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^(-q) dphi by the
+    trapezoid rule of :func:`specfun.half_angle_table`, summed in node order."""
+    a = 4.0 * x * (1.0 - x)
+    total = 0.0
+    for phi, w, s2, _ in half_angle_table(npoints):
+        v = (1.0 - a * s2) ** (-q)
+        if not math.isfinite(v):
+            raise NonFinite(f"integrand is not finite at node {phi}")
+        total += w * v
+    return total / math.pi
 
 
 def _check_i31(params, mode):

@@ -927,6 +927,18 @@ def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(nodes, (h / 2,) + (h,) * (npoints - 1) + (h / 2,))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def half_angle_table(npoints: int) -> tuple[tuple[float, float, float, float], ...]:
+    """``(phi, weight, sin(phi/2)**2, cos(phi/2)**2)`` at each node of
+    ``periodic_trapezoid(npoints, 0, pi)``, in node order: the rule of the
+    integrals over phi in [0, pi] whose integrand depends on phi only
+    through sin^2(phi/2) and cos^2(phi/2), with those squares computed once
+    per node count instead of once per node and integral."""
+    rule = periodic_trapezoid(npoints, 0.0, math.pi)
+    return tuple((phi, w, math.sin(phi / 2) ** 2, math.cos(phi / 2) ** 2)
+                 for phi, w in zip(rule.nodes, rule.weights))
+
+
 def _legendre_with_deriv(n: int, x: float) -> tuple[float, float]:
     """P_n(x) and P_n'(x) for |x| < 1."""
     p_prev, p = _legendre_pair(n, x)

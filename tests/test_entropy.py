@@ -177,7 +177,7 @@ class TestSquaredKernel:
         with pytest.raises(UnsupportedK):
             s_nk(4, 3, F(1, 2), "integral-form")
 
-    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("m", range(2, 41))
     def test_three_way_agreement(self, m):
         sums = entropy.s2_sum_poly(m)
         direct = entropy.s_direct_poly(m, 2)
@@ -197,6 +197,17 @@ class TestVariance:
         for x in X9:
             var = e2(x) - e1(x) ** 2
             assert var == F(n, m * m) * x * (1 - x) + F(1, 6 * m * m)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_profile_variance_against_both_routes(self, n):
+        # the closed form (m x(1-x) + k/12) / n^2 of the profile is the exact
+        # L e_2 - (L e_1)^2 of either route of kantorovich_poly
+        for k in range(1, n + 1):
+            var = entropy._kantorovich_profile_polys(n, k)[1]
+            for method in ("definition", "bspline-form"):
+                m1 = kantorovich_poly(n, k, E1, method)
+                expected = kantorovich_poly(n, k, E2, method) - m1 * m1
+                assert var.integer_form == expected.integer_form
 
     def test_profile_anchor(self):
         pt = entropy_profile(KantorovichOp(3, 2), [F(1, 2)])[0]
@@ -344,7 +355,8 @@ class TestNoPerPointRebuild:
         assert small == large
         assert small["density"] == 0 and small["integrate_product"] == 0
         if isinstance(op, KantorovichOp):
-            assert small["s_direct_poly"] == 1 and small["kantorovich_poly"] == 2
+            # the variance is a closed form: the definition route never runs
+            assert small["s_direct_poly"] == 1 and small.get("kantorovich_poly", 0) == 0
 
     @pytest.mark.parametrize("argv", (
         ["--op", "kantorovich", "--n", "12", "--k", "6"],

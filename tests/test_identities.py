@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunops import identities, specfun
+from heunops import entropy, identities, specfun
 from heunops.cli import main
 from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam, NotExact
 from heunops.exactalg import Poly
@@ -358,12 +358,77 @@ class TestBuildOnce:
 
 
     def test_trapezoid_rule_built_once(self):
-        # the I22 and I31 quadratures share one 257-node rule
+        # the I22 and I31 quadratures share one 257-node half-angle table,
+        # built from one rule
         specfun.periodic_trapezoid.cache_clear()
+        specfun.half_angle_table.cache_clear()
         for iid, params in (("I22", {"m": 3}), ("I22", {"m": 5}), ("I31", {"q": 1}), ("I31", {"q": 2})):
             assert verify(iid, params, "numeric").passed
-        info = specfun.periodic_trapezoid.cache_info()
+        assert specfun.periodic_trapezoid.cache_info().misses == 1
+        info = specfun.half_angle_table.cache_info()
         assert info.misses == 1 and info.hits > 1
+
+
+def _outcome(f, *args):
+    """The float ``f(*args)`` returns, as hex, or the type and message of what it raises."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _s2_integral_closure(n, x, npoints=256):
+    """The k = 2 phi-integral as one closure per node of the trapezoid rule."""
+    m, xf = n - 2, float(x)
+
+    def integrand(phi):
+        return (1 - 4 * xf * (1 - xf) * math.sin(phi / 2) ** 2) ** m * (
+            1 + 2 * math.cos(phi / 2) ** 2
+        )
+
+    rule = specfun.periodic_trapezoid(npoints, 0.0, math.pi)
+    return n / (3 * math.pi) * specfun.quadrature(rule, integrand)
+
+
+def _phi_integral_closure(q, x, npoints=256):
+    """The I31 phi-integral as one closure per node of the trapezoid rule."""
+    def integrand(phi):
+        return (1.0 - 4.0 * x * (1.0 - x) * math.sin(phi / 2) ** 2) ** (-q)
+
+    rule = specfun.periodic_trapezoid(npoints, 0.0, math.pi)
+    return specfun.quadrature(rule, integrand) / math.pi
+
+
+_I31_QS = [float(ps["q"]) for ps in identities.REGISTRY[IdentityId.I31].default_params]
+
+
+class TestHalfAngleIntegrals:
+    """The two phi-integrals over the cached half-angle table are bit for bit
+    the trapezoid rule applied to a per-node closure, exceptions included:
+    at x = 1/2 the base 0.0 meets a negative power, and a NaN x is
+    rejected as a non-finite integrand."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0, 1), st.integers(2, 40))
+    @example(0.5, 2)
+    @example(0.5, 40)
+    @example(math.nan, 3)
+    def test_s2_integral_form(self, x, n):
+        assert _outcome(entropy.s2_integral_form, n, x) == _outcome(_s2_integral_closure, n, x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0, 1), st.sampled_from(_I31_QS) | st.floats(-3, 3))
+    @example(0.5, 1.0)
+    @example(0.5, -1.5)
+    @example(math.nan, 0.5)
+    def test_phi_integral(self, x, q):
+        assert _outcome(identities._phi_integral, q, x) == _outcome(_phi_integral_closure, q, x)
+
+    def test_node_count_passed_through(self):
+        assert entropy.s2_integral_form(5, 0.3, 16) == _s2_integral_closure(5, 0.3, 16)
+        assert identities._phi_integral(0.5, 0.3, 16) == _phi_integral_closure(0.5, 0.3, 16)
+        with pytest.raises(DomainError, match="at least 2 points"):
+            identities._phi_integral(0.5, 0.3, 1)
 
 
 class TestMutationControls:

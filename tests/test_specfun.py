@@ -1326,6 +1326,16 @@ class TestQuadrature:
         assert periodic_trapezoid(256, 0, math.pi) is rule
         assert rule == periodic_trapezoid.__wrapped__(256, 0.0, math.pi)
 
+    def test_half_angle_table_of_the_trapezoid_rule(self):
+        rule = periodic_trapezoid(16, 0, math.pi)
+        table = specfun.half_angle_table(16)
+        assert specfun.half_angle_table(16) is table
+        assert [(phi, w) for phi, w, _, _ in table] == list(zip(rule.nodes, rule.weights))
+        for phi, _, s2, c2 in table:
+            assert s2 == math.sin(phi / 2) ** 2 and c2 == math.cos(phi / 2) ** 2
+        with pytest.raises(DomainError, match="at least 2 points"):
+            specfun.half_angle_table(1)
+
     def test_npoints_validation(self):
         for make in (gauss_legendre, periodic_trapezoid):
             with pytest.raises(DomainError, match="at least 2 points"):
