@@ -14,7 +14,11 @@ with 17 significant digits (zero unsigned), exact rationals as ``p/q``
 strings.  ``--json`` output is ``json.dumps(doc, indent=2)``, the same
 bytes on every supported Python (see :func:`_dumps`).
 
-``main`` parses an argv that starts with a command name by that
+Each command's arguments are declared once, in ``_COMMANDS``.  ``main``
+parses a well-formed command line by :func:`_parse_command`, which reads
+that table directly; ``argparse`` is imported and the parser built only
+for any other argv, so help, usage and every error message are
+argparse's.  An argv that starts with a command name goes to that
 command's own sub-parser, so an unrecognized argument is reported with
 the sub-command's usage (``heunops eval: error: unrecognized arguments:
 --bogus``).  Every other argv (empty, ``-h``, an unknown command) goes
@@ -23,7 +27,6 @@ to the top-level parser.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import itertools
 import json
@@ -32,10 +35,12 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
+from .exactalg import parse_number
 
 
 #: ``json``'s C encoder factory; None where the C accelerator is missing
@@ -128,10 +133,7 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
 def _frac(params: dict, key: str) -> Fraction:
     if key not in params:
         raise HeunopsError(f"missing parameter {key}=...")
-    try:
-        return Fraction(params[key])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise HeunopsError(f"cannot parse {key}={params[key]!r} as a rational") from exc
+    return parse_number(key, params[key])
 
 
 def _int(params: dict, key: str, default=None) -> int:
@@ -139,7 +141,7 @@ def _int(params: dict, key: str, default=None) -> int:
         if default is not None:
             return default
         raise HeunopsError(f"missing parameter {key}=...")
-    f = Fraction(params[key])
+    f = parse_number(key, params[key])
     if f.denominator != 1:
         raise HeunopsError(f"{key} must be an integer")
     return int(f)
@@ -153,8 +155,8 @@ def _parse_grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise HeunopsError("grid must be a:b:count")
-    a, b = Fraction(parts[0]), Fraction(parts[1])
-    count = int(parts[2])
+    a, b = parse_number("grid a", parts[0]), parse_number("grid b", parts[1])
+    count = parse_number("grid count", parts[2], int)
     if count > _MAX_GRID_POINTS:
         raise HeunopsError(f"grid count {count} exceeds the limit of {_MAX_GRID_POINTS} points")
     if count < 1 or (count == 1 and a != b):
@@ -171,10 +173,10 @@ def _parse_grid(spec: str) -> list[Fraction]:
 def _parse_sigma(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "const":
-        return bspline.ConstantSigma(Fraction(rest))
+        return bspline.ConstantSigma(parse_number("sigma c", rest))
     if kind == "quad":
         c, _, d = rest.partition(":")
-        return bspline.QuadraticSigma(Fraction(c), Fraction(d))
+        return bspline.QuadraticSigma(parse_number("sigma c", c), parse_number("sigma d", d))
     if kind == "table":
         xs, values = [], []
         with open(rest, newline="") as fh:
@@ -182,11 +184,11 @@ def _parse_sigma(spec: str):
             for row in reader:
                 if not row or row[0].startswith("#"):
                     continue
+                where = f"sigma table {rest}, line {reader.line_num}"
                 if len(row) != 2:
-                    raise HeunopsError(f"sigma table {rest}, line {reader.line_num}: "
-                                       f"expected 2 fields x,sigma, got {len(row)}")
-                xs.append(Fraction(row[0]))
-                values.append(Fraction(row[1]))
+                    raise HeunopsError(f"{where}: expected 2 fields x,sigma, got {len(row)}")
+                xs.append(parse_number(f"{where}: x", row[0]))
+                values.append(parse_number(f"{where}: sigma", row[1]))
         return bspline.TableSigma(tuple(xs), tuple(values))
     raise HeunopsError(f"unknown sigma spec {spec!r} (use const:c, quad:c:d, table:file.csv)")
 
@@ -248,7 +250,7 @@ def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
         n, j = _int(params, "n"), _int(params, "j", default=0)
         f = lambda x: specfun.szasz_K(n, j, x)
     elif name == "bspline":
-        knots = [Fraction(tok) for tok in str(params.get("knots", "")).split(";") if tok]
+        knots = [parse_number("knot", tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:
             raise HeunopsError("bspline needs knots=k0;k1;...")
         f = bspline.bspline_density(knots)
@@ -418,42 +420,120 @@ def _cmd_registry(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: each command's help line and arguments, each argument as its name and
+#: the keywords of ``add_argument``: :func:`build_parser` builds the
+#: argparse sub-parsers from them and :func:`_parse_command` reads them
+_COMMANDS = {
+    "eval": ("evaluate a function", (
+        ("function", {"choices": EVAL_FUNCTIONS}),
+        ("params", {"nargs": "*", "help": "key=value parameters (rationals as p/q)"}),
+        ("--exact", {"action": "store_true", "help": "exact rational output"}),
+        ("--grid", {"help": "evaluate on grid a:b:count instead of a single x"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "verify": ("run identity checks", (
+        ("--id", {"help": "identity id, e.g. I39"}),
+        ("--all", {"action": "store_true", "help": "run the full default suite"}),
+        ("--params", {"action": "append", "help": "key=value[,key=value...]"}),
+        ("--mode", {"choices": ("exact", "ode", "numeric")}),
+        ("--tol", {"type": float, "help": "override numeric tolerance"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "entropy": ("entropy/variance table", (
+        ("--op", {"choices": ("bspline", "kantorovich"), "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "help": "Kantorovich order (default 2)"}),
+        ("--sigma", {"help": "const:c, quad:c:d or table:file.csv"}),
+        ("--grid", {"required": True, "help": "a:b:count, endpoints included"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    "registry": ("identity registry table", (
+        ("--json", {"action": "store_true"}),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(prog="heunops",
                                  description="special functions, operator entropies and "
                                              "machine-checked identities")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate a function")
-    p_eval.add_argument("function", choices=EVAL_FUNCTIONS)
-    p_eval.add_argument("params", nargs="*", help="key=value parameters (rationals as p/q)")
-    p_eval.add_argument("--exact", action="store_true", help="exact rational output")
-    p_eval.add_argument("--grid", help="evaluate on grid a:b:count instead of a single x")
-    p_eval.add_argument("--json", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--id", help="identity id, e.g. I39")
-    p_verify.add_argument("--all", action="store_true", help="run the full default suite")
-    p_verify.add_argument("--params", action="append", help="key=value[,key=value...]")
-    p_verify.add_argument("--mode", choices=("exact", "ode", "numeric"))
-    p_verify.add_argument("--tol", type=float, help="override numeric tolerance")
-    p_verify.add_argument("--json", action="store_true")
-
-    p_entropy = sub.add_parser("entropy", help="entropy/variance table")
-    p_entropy.add_argument("--op", choices=("bspline", "kantorovich"), required=True)
-    p_entropy.add_argument("--n", type=int, required=True)
-    p_entropy.add_argument("--k", type=int, help="Kantorovich order (default 2)")
-    p_entropy.add_argument("--sigma", help="const:c, quad:c:d or table:file.csv")
-    p_entropy.add_argument("--grid", required=True, help="a:b:count, endpoints included")
-    p_entropy.add_argument("--json", action="store_true")
-
-    p_registry = sub.add_parser("registry", help="identity registry table")
-    p_registry.add_argument("--json", action="store_true")
+    for name, (help_line, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
 
     # each command's sub-parser, by name, for main to parse a command's argv
     # without the top-level pass
     ap.commands = sub.choices
     return ap
+
+
+def _convert(keywords: dict, text: str):
+    """``text`` converted by an argument's ``type`` and checked against its
+    ``choices``; ValueError where argparse would reject it."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _parse_command(name: str, tokens: list[str]):
+    """The namespace that the sub-parser of command ``name`` makes of
+    ``tokens``, the argv after the name, when they take the plainest form;
+    None for any other, which is left to argparse.
+
+    The plainest form is the command's positionals first, then options
+    spelled out in full: ``--opt value`` (a value that does not start with
+    "-") or ``--opt=value`` for a store or append option, a bare flag for a
+    ``store_true`` one.  Values are converted by the argument's ``type`` and
+    checked against its ``choices``, and every required argument must be
+    given.  Abbreviations, ``-h``, ``--``, unknown options and positionals
+    after an option give None.
+    """
+    arguments = _COMMANDS[name][1]
+    values = {flag.lstrip("-"): False if kw.get("action") == "store_true" else None
+              for flag, kw in arguments}
+    options = {flag: kw for flag, kw in arguments if flag.startswith("-")}
+    first_option = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
+    head, rest, given = tokens[:first_option], iter(tokens[first_option:]), set()
+    try:
+        for flag, kw in arguments:
+            if flag in options:
+                continue
+            if kw.get("nargs") == "*":
+                values[flag], head = [_convert(kw, token) for token in head], []
+            elif head:
+                values[flag], head = _convert(kw, head[0]), head[1:]
+            else:
+                return None
+        if head:
+            return None
+        for token in rest:
+            flag, eq, value = token.partition("=")
+            kw = options.get(flag)
+            if kw is None:
+                return None
+            given.add(flag)
+            dest = flag.lstrip("-")
+            if kw.get("action") == "store_true":
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if not eq:
+                value = next(rest, "-")
+                if value.startswith("-"):
+                    return None
+            value = _convert(kw, value)
+            values[dest] = [*(values[dest] or ()), value] if kw.get("action") == "append" else value
+    except ValueError:
+        return None
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    return SimpleNamespace(**values)
 
 
 @lru_cache(maxsize=None)
@@ -478,13 +558,12 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_grid_values(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name is None:
+        args = _parser().parse_args(argv)
     else:
-        args = command.parse_args(argv[1:])
-        args.command = argv[0]
+        args = _parse_command(name, argv[1:]) or _parser().commands[name].parse_args(argv[1:])
+        args.command = name
     handlers = {
         "eval": _cmd_eval,
         "verify": _cmd_verify,

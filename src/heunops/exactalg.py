@@ -50,6 +50,17 @@ def rat(value: _Scalar) -> Fraction:
     raise NotExact(f"expected an exact rational, got {type(value).__name__}")
 
 
+def parse_number(name: str, value, kind=Fraction):
+    """``kind(value)``: ``kind`` is ``Fraction`` (the default), :func:`rat`
+    or ``int``.  A malformed ``value`` such as ``"1/0"`` or ``"abc"`` raises
+    a :class:`DomainError` that names the parameter ``name`` and ``value``."""
+    try:
+        return kind(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "an integer" if kind is int else "a rational"
+        raise DomainError(f"cannot parse {name}={value!r} as {what}") from exc
+
+
 def _frozen(message: str) -> Exception:
     """A ``dataclasses.FrozenInstanceError``; ``dataclasses`` (which loads
     ``inspect``, ``ast`` and ``dis``) is imported only when one is raised."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence, Union
@@ -38,7 +39,7 @@ from .errors import (
     MissingParam,
     NonFinite,
 )
-from .exactalg import E0, E1, E2, Frozen, Poly, binary_form, rat
+from .exactalg import E0, E1, E2, Frozen, Poly, binary_form, parse_number, rat
 from .specfun import (
     ConfluentHeunParams,
     HeunParams,
@@ -260,6 +261,8 @@ def _params_k_family(n: int, j: int) -> ConfluentHeunParams:
     return ConfluentHeunParams(n, j + 1, 0, Fraction(2 * j + 1, 2), 2 * n * (2 * j + 1))
 
 
+# typed, so that (1.0, 0) raises as it does uncached instead of reaching the entry of (1, 0)
+@lru_cache(maxsize=None, typed=True)
 def i314_rhs(n: int, i: int) -> Poly:
     """Exact even-shifted polynomial claimed equal to the terminating Heun
     series with parameters ((i-n)(2i+1); 2(i-n), 2i+1; i+1, i+1):
@@ -768,13 +771,13 @@ def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
         raise DomainError(f"{entry.id.value} takes no parameters {unknown}")
     out = {}
     for k, v in params.items():
-        if k in ("n", "i", "j", "m"):
-            index = Fraction(v)
-            if index.denominator != 1:
+        is_index = k in ("n", "i", "j", "m")
+        value = parse_number(f"{entry.id.value} parameter {k}", v, Fraction if is_index else rat)
+        if is_index:
+            if value.denominator != 1:
                 raise DomainError(f"{entry.id.value}: index parameter {k} must be an integer, got {v!r}")
-            out[k] = int(index)
-        else:
-            out[k] = rat(v)
+            value = int(value)
+        out[k] = value
     return out
 
 

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, exact output strings, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -459,6 +461,151 @@ class TestUsageErrors:
         exits(capsys, lambda: main([]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv, message", (
+        (["eval", "F", "n=1/0", "x=1"], "cannot parse n='1/0' as a rational"),
+        (["eval", "K", "n=2", "j=x", "x=1"], "cannot parse j='x' as a rational"),
+        (["eval", "F", "n=2", "x=1/2/3"], "cannot parse x='1/2/3' as a rational"),
+        (["eval", "bspline", "knots=0;1;x", "x=1/2"], "cannot parse knot='x' as a rational"),
+        (["eval", "F", "n=2", "--grid", "0:x:3"], "cannot parse grid b='x' as a rational"),
+        (["verify", "--id", "I31", "--params", "q=abc"],
+         "cannot parse I31 parameter q='abc' as a rational"),
+        (["verify", "--id", "I39", "--params", "n=1/0", "--mode", "exact"],
+         "cannot parse I39 parameter n='1/0' as a rational"),
+        (["entropy", "--op", "bspline", "--n", "4", "--sigma", "const:abc", "--grid", "0:1:3"],
+         "cannot parse sigma c='abc' as a rational"),
+        (["entropy", "--op", "bspline", "--n", "4", "--sigma", "quad:1:y", "--grid", "0:1:3"],
+         "cannot parse sigma d='y' as a rational"),
+        (["entropy", "--op", "kantorovich", "--n", "3", "--grid", "1/0:1:3"],
+         "cannot parse grid a='1/0' as a rational"),
+        (["entropy", "--op", "kantorovich", "--n", "3", "--grid", "0:1:abc"],
+         "cannot parse grid count='abc' as an integer"),
+    ), ids=("int-zero-denominator", "int-letters", "rational", "knot", "grid-end", "identity-rational",
+            "identity-index", "sigma-const", "sigma-quad", "grid-start", "grid-count"))
+    def test_malformed_value_is_named(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_malformed_table_sigma_value_is_named(self, capsys, tmp_path):
+        table = tmp_path / "sigma.csv"
+        table.write_text("0,1\n1,1/0\n")
+        code, out, err = run(capsys, "entropy", "--op", "bspline", "--n", "2",
+                             "--sigma", f"table:{table}", "--grid", "0:1:3")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse sigma table {table}, line 2: sigma='1/0' as a rational\n"
+
+
+#: tokens for the command lines of the direct-parser property: positionals
+#: of every kind, bad values of every type, values that start with "-",
+#: and the tokens that argparse treats specially
+_POSITIONALS = ("hl", "F", "c_n", "nosuch", "n=3", "x=1/2", "", "a b", "-x y", "-1", "-")
+_VALUES = ("x", "3.5", " 7 ", "inf", "bogus", "", "-", "--", "-h", "-1", "-1:1:3", "--json", "--n",
+           "a=b=c")
+_SPECIAL = ("--", "-", "-h", "--help", "--bogus", "---json", "-json", "--JSON")
+
+
+def _value(draw, keywords: dict) -> str:
+    """A value for an argument: mostly a well-formed one of its kind."""
+    if not draw(st.integers(0, 7)):
+        return draw(st.sampled_from(_VALUES))
+    if "choices" in keywords:
+        good = keywords["choices"]
+    elif keywords.get("type") is int:
+        good = ("3", " 4 ", "-2", "0x1")
+    elif keywords.get("type") is float:
+        good = ("1e-3", "nan", "-1", "1_0")
+    else:
+        good = ("0:1:3", "n=5,x=1", "I39", "const:1")
+    return draw(st.sampled_from(good))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command name and an argv after it, mostly of the plainest form:
+    declared options with values of their kind, each argument in one of
+    its spellings, and now and then a token that argparse alone handles."""
+    def rarely() -> bool:
+        return not draw(st.integers(0, 7))
+
+    name = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][1]
+    options = [(flag, kw) for flag, kw in arguments if flag.startswith("-")]
+    tokens = [_value(draw, kw) for flag, kw in arguments
+              if not flag.startswith("-") and "nargs" not in kw and not rarely()]
+    tokens += draw(st.lists(st.sampled_from(_POSITIONALS), max_size=2 if tokens else 0))
+    chosen = [(flag, kw) for flag, kw in options if kw.get("required") and not rarely()]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    for flag, kw in draw(st.permutations(chosen)):
+        spelling = draw(st.sampled_from((flag[:-1],) + _SPECIAL)) if rarely() else flag
+        value = _value(draw, kw)
+        joined = [f"{spelling}={value}"]
+        if kw.get("action") == "store_true":
+            tokens += joined if rarely() else [spelling]
+        elif rarely():
+            tokens.append(spelling)
+        else:
+            tokens += draw(st.sampled_from(([spelling, value], joined)))
+    if rarely():
+        tokens.append(draw(st.sampled_from(_POSITIONALS)))
+    return name, tokens
+
+
+def _argparse_namespace(name: str, tokens: list[str]):
+    """What the argparse sub-parser makes of ``tokens``; None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().commands[name].parse_args(tokens)
+        except SystemExit:
+            return None
+
+
+def _attributes(namespace) -> str:
+    # by repr, so that a NaN tolerance equals itself and 3 differs from 3.0
+    return repr(sorted(vars(namespace).items()))
+
+
+class TestDirectParser:
+    """A command line that the direct parser accepts is one that argparse
+    accepts too, with the same attributes; anything else is argparse's."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(_command_lines())
+    def test_accepts_only_what_argparse_parses_alike(self, line):
+        name, tokens = line
+        direct = cli._parse_command(name, tokens)
+        if direct is not None:
+            parsed = _argparse_namespace(name, tokens)
+            assert parsed is not None, "argparse rejects a line that the direct parser accepts"
+            assert _attributes(direct) == _attributes(parsed)
+
+    @pytest.mark.parametrize("argv", (
+        ["eval", "c_n", "n=3", "--exact"],
+        ["eval", "F", "n=2", "x=1/2"],
+        ["eval", "hl", "a=2", "q=1/2", "--grid=-1/2:1/2:9", "--json", "--exact", "--json"],
+        ["eval", "legendre", "n=3", "--grid", "0:1:5"],
+        ["verify", "--all"],
+        ["verify", "--id", "I39", "--params", "n=5", "--params=x=1", "--mode", "exact"],
+        ["verify", "--id=I22", "--mode=numeric", "--tol", "1e-3", "--tol=nan", "--json"],
+        ["entropy", "--op", "kantorovich", "--n", "3", "--k=2", "--grid", "0:1:3"],
+        ["entropy", "--grid=-1:1:9", "--n= 4 ", "--op=bspline", "--sigma", "quad:1:1/2", "--json"],
+        ["entropy", "--op", "bspline", "--n", "4", "--grid=", "--sigma="],
+        ["registry"],
+        ["registry", "--json"],
+    ))
+    def test_well_formed_lines_are_parsed_alike(self, argv):
+        direct = cli._parse_command(argv[0], argv[1:])
+        assert direct is not None
+        assert _attributes(direct) == _attributes(_argparse_namespace(argv[0], argv[1:]))
+
+    @pytest.mark.parametrize("argv", (
+        ["eval"], ["eval", "nosuch", "n=1"], ["eval", "F", "--exact", "n=1"], ["eval", "F", "-1"],
+        ["eval", "F", "--gr", "0:1:3"], ["eval", "F", "--grid", "-1:1:3"], ["eval", "F", "--exact=1"],
+        ["eval", "F", "--", "n=1"], ["eval", "F", "-h"], ["verify", "I39"], ["verify", "--mode", "bogus"],
+        ["verify", "--tol", "x"], ["verify", "--tol", "-1"], ["verify", "--id"],
+        ["entropy", "--op", "kantorovich", "--n", "3.5", "--grid", "0:1:3"],
+        ["entropy", "--op", "kantorovich", "--n", "3"], ["registry", "--bogus"], ["registry", "x"],
+    ))
+    def test_other_lines_are_left_to_argparse(self, argv):
+        assert cli._parse_command(argv[0], argv[1:]) is None
+
 
 #: JSON text with quotes, backslashes, control characters, non-ASCII
 #: characters and lone surrogates
@@ -532,6 +679,8 @@ class TestBuildOnce:
     once per parameter set, however many calls or grid points use it."""
 
     def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        # a well-formed command line builds no parser; the first malformed
+        # one builds it, and every later one reuses it
         calls = []
         real = cli.build_parser
 
@@ -544,6 +693,9 @@ class TestBuildOnce:
         try:
             for argv in (["registry"], ["registry", "--json"], ["eval", "c_n", "n=3", "--exact"]):
                 assert run(capsys, *argv)[0] == 0
+            assert calls == []
+            for argv in (["registry", "--bogus"], ["eval", "nosuch"], ["entropy", "--n", "x"], []):
+                assert exits(capsys, lambda: main(argv))[0] == 2
         finally:
             cli._parser.cache_clear()
         assert len(calls) == 1

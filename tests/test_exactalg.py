@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from heunops.bspline import ConstantSigma
 from heunops.entropy import BSplineOp, KantorovichOp, entropy_profile
 from heunops.errors import DomainError, HeunopsError, IndexOutOfRange
-from heunops.exactalg import NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product, rat
+from heunops.exactalg import (NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product,
+                              parse_number, rat)
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 small_polys = st.lists(fractions, min_size=0, max_size=6).map(lambda cs: Poly(tuple(cs)))
@@ -24,6 +25,18 @@ def test_rat_accepts_exact_types_only():
     assert rat(7) == 7
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def test_parse_number_names_a_malformed_value():
+    assert parse_number("x", "-3/6") == F(-1, 2) and parse_number("count", " 7 ", int) == 7
+    assert parse_number("q", F(1, 3), rat) == F(1, 3)
+    for value, kind, what in (("1/0", F, "a rational"), ("abc", rat, "a rational"),
+                              ("1/2", int, "an integer")):
+        with pytest.raises(DomainError) as exc:
+            parse_number("n", value, kind)
+        assert str(exc.value) == f"cannot parse n={value!r} as {what}"
+    with pytest.raises(TypeError):
+        parse_number("q", 0.5, rat)
 
 
 @pytest.mark.parametrize("call", (

@@ -206,6 +206,15 @@ class TestI314:
         with pytest.raises(IndexOutOfRange):
             i314_rhs(2, 3)
 
+    def test_built_once_for_both_modes(self):
+        # the exact and the ode check of one parameter set share one polynomial
+        i314_rhs.cache_clear()
+        for mode in ("exact", "ode"):
+            assert verify("I314", {"n": 4, "i": 1}, mode).passed
+        assert i314_rhs.cache_info().misses == 1 and i314_rhs.cache_info().hits == 1
+        with pytest.raises(TypeError):
+            i314_rhs(4.0, 1)
+
     @pytest.mark.parametrize("n", range(0, 6))
     def test_series_termination_matches_polynomial(self, n):
         # the terminating local series and the explicit polynomial coincide

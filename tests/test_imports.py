@@ -1,5 +1,6 @@
 """Library modules use only each other's public names, and the CLI runs
-without numpy and without loading ``dataclasses`` or ``inspect``."""
+without numpy and without loading ``dataclasses`` or ``inspect``, nor
+``argparse`` or ``gettext`` for a well-formed command line."""
 
 import ast
 import os
@@ -63,11 +64,7 @@ def test_cli_runs_without_numpy():
             "    assert heunops.cli.main(['verify', '--all']) == 0\n"
             "specfun.quadrature(specfun.gauss_legendre(8, 0, 1), lambda t: t)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=False)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
 
 
 def test_commands_load_neither_dataclasses_nor_inspect():
@@ -84,6 +81,35 @@ def test_commands_load_neither_dataclasses_nor_inspect():
             "                             'delta=1', '--grid=-1/2:1/2:9']) == 0\n"
             "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
             "assert not loaded, sorted(loaded)\n")
+    _run_fresh(code)
+
+
+def test_well_formed_commands_load_neither_argparse_nor_gettext():
+    # a well-formed command line is parsed without argparse, whose import
+    # loads gettext, and the first gettext lookup locale; an unknown
+    # argument still gets argparse's usage error
+    code = ("import io, sys, contextlib\n"
+            "import heunops, heunops.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert heunops.cli.main(['eval', 'c_n', 'n=3', '--exact', '--json']) == 0\n"
+            "    assert heunops.cli.main(['verify', '--id', 'I39', '--mode', 'exact']) == 0\n"
+            "    assert heunops.cli.main(['entropy', '--op', 'kantorovich', '--n', '3',\n"
+            "                             '--grid', '0:1:3']) == 0\n"
+            "    assert heunops.cli.main(['registry']) == 0\n"
+            "loaded = {'argparse', 'gettext'} & set(sys.modules)\n"
+            "assert not loaded, sorted(loaded)\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    try:\n"
+            "        heunops.cli.main(['registry', '--bogus'])\n"
+            "    except SystemExit as stop:\n"
+            "        assert stop.code == 2\n"
+            "assert err.getvalue().endswith('heunops registry: error: unrecognized arguments: --bogus\\n')\n"
+            "assert 'argparse' in sys.modules\n")
+    _run_fresh(code)
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports heunops from here."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
