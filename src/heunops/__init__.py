@@ -12,7 +12,6 @@ from .bspline import (
     bspline_density,
     c_constant,
     kernel,
-    kernel_moment,
 )
 from .specfun import (
     ConfluentHeunParams,
@@ -40,12 +39,9 @@ from .entropy import (
     BSplineOp,
     EntropyPoint,
     KantorovichOp,
-    bernstein_basis,
-    bernstein_poly,
     entropy_profile,
     kantorovich_apply,
     kantorovich_poly,
-    s_nk,
     synchronicity_check,
 )
 from .identities import (

@@ -1,10 +1,13 @@
 """B-spline densities on equidistant knots, the induced integral-operator
-kernel, its moments, and the exact squared-kernel constants.
+kernel, and the exact squared-kernel constants.
 
 The B-spline here is density-normalized: the spline on knots
 ``x_0 < ... < x_m`` integrates to exactly 1 (degree m-1, smoothness
 C^(m-2)).  That normalization is what makes the squared-kernel integral
-equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.
+equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.  On equidistant knots it is
+an affine image of the cardinal B-spline M_m (knots 0, 1, ..., m), and
+every density and value here comes from the explicit sum for M_m
+(Schoenberg 1946).
 
 ``KnotVector``, the width specs and ``KernelInstance`` are immutable value
 types (:class:`heunops.exactalg.Frozen`).
@@ -19,7 +22,7 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth
-from .exactalg import E1, E2, Frozen, PiecewisePoly, Poly, rat
+from .exactalg import Frozen, PiecewisePoly, Poly, rat
 from .specfun import gauss_legendre, quadrature
 
 
@@ -121,30 +124,37 @@ class KernelInstance(Frozen):
 
 def bspline_density(knots: Union[KnotVector, Sequence]) -> PiecewisePoly:
     """Degree-(m-1) B-spline on the given m+1 knots, normalized to
-    integrate to exactly 1, built by the Cox-de Boor recursion in exact
-    rational arithmetic."""
+    integrate to exactly 1, in exact rational arithmetic.
+
+    On the equidistant knots x_0 + h i it is (1/h) M_m((t - x_0)/h), so
+    each piece is a piece of the cardinal M_m (:func:`_cardinal_pieces`)
+    under the affine map t -> (t - x_0)/h, scaled by 1/h.
+    """
     if not isinstance(knots, KnotVector):
         knots = KnotVector(tuple(knots))
-    return _bspline_density_cached(knots.points)
+    pts = knots.points
+    x0, h = pts[0], pts[1] - pts[0]
+    pieces = _cardinal_pieces(len(pts) - 1)
+    return PiecewisePoly(pts, tuple(p.compose_affine(1 / h, -x0 / h).scale(1 / h) for p in pieces))
 
 
-# bounded like the series records of ``specfun``: a grid of kernels whose
-# knots move with x would otherwise keep one density per point
 @lru_cache(maxsize=256)
-def _bspline_density_cached(pts: tuple[Fraction, ...]) -> PiecewisePoly:
-    m = len(pts) - 1
-    # level 0: indicators of the m knot intervals, one list of per-interval polys each
-    level = [[Poly.constant(1) if j == i else Poly() for j in range(m)] for i in range(m)]
-    for deg in range(1, m):
-        nxt = []
-        for i in range(m - deg):
-            left = Poly.of(-pts[i], 1).scale(1 / (pts[i + deg] - pts[i]))
-            right = Poly.of(pts[i + deg + 1], -1).scale(1 / (pts[i + deg + 1] - pts[i + 1]))
-            nxt.append([left * level[i][j] + right * level[i + 1][j] for j in range(m)])
-        level = nxt
-    pp = PiecewisePoly(pts, tuple(level[0]))
-    total = pp.integrate()
-    return pp.scale(1 / total)
+def _cardinal_pieces(m: int) -> tuple[Poly, ...]:
+    """The m polynomial pieces of the cardinal B-spline M_m, piece i on
+    [i, i+1]:
+
+        P_i(t) = sum_{j <= i} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!,
+
+    the sum of :func:`cardinal_bspline` with its terms expanded in powers
+    of t; each piece adds one term to the integer coefficients of the last.
+    """
+    acc, pieces, inv = [0] * m, [], Fraction(1, factorial(m - 1))
+    for j in range(m):
+        sign_binom = (-1) ** j * comb(m, j)
+        for r in range(m):
+            acc[r] += sign_binom * comb(m - 1, r) * (-j) ** (m - 1 - r)
+        pieces.append(Poly(acc).scale(inv))
+    return tuple(pieces)
 
 
 def require_order(n, what: str = "kernel order n") -> None:
@@ -161,8 +171,10 @@ def cardinal_bspline(m: int, t) -> Fraction:
 
         M_m(t) = sum_{j < t} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!
 
-    over integers at t = p/q.  The j = 0 term always counts, so that M_1
-    is 1 on the closed [0, 1], like :func:`bspline_density` at its knots.
+    over integers at t = p/q: the same sum as the pieces of
+    :func:`_cardinal_pieces`, evaluated at one point without building
+    them.  The j = 0 term always counts, so that M_1 is 1 on the closed
+    [0, 1], like :func:`bspline_density` at its knots.
     """
     require_order(m, "cardinal B-spline order m")
     t = rat(t)
@@ -192,7 +204,8 @@ def c_constant(n: int) -> Fraction:
     W_n(0,.) at sigma = 1 is (n/2) M_n(n(t+1)/2), and M_n is symmetric with
     M_n * M_n = M_2n, so c_n = (n/2) M_2n(n) (:func:`cardinal_bspline`),
     whatever x and sigma.  ``entropy_profile`` divides it by sigma(x);
-    the tests check it against Cox-de Boor kernels at the actual knots.
+    the tests check it against kernels built by the Cox-de Boor recursion
+    at the actual knots.
     """
     require_order(n)
     return n * cardinal_bspline(2 * n, n) / 2
@@ -205,11 +218,6 @@ def unit_variance(n: int) -> Fraction:
     the variance is w^2 times this."""
     require_order(n)
     return Fraction(1, 3 * n)
-
-
-def kernel_moment(k: KernelInstance, order: int) -> Fraction:
-    """Exact ``integral t^order W_n(x, t) dt``."""
-    return k.density.moment(order)
 
 
 def apply_Ln(n: int, sigma, f, x, quad_points: int = 32):
@@ -228,10 +236,3 @@ def apply_Ln(n: int, sigma, f, x, quad_points: int = 32):
         rule = gauss_legendre(quad_points, lo, hi)
         total += quadrature(rule, lambda t, piece=piece: float(piece(t)) * f(t))
     return total
-
-
-def variance(n: int, sigma, x) -> Fraction:
-    """Exact kernel variance  L e_2 - (L e_1)^2  at the point x."""
-    m1 = apply_Ln(n, sigma, E1, x)
-    m2 = apply_Ln(n, sigma, E2, x)
-    return m2 - m1 * m1

@@ -25,7 +25,6 @@ from . import bspline
 from .errors import (
     ConstraintViolated,
     DomainError,
-    IndexOutOfRange,
     LengthMismatch,
     NonFinite,
     UnsupportedK,
@@ -98,23 +97,8 @@ class SynchronicityReport(Frozen):
         self.__dict__.update(passed=passed, worst_pair=worst_pair, worst_product=worst_product)
 
 
-def bernstein_basis(n: int, j: int, x) -> Fraction:
-    """Exact Bernstein weight  C(n,j) x^j (1-x)^(n-j)."""
-    if not 0 <= j <= n:
-        raise IndexOutOfRange(f"basis index {j} outside 0..{n}")
-    x = rat(x)
-    return comb(n, j) * x**j * (1 - x) ** (n - j)
-
-
 #: the second variable of the Bernstein binary forms
 _ONE_MINUS_X = Poly.of(1, -1)
-
-
-@lru_cache(maxsize=None)
-def bernstein_poly(n: int, j: int) -> Poly:
-    if not 0 <= j <= n:
-        raise IndexOutOfRange(f"basis index {j} outside 0..{n}")
-    return (Poly.monomial(j) * _ONE_MINUS_X ** (n - j)).scale(comb(n, j))
 
 
 def bernstein_apply(n: int, f: Poly) -> Poly:
@@ -248,25 +232,6 @@ def s2_integral_form(n: int, x: float, npoints: int = 256) -> float:
     return n / (3 * math.pi) * total
 
 
-def s_nk(n: int, k: int, x, method: str = "direct"):
-    """Squared-kernel integral of the k-th Kantorovich modification at x.
-
-    ``direct`` works for any 1 <= k <= n and is exact at rational x;
-    ``sum-form`` and ``integral-form`` implement the k = 2 closed forms.
-    """
-    if method == "direct":
-        return s_direct_poly(n, k)(rat(x))
-    if method == "sum-form":
-        if k != 2:
-            raise UnsupportedK("sum form available only for k = 2")
-        return s2_sum_poly(n)(rat(x))
-    if method == "integral-form":
-        if k != 2:
-            raise UnsupportedK("integral form available only for k = 2")
-        return s2_integral_form(n, float(x))
-    raise DomainError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # profiles and synchronicity
 # ---------------------------------------------------------------------------
@@ -301,7 +266,7 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     """Per-point squared-kernel integral, both entropies, and the variance.
 
     The operator's exact data is looked up once per call, not per point,
-    and no Cox-de Boor density is built.  B-spline values scale the exact
+    and no B-spline density is built.  B-spline values scale the exact
     constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
     with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n).  Kantorovich
     squared kernels take their cell overlaps from M_2k

@@ -341,12 +341,6 @@ def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> Se
     return _point_value(_series(GaussParams(a, b, c)), x, _checked_tol(tol), False)
 
 
-def gauss_series(params: GaussParams, x: Scalar, tol: float = 1e-15) -> SeriesResult:
-    """:func:`hyp2f1` of a parameter set built once, as :func:`heun_local`
-    takes one, so that a grid of points checks the parameters once."""
-    return _point_value(_series(params), x, _checked_tol(tol), False)
-
-
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
     """Exact polynomial form of a terminating Gauss series with rational parameters.
 
@@ -636,7 +630,7 @@ def series_values(params, xs: Iterable[Scalar], tol: float) -> list[SeriesResult
     """The series of ``params`` (a :class:`HeunParams`,
     :class:`ConfluentHeunParams` or :class:`GaussParams`) at each point of
     ``xs``, each as :func:`heun_local`, :func:`confluent_heun` or
-    :func:`gauss_series` gives it, with the same checks and exceptions;
+    :func:`hyp2f1` gives it, with the same checks and exceptions;
     the record of ``params`` is looked up once for the whole grid."""
     series, tol = _series(params), _checked_tol(tol)
     return [_point_value(series, x, tol, False) for x in xs]

@@ -19,11 +19,10 @@ from heunops.bspline import (
     c_constant,
     cardinal_bspline,
     kernel,
-    kernel_moment,
     unit_variance,
 )
 from heunops.errors import HeunopsError, InvalidKnots, NonpositiveWidth
-from heunops.exactalg import E0, E1, E2, Poly, integrate_product
+from heunops.exactalg import E0, E1, E2, PiecewisePoly, Poly, integrate_product
 
 SIGMAS = (F(1, 2), F(1), F(7, 3))
 XS = (F(-1), F(0), F(5, 2))
@@ -41,6 +40,33 @@ def _cox_de_boor_value(pts, i, p, t):
 def _density_oracle(pts, t):
     m = len(pts) - 1
     return _cox_de_boor_value(pts, 0, m - 1, t) * F(m) / (pts[-1] - pts[0])
+
+
+def _cox_de_boor_density(pts):
+    """Reference density on the knots ``pts``: the general Cox-de Boor
+    recursion over per-interval polynomials, normalized by its integral;
+    independent of the cardinal closed form that the library uses."""
+    pts = tuple(F(p) for p in pts)
+    m = len(pts) - 1
+    # level 0: indicators of the m knot intervals, one list of per-interval polys each
+    level = [[Poly.constant(1) if j == i else Poly() for j in range(m)] for i in range(m)]
+    for deg in range(1, m):
+        nxt = []
+        for i in range(m - deg):
+            left = Poly.of(-pts[i], 1).scale(1 / (pts[i + deg] - pts[i]))
+            right = Poly.of(pts[i + deg + 1], -1).scale(1 / (pts[i + deg + 1] - pts[i + 1]))
+            nxt.append([left * level[i][j] + right * level[i + 1][j] for j in range(m)])
+        level = nxt
+    pp = PiecewisePoly(pts, tuple(level[0]))
+    total = pp.integrate()
+    return pp.scale(1 / total)
+
+
+#: equidistant knot vectors x_0 + h i, i = 0..m, with m <= 14
+EQUIDISTANT_KNOTS = st.builds(
+    lambda m, x0, h: [x0 + h * i for i in range(m + 1)],
+    st.integers(1, 14), st.fractions(-20, 20, max_denominator=12),
+    st.fractions(F(1, 12), 8, max_denominator=12))
 
 
 class TestDensity:
@@ -69,6 +95,11 @@ class TestDensity:
             t = pts[i]
             assert left(t) == right(t)
             assert left.derivative()(t) == right.derivative()(t)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(EQUIDISTANT_KNOTS)
+    def test_cardinal_image_equals_cox_de_boor(self, pts):
+        assert bspline_density(pts) == _cox_de_boor_density(pts)
 
     def test_invalid_knots(self):
         with pytest.raises(InvalidKnots):
@@ -107,15 +138,17 @@ class TestKernel:
             assert moved.density == base.density.shift(F(5, 2))
 
     def test_density_cache_is_bounded(self):
-        # regression: one density per distinct kernel was kept forever
+        # regression: one density per distinct kernel was kept forever;
+        # kernels whose knots move with x share the pieces of one order
+        before = bspline._cardinal_pieces.cache_info().currsize
         for i in range(300):
             kernel(3, QuadraticSigma(1, F(1, 2)), F(i, 300))
-        info = bspline._bspline_density_cached.cache_info()
-        assert info.maxsize == 256 and info.currsize <= 256
+        info = bspline._cardinal_pieces.cache_info()
+        assert info.maxsize == 256 and info.currsize <= before + 1
 
 
 class TestConstants:
-    """c_n = (n/2) M_2n(n) and v_n = 1/(3n) against Cox-de Boor kernels
+    """c_n = (n/2) M_2n(n) and v_n = 1/(3n) against Cox-de Boor densities
     built at the actual knots x - sigma + 2 sigma i / n."""
 
     def test_first_three_constants(self):
@@ -127,7 +160,7 @@ class TestConstants:
     def test_independent_of_x_and_sigma(self, n):
         for s in SIGMAS:
             for x in XS:
-                density = kernel(n, ConstantSigma(s), x).density
+                density = _cox_de_boor_density([x - s + 2 * s * i / n for i in range(n + 1)])
                 m1 = density.moment(1)
                 assert s * integrate_product(density, density) == c_constant(n)
                 assert density.moment(0) == 1 and m1 == x
@@ -145,7 +178,7 @@ class TestCardinalBSpline:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_against_cox_de_boor(self, m):
         # the knots, the half-integers, thirds and points outside [0, m]
-        density = bspline_density(range(m + 1))
+        density = _cox_de_boor_density(range(m + 1))
         ts = [F(i, 2) for i in range(-4, 2 * m + 5)] + [F(i, 3) for i in range(3 * m + 1)]
         for t in ts + [F(-7, 5), F(m) + F(1, 7), F(10**6)]:
             assert cardinal_bspline(m, t) == density(t), t
@@ -174,14 +207,14 @@ class TestCardinalBSpline:
 class TestMoments:
     def test_mass(self):
         for n in (1, 2, 5):
-            assert kernel_moment(kernel(n, ConstantSigma(F(7, 3)), F(5, 2)), 0) == 1
+            assert kernel(n, ConstantSigma(F(7, 3)), F(5, 2)).density.moment(0) == 1
 
     def test_symmetry_first_moment(self):
-        assert kernel_moment(kernel(2, ConstantSigma(1), 5), 1) == 5
+        assert kernel(2, ConstantSigma(1), 5).density.moment(1) == 5
 
     def test_second_moment(self):
         # direct oracle: integral of t^2/2 over [-1, 1] = 1/3
-        assert kernel_moment(kernel(1, ConstantSigma(1), 0), 2) == F(1, 3)
+        assert kernel(1, ConstantSigma(1), 0).density.moment(2) == F(1, 3)
 
 
 class TestApplyLn:
@@ -216,7 +249,7 @@ class TestApplyLn:
         sig = QuadraticSigma(1, 1)
         for n in (1, 2, 4):
             for x in (F(-2), F(1, 2)):
-                v = bspline.variance(n, sig, x)
+                v = apply_Ln(n, sig, E2, x) - apply_Ln(n, sig, E1, x) ** 2
                 assert v == sig.at(x) ** 2 / F(3 * n)
 
 

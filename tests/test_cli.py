@@ -754,8 +754,7 @@ class TestBuildOnce:
     ), ids=("hl", "hl-terminating", "2f1", "hc", "hc-point"))
     def test_float_series_grid_is_one_library_call(self, capsys, monkeypatch, argv, lines):
         # the single-point wrappers are never called; the grid is one call
-        calls = {name: 0 for name in ("heun_local", "confluent_heun", "gauss_series", "hyp2f1",
-                                      "series_values")}
+        calls = {name: 0 for name in ("heun_local", "confluent_heun", "hyp2f1", "series_values")}
 
         def counting(name):
             real = getattr(specfun, name)
@@ -769,8 +768,7 @@ class TestBuildOnce:
             monkeypatch.setattr(specfun, name, counting(name))
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 0 and len(out.splitlines()) == lines
-        assert calls == {"heun_local": 0, "confluent_heun": 0, "gauss_series": 0, "hyp2f1": 0,
-                         "series_values": 1}
+        assert calls == {"heun_local": 0, "confluent_heun": 0, "hyp2f1": 0, "series_values": 1}
 
     def test_gauss_grid_builds_parameter_set_once(self, capsys, monkeypatch):
         built = []

@@ -14,18 +14,15 @@ from heunops.entropy import (
     BSplineOp,
     EntropyPoint,
     KantorovichOp,
-    bernstein_basis,
-    bernstein_poly,
+    bernstein_apply,
     entropy_profile,
     kantorovich_apply,
     kantorovich_poly,
-    s_nk,
     synchronicity_check,
 )
 from heunops.errors import (
     ConstraintViolated,
     DomainError,
-    IndexOutOfRange,
     InvalidKnots,
     LengthMismatch,
     NonFinite,
@@ -33,29 +30,32 @@ from heunops.errors import (
 )
 from heunops.exactalg import E0, E1, E2, Poly, integrate_product
 
+from test_bspline import _cox_de_boor_density
+
 X9 = [F(i, 8) for i in range(9)]
+
+
+def bernstein_poly(n, j):
+    """Reference Bernstein basis polynomial C(n,j) x^j (1-x)^(n-j)."""
+    return (Poly.monomial(j) * Poly.of(1, -1) ** (n - j)).scale(math.comb(n, j))
 
 
 class TestBernstein:
     def test_corner(self):
+        # B_n f interpolates f at x = 0: only the j = 0 weight is nonzero there
+        f = Poly.of(F(5, 2), -3, 1)
         for n in (1, 3, 6):
-            assert bernstein_basis(n, 0, F(0)) == 1
+            assert bernstein_apply(n, f)(F(0)) == f(F(0))
 
     def test_partition_of_unity_poly(self):
         total = Poly()
         for j in range(4):
             total = total + bernstein_poly(3, j)
-        assert total == Poly.constant(1)
+        assert total == Poly.constant(1) == bernstein_apply(3, E0)
 
     def test_direct_value(self):
-        # oracle: 2 * (1/4) * (3/4)
-        assert bernstein_basis(2, 1, F(1, 4)) == F(3, 8)
-
-    def test_index_guard(self):
-        with pytest.raises(IndexOutOfRange):
-            bernstein_basis(2, 3, F(1, 2))
-        with pytest.raises(IndexOutOfRange):
-            bernstein_basis(2, -1, F(1, 2))
+        # oracle: f(0) = f(1) = 0 and f(1/2) = 1 pick the j = 1 weight 2 * (1/4) * (3/4)
+        assert bernstein_apply(2, Poly.of(0, 4, -4))(F(1, 4)) == F(3, 8)
 
 
 class TestKantorovich:
@@ -124,7 +124,7 @@ def _bernstein_sum_oracle(n, k, f):
         if k == 0:
             weight = f(F(j, n))
         else:
-            weight = bspline.bspline_density([F(j + i, n) for i in range(k + 1)]).integrate(weight=f)
+            weight = _cox_de_boor_density([F(j + i, n) for i in range(k + 1)]).integrate(weight=f)
         total = total + bernstein_poly(n - k, j).scale(weight)
     return total
 
@@ -146,36 +146,38 @@ class TestSquaredKernel:
         hat = bspline.bspline_density([F(0), F(1, 2), F(1)])
         assert integrate_product(hat, hat) == F(4, 3)
         for x in X9:
-            assert s_nk(2, 2, x) == F(4, 3)
+            assert entropy.s_direct_poly(2, 2)(x) == F(4, 3)
 
     def test_center_value(self):
-        assert s_nk(3, 2, F(1, 2)) == F(5, 4)
+        assert entropy.s_direct_poly(3, 2)(F(1, 2)) == F(5, 4)
 
     def test_edge_value(self):
         # both the direct definition and the closed sum give 2 at x = 0
-        assert s_nk(3, 2, F(0), "direct") == 2
-        assert s_nk(3, 2, F(0), "sum-form") == 2
+        assert entropy.s_direct_poly(3, 2)(F(0)) == 2
+        assert entropy.s2_sum_poly(3)(F(0)) == 2
 
     @pytest.mark.parametrize("n", (2, 3, 5))
-    def test_integral_form_through_s_nk(self, n):
+    def test_integral_form_against_sum_form(self, n):
         for x in X9:
-            ref = s_nk(n, 2, x, "sum-form")
-            assert abs(s_nk(n, 2, x, "integral-form") - float(ref)) <= 1e-12 * float(ref)
+            ref = entropy.s2_sum_poly(n)(x)
+            assert abs(entropy.s2_integral_form(n, float(x)) - float(ref)) <= 1e-12 * float(ref)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_overlaps_against_cell_integrals(self, n):
         # I_d = n M_2k(k + d) against the Cox-de Boor cells on j/n, ..., (j+k)/n
         for k in range(1, n + 1):
-            cell0 = entropy._kantorovich_cell(n, k, 0)
-            for d in range(n - k + 1):
-                overlap = integrate_product(cell0, entropy._kantorovich_cell(n, k, d))
-                assert n * bspline.cardinal_bspline(2 * k, k + d) == overlap
+            cells = [_cox_de_boor_density([F(j + i, n) for i in range(k + 1)]) for j in range(n - k + 1)]
+            for d, cell in enumerate(cells):
+                assert n * bspline.cardinal_bspline(2 * k, k + d) == integrate_product(cells[0], cell)
 
     def test_unsupported_k(self):
+        # the k = 2 closed forms need n >= 2, the direct form 1 <= k <= n
         with pytest.raises(UnsupportedK):
-            s_nk(4, 1, F(1, 2), "sum-form")
+            entropy.s2_sum_poly(1)
         with pytest.raises(UnsupportedK):
-            s_nk(4, 3, F(1, 2), "integral-form")
+            entropy.s2_integral_form(1, 0.5)
+        with pytest.raises(UnsupportedK):
+            entropy.s_direct_poly(4, 5)
 
     @pytest.mark.parametrize("m", range(2, 41))
     def test_three_way_agreement(self, m):
@@ -261,7 +263,7 @@ def _double_loop_s(n, k):
     """Squared-kernel polynomial summed over all (n-k+1)^2 cell pairs, with
     one overlap integral per pair of cells built at their own knots."""
     m = n - k
-    cells = [bspline.bspline_density([F(j + i, n) for i in range(k + 1)]) for j in range(m + 1)]
+    cells = [_cox_de_boor_density([F(j + i, n) for i in range(k + 1)]) for j in range(m + 1)]
     total = Poly()
     for j in range(m + 1):
         for jp in range(m + 1):
@@ -288,10 +290,11 @@ class TestProfileOracles:
     def test_bspline_against_actual_knots(self, n, sigma):
         pts = entropy_profile(BSplineOp(n, sigma), XS_KINKS)
         for x, pt in zip(XS_KINKS, pts):
-            inst = bspline.kernel(n, sigma, x)
-            s = integrate_product(inst.density, inst.density)
-            m1 = inst.density.moment(1)
-            var = inst.density.moment(2) - m1 * m1
+            w = sigma.at(x)
+            density = _cox_de_boor_density([x - w + 2 * w * i / n for i in range(n + 1)])
+            s = integrate_product(density, density)
+            m1 = density.moment(1)
+            var = density.moment(2) - m1 * m1
             assert pt.x == float(x)
             assert pt.squared_kernel_integral == float(s)
             assert pt.variance == float(var)
@@ -303,7 +306,7 @@ class TestProfileOracles:
             for x, pt in zip(X9, pts):
                 m1 = kantorovich_apply(n, k, E1, x)
                 var = kantorovich_apply(n, k, E2, x) - m1 * m1
-                assert pt.squared_kernel_integral == float(s_nk(n, k, x, "direct"))
+                assert pt.squared_kernel_integral == float(entropy.s_direct_poly(n, k)(x))
                 assert pt.variance == float(var)
 
 
@@ -312,14 +315,13 @@ OPS = (KantorovichOp(6, 3), BSplineOp(4, bspline.QuadraticSigma(1, F(1, 2))))
 
 class TestNoPerPointRebuild:
     """Kernel data is built once per operator, whatever the grid size, and
-    no Cox-de Boor density is built at all: the B-spline constants and the
+    no B-spline density is built at all: the B-spline constants and the
     Kantorovich cell overlaps are cardinal B-spline values."""
 
     @staticmethod
     def _clear_caches():
         for fn in (entropy.s_direct_poly, entropy._kantorovich_profile_polys,
-                   bspline.c_constant, bspline.unit_variance,
-                   bspline._bspline_density_cached):
+                   bspline.c_constant, bspline.unit_variance):
             fn.cache_clear()
 
     @staticmethod
@@ -331,16 +333,15 @@ class TestNoPerPointRebuild:
         monkeypatch.setattr(module, name, counted)
 
     def _count_builds(self, monkeypatch, run):
-        """Calls of the kernel builders made by ``run()`` on cold caches,
-        with the Cox-de Boor density misses as ``density``."""
-        counts: dict = {"integrate_product": 0}
+        """Calls of the kernel builders made by ``run()`` on cold caches."""
+        counts: dict = {"integrate_product": 0, "bspline_density": 0}
         self._clear_caches()
         for module, name in ((entropy, "s_direct_poly"), (entropy, "kantorovich_poly"),
-                             (exactalg, "integrate_product"), (bspline, "cardinal_bspline")):
+                             (exactalg, "integrate_product"), (bspline, "cardinal_bspline"),
+                             (bspline, "bspline_density")):
             self._counting(monkeypatch, counts, module, name, getattr(module, name))
         try:
             run()
-            counts["density"] = bspline._bspline_density_cached.cache_info().misses
         finally:
             monkeypatch.undo()
             self._clear_caches()
@@ -353,7 +354,7 @@ class TestNoPerPointRebuild:
         large = self._count_builds(
             monkeypatch, lambda: entropy_profile(op, [F(i, 64) for i in range(65)]))
         assert small == large
-        assert small["density"] == 0 and small["integrate_product"] == 0
+        assert small["bspline_density"] == 0 and small["integrate_product"] == 0
         if isinstance(op, KantorovichOp):
             # the variance is a closed form: the definition route never runs
             assert small["s_direct_poly"] == 1 and small.get("kantorovich_poly", 0) == 0
@@ -365,7 +366,7 @@ class TestNoPerPointRebuild:
     def test_cli_entropy_builds_no_density(self, monkeypatch, capsys, argv):
         counts = self._count_builds(
             monkeypatch, lambda: cli.main(["entropy", *argv, "--grid", "0:1:9", "--json"]))
-        assert counts["density"] == 0 and counts["integrate_product"] == 0
+        assert counts["bspline_density"] == 0 and counts["integrate_product"] == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
     @pytest.mark.parametrize("n, k", ((1, 1), (6, 3), (9, 4), (12, 2), (12, 11), (40, 3)))
@@ -373,7 +374,7 @@ class TestNoPerPointRebuild:
         # each overlap I_d is one value n M_2k(k + d); no cell is built
         counts = self._count_builds(monkeypatch, lambda: entropy.s_direct_poly(n, k))
         assert counts["cardinal_bspline"] == min(k, n - k + 1)
-        assert counts["density"] == 0 and counts["integrate_product"] == 0
+        assert counts["bspline_density"] == 0 and counts["integrate_product"] == 0
 
 
 class TestOneLookupPerProfile:
