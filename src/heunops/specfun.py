@@ -6,7 +6,8 @@ Two arithmetic regimes coexist:
 
 * exact mode (``Fraction`` parameters) for coefficient recurrences,
   termination detection and polynomial extraction, run over the integers;
-* float mode for grid evaluation, with the truncation rule "stop once
+* float mode for grid evaluation, whose coefficients run the same
+  integer recurrence in floats, with the truncation rule "stop once
   three consecutive terms fall below ``tol`` times the partial sum".
 
 Each family declares its differential equation m u'' + n u' + l u = 0
@@ -15,9 +16,11 @@ s^2 l, where m(0) = 0 and s is the lcm of the parameter denominators
 (float parameters converted exactly).  The series recurrence
 c_{k+1} C_k = A_k c_k - B_k c_{k-1}, with integer quadratics A_k, B_k and
 C_k (B = 0 for Gauss), is read off the coefficient of x^k (Salvy &
-Zimmermann, "GFUN", ACM TOMS 20, 1994) and run over the integers for the
-exact coefficients of all three families; the exact ODE residuals read the
-same declaration as ``Poly`` coefficients.
+Zimmermann, "GFUN", ACM TOMS 20, 1994).  It gives the coefficients of all
+three families: the exact ones over the integers, the float ones with each
+of A_k, B_k and C_k evaluated over the integers and divided once by s^2, so
+rounded once.  The exact ODE residuals read the same declaration as
+``Poly`` coefficients.
 
 Termination is read off the same (A, B, C) (Ronveaux, *Heun's Differential
 Equations*, 1995; Kauers & Paule, *The Concrete Tetrahedron*, 2011, ch. 7).
@@ -42,12 +45,13 @@ derivative.  A terminating series is evaluated exactly at the rational
 value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
 runs integer Horner on the polynomial's integer form and rounds once.  A
 prefix that is too short is replaced by a longer one, so a grid runs its
-recurrence once; the Taylor coefficients of K_n are kept per ``n`` in the
-same way.  :func:`series_values` looks the record up once for a whole grid.
-Every float sum of the three families, values and derivatives, is one loop
-over the record's float prefix (:func:`_float_sum`).  Exact values of P_n
-at a rational point, and of F, U and J at any point, run over the integers,
-as does the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
+recurrence once; the Taylor coefficients of K_n are kept per ``n``, grown
+as they are asked for.  :func:`series_values` looks the record up once for
+a whole grid.  Every float sum of the three families, values and
+derivatives, is one loop over the record's float prefix
+(:func:`_float_sum`).  Exact values of P_n at a rational point, and of F,
+U and J at any point, run over the integers, as does the polynomial P_n,
+an explicit sum (DLMF §18.5(iv)).
 
 The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
 immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
@@ -202,37 +206,10 @@ def _heun_ode(params: HeunParams) -> tuple:
                (-q * s, al * be))
 
 
-def _heun_floats(params: HeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
-    a, q = float(params.a), float(params.q)
-    al, be = float(params.alpha), float(params.beta)
-    ga, de = float(params.gamma), float(params.delta)
-    eps = al + be + 1 - ga - de
-    lin = ga * (1 + a) + de * a + eps
-    c_prev, c = float(c_prev), float(c)
-    yield c
-    while True:
-        num = ((1 + a) * k * (k - 1) + lin * k + q) * c - (k - 1 + al) * (k - 1 + be) * c_prev
-        c_prev, c = c, num / (a * (k + 1) * (k + ga))
-        yield c
-        k += 1
-
-
 def _confluent_ode(params: ConfluentHeunParams) -> tuple:
     """The confluent Heun equation in the form of :func:`confluent_heun_ode_residual`."""
     s, (p, ga, de, al, sg) = _scaled(*vars(params).values())
     return s, ((0, -s * s, s * s, 0), (-ga * s, (ga + de - 4 * p) * s, 4 * p * s), (-sg * s, 4 * p * al))
-
-
-def _confluent_floats(params: ConfluentHeunParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
-    p, ga, de = float(params.p), float(params.gamma), float(params.delta)
-    al, sg = float(params.alpha), float(params.sigma)
-    c_prev, c = float(c_prev), float(c)
-    yield c
-    while True:
-        num = (k * (k - 1) + (ga + de - 4 * p) * k - sg) * c + 4 * p * (k - 1 + al) * c_prev
-        c_prev, c = c, num / ((k + 1) * (k + ga))
-        yield c
-        k += 1
 
 
 def _recurrence(m: tuple, n: tuple, lin: tuple) -> tuple:
@@ -284,6 +261,32 @@ def _exact_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int
         k += 1
 
 
+def _float_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int, int, int], s2: int,
+                  k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
+    """Yield c_k, c_{k+1}, ... of c_{k+1} = (A_k c_k - B_k c_{k-1}) / C_k
+    from c_{k-1} = ``c_prev`` and c_k = ``c``, in floats.
+
+    A_k, B_k and C_k are the integer quadratics of :func:`_exact_stream`,
+    scaled by ``s2``.  Each is evaluated exactly over the integers and
+    divided once by ``s2``, so each is correctly rounded; a factor divided
+    first and evaluated in floats would cancel near its roots.  A zero
+    numerator is yielded undivided, as in :func:`_exact_stream`.  A quotient
+    beyond the float range, or a division by a C_k / s^2 that underflows to
+    0, makes its coefficient NaN, which the float sum rejects.
+    """
+    (a2, a1, a0), (b2, b1, b0), (g2, g1, g0) = A, B, C
+    c_prev, c = float(c_prev), float(c)
+    yield c
+    while True:
+        try:
+            num = ((a2 * k + a1) * k + a0) / s2 * c - ((b2 * k + b1) * k + b0) / s2 * c_prev
+            c_prev, c = c, num / (((g2 * k + g1) * k + g0) / s2) if num else num
+        except (OverflowError, ZeroDivisionError):  # the latter when C_k / s^2 underflows
+            c_prev, c = c, math.nan
+        yield c
+        k += 1
+
+
 def _integer_roots(a2: int, a1: int, a0: int) -> set[int]:
     """The non-negative integer roots of a2 k^2 + a1 k + a0, an integer
     polynomial that is not 0."""
@@ -302,14 +305,6 @@ def _integer_roots(a2: int, a1: int, a0: int) -> set[int]:
 _CACHE_SIZE = 256
 
 
-def _bounded_put(cache: dict, key, value) -> None:
-    """Store ``value``, first emptying ``cache`` if a new key would take it
-    past ``_CACHE_SIZE`` entries."""
-    if key not in cache and len(cache) >= _CACHE_SIZE:
-        cache.clear()
-    cache[key] = value
-
-
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric series
 # ---------------------------------------------------------------------------
@@ -319,16 +314,6 @@ def _gauss_ode(params: GaussParams) -> tuple:
     """The hypergeometric equation x(1-x) u'' + [c - (a+b+1)x] u' - ab u = 0."""
     s, (a, b, g) = _scaled(*vars(params).values())
     return s, ((0, s * s, -s * s, 0), (g * s, -(a + b + s) * s, 0), (-a * b, 0))
-
-
-def _gauss_floats(params: GaussParams, k: int, c_prev: Scalar, c: Scalar) -> Iterator[float]:
-    """The float coefficients from c_k = ``c``; ``c_prev`` is unused.  A zero
-    numerator is yielded undivided: past the stop, c + k may be 0."""
-    a, b, g, c = float(params.a), float(params.b), float(params.c), float(c)
-    for k in itertools.count(k):
-        yield c
-        num = c * (a + k) * (b + k)
-        c = num / ((g + k) * (k + 1)) if num else num
 
 
 def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
@@ -505,11 +490,11 @@ def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
 
 #: series name, equation m u'' + n u' + lin u = 0 declared as (s, (s^2 m, s^2 n,
 #: s^2 lin)) with s the lcm of the parameter denominators and the polynomials
-#: as :func:`_recurrence` reads them, float loop and radius of each family
+#: as :func:`_recurrence` reads them, and radius of each family
 _FAMILIES = {
-    HeunParams: ("local Heun", _heun_ode, _heun_floats, heun_radius),
-    ConfluentHeunParams: ("confluent Heun", _confluent_ode, _confluent_floats, lambda params: 1.0),
-    GaussParams: ("Gauss", _gauss_ode, _gauss_floats, lambda params: 1.0),
+    HeunParams: ("local Heun", _heun_ode, heun_radius),
+    ConfluentHeunParams: ("confluent Heun", _confluent_ode, lambda params: 1.0),
+    GaussParams: ("Gauss", _gauss_ode, lambda params: 1.0),
 }
 
 
@@ -528,28 +513,31 @@ def _ode_residual(params, u: Poly) -> Poly:
 
 
 class _Series:
-    """What one parameter set fixes.  Float sets equal as values share a
-    record; their float streams differ at most in the sign of a zero."""
+    """What one parameter set fixes.  Sets equal as values, float or
+    rational, share a record: they declare the same integer equation."""
 
     def __init__(self, params) -> None:
         self.params = params
-        self.name, self._ode, self._floats, radius = _FAMILIES[type(params)]
+        self.name, ode, radius = _FAMILIES[type(params)]
         self.radius = radius(params)
+        # the scale s and the integer equation (float parameters converted exactly)
+        self._scale, self._equation = ode(params)
         # keyed by ``exact``; a prefix is replaced, never grown in place
         self.prefixes: dict[bool, tuple] = {True: (Fraction(1),), False: (1.0,)}
 
     @cached_property
     def recurrence(self) -> tuple:
         """Integer quadratics (A, B, C) of c_{k+1} C_k = A_k c_k - B_k c_{k-1},
-        read off the declared equation (float parameters converted exactly)."""
-        return _recurrence(*self._ode(self.params)[1])
+        read off the declared equation and scaled by s^2."""
+        return _recurrence(*self._equation)
 
     def stream(self, exact: bool, k: int = 0, c_prev: Scalar = 0, c: Scalar = 1) -> Iterator:
         """Yield c_k, c_{k+1}, ... from c_{k-1} = ``c_prev`` and c_k = ``c`` (by
-        default c_0 = 1, c_1, ...): exact over the integers, else in floats."""
+        default c_0 = 1, c_1, ...) of :attr:`recurrence`: exact over the
+        integers, else in floats."""
         if exact:
             return _exact_stream(*self.recurrence, k, c_prev, c)
-        return self._floats(self.params, k, c_prev, c)
+        return _float_stream(*self.recurrence, self._scale ** 2, k, c_prev, c)
 
     def _rest(self, exact: bool) -> Iterator:
         """The coefficients past the prefix, from the recurrence restarted at its last two."""
@@ -656,9 +644,9 @@ def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesRes
     terms fall below ``tol`` times the partial sum.
 
     x^k (x^(k-1) when ``deriv``) is kept as a running power.  A coefficient
-    above 1e280 is rejected: its term would overflow.  The tail estimate
-    continues the last term geometrically with |x| over the radius of
-    convergence (capped at 0.999).
+    above 1e280 is rejected, since its term would overflow, and so is a NaN
+    one.  The tail estimate continues the last term geometrically with |x|
+    over the radius of convergence (capped at 0.999).
     """
     s = 0.0
     xpow = 1.0  # x^(k-1) when deriv else x^k
@@ -668,7 +656,7 @@ def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesRes
         if k == len(coeffs):
             coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
         c = coeffs[k]
-        if abs(c) > 1e280:
+        if not abs(c) <= 1e280:  # NaN too
             raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
         if not deriv:
             t = c * xpow
@@ -803,8 +791,11 @@ def kn_deriv_zero(n: int, j: int) -> Fraction:
     return Fraction(-2 * n) ** j * s
 
 
-#: Taylor coefficients of K_n, one tuple per n
-_KN_TAYLOR: dict[int, tuple[Fraction, ...]] = {}
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kn_taylor_prefix(n: int) -> list[Fraction]:
+    """The Taylor coefficients of K_n computed so far, grown in place by
+    :func:`kn_taylor_coeffs`."""
+    return []
 
 
 def kn_taylor_coeffs(n: int, count: int) -> list[Fraction]:
@@ -815,11 +806,9 @@ def kn_taylor_coeffs(n: int, count: int) -> list[Fraction]:
     coefficients are kept per ``n`` and only the missing ones are computed;
     a new list is returned.
     """
-    prefix = _KN_TAYLOR.get(n, ())
-    if count > len(prefix):
-        prefix += tuple(_kn_taylor_coeff(n, m) for m in range(len(prefix), count))
-        _bounded_put(_KN_TAYLOR, n, prefix)
-    return list(prefix[:max(count, 0)])
+    prefix = _kn_taylor_prefix(n)
+    prefix.extend(_kn_taylor_coeff(n, m) for m in range(len(prefix), count))
+    return prefix[:max(count, 0)]
 
 
 def _kn_taylor_coeff(n: int, m: int) -> Fraction:

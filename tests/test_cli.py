@@ -161,6 +161,15 @@ class TestEval:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and "degree 30000" in err
 
+    def test_coefficient_beyond_the_float_range_is_usage_error(self, capsys):
+        # alpha beta = 1e320 is beyond the float range; the sum used to run all
+        # MAX_TERMS terms over NaN coefficients and then report no convergence
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "hl", "a=0.5", "q=0", "alpha=1e160", "beta=1e160", "gamma=1",
+                             "delta=1", "x=0.1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error: coefficient overflow")
+
     @pytest.mark.parametrize("argv, key", (
         (["eval", "K", "n=1", "x=1", "jj=2"], "jj"),
         (["eval", "c_n", "n=3", "x=1", "--exact"], "x"),

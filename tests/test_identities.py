@@ -359,7 +359,7 @@ class TestBuildOnce:
             counts[n, m] += 1
             return real(n, m)
 
-        monkeypatch.setattr(specfun, "_KN_TAYLOR", {})
+        specfun._kn_taylor_prefix.cache_clear()
         monkeypatch.setattr(specfun, "_kn_taylor_coeff", counting)
         assert all(r.passed for r in verify_all())
         assert {n for n, _ in counts} == {1, 2, 3}

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import os
+import random
+import statistics
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -986,9 +988,9 @@ def _coeffs_of(params, count):
 
 class TestCoefficientPrefixes:
     @pytest.fixture(autouse=True)
-    def cold_caches(self, monkeypatch):
+    def cold_caches(self):
         specfun._series.cache_clear()
-        monkeypatch.setattr(specfun, "_KN_TAYLOR", {})
+        specfun._kn_taylor_prefix.cache_clear()
 
     @pytest.mark.parametrize("params", _PREFIX_PARAMS)
     def test_cached_prefix_equals_fresh_stream(self, params):
@@ -1036,8 +1038,9 @@ class TestCoefficientPrefixes:
         for i in range(specfun._CACHE_SIZE + 5):
             assert confluent_heun_coeffs(ConfluentHeunParams(i, 1, 0, F(1, 2), 0), 3)[0] == 1
             assert kn_taylor_coeffs(i, 2)[0] == 1
-        assert 0 < specfun._series.cache_info().currsize <= specfun._CACHE_SIZE
-        assert 0 < len(specfun._KN_TAYLOR) <= specfun._CACHE_SIZE
+        for cache in (specfun._series, specfun._kn_taylor_prefix):
+            info = cache.cache_info()
+            assert info.maxsize == specfun._CACHE_SIZE and 0 < info.currsize <= specfun._CACHE_SIZE
 
     def test_float_parameters_after_equal_rational_ones_stay_float(self):
         pairs = (
@@ -1061,7 +1064,7 @@ def _fresh_float_sum(params, x, tol, radius, deriv=False):
     def terms():
         xpow = 1.0  # x^(k-1) when deriv else x^k
         for k, c in enumerate(stream):
-            if abs(c) > 1e280:
+            if not abs(c) <= 1e280:
                 raise DivergentSeries("coefficient overflow")
             if deriv:
                 yield k * c * xpow if k else 0.0
@@ -1131,6 +1134,188 @@ class TestFloatPrefixes:
         assert 0 < specfun._series.cache_info().currsize <= specfun._CACHE_SIZE
 
 
+def _heun_floats(params, k, c_prev, c):
+    a, q = float(params.a), float(params.q)
+    al, be = float(params.alpha), float(params.beta)
+    ga, de = float(params.gamma), float(params.delta)
+    eps = al + be + 1 - ga - de
+    lin = ga * (1 + a) + de * a + eps
+    c_prev, c = float(c_prev), float(c)
+    yield c
+    while True:
+        num = ((1 + a) * k * (k - 1) + lin * k + q) * c - (k - 1 + al) * (k - 1 + be) * c_prev
+        c_prev, c = c, num / (a * (k + 1) * (k + ga))
+        yield c
+        k += 1
+
+
+def _confluent_floats(params, k, c_prev, c):
+    p, ga, de = float(params.p), float(params.gamma), float(params.delta)
+    al, sg = float(params.alpha), float(params.sigma)
+    c_prev, c = float(c_prev), float(c)
+    yield c
+    while True:
+        num = (k * (k - 1) + (ga + de - 4 * p) * k - sg) * c + 4 * p * (k - 1 + al) * c_prev
+        c_prev, c = c, num / ((k + 1) * (k + ga))
+        yield c
+        k += 1
+
+
+def _gauss_floats(params, k, c_prev, c):
+    """The float coefficients from c_k = ``c``; ``c_prev`` is unused.  A zero
+    numerator is yielded undivided: past the stop, c + k may be 0."""
+    a, b, g, c = float(params.a), float(params.b), float(params.c), float(c)
+    for k in itertools.count(k):
+        yield c
+        num = c * (a + k) * (b + k)
+        c = num / ((g + k) * (k + 1)) if num else num
+
+
+#: the hand-written float loop of each family, which the float stream run
+#: from the declared recurrence replaced: the reference of its accuracy
+_FLOAT_LOOPS = {HeunParams: _heun_floats, ConfluentHeunParams: _confluent_floats, GaussParams: _gauss_floats}
+
+
+def _float_coeffs(params, count):
+    return list(itertools.islice(specfun._Series(params).stream(False), count))
+
+
+def _loop_coeffs(params, count):
+    return list(itertools.islice(_FLOAT_LOOPS[type(params)](params, 0, 0, 1), count))
+
+
+def _float_horner_coeffs(params, count):
+    """The coefficients of A, B and C divided by s^2 into floats first, the
+    quadratics then evaluated by float Horner: the variant whose cancellation
+    near a root of a quadratic the float stream avoids."""
+    record = specfun._Series(params)
+    s2 = record._scale ** 2
+    (a2, a1, a0), (b2, b1, b0), (g2, g1, g0) = ([v / s2 for v in q] for q in record.recurrence)
+    cs, c_prev = [1.0], 0.0
+    for k in range(count - 1):
+        c = cs[-1]
+        num = ((a2 * k + a1) * k + a0) * c - ((b2 * k + b1) * k + b0) * c_prev
+        cs.append(num / ((g2 * k + g1) * k + g0) if num else num)
+        c_prev = c
+    return cs
+
+
+def _bits(c):
+    """The bits of ``c``, the sign of a zero aside."""
+    return (c + 0.0).hex()
+
+
+_dyadic = st.builds(lambda n, e: F(n, 2 ** e), st.integers(-48, 48), st.integers(0, 4))
+
+
+@st.composite
+def dyadic_heun_confluent(draw):
+    """Local or confluent Heun parameters with power-of-2 denominators only."""
+    gamma = draw(_dyadic.filter(lambda v: not (v <= 0 and v.denominator == 1)))
+    if draw(st.booleans()):
+        a = draw(_dyadic.filter(lambda v: abs(v) >= F(1, 4) and v != 1))
+        return HeunParams(a, draw(_dyadic), draw(_dyadic), draw(_dyadic), gamma, draw(_dyadic))
+    return ConfluentHeunParams(draw(_dyadic), gamma, draw(_dyadic), draw(_dyadic), draw(_dyadic))
+
+
+def _accuracy_sample(count, seed):
+    """A fixed seeded sample of the three families in turn, each parameter
+    drawn dyadic, rational with another denominator, or float."""
+    rng = random.Random(seed)
+    draws = (lambda: F(rng.randint(-40, 40), 2 ** rng.randint(0, 3)),
+             lambda: F(rng.randint(-40, 40), rng.choice((3, 5, 6, 7, 9, 10, 12))),
+             lambda: rng.uniform(-5, 5))
+    sets = []
+    while len(sets) < count:
+        cls = (HeunParams, ConfluentHeunParams, GaussParams)[len(sets) % 3]
+        values = [rng.choice(draws)() for _ in cls.FIELDS]
+        if cls is HeunParams and abs(values[0]) < F(1, 4):
+            continue  # a radius of at least 1/4 keeps the coefficients in range
+        try:
+            sets.append(cls(*values))
+        except HeunopsError:  # a at 0 or 1, gamma or c a pole
+            pass
+    return sets
+
+
+_U = 2.0 ** -53
+
+
+def _errors(params, coeffs, exact):
+    """(relative, scaled): the largest |c_k - r_k| / |r_k| of ``coeffs``
+    against r_k, the ``exact`` coefficients rounded once, and the largest
+    |c_k - r_k| / ((5k + 1) u h_k).  h_k is the recurrence run on |A_k|,
+    |B_k| and |C_k| from h_{-1} = 0 and h_0 = 1.  A step of the float
+    stream rounds each term of its numerator twice (a quotient by s^2 and a
+    product), the difference once and the division twice (C_k / s^2 and
+    the quotient), so to first order |c_k - exact_k| <= 5 k u h_k; rounding
+    the exact coefficient adds u h_k."""
+    oracle, _ = _RECURRENCE_ORACLES[type(params)]
+    s2 = specfun._scaled(*vars(params).values())[0] ** 2
+    A, B, C = (lambda k, q=q: abs(_quadratic(q, k) / s2) for q in oracle(params))
+    relative = scaled = 0.0
+    h_prev, h = 0.0, 1.0
+    for k, (c, e) in enumerate(zip(coeffs, exact)):
+        r = float(e)
+        if c != r:
+            relative = max(relative, abs(c - r) / abs(r) if r else math.inf)
+            scaled = max(scaled, abs(c - r) / ((5 * k + 1) * _U * h) if h else math.inf)
+        # past the stop of a Gauss series C_k may be 0, and so is every r_k
+        h_prev, h = h, (A(k) * h + B(k) * h_prev) / C(k) if C(k) else 0.0
+    return relative, scaled
+
+
+class TestFloatStream:
+    """The float coefficients run each family's declared recurrence; the
+    hand-written loops they replaced are the reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dyadic_heun_confluent())
+    def test_dyadic_sets_equal_the_hand_written_loops(self, params):
+        # with power-of-2 denominators s^2 is one too, and every factor is exact
+        assert [_bits(c) for c in _float_coeffs(params, 64)] == [_bits(c) for c in _loop_coeffs(params, 64)]
+
+    def test_accuracy_against_exact_coefficients(self):
+        count = 64
+        derived, reference = [], []
+        for params in _accuracy_sample(300, 29):
+            exact = _fresh_exact(params, count)
+            derived.append(_errors(params, _float_coeffs(params, count), exact))
+            reference.append(_errors(params, _loop_coeffs(params, count), exact))
+            assert derived[-1][1] <= 1, params
+        # per set either may be the closer: here the derived error is 0.003 to
+        # 14 times the reference's, so only the median is compared
+        assert statistics.median(e for e, _ in derived) <= statistics.median(e for e, _ in reference)
+
+    def test_near_root_is_evaluated_over_the_integers(self):
+        # A_20 = (20 + a)(20 + b) is about 2e-10 of its terms: evaluated in
+        # floats from pre-divided coefficients, it keeps only five digits
+        params = GaussParams(-20 + 1e-11, 0.3, 1.7)
+        exact = _fresh_exact(params, 64)
+        assert _errors(params, _float_coeffs(params, 64), exact)[1] <= 1
+        relative, scaled = _errors(params, _float_horner_coeffs(params, 64), exact)
+        assert relative > 1e-6 and scaled > 1e6
+
+    def test_equal_sets_have_identical_float_streams(self):
+        # so the record that equal sets share is the one either would build;
+        # the hand-written loop gave c_1 = -0.0 for q = -0.0 and 0.0 for q = 0
+        floats, exact = HeunParams(0.5, -0.0, -3.0, -3.0, 1.0, 2.0), HeunParams(F(1, 2), 0, -3, -3, 1, 2)
+        assert [c.hex() for c in _float_coeffs(floats, 40)] == [c.hex() for c in _float_coeffs(exact, 40)]
+        assert [c.hex() for c in _loop_coeffs(floats, 2)] != [c.hex() for c in _loop_coeffs(exact, 2)]
+
+    @pytest.mark.parametrize("params, x", (
+        (HeunParams(0.5, 0.0, 1e160, 1e160, 1.0, 1.0), 0.1),  # B_k / s^2 = 1e320
+        (HeunParams(1e-320, 0.3, 1.0, 1.0, 1e-5, 1.0), 0.0),  # C_0 / s^2 = 1e-325 underflows
+    ), ids=("overflow", "underflow"))
+    def test_coefficient_beyond_the_float_range_is_nan_and_rejected(self, params, x):
+        assert heun_coeffs(params, 1) == [1.0] and all(map(math.isnan, heun_coeffs(params, 4)[1:]))
+        for f in (heun_local, heun_local_deriv):
+            with pytest.raises(DivergentSeries, match="coefficient overflow"):
+                f(params, x)
+        # the sum stops at the first NaN, not after MAX_TERMS terms
+        assert len(specfun._series(params).prefixes[False]) <= 32
+
+
 def _two_stage_sum(record, xf, tol, deriv):
     """The float sum as a generator of terms feeding a summing loop: the
     reference for the fused loop, with its messages and prefix growth."""
@@ -1143,7 +1328,7 @@ def _two_stage_sum(record, xf, tol, deriv):
             if k == len(coeffs):
                 coeffs = record.prefix(min(2 * k + 32, specfun.MAX_TERMS), False)
             c = coeffs[k]
-            if abs(c) > 1e280:
+            if not abs(c) <= 1e280:
                 raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
             elif not deriv:
                 yield c * xpow
@@ -1187,6 +1372,10 @@ def free_series_params(draw):
     if kind == "hc":
         return ConfluentHeunParams(draw(_free), gamma, draw(_free), draw(_free), draw(_free))
     return GaussParams(draw(_free), draw(_free), gamma)
+
+
+_DIGEST_GRID = [F(i, 40) for i in range(-20, 21)]
+_THIRDS_CONFLUENT = ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5))
 
 
 class TestFusedSum:
@@ -1236,21 +1425,36 @@ class TestFusedSum:
             assert got == _outcome(_two_stage_sum, record, 0.1, 1e-15, deriv)
             assert got == (DivergentSeries, "coefficient overflow; argument too close to the disk boundary")
 
-    def test_derivative_grid_digest(self):
-        # recorded before the two-stage sum became one loop
-        grid = [F(i, 40) for i in range(-20, 21)]
-        sets = ((heun_local_deriv, HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)),
-                (heun_local_deriv, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0)),
-                (confluent_heun_deriv, ConfluentHeunParams(1, 2, 0, F(3, 2), 6)),
-                (confluent_heun_deriv, ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5))))
+    # the first three recorded before the two-stage sum became one loop; the
+    # last re-recorded when the float coefficients began to run the declared
+    # recurrence, which moved the last bits of its non-dyadic coefficients
+    # (test_thirds_confluent_derivative_against_exact_sum checks its values)
+    @pytest.mark.parametrize("f, params, digest", (
+        (heun_local_deriv, HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1),
+         "96c28ef3896f4e8cf0f11f97d278accfe7652926250faa46ba1b36f9dbbafb09"),
+        (heun_local_deriv, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0),
+         "c0f2d0f47ab9c5713c947d63f521d66605591fe207ad01940c44f36f06acb94e"),
+        (confluent_heun_deriv, ConfluentHeunParams(1, 2, 0, F(3, 2), 6),
+         "0437bec0e7829d9c44fcb51ee935d40196d4995e28d8d81ec453f31843d8c5ba"),
+        (confluent_heun_deriv, _THIRDS_CONFLUENT,
+         "9ccf2609619f2a91a394bd082afbab1460ca5303b7dc74fef032103cf5fade1b"),
+    ), ids=("hl-rational", "hl-float", "hc-integer", "hc-thirds"))
+    def test_derivative_grid_digest(self, f, params, digest):
         h = hashlib.sha256()
         for tol in (1e-12, 1e-15):
-            for x in grid:
-                for f, params in sets:
-                    r = f(params, x, tol)
-                    h.update(f"{r.value.hex()} {r.terms_used} {r.terminated} "
-                             f"{r.tail_estimate.hex()}\n".encode())
-        assert h.hexdigest() == "5c24484131f83cbd2aa5628cd8c8050885ca23f3faa645fdcc3e78959ae799ea"
+            for x in _DIGEST_GRID:
+                r = f(params, x, tol)
+                h.update(f"{r.value.hex()} {r.terms_used} {r.terminated} "
+                         f"{r.tail_estimate.hex()}\n".encode())
+        assert h.hexdigest() == digest
+
+    def test_thirds_confluent_derivative_against_exact_sum(self):
+        # |x| <= 1/2 on a radius of 1: the 260-term tail is below 2^-250
+        exact = Poly(tuple(_fresh_exact(_THIRDS_CONFLUENT, 260))).derivative()
+        for x in _DIGEST_GRID:
+            want = exact(x)
+            got = confluent_heun_deriv(_THIRDS_CONFLUENT, x, 1e-15).value
+            assert abs(F(got) - want) <= 2e-15 * abs(want)
 
     @pytest.mark.parametrize("params", (
         HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1),
