@@ -51,7 +51,7 @@ class SigmaSpec(Frozen):
 
     def at(self, x) -> Fraction:
         value = self._value(rat(x))
-        if value <= 0:
+        if value.numerator <= 0:
             raise NonpositiveWidth(f"sigma({x}) = {value} <= 0")
         return value
 

@@ -67,7 +67,8 @@ def _dumps(doc) -> str:
     Python.  Here a container whose members are all scalars is written by
     one call of a C encoder whose item separator holds the line break and
     indentation of its depth, and so is a list of such dicts (table rows);
-    other containers recurse here.  Python 3.13 indents in C itself."""
+    other containers write their scalar members inline (:func:`_member`)
+    and recurse here for the rest.  Python 3.13 indents in C itself."""
     if _C_MAKE_ENCODER is None or sys.version_info >= (3, 13):
         return json.dumps(doc, indent=2)
     return _dump(doc, 0)
@@ -93,20 +94,35 @@ def _dump(o, depth: int) -> str:
         return s[0] + pad + s[1:-1] + end + s[-1]
     if is_dict:
         body = ("," + pad).join([
-            f"{_encode_str(k)}: {_encode_str(v) if v.__class__ is str else _dump(v, depth + 1)}"
+            f"{_encode_str(k)}: {_encode_str(v) if v.__class__ is str else _member(v, depth + 1)}"
             for k, v in o.items()])
         return "{" + pad + body + end + "}"
-    if all(type(m) is dict and m and not any(isinstance(v, _CONTAINERS) for v in m.values())
-           for m in o):
-        # table rows, by one C call: an encoded scalar holds no line break,
-        # so only a row's end puts "}" before a separator
+    # table rows: non-empty dicts of scalars, told by one C-level scan of the
+    # types of their values; they are written by one C call, and since an
+    # encoded scalar holds no line break, only a row's end puts "}" before a separator
+    if {*map(type, o)} == {dict} and all(o) and not any(
+            issubclass(t, _CONTAINERS)
+            for t in {*map(type, itertools.chain.from_iterable(map(dict.values, o)))}):
         row_encoder, row_pad = _json_level(depth + 2)
         body = "".join(row_encoder(o, 0))[2:-2].replace(
             "}," + row_pad + "{", pad + "}," + pad + "{" + row_pad)
         return "[" + pad + "{" + row_pad + body + pad + "}" + end + "]"
-    body = ("," + pad).join([_encode_str(m) if m.__class__ is str else _dump(m, depth + 1)
+    body = ("," + pad).join([_encode_str(m) if m.__class__ is str else _member(m, depth + 1)
                              for m in o])
     return "[" + pad + body + end + "]"
+
+
+def _member(v, depth: int) -> str:
+    """A non-str member of a mixed container: a bool, None, int or finite
+    float written inline as ``json`` writes it, anything else by :func:`_dump`."""
+    cls = v.__class__
+    if cls is float and math.isfinite(v):
+        return float.__repr__(v)
+    if cls is int:
+        return int.__repr__(v)
+    if cls is bool:
+        return "true" if v else "false"
+    return "null" if v is None else _dump(v, depth)
 
 
 def _fmt_float(v: float) -> str:
@@ -165,8 +181,8 @@ def _parse_grid(spec: str) -> list[Fraction]:
         return [a]
     # x_i = a + (b - a) i / (count - 1) = (A + i S) / D over the integers
     lcm = math.lcm(a.denominator, b.denominator)
-    den = lcm * (count - 1)
-    start, step = int(a * den), int((b - a) * lcm)
+    an, bn = a.numerator * (lcm // a.denominator), b.numerator * (lcm // b.denominator)
+    start, step, den = an * (count - 1), bn - an, lcm * (count - 1)
     return [Fraction(start + i * step, den) for i in range(count)]
 
 

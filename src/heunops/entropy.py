@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import gt
 from typing import Sequence, Union
 
 from . import bspline
@@ -93,7 +95,11 @@ class EntropyPoint(Frozen):
 
 
 class SynchronicityReport(Frozen):
-    def __init__(self, passed: bool, worst_pair: tuple[int, int], worst_product: float) -> None:
+    """Verdict of :func:`synchronicity_check`.  A pass has ``worst_pair``
+    None and ``worst_product`` 0.0; a failure names one pair i < j whose two
+    differences have strictly opposite signs, and their float product."""
+
+    def __init__(self, passed: bool, worst_pair: tuple[int, int] | None, worst_product: float) -> None:
         self.__dict__.update(passed=passed, worst_pair=worst_pair, worst_product=worst_product)
 
 
@@ -256,10 +262,9 @@ def _kantorovich_profile_polys(n: int, k: int) -> tuple[Poly, Poly]:
     return s_direct_poly(n, k), Poly.of(Fraction(k, 12 * nn), Fraction(m, nn), Fraction(-m, nn))
 
 
-def _point(x: Fraction, s, var) -> EntropyPoint:
-    # s and var are exact rationals or their correct roundings
-    sf = float(s)
-    return EntropyPoint(float(x), sf, -math.log(sf), 1.0 - sf, float(var))
+def _point(x: Fraction, s: float, var: float) -> EntropyPoint:
+    # s and var are correctly rounded, and so is x.numerator / x.denominator
+    return EntropyPoint(x.numerator / x.denominator, s, -math.log(s), 1.0 - s, var)
 
 
 def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
@@ -268,27 +273,31 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
     The operator's exact data is looked up once per call, not per point,
     and no B-spline density is built.  B-spline values scale the exact
     constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
-    with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n).  Kantorovich
-    squared kernels take their cell overlaps from M_2k
-    (:func:`s_direct_poly`); the variance ``L e_2 - (L e_1)^2`` is the
+    with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n), each rounded
+    by one true division of integers, so only sigma(x) is a ``Fraction``
+    per point.  Kantorovich squared kernels take their cell overlaps from
+    M_2k (:func:`s_direct_poly`); the variance ``L e_2 - (L e_1)^2`` is the
     exact closed form (m x(1-x) + k/12) / n^2, m = n - k
     (:func:`_kantorovich_profile_polys`), not the moment polynomials of
     :func:`kantorovich_poly`.  Every point is checked against [0, 1]
     before the two polynomials, built once per (n, k), are evaluated at
     each point by integer Horner, rounded once (:meth:`Poly.rounded`).
-    Either way each output float is the rounding of the same exact
-    rational as a per-point rebuild."""
+    Either way each output float, x included, is the correct rounding of
+    the same exact rational as a per-point rebuild, since an int/int true
+    division is what ``float`` of a ``Fraction`` is."""
     xs = [rat(x) for x in xs]
     if isinstance(op, BSplineOp):
         # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by
-        # w = sigma(x) and centred at x: exact, so s and the variance scale too
-        c, unit_var = bspline.c_constant(op.n), bspline.unit_variance(op.n)
-        return [_point(x, c / w, w * w * unit_var) for x, w in zip(xs, map(op.sigma.at, xs))]
+        # w = p/q = sigma(x) and centred at x: exact, so s and the variance scale too
+        cn, cd = bspline.c_constant(op.n).as_integer_ratio()
+        un, ud = bspline.unit_variance(op.n).as_integer_ratio()
+        widths = map(Fraction.as_integer_ratio, map(op.sigma.at, xs))
+        return [_point(x, cn * q / (cd * p), un * p * p / (ud * q * q)) for x, (p, q) in zip(xs, widths)]
     if isinstance(op, KantorovichOp):
         if op.k < 1:
             raise UnsupportedK("entropy profile needs k >= 1 (k = 0 has a discrete kernel)")
         for x in xs:
-            if x < 0 or x > 1:
+            if not 0 <= x.numerator <= x.denominator:
                 raise DomainError(f"x = {x} outside the operator domain [0, 1]")
         s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
         return [_point(x, s_poly.rounded(x), var_poly.rounded(x)) for x in xs]
@@ -296,22 +305,27 @@ def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
 
 
 def synchronicity_check(f_vals: Sequence[float], g_vals: Sequence[float]) -> SynchronicityReport:
-    """Pairwise-product test: pass iff (f_i - f_j)(g_i - g_j) >= 0 for all
-    pairs, i.e. the two sequences move together on the grid.  A NaN or
-    infinite value raises :class:`NonFinite`: a NaN product is never the worst."""
-    if len(f_vals) != len(g_vals):
-        raise LengthMismatch(f"{len(f_vals)} f-values vs {len(g_vals)} g-values")
-    if len(f_vals) < 2:
+    """Pass iff no pair i, j has differences f_i - f_j and g_i - g_j of
+    strictly opposite signs, i.e. the two sequences move together on the
+    grid.  A NaN or infinite value raises :class:`NonFinite`.
+
+    Signs are read from comparisons, which are exact, so no product can
+    underflow into a pass.  One O(N log N) sort by (f, g) decides it: equal
+    f values, +0.0 and -0.0 among them, impose nothing and leave their g
+    values in ascending order, so the g values in that order never fall
+    iff every g is at least the largest g of each smaller f.  A fall is a
+    failing pair, reported with its product."""
+    n = len(f_vals)
+    if n != len(g_vals):
+        raise LengthMismatch(f"{n} f-values vs {len(g_vals)} g-values")
+    if n < 2:
         raise LengthMismatch("need at least two grid points")
     for v in (*f_vals, *g_vals):
         if isinstance(v, float) and not math.isfinite(v):
             raise NonFinite(f"synchronicity needs finite values, got {v}")
-    worst = math.inf
-    worst_pair = (0, 1)
-    for i in range(len(f_vals)):
-        for j in range(i + 1, len(f_vals)):
-            prod = (f_vals[i] - f_vals[j]) * (g_vals[i] - g_vals[j])
-            if prod < worst:
-                worst = prod
-                worst_pair = (i, j)
-    return SynchronicityReport(worst >= 0, worst_pair, worst)
+    _, gs, order = zip(*sorted(zip(f_vals, g_vals, range(n))))
+    fall = next(compress(range(n - 1), map(gt, gs, gs[1:])), None)
+    if fall is None:
+        return SynchronicityReport(True, None, 0.0)
+    i, j = sorted(order[fall:fall + 2])
+    return SynchronicityReport(False, (i, j), (f_vals[i] - f_vals[j]) * (g_vals[i] - g_vals[j]))

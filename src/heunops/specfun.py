@@ -272,7 +272,8 @@ def _float_stream(A: tuple[int, int, int], B: tuple[int, int, int], C: tuple[int
     first and evaluated in floats would cancel near its roots.  A zero
     numerator is yielded undivided, as in :func:`_exact_stream`.  A quotient
     beyond the float range, or a division by a C_k / s^2 that underflows to
-    0, makes its coefficient NaN, which the float sum rejects.
+    0, makes its coefficient NaN, which the float sum and the coefficient
+    lists reject (:func:`_overflow`).
     """
     (a2, a1, a0), (b2, b1, b0), (g2, g1, g0) = A, B, C
     c_prev, c = float(c_prev), float(c)
@@ -599,8 +600,14 @@ _series = lru_cache(maxsize=_CACHE_SIZE)(_Series)
 
 def _series_coeffs(params, count: int) -> list:
     """First ``count`` series coefficients, as a new list: exact for a
-    rational parameter set, float otherwise."""
-    return list(_series(params).prefix(count, params.is_rational)[:max(count, 0)])
+    rational parameter set, float otherwise.  A float coefficient that
+    leaves the float range (NaN or infinite) raises :class:`DivergentSeries`."""
+    series, exact = _series(params), params.is_rational
+    coeffs = list(series.prefix(count, exact)[:max(count, 0)])
+    if not (exact or all(map(math.isfinite, coeffs))):
+        k = next(k for k, c in enumerate(coeffs) if not math.isfinite(c))
+        raise _overflow(series, k, coeffs[k])
+    return coeffs
 
 
 def _series_poly(params) -> Poly:
@@ -657,7 +664,7 @@ def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesRes
             coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
         c = coeffs[k]
         if not abs(c) <= 1e280:  # NaN too
-            raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+            raise _overflow(series, k, c, xf)
         if not deriv:
             t = c * xpow
             xpow *= xf
@@ -675,6 +682,17 @@ def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesRes
         else:
             small = 0
     raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
+
+
+def _overflow(series: _Series, k: int, c: float, xf: float = 0.0) -> DivergentSeries:
+    """The error for a float coefficient c_k that is NaN, infinite or, in a
+    sum at ``xf``, above 1e280: the first two mean that the parameters
+    leave the float range, the last that the sum had not converged yet."""
+    if math.isfinite(c):
+        return DivergentSeries(f"coefficient overflow: |c_{k}| > 1e280 before the sum converged "
+                               f"at |x| = {abs(xf)} on a radius of {series.radius}")
+    return DivergentSeries(f"coefficient overflow: c_{k} of the {series.name} series is {c} in "
+                           f"floats; its parameters leave the float range")
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,9 @@ class TestEval:
         code, out, err = run(capsys, "eval", "hl", "a=0.5", "q=0", "alpha=1e160", "beta=1e160", "gamma=1",
                              "delta=1", "x=0.1")
         assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == "" and err.startswith("error: coefficient overflow")
+        assert code == 2 and out == "" and err.startswith("error: coefficient overflow: c_1 ")
+        # x = 0.1 is far inside the radius 0.5: the parameters are the cause
+        assert "float range" in err and "disk" not in err
 
     @pytest.mark.parametrize("argv, key", (
         (["eval", "K", "n=1", "x=1", "jj=2"], "jj"),
@@ -642,11 +644,49 @@ def _json_values(depth: int):
     )
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
 class TestJsonWriter:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_json_values(4))
     def test_same_bytes_as_indented_dumps(self, value):
         assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("doc", (
+        # a subclass of dict, list or tuple is a container, in a row or as a row
+        [{"a": _Dict(b=1)}, {"c": 2}],
+        [{"a": 1.5}, {"b": _List([1, 2])}],
+        [{"a": _Pair((1, "x"))}],
+        [_Dict(a=1), {"b": 2}],
+        # scalars of a mixed container, written inline, and their subclasses
+        {"a": [1], "b": 2.5, "c": None, "d": True, "e": False, "f": -0.0, "g": 10**30, "h": "s"},
+        {"a": [1], "b": _Int(3), "c": _Float(0.5), "d": _Str("t"), "e": math.inf, "f": math.nan},
+        [[1], -math.inf, 1e-320, 7, None, True, "u", _Float(-2.0)],
+    ))
+    def test_subclasses_and_inline_scalars(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.skipif(json.encoder.c_make_encoder is None or sys.version_info >= (3, 13),
                         reason="the writer is json.dumps itself here")
@@ -884,6 +924,13 @@ class TestGolden:
             (["eval", "hc", "p=1", "gamma=2", "delta=0", "alpha=3/2", "sigma=6",
               "--grid=-3/4:3/4:41", "--json"],
              "0a2517f733cd95f7c266b358f08502a7516f3d979742c570e63c007691f7150d"),
+            # large entropy grids, where each synchronicity check sorts
+            (["entropy", "--op", "bspline", "--n", "4", "--sigma", "quad:1:1/2",
+              "--grid=-1:1:2049", "--json"],
+             "b7c13de1f268f09d30ff81005d6461a0042c3bbce3529dc2961ee74be1a44a5e"),
+            (["entropy", "--op", "kantorovich", "--n", "6", "--k", "2", "--grid", "0:1:4097",
+              "--json"],
+             "49665df39386d5b8382eeaaf6199e6dc8b676e6b5058228683f4f6fc5a6227d8"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -410,7 +410,107 @@ SIGMA_SPECS = st.one_of(
 )
 
 
+def _pairwise_check(f_vals, g_vals):
+    """The O(N^2) pairwise-product loop that the sort replaced, the reference:
+    (passed, worst pair, worst product)."""
+    worst, worst_pair = math.inf, (0, 1)
+    for i in range(len(f_vals)):
+        for j in range(i + 1, len(f_vals)):
+            prod = (f_vals[i] - f_vals[j]) * (g_vals[i] - g_vals[j])
+            if prod < worst:
+                worst, worst_pair = prod, (i, j)
+    return worst >= 0, worst_pair, worst
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _opposite(f_vals, g_vals, i, j) -> bool:
+    """Whether f_i - f_j and g_i - g_j have strictly opposite signs, exactly."""
+    return _sign(F(f_vals[i]) - F(f_vals[j])) * _sign(F(g_vals[i]) - F(g_vals[j])) < 0
+
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+#: zeros of both signs and magnitudes from 1e-300 to 1e300 of both signs
+SYNC_FLOATS = st.one_of(st.sampled_from((0.0, -0.0)), _MAGNITUDES, _MAGNITUDES.map(lambda v: -v))
+
+
+@st.composite
+def sync_columns(draw):
+    """Two equal-length float columns drawn from one small pool, so that
+    values repeat within and across the columns."""
+    pool = draw(st.lists(SYNC_FLOATS, min_size=1, max_size=6))
+    n = draw(st.integers(2, 12))
+    column = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    return draw(column), draw(column)
+
+
+class TestRowsFromIntegers:
+    """Each row float is one true division of integers: the same bits as
+    ``float`` of the exact rationals that the rows were once rounded from."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 16), sigma=SIGMA_SPECS,
+           xs=st.lists(st.fractions(-4, 4, max_denominator=64), min_size=1, max_size=8))
+    def test_bspline_rows(self, n, sigma, xs):
+        c, unit_var = bspline.c_constant(n), bspline.unit_variance(n)
+        for x, pt in zip(xs, entropy_profile(BSplineOp(n, sigma), xs)):
+            w = sigma.at(x)
+            assert pt.x.hex() == float(x).hex()
+            assert pt.squared_kernel_integral.hex() == float(c / w).hex()
+            assert pt.variance.hex() == float(w * w * unit_var).hex()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), k=st.integers(1, 12),
+           xs=st.lists(st.fractions(0, 1, max_denominator=10**6), min_size=1, max_size=8))
+    def test_kantorovich_rows(self, n, k, xs):
+        k = min(k, n)
+        s_poly, var_poly = entropy._kantorovich_profile_polys(n, k)
+        for x, pt in zip(xs, entropy_profile(KantorovichOp(n, k), xs)):
+            assert pt.x.hex() == float(x).hex()
+            assert pt.squared_kernel_integral.hex() == float(s_poly(x)).hex()
+            assert pt.variance.hex() == float(var_poly(x)).hex()
+
+    @pytest.mark.parametrize("x", (F(-1, 10**9), F(10**9 + 1, 10**9), F(-1), F(2)))
+    def test_kantorovich_range_check_on_the_numerator(self, x):
+        with pytest.raises(DomainError, match="outside the operator domain"):
+            entropy_profile(KantorovichOp(4, 2), [F(1, 2), x])
+
+
 class TestSynchronicity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sync_columns())
+    def test_sort_against_exact_signs_and_pairwise_loop(self, columns):
+        f_vals, g_vals = columns
+        rep = synchronicity_check(f_vals, g_vals)
+        pairs = itertools.combinations(range(len(f_vals)), 2)
+        assert rep.passed == (not any(_opposite(f_vals, g_vals, i, j) for i, j in pairs))
+        if rep.passed:
+            assert rep.worst_pair is None and rep.worst_product == 0.0
+        else:
+            i, j = rep.worst_pair
+            assert i < j and _opposite(f_vals, g_vals, i, j)
+            assert rep.worst_product == (f_vals[i] - f_vals[j]) * (g_vals[i] - g_vals[j])
+        # the pairwise loop differs only where every opposite product underflows to 0
+        passed, _, worst = _pairwise_check(f_vals, g_vals)
+        assert passed == rep.passed or (passed and worst == 0)
+
+    def test_underflowing_product_fails(self):
+        # (0 - 1e-200)(1e-200 - 0) underflows to -0.0, which the pairwise loop passed
+        assert _pairwise_check([0.0, 1e-200], [1e-200, 0.0]) == (True, (0, 1), -0.0)
+        rep = synchronicity_check([0.0, 1e-200], [1e-200, 0.0])
+        assert not rep.passed and rep.worst_pair == (0, 1)
+        assert math.copysign(1.0, rep.worst_product) == -1.0 and rep.worst_product == 0.0
+
+    def test_equal_f_values_impose_nothing(self):
+        # +0.0 and -0.0 are one group, whatever their g values
+        rep = synchronicity_check([-0.0, 0.0, 1.0, 1.0], [5.0, 3.0, 6.0, 5.0])
+        assert rep.passed and rep.worst_pair is None and rep.worst_product == 0.0
+        rep = synchronicity_check([-0.0, 0.0, 1.0, 1.0], [5.0, 3.0, 6.0, 4.0])
+        # 4.0 at f = 1 is below 5.0 at f = -0.0
+        assert not rep.passed and rep.worst_pair == (0, 3) and rep.worst_product == -1.0
+
     def test_identical_sequences_pass(self):
         rep = synchronicity_check([3.0, 1.0, 2.0], [3.0, 1.0, 2.0])
         assert rep.passed and rep.worst_product >= 0

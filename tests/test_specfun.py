@@ -1308,12 +1308,25 @@ class TestFloatStream:
         (HeunParams(1e-320, 0.3, 1.0, 1.0, 1e-5, 1.0), 0.0),  # C_0 / s^2 = 1e-325 underflows
     ), ids=("overflow", "underflow"))
     def test_coefficient_beyond_the_float_range_is_nan_and_rejected(self, params, x):
-        assert heun_coeffs(params, 1) == [1.0] and all(map(math.isnan, heun_coeffs(params, 4)[1:]))
+        # the float stream holds NaN from c_1 on; every public route raises
+        assert heun_coeffs(params, 1) == [1.0]
+        assert all(map(math.isnan, specfun._series(params).prefix(4, False)[1:]))
+        with pytest.raises(DivergentSeries, match=r"^coefficient overflow: c_1 of the local Heun "
+                                                  r"series is nan in floats; its parameters leave"):
+            heun_coeffs(params, 4)
         for f in (heun_local, heun_local_deriv):
-            with pytest.raises(DivergentSeries, match="coefficient overflow"):
+            with pytest.raises(DivergentSeries, match=r"^coefficient overflow: c_1 .* is nan in floats"):
                 f(params, x)
         # the sum stops at the first NaN, not after MAX_TERMS terms
         assert len(specfun._series(params).prefixes[False]) <= 32
+
+    def test_confluent_coefficient_beyond_the_float_range_is_rejected(self):
+        # c_1 = -1e200 is a float, c_2 overflows to inf: the error names c_2
+        params = ConfluentHeunParams(1e200, 1.0, 1.0, 0.5, 1e200)
+        assert confluent_heun_coeffs(params, 2) == [1.0, -1e200]
+        with pytest.raises(DivergentSeries, match=r"^coefficient overflow: c_2 of the confluent Heun "
+                                                  r"series is inf in floats"):
+            confluent_heun_coeffs(params, 4)
 
 
 def _two_stage_sum(record, xf, tol, deriv):
@@ -1329,7 +1342,7 @@ def _two_stage_sum(record, xf, tol, deriv):
                 coeffs = record.prefix(min(2 * k + 32, specfun.MAX_TERMS), False)
             c = coeffs[k]
             if not abs(c) <= 1e280:
-                raise DivergentSeries("coefficient overflow; argument too close to the disk boundary")
+                raise specfun._overflow(record, k, c, xf)
             elif not deriv:
                 yield c * xpow
                 xpow *= xf
@@ -1423,7 +1436,8 @@ class TestFusedSum:
         for deriv in (False, True):
             got = _outcome(specfun._float_sum, record, 0.1, 1e-15, deriv)
             assert got == _outcome(_two_stage_sum, record, 0.1, 1e-15, deriv)
-            assert got == (DivergentSeries, "coefficient overflow; argument too close to the disk boundary")
+            assert got == (DivergentSeries, "coefficient overflow: |c_1| > 1e280 before the sum "
+                                            "converged at |x| = 0.1 on a radius of 0.5")
 
     # the first three recorded before the two-stage sum became one loop; the
     # last re-recorded when the float coefficients began to run the declared
