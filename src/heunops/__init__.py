@@ -19,9 +19,7 @@ from .specfun import (
     QuadratureRule,
     SeriesResult,
     confluent_heun,
-    confluent_heun_ode_residual,
     f_poly,
-    gauss_legendre,
     heun_local,
     heun_ode_residual,
     heun_poly,
@@ -48,7 +46,6 @@ from .identities import (
     IdentityId,
     NumericGrid,
     VerificationReport,
-    derivative_ladder_check,
     i314_rhs,
     registry_table,
     verify,

@@ -21,9 +21,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence, Union
 
-from .errors import DomainError, InvalidKnots, NonpositiveWidth
+from .errors import DomainError, InvalidKnots, NonpositiveWidth, NotExact
 from .exactalg import Frozen, PiecewisePoly, Poly, rat
-from .specfun import gauss_legendre, quadrature
 
 
 class KnotVector(Frozen):
@@ -165,6 +164,12 @@ def require_order(n, what: str = "kernel order n") -> None:
         raise InvalidKnots(f"{what} must be >= 1, got {n}")
 
 
+def require_sigma(sigma) -> None:
+    """Reject a width that is not a :class:`SigmaSpec`."""
+    if not isinstance(sigma, SigmaSpec):
+        raise DomainError(f"the width sigma must be a SigmaSpec, got {sigma!r}")
+
+
 def cardinal_bspline(m: int, t) -> Fraction:
     """Cardinal B-spline M_m (knots 0, 1, ..., m, integral 1) at rational t,
     by the explicit sum
@@ -189,6 +194,7 @@ def cardinal_bspline(m: int, t) -> Fraction:
 def kernel(n: int, sigma, x) -> KernelInstance:
     """Kernel slice with width sigma(x) and n equal knot intervals."""
     require_order(n)
+    require_sigma(sigma)
     x = rat(x)
     w = sigma.at(x)
     step = 2 * w / n
@@ -220,19 +226,9 @@ def unit_variance(n: int) -> Fraction:
     return Fraction(1, 3 * n)
 
 
-def apply_Ln(n: int, sigma, f, x, quad_points: int = 32):
-    """Apply the kernel-integral operator at the point x.
-
-    Polynomial arguments integrate exactly; general callables are handled
-    by Gauss-Legendre quadrature on each polynomial piece of the kernel.
-    """
-    inst = kernel(n, sigma, x)
-    if isinstance(f, Poly):
-        return inst.density.integrate(weight=f)
-    total = 0.0
-    bps = inst.density.breakpoints
-    for i, piece in enumerate(inst.density.pieces):
-        lo, hi = float(bps[i]), float(bps[i + 1])
-        rule = gauss_legendre(quad_points, lo, hi)
-        total += quadrature(rule, lambda t, piece=piece: float(piece(t)) * f(t))
-    return total
+def apply_Ln(n: int, sigma, f: Poly, x) -> Fraction:
+    """Apply the kernel-integral operator to the polynomial f at the point
+    x, exactly."""
+    if not isinstance(f, Poly):
+        raise NotExact(f"apply_Ln integrates a Poly exactly, got {type(f).__name__}")
+    return kernel(n, sigma, x).density.integrate(weight=f)

@@ -44,6 +44,7 @@ class BSplineOp(Frozen):
 
     def __post_init__(self) -> None:
         bspline.require_order(self.n)
+        bspline.require_sigma(self.sigma)
 
 
 def _require_ints(n, k) -> None:

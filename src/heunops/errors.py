@@ -58,5 +58,4 @@ class MissingParam(HeunopsError, ValueError):
 
 
 class ConstraintViolated(HeunopsError, ValueError):
-    """Values violate a defining constraint: the accessory-parameter
-    constraint of a derivative ladder, or an entropy point's invariants."""
+    """Values violate a defining constraint: an entropy point's invariants."""

@@ -32,7 +32,6 @@ from typing import Iterable, Sequence, Union
 
 from . import entropy, specfun
 from .errors import (
-    ConstraintViolated,
     DomainError,
     IndexOutOfRange,
     InadmissibleMode,
@@ -576,16 +575,6 @@ def _check_i48(params, mode):
                                         szasz_K(n, j, x) / float(k0)))
 
 
-def _check_i48_rung(params, mode):
-    """Rung j -> j + 1 of the (4.8) ladder.  It is the (4.2) ladder with
-    p = n, gamma = j + 1, alpha = j + 1/2, plus the exact ratio of the
-    normalizing constants K^(j)(0)."""
-    n, j = params["n"], params["j"]
-    err, pts, ok = _check_i42({"p": n, "gamma": j + 1, "alpha": Fraction(2 * j + 1, 2)}, mode)
-    ratio_ok = (j + 1) * kn_deriv_zero(n, j + 1) == -2 * n * (2 * j + 1) * kn_deriv_zero(n, j)
-    return err, pts + 1, ok and ratio_ok
-
-
 def _check_i49(params, mode):
     n, j = params["n"], params["j"]
     closed = kn_deriv_zero(n, j)
@@ -796,48 +785,13 @@ def verify(identity, params: dict | None = None, mode=None, tol: float | None = 
     return VerificationReport(iid, norm, resolved, err, points, passed)
 
 
-def verify_all(param_ranges: dict | None = None) -> list[VerificationReport]:
+def verify_all() -> list[VerificationReport]:
     """Run every identity over its default parameter range in every
     admissible mode; deterministic order (identity, then mode, then params)."""
     reports = []
     for iid in IdentityId:
         entry = REGISTRY[iid]
-        sets = (param_ranges or {}).get(iid, entry.default_params)
         for mode in entry.modes:
-            for ps in sets:
+            for ps in entry.default_params:
                 reports.append(verify(iid, ps, mode))
     return reports
-
-
-#: the identity behind each derivative-ladder family, and the parameter that
-#: its constraint fixes, which a caller may give for checking
-_LADDER_FAMILIES = {"heun-3.11": (IdentityId.I311_312, "q"), "heun-3.12": (IdentityId.I311_312, "q"),
-                    "hc-4.2": (IdentityId.I42, "sigma"), "hc-4.3": (IdentityId.I43, "sigma"),
-                    "hc-4.8": (IdentityId.I48, None)}
-
-
-def derivative_ladder_check(family: str, params: dict, grid: Sequence[float] | None = None,
-                            tol: float = 1e-9) -> VerificationReport:
-    """Check one derivative-ladder instance by finite differences and by
-    termwise series differentiation.
-
-    Families: ``heun-3.11``, ``heun-3.12`` (parameters alpha, beta, gamma,
-    optionally q, which must equal a*alpha*beta), ``hc-4.2``, ``hc-4.3``
-    (parameters p, gamma, alpha, optionally sigma, which must equal
-    4*p*alpha), ``hc-4.8`` (parameters n, j).  Parameters are normalized
-    as by :func:`verify`: a missing one raises :class:`MissingParam`, an
-    unknown one :class:`DomainError`.
-    """
-    if family not in _LADDER_FAMILIES:
-        raise DomainError(f"unknown ladder family {family!r}")
-    iid, fixed = _LADDER_FAMILIES[family]
-    entry = REGISTRY[iid]
-    ps = _normalize_params(entry, {k: v for k, v in params.items() if k != fixed})
-    if fixed == "q" and "q" in params and rat(params["q"]) != ps["alpha"] * ps["beta"] / 2:
-        raise ConstraintViolated("accessory parameter must equal a*alpha*beta = alpha*beta/2")
-    if fixed == "sigma" and "sigma" in params and rat(params["sigma"]) != 4 * ps["p"] * ps["alpha"]:
-        raise ConstraintViolated("ladder requires sigma = 4 p alpha")
-    mode = NumericGrid(tuple(grid) if grid is not None else entry.grid, tol)
-    checker = _check_i48_rung if entry.id is IdentityId.I48 else entry.checker
-    err, pts, ok = checker(ps, mode)
-    return VerificationReport(entry.id, ps, mode, err, pts, ok)

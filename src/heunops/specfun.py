@@ -207,7 +207,8 @@ def _heun_ode(params: HeunParams) -> tuple:
 
 
 def _confluent_ode(params: ConfluentHeunParams) -> tuple:
-    """The confluent Heun equation in the form of :func:`confluent_heun_ode_residual`."""
+    """The confluent Heun equation cleared of denominators,
+    x(x-1) u'' + [4p x(x-1) + gamma (x-1) + delta x] u' + (4 p alpha x - sigma) u = 0."""
     s, (p, ga, de, al, sg) = _scaled(*vars(params).values())
     return s, ((0, -s * s, s * s, 0), (-ga * s, (ga + de - 4 * p) * s, 4 * p * s), (-sg * s, 4 * p * al))
 
@@ -472,17 +473,6 @@ def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -
 
 def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
     return _point_value(_series(params), x, _checked_tol(tol), True)
-
-
-def confluent_heun_ode_residual(params: ConfluentHeunParams, u: Poly) -> Poly:
-    """Exact residual of ``u`` in the cleared-denominator confluent equation:
-
-        x(x-1) u'' + [4p x(x-1) + gamma (x-1) + delta x] u' + (4 p alpha x - sigma) u
-
-    For a truncated series of a true solution the residual coefficients
-    vanish through the truncation order.
-    """
-    return _ode_residual(params, u)
 
 
 # ---------------------------------------------------------------------------
@@ -901,28 +891,22 @@ class QuadratureRule(Frozen):
             raise DomainError(f"{len(self.nodes)} quadrature nodes but {len(self.weights)} weights")
 
 
-def _check_npoints(npoints: int) -> None:
-    if npoints < 2:
-        raise DomainError("quadrature needs at least 2 points")
-
-
-def gauss_legendre(npoints: int, a: float, b: float) -> QuadratureRule:
-    """``npoints`` Gauss-Legendre nodes on [a, b]."""
-    _check_npoints(npoints)
-    a, b = float(a), float(b)
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    nodes, weights = _leggauss(npoints)
-    return QuadratureRule(tuple(half * t + mid for t in nodes), tuple(half * w for w in weights))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def periodic_trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     """The closed composite trapezoid on [a, b] with ``npoints`` subintervals,
     which converges spectrally for smooth integrands extending to even
     periodic functions.  A rule is immutable, so each is built once and
-    shared."""
-    _check_npoints(npoints)
+    shared.  ``npoints`` must be an int >= 2 and the endpoints finite."""
+    if isinstance(npoints, bool) or not isinstance(npoints, int) or npoints < 2:
+        raise DomainError(f"quadrature needs at least 2 points, as an int; got {npoints!r}")
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"quadrature needs finite endpoints, got [{a}, {b}]")
+    return _trapezoid(npoints, a, b)
+
+
+# checked before the cache, so that 4.0 never reaches the entry of 4
+@lru_cache(maxsize=_CACHE_SIZE)
+def _trapezoid(npoints: int, a: float, b: float) -> QuadratureRule:
     h = (b - a) / npoints
     nodes = tuple(a + i * h for i in range(npoints)) + (b,)
     return QuadratureRule(nodes, (h / 2,) + (h,) * (npoints - 1) + (h / 2,))
@@ -938,40 +922,6 @@ def half_angle_table(npoints: int) -> tuple[tuple[float, float, float, float], .
     rule = periodic_trapezoid(npoints, 0.0, math.pi)
     return tuple((phi, w, math.sin(phi / 2) ** 2, math.cos(phi / 2) ** 2)
                  for phi, w in zip(rule.nodes, rule.weights))
-
-
-def _legendre_with_deriv(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) for |x| < 1."""
-    p_prev, p = _legendre_pair(n, x)
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-@lru_cache(maxsize=None)
-def _leggauss(npoints: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], immutable because shared.
-
-    Newton's method on P_n from cos(pi (i + 3/4) / (n + 1/2)), with the
-    weights 2 / ((1 - x^2) P_n'(x)^2) (Golub & Welsch, Math. Comp. 23, 1969;
-    Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The nodes are filled
-    symmetrically; for odd n the middle node is exactly 0.
-    """
-    n = npoints
-    nodes, weights = [0.0] * n, [0.0] * n
-    for i in range((n + 1) // 2):
-        if 2 * i + 1 == n:
-            x = 0.0
-        else:
-            x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-            for _ in range(100):
-                p, dp = _legendre_with_deriv(n, x)
-                x -= p / dp
-                if abs(p / dp) <= 1e-16:
-                    break
-        dp = _legendre_with_deriv(n, x)[1]
-        # at the middle of an odd n the second store wins, leaving +0.0
-        nodes[i], nodes[n - 1 - i] = -x, x
-        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return tuple(nodes), tuple(weights)
 
 
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:

@@ -21,7 +21,7 @@ from heunops.bspline import (
     kernel,
     unit_variance,
 )
-from heunops.errors import HeunopsError, InvalidKnots, NonpositiveWidth
+from heunops.errors import DomainError, HeunopsError, InvalidKnots, NonpositiveWidth, NotExact
 from heunops.exactalg import E0, E1, E2, PiecewisePoly, Poly, integrate_product
 
 SIGMAS = (F(1, 2), F(1), F(7, 3))
@@ -228,15 +228,18 @@ class TestApplyLn:
     def test_second_moment_matches_width(self):
         assert apply_Ln(1, ConstantSigma(2), E2, 0) == F(4, 3)
 
-    def test_callable_path_agrees_with_exact(self):
-        exact = apply_Ln(3, ConstantSigma(1), E2, F(1, 4))
-        quad = apply_Ln(3, ConstantSigma(1), lambda t: t * t, F(1, 4))
-        assert abs(quad - float(exact)) < 1e-13
+    @pytest.mark.parametrize("f", (lambda t: t * t, math.cos, 2, F(1, 2)), ids=("lambda", "cos", "int", "Fraction"))
+    def test_only_a_poly_is_applied(self, f):
+        with pytest.raises(NotExact, match="integrates a Poly exactly"):
+            apply_Ln(3, ConstantSigma(1), f, F(1, 4))
 
-    def test_callable_smooth_function(self):
-        # L_1 at x=0, sigma=1 is the average over [-1,1]: integral cos = 2 sin(1), halved
-        got = apply_Ln(1, ConstantSigma(1), math.cos, 0)
-        assert abs(got - math.sin(1.0)) < 1e-13
+    @pytest.mark.parametrize("sigma", (1, F(1, 2), 0.5, lambda x: 1, None),
+                             ids=("int", "Fraction", "float", "callable", "None"))
+    def test_width_must_be_a_sigma_spec(self, sigma):
+        # a bare number used to fail with AttributeError: 'int' object has no attribute 'at'
+        for call in (lambda: kernel(2, sigma, 0), lambda: apply_Ln(2, sigma, E2, 0)):
+            with pytest.raises(DomainError, match="must be a SigmaSpec"):
+                call()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_variance_formula(self, n):

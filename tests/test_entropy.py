@@ -86,6 +86,13 @@ class TestKantorovich:
         with pytest.raises(InvalidKnots):
             BSplineOp(n, bspline.ConstantSigma(1))
 
+    @pytest.mark.parametrize("sigma", (1, F(1, 2), 0.5, None), ids=("int", "Fraction", "float", "None"))
+    def test_malformed_bspline_width_rejected(self, sigma):
+        # a bare number used to pass here and fail in entropy_profile with
+        # AttributeError: 'int' object has no attribute 'at'
+        with pytest.raises(DomainError, match="must be a SigmaSpec"):
+            BSplineOp(2, sigma)
+
     @pytest.mark.parametrize("method", ("definition", "bspline-form"))
     def test_degree_zero_polynomial_rejected(self, method):
         with pytest.raises(DomainError, match="n >= 1"):

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from heunops import entropy, identities, specfun
 from heunops.cli import main
-from heunops.errors import ConstraintViolated, DomainError, InadmissibleMode, MissingParam, NotExact
+from heunops.errors import DomainError, InadmissibleMode, MissingParam, NotExact
 from heunops.exactalg import Poly
 from heunops.identities import (
     IdentityId,
-    derivative_ladder_check,
     i314_rhs,
     registry_table,
     verify,
@@ -75,10 +74,6 @@ class TestVerify:
         with pytest.raises(DomainError, match="bogus"):
             verify("I39", {"n": 3, "bogus": 1}, "exact")
 
-    def test_empty_ranges_vacuous_pass(self):
-        reports = verify_all({iid: () for iid in IdentityId})
-        assert reports == []
-
     @pytest.mark.parametrize("tol", (math.nan, -1.0, 0.0, math.inf, -math.inf))
     def test_meaningless_tolerance_rejected(self, tol):
         # NaN, zero and negative tolerances fail every check; an infinite one
@@ -93,8 +88,6 @@ class TestVerify:
         # a grid with no point checks nothing and used to pass
         with pytest.raises(DomainError, match="at least one point"):
             verify("I31", {"q": 1}, identities.NumericGrid(()))
-        with pytest.raises(DomainError, match="at least one point"):
-            derivative_ladder_check("hc-4.2", {"p": 1, "gamma": 1, "alpha": "1/2"}, grid=[])
         with pytest.raises(TypeError):
             identities.NumericGrid()  # the grid is required
 
@@ -236,11 +229,27 @@ class TestPfaffProperty:
         assert ok31 and ok32, (err31, err32)
 
 
+#: the registry identity that checks each derivative-ladder family of the paper
+LADDERS = {"heun-3.11": "I311_312", "heun-3.12": "I311_312", "hc-4.2": "I42", "hc-4.3": "I43", "hc-4.8": "I48"}
+
+
+def _ladder(family, params, grid=None, tol=1e-9):
+    """The numeric check of one ladder instance, on the registry grid by default."""
+    iid = IdentityId(LADDERS[family])
+    return verify(iid, params, identities.NumericGrid(identities.REGISTRY[iid].grid if grid is None else grid, tol))
+
+
+def _k_ratio_holds(n, j):
+    """(j+1) K^(j+1)(0) = -2n(2j+1) K^(j)(0): the constants that carry rung j
+    of the (4.8) ladder to rung j + 1."""
+    return (j + 1) * specfun.kn_deriv_zero(n, j + 1) == -2 * n * (2 * j + 1) * specfun.kn_deriv_zero(n, j)
+
+
 class TestLadders:
     def test_weight_family_derivative_matches(self):
         # alpha = -2n, beta = 1, gamma = 1 with n = 2 reproduces the exact
         # derivative factorization F_2' = 4(2x-1) * Hl(-3; -2, 3; 2, 2)
-        rep = derivative_ladder_check("heun-3.11", {"alpha": -4, "beta": 1, "gamma": 1})
+        rep = _ladder("heun-3.11", {"alpha": -4, "beta": 1, "gamma": 1})
         assert rep.passed
         lhs = specfun.f_poly(2).derivative()
         rhs = (Poly.of(-1, 2) * heun_poly(HeunParams(F(1, 2), -3, -2, 3, 2, 2))).scale(4)
@@ -249,8 +258,8 @@ class TestLadders:
     def test_hc_ladder_reproduces_first_derivative(self):
         # p = n = 1, gamma = 1, alpha = 1/2: the ladder right sides are the
         # two first-derivative formulas for the squared Poisson-weight sum
-        assert derivative_ladder_check("hc-4.2", {"p": 1, "gamma": 1, "alpha": F(1, 2)}).passed
-        assert derivative_ladder_check("hc-4.3", {"p": 1, "gamma": 1, "alpha": F(1, 2)}).passed
+        assert _ladder("hc-4.2", {"p": 1, "gamma": 1, "alpha": F(1, 2)}).passed
+        assert _ladder("hc-4.3", {"p": 1, "gamma": 1, "alpha": F(1, 2)}).passed
         for x in (0.2, 0.7):
             k1 = szasz_K(1, 1, x)
             via_47 = confluent_heun(specfun.ConfluentHeunParams(1, 2, 0, F(3, 2), 6), x, 1e-15).value
@@ -259,24 +268,33 @@ class TestLadders:
             assert abs(via_46 - k1 / (2 * (x - 1))) < 1e-10
 
     def test_j_ladder(self):
-        assert derivative_ladder_check("hc-4.8", {"n": 2, "j": 3}).passed
+        # rung j = 3 at n = 2 is the (4.2) ladder at p = 2, gamma = 4,
+        # alpha = 7/2, on the grid of (4.8), plus the ratio of K^(3)(0) to K^(4)(0)
+        grid = identities.REGISTRY[IdentityId.I48].grid
+        assert verify("I42", {"p": 2, "gamma": 4, "alpha": F(7, 2)}, identities.NumericGrid(grid, 1e-9)).passed
+        assert _k_ratio_holds(2, 3)
+        assert _ladder("hc-4.8", {"n": 2, "j": 3}).passed
 
     @pytest.mark.parametrize("key", ("n", "j"))
     def test_j_ladder_non_integral_index(self, key):
         params = {"n": 2, "j": 3, key: F(7, 2)}
         with pytest.raises(DomainError, match=f"index parameter {key}"):
-            derivative_ladder_check("hc-4.8", params)
+            _ladder("hc-4.8", params)
 
     def test_finite_difference_route_decides(self, monkeypatch):
         # with no room left for the central difference's h^2 error every
         # ladder check must fail: the FD route still takes part in the verdict
+        rungs = [(n, j) for n in (1, 2) for j in (0, 3)]
+
         def run():
             reports = [verify(iid, ps, "numeric")
                        for iid in ("I311_312", "I42", "I43", "I46", "I47")
                        for ps in identities.REGISTRY[IdentityId(iid)].default_params]
-            reports += [derivative_ladder_check("hc-4.8", {"n": n, "j": j}) for n in (1, 2) for j in (0, 3)]
+            reports += [verify("I42", {"p": n, "gamma": j + 1, "alpha": F(2 * j + 1, 2)}, "numeric")
+                        for n, j in rungs]
             return [r.passed for r in reports]
 
+        assert all(_k_ratio_holds(n, j) for n, j in rungs)
         assert all(run())
         monkeypatch.setattr(identities, "FD_TOL", 0.0)
         assert not any(run())
@@ -289,11 +307,13 @@ class TestLadders:
     ))
     @pytest.mark.parametrize("grid, tol", ((None, 1e-9), ((0.2, 0.35), 1e-12), ((0.3,), 1e-16)))
     def test_ladder_check_matches_registry_verify(self, family, iid, params, grid, tol):
-        entry = identities.REGISTRY[IdentityId(iid)]
-        ladder = derivative_ladder_check(family, params, grid, tol)
-        rep = verify(iid, params, identities.NumericGrid(entry.grid if grid is None else grid, tol))
-        assert (ladder.max_abs_err, ladder.points_checked, ladder.passed) == \
-            (rep.max_abs_err, rep.points_checked, rep.passed)
+        # a ladder's verdict on a grid is the worst of its verdicts point by point
+        rep = _ladder(family, params, grid, tol)
+        assert rep.id is IdentityId(iid)
+        singles = [_ladder(family, params, (x,), tol) for x in rep.mode.grid]
+        assert (rep.max_abs_err, rep.points_checked, rep.passed) == \
+            (max(r.max_abs_err for r in singles), sum(r.points_checked for r in singles),
+             all(r.passed for r in singles))
 
     @pytest.mark.parametrize("family, iid, params", (
         ("heun-3.11", "I311_312", {"alpha": 1, "beta": 1, "gamma": 1}),
@@ -303,20 +323,20 @@ class TestLadders:
         ("hc-4.8", "I48", {"n": 1, "j": 2}),
     ))
     def test_ladder_default_grid_is_registry_grid(self, family, iid, params):
-        rep = derivative_ladder_check(family, params)
+        rep = verify(LADDERS[family], params, "numeric")
         assert rep.id is IdentityId(iid)
         assert rep.mode.grid == identities.REGISTRY[rep.id].grid
 
     @pytest.mark.parametrize("family, params", (
         ("heun-3.11", {"alpha": 1}),
-        ("heun-3.12", {"alpha": 1, "beta": 1, "q": F(1, 2)}),
+        ("heun-3.12", {"alpha": 1, "beta": 1}),
         ("hc-4.2", {"p": 1}),
-        ("hc-4.3", {"gamma": 1, "alpha": 1, "sigma": 4}),
+        ("hc-4.3", {"gamma": 1, "alpha": 1}),
         ("hc-4.8", {"n": 1}),
     ))
     def test_missing_param(self, family, params):
         with pytest.raises(MissingParam):
-            derivative_ladder_check(family, params)
+            verify(LADDERS[family], params)
 
     @pytest.mark.parametrize("family, params, key", (
         ("heun-3.11", {"alpha": 1, "beta": 1, "gamma": 1, "sigma": 2}, "sigma"),
@@ -325,15 +345,7 @@ class TestLadders:
     ))
     def test_unknown_param(self, family, params, key):
         with pytest.raises(DomainError, match=f"takes no parameters \\['{key}'\\]"):
-            derivative_ladder_check(family, params)
-
-    def test_constraint_validation(self):
-        with pytest.raises(ConstraintViolated):
-            derivative_ladder_check("heun-3.11", {"alpha": 1, "beta": 1, "gamma": 1, "q": 7})
-        with pytest.raises(ConstraintViolated):
-            derivative_ladder_check("hc-4.2", {"p": 1, "gamma": 1, "alpha": 1, "sigma": 3})
-        with pytest.raises(DomainError):
-            derivative_ladder_check("nope", {})
+            verify(LADDERS[family], params)
 
 
 class TestFullSuite:
@@ -369,11 +381,11 @@ class TestBuildOnce:
     def test_trapezoid_rule_built_once(self):
         # the I22 and I31 quadratures share one 257-node half-angle table,
         # built from one rule
-        specfun.periodic_trapezoid.cache_clear()
+        specfun._trapezoid.cache_clear()
         specfun.half_angle_table.cache_clear()
         for iid, params in (("I22", {"m": 3}), ("I22", {"m": 5}), ("I31", {"q": 1}), ("I31", {"q": 2})):
             assert verify(iid, params, "numeric").passed
-        assert specfun.periodic_trapezoid.cache_info().misses == 1
+        assert specfun._trapezoid.cache_info().misses == 1
         info = specfun.half_angle_table.cache_info()
         assert info.misses == 1 and info.hits > 1
 

@@ -55,14 +55,14 @@ def test_no_private_names_across_modules():
 
 
 def test_cli_runs_without_numpy():
-    # verify --all takes the trapezoid rules of I22 and I31, and Gauss nodes
-    # are built without numpy as well
+    # verify --all takes the trapezoid rules of I22 and I31, and a rule is
+    # built and applied without numpy as well
     code = ("import io, sys, contextlib\n"
             "import heunops, heunops.cli\n"
             "from heunops import specfun\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert heunops.cli.main(['verify', '--all']) == 0\n"
-            "specfun.quadrature(specfun.gauss_legendre(8, 0, 1), lambda t: t)\n"
+            "specfun.quadrature(specfun.periodic_trapezoid(8, 0, 1), lambda t: t)\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     _run_fresh(code)
 
