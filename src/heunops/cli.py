@@ -251,7 +251,7 @@ def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
         make, poly = _SERIES_FAMILIES[name]
         sp = make(*(_frac(params, k) for k in _EVAL_SPECS[name].keys))
         if not exact:
-            return [r.value for r in specfun.series_values(sp, xs, 1e-15)]
+            return [r.value for r in specfun.series_values(sp, xs)]
         f = poly(sp)
     elif name == "legendre":
         n = _int(params, "n")
@@ -347,7 +347,9 @@ def _cmd_verify(args) -> int:
             hint = ("add --mode numeric" if "numeric" in entry.modes
                     else f"{entry.id.value} has no numeric mode")
             raise HeunopsError(f"--tol applies only to numeric mode; {hint}")
-        reports = [identities.verify(args.id, ps, m, args.tol)
+        if args.tol is not None and "numeric" in entry.modes:  # else verify names the mode it lacks
+            modes = [identities.NumericGrid(entry.grid, args.tol)]
+        reports = [identities.verify(args.id, ps, m)
                    for m in modes for ps in ([params] if params else entry.default_params)]
     all_pass = all(r.passed for r in reports)
     if args.json:

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedK,
 )
 from .exactalg import E0, E1, Frozen, Poly, PiecewisePoly, binary_form, rat
-from .specfun import half_angle_table
+from .specfun import phi_integral
 
 
 class BSplineOp(Frozen):
@@ -216,27 +216,17 @@ def s2_sum_poly(n: int) -> Poly:
     return binary_form(coeffs, shifted_square, E0, m).scale(Fraction(n, 3 * (n - 1) * 4**m))
 
 
-def s2_integral_form(n: int, x: float, npoints: int = 256) -> float:
+def s2_integral_form(n: int, x: float) -> float:
     """Quadrature evaluation of the k = 2 squared kernel:
 
         (n / 3 pi) * integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^(n-2)
                                    (1 + 2 cos^2(phi/2)) dphi
 
-    by the trapezoid rule of :func:`specfun.half_angle_table`, summed in
-    node order; a non-finite integrand value raises :class:`NonFinite`.
+    by :func:`specfun.phi_integral`, which rejects a non-finite integrand.
     """
     if n < 2:
         raise UnsupportedK("integral form needs operator index >= 2")
-    m = n - 2
-    xf = float(x)
-    a = 4 * xf * (1 - xf)
-    total = 0.0
-    for phi, w, s2, c2 in half_angle_table(npoints):
-        v = (1 - a * s2) ** m * (1 + 2 * c2)
-        if not math.isfinite(v):
-            raise NonFinite(f"integrand is not finite at node {phi}")
-        total += w * v
-    return n / (3 * math.pi) * total
+    return n / (3 * math.pi) * phi_integral(x, n - 2, 2)
 
 
 # ---------------------------------------------------------------------------

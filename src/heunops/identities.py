@@ -36,7 +36,6 @@ from .errors import (
     IndexOutOfRange,
     InadmissibleMode,
     MissingParam,
-    NonFinite,
 )
 from .exactalg import E0, E1, E2, Frozen, Poly, binary_form, parse_number, rat
 from .specfun import (
@@ -45,7 +44,6 @@ from .specfun import (
     confluent_heun,
     confluent_heun_coeffs,
     confluent_heun_deriv,
-    half_angle_table,
     heun_coeffs,
     heun_local,
     heun_local_deriv,
@@ -58,6 +56,7 @@ from .specfun import (
     kn_deriv_zero,
     kn_taylor_coeffs,
     legendre_poly,
+    phi_integral,
     szasz_K,
 )
 
@@ -134,7 +133,6 @@ class VerificationReport(Frozen):
         return out
 
 
-SERIES_TOL = 1e-15  # evaluation tolerance feeding the 1e-9/1e-8 grid checks
 FD_STEP = 1e-5
 FD_TOL = 1e-6  # h^2 error floor of the central difference
 #: series-coefficient comparison depth for entire-function identities
@@ -257,6 +255,8 @@ def _params_314(n: int, i: int) -> HeunParams:
 
 
 def _params_k_family(n: int, j: int) -> ConfluentHeunParams:
+    if n < 0 or j < 0:
+        raise DomainError(f"the K family needs n >= 0 and j >= 0, got n = {n}, j = {j}")
     return ConfluentHeunParams(n, j + 1, 0, Fraction(2 * j + 1, 2), 2 * n * (2 * j + 1))
 
 
@@ -298,17 +298,9 @@ def _check_i22(params, mode):
     return _grid_check(mode, lambda x: (entropy.s2_integral_form(m, x), float(sums(Fraction(x)))))
 
 
-def _phi_integral(q: float, x: float, npoints: int = 256) -> float:
-    """(1/pi) integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^(-q) dphi by the
-    trapezoid rule of :func:`specfun.half_angle_table`, summed in node order."""
-    a = 4.0 * x * (1.0 - x)
-    total = 0.0
-    for phi, w, s2, _ in half_angle_table(npoints):
-        v = (1.0 - a * s2) ** (-q)
-        if not math.isfinite(v):
-            raise NonFinite(f"integrand is not finite at node {phi}")
-        total += w * v
-    return total / math.pi
+def _phi_integral(q: float, x: float) -> float:
+    """(1/pi) integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^(-q) dphi by :func:`specfun.phi_integral`."""
+    return phi_integral(x, -q, 0) / math.pi
 
 
 def _check_i31(params, mode):
@@ -317,8 +309,8 @@ def _check_i31(params, mode):
 
     def routes(x):
         z = (x / (x - 1.0)) ** 2
-        gauss = (1.0 - x) ** (-2 * float(q)) * hyp2f1(float(q), float(q), 1, z, SERIES_TOL).value
-        return heun_local(hp, x, SERIES_TOL).value, gauss, _phi_integral(float(q), x)
+        gauss = (1.0 - x) ** (-2 * float(q)) * hyp2f1(float(q), float(q), 1, z).value
+        return heun_local(hp, x).value, gauss, _phi_integral(float(q), x)
 
     return _grid_check(mode, routes, per_x=3)
 
@@ -330,13 +322,13 @@ def _check_i32(params, mode):
     def routes(x):
         w = x * x / (2 * x - 1.0)
         if abs(w) < 0.95:
-            inner = hyp2f1(float(q), 1 - float(q), 1, w, SERIES_TOL).value
+            inner = hyp2f1(float(q), 1 - float(q), 1, w).value
         else:
             # raw series diverges past |w| = 1; continue through the Pfaff
             # map on the second parameter, which keeps the evaluation
             # independent of the (q, q; 1; .) route
-            inner = hyp2f1_pfaff(float(q), 1 - float(q), 1, w, SERIES_TOL).value
-        return heun_local(hp, x, SERIES_TOL).value, (1.0 - 2 * x) ** (-float(q)) * inner
+            inner = hyp2f1_pfaff(float(q), 1 - float(q), 1, w).value
+        return heun_local(hp, x).value, (1.0 - 2 * x) ** (-float(q)) * inner
 
     return _grid_check(mode, routes)
 
@@ -348,7 +340,7 @@ def _check_i33(params, mode):
         res = heun_ode_residual(_params_f_family(n), p)
         err, pts, ok = _exact_verdict(res.coeffs, len(p.coeffs) + 1)
         return err, pts, ok and p(Fraction(0)) == 1
-    return _grid_check(mode, lambda x: (heun_local(_params_f_family(n), x, SERIES_TOL).value, float(p(x))))
+    return _grid_check(mode, lambda x: (heun_local(_params_f_family(n), x).value, float(p(x))))
 
 
 def _check_i34(params, mode):
@@ -357,14 +349,16 @@ def _check_i34(params, mode):
     # Heun side is evaluated through its exact reflected reduction for
     # all n and the raw series only serves as a small-n spot check
     n = params["n"]
+    if n < 1:
+        raise DomainError(f"I34 needs n >= 1: its right side holds F_(n-1); got n = {n}")
     fp = specfun.f_poly(n - 1)
     spot_check = n <= 4
 
     def routes(x):
         xr = Fraction(x).limit_denominator(10**6)
-        values = (specfun.kernel_sum("G", n, x, SERIES_TOL), float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1)))
+        values = (specfun.kernel_sum("G", n, x), float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1)))
         if spot_check:
-            values += (heun_local(_params_g_family(n), -x, SERIES_TOL).value,)
+            values += (heun_local(_params_g_family(n), -x).value,)
         return values
 
     return _grid_check(mode, routes, per_x=3 if spot_check else 2)
@@ -382,6 +376,8 @@ def _clear_denominator_residual(hp: HeunParams, p: Poly, s: int) -> Poly:
 
 def _check_i35(params, mode):
     n = params["n"]
+    if n < 1:
+        raise DomainError(f"I35 needs n >= 1: its right side holds F_(n-1); got n = {n}")
     fp = specfun.f_poly(n - 1)
     depth = 4 * n + 6
     series = [Fraction(comb(n + k - 1, k)) ** 2 for k in range(depth)]
@@ -453,18 +449,19 @@ def _check_i311_312(params, mode):
                 [factor * v for v in _cauchy(power, heun_coeffs(rhs12, depth), depth)])
 
     def rhs_forms(x):
-        v11 = float(factor) * (1 - 2 * x) * heun_local(rhs11, x, SERIES_TOL).value
-        v12 = (float(factor) * (1 - 2 * x) ** float(exponent)
-               * heun_local(rhs12, x, SERIES_TOL).value)
+        v11 = float(factor) * (1 - 2 * x) * heun_local(rhs11, x).value
+        v12 = float(factor) * (1 - 2 * x) ** float(exponent) * heun_local(rhs12, x).value
         return v11, v12
 
-    return _ladder_check(mode, sides, lambda x: heun_local_deriv(lhs, x, SERIES_TOL).value,
-                         lambda x: _central_diff(lambda t: heun_local(lhs, t, SERIES_TOL).value, x),
+    return _ladder_check(mode, sides, lambda x: heun_local_deriv(lhs, x).value,
+                         lambda x: _central_diff(lambda t: heun_local(lhs, t).value, x),
                          rhs_forms)
 
 
 def _check_i313(params, mode):
     n = params["n"]
+    if n < 1:
+        raise DomainError(f"I313 needs n >= 1: its Heun series terminates only there; got n = {n}")
     lhs = specfun.f_poly(n).derivative()
     hp = HeunParams(Fraction(1, 2), 3 - 3 * n, 2 - 2 * n, 3, 2, 2)
     rhs = (Poly.of(-1, 2) * heun_poly(hp)).scale(2 * n)
@@ -497,9 +494,9 @@ def _hc_ladder_check(lhs: ConfluentHeunParams, rhs: ConfluentHeunParams, mode, t
     return _ladder_check(
         mode, lambda: (_deriv_coeffs(confluent_heun_coeffs(lhs, COEFF_DEPTH + 1)),
                        target(confluent_heun_coeffs(rhs, COEFF_DEPTH))),
-        lambda x: confluent_heun_deriv(lhs, x, SERIES_TOL).value,
-        lambda x: _central_diff(lambda t: confluent_heun(lhs, t, SERIES_TOL).value, x),
-        lambda x: (rhs_value(x, confluent_heun(rhs, x, SERIES_TOL).value),))
+        lambda x: confluent_heun_deriv(lhs, x).value,
+        lambda x: _central_diff(lambda t: confluent_heun(lhs, t).value, x),
+        lambda x: (rhs_value(x, confluent_heun(rhs, x).value),))
 
 
 def _check_i42(params, mode):
@@ -541,7 +538,7 @@ def _k1_ladder_check(n: int, hp: ConfluentHeunParams, mode, coeffs, route):
                        coeffs(confluent_heun_coeffs(hp, depth))),
         lambda x: route(x, szasz_K(n, 1, x)),
         lambda x: route(x, _central_diff(lambda t: szasz_K(n, 0, t), x)),
-        lambda x: (confluent_heun(hp, x, SERIES_TOL).value,))
+        lambda x: (confluent_heun(hp, x).value,))
 
 
 def _check_i46(params, mode):
@@ -571,7 +568,7 @@ def _check_i48(params, mode):
             taylor[m + j] * Fraction(math.factorial(m + j), math.factorial(m)) for m in range(depth)
         ]
         return _exact_chain(h, [c / k0 for c in deriv_coeffs])
-    return _grid_check(mode, lambda x: (confluent_heun(hp, x, SERIES_TOL).value,
+    return _grid_check(mode, lambda x: (confluent_heun(hp, x).value,
                                         szasz_K(n, j, x) / float(k0)))
 
 
@@ -731,26 +728,23 @@ def resolve_id(identity) -> IdentityId:
         raise DomainError(f"unknown identity {identity!r}") from exc
 
 
-def _resolve_mode(entry: RegistryEntry, mode, tol) -> CheckMode:
+def _resolve_mode(entry: RegistryEntry, mode) -> CheckMode:
     if mode is None:
         mode = entry.modes[0]
     instance = isinstance(mode, (ExactPoly, OdeResidual, NumericGrid))
     kind = mode.kind if instance else mode
     if kind not in entry.modes:
         raise InadmissibleMode(f"{entry.id.value} does not support mode {kind!r}")
-    if tol is not None and (instance or kind != "numeric"):  # a CheckMode carries its own tolerance
-        raise InadmissibleMode(f"{entry.id.value}: tol applies only to mode 'numeric', not {mode!r}")
     if instance:
         return mode
     if mode == "exact":
         return ExactPoly()
     if mode == "ode":
         return OdeResidual()
-    return NumericGrid(entry.grid, tol if tol is not None else entry.tol)
+    return NumericGrid(entry.grid, entry.tol)
 
 
-def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
-    params = dict(params or {})
+def _normalize_params(entry: RegistryEntry, params: dict) -> dict:
     keys = entry.default_params[0]
     missing = [k for k in keys if k not in params]
     if missing:
@@ -770,16 +764,16 @@ def _normalize_params(entry: RegistryEntry, params: dict | None) -> dict:
     return out
 
 
-def verify(identity, params: dict | None = None, mode=None, tol: float | None = None) -> VerificationReport:
+def verify(identity, params: dict, mode=None) -> VerificationReport:
     """Run one identity check and return its report.
 
     ``mode`` may be ``"exact"``, ``"ode"``, ``"numeric"``, a CheckMode
-    instance, or None for the identity's default mode.  ``tol`` replaces
-    the registry tolerance of ``"numeric"``; any other mode rejects it.
+    instance, such as ``NumericGrid(REGISTRY[identity].grid, tol)`` for a
+    tolerance other than the registry's, or None for the default mode.
     """
     iid = resolve_id(identity)
     entry = REGISTRY[iid]
-    resolved = _resolve_mode(entry, mode, tol)
+    resolved = _resolve_mode(entry, mode)
     norm = _normalize_params(entry, params)
     err, points, passed = entry.checker(norm, resolved)
     return VerificationReport(iid, norm, resolved, err, points, passed)

@@ -8,7 +8,8 @@ Two arithmetic regimes coexist:
   termination detection and polynomial extraction, run over the integers;
 * float mode for grid evaluation, whose coefficients run the same
   integer recurrence in floats, with the truncation rule "stop once
-  three consecutive terms fall below ``tol`` times the partial sum".
+  three consecutive terms fall below ``SERIES_TOL`` times the partial
+  sum"; every float series and kernel sum stops at ``SERIES_TOL`` = 1e-15.
 
 Each family declares its differential equation m u'' + n u' + l u = 0
 once, as the integer coefficients of the polynomials s^2 m, s^2 n and
@@ -82,6 +83,8 @@ from .exactalg import E2, Frozen, Poly, binary_form
 Scalar = Union[Fraction, int, float]
 
 MAX_TERMS = 100_000
+#: stop tolerance of every float series and kernel sum
+SERIES_TOL = 1e-15
 #: highest degree of a terminating series of any of the three families
 #: that is built as an exact polynomial; longer ones are rejected
 MAX_DEGREE = 256
@@ -95,14 +98,6 @@ def _check_point(x: Scalar) -> None:
     """Reject a NaN or infinite point: no series or sum has a value there."""
     if isinstance(x, float) and not math.isfinite(x):
         raise NonFinite(f"point x = {x} is not finite")
-
-
-def _checked_tol(tol: float) -> float:
-    """``tol`` itself once checked: a NaN, infinite or negative tolerance
-    would stop a sum at once, or never."""
-    if not 0 <= tol < math.inf:
-        raise DomainError(f"tolerance tol = {tol} must be finite and non-negative")
-    return tol
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
@@ -318,14 +313,14 @@ def _gauss_ode(params: GaussParams) -> tuple:
     return s, ((0, s * s, -s * s, 0), (g * s, -(a + b + s) * s, 0), (-a * b, 0))
 
 
-def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
+def hyp2f1(a: Scalar, b: Scalar, c: Scalar, x: Scalar) -> SeriesResult:
     """Gauss series ``sum (a)_k (b)_k / ((c)_k k!) x^k``.
 
     Terminating cases (a or b a non-positive integer, degree at most
     ``MAX_DEGREE``) are evaluated exactly and work for any x; otherwise
     |x| < 1 is required.
     """
-    return _point_value(_series(GaussParams(a, b, c)), x, _checked_tol(tol), False)
+    return _point_value(_series(GaussParams(a, b, c)), x, False)
 
 
 def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
@@ -337,7 +332,7 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Poly:
     return _series_poly(GaussParams(a, b, c))
 
 
-def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15) -> SeriesResult:
+def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar) -> SeriesResult:
     """Evaluate the Gauss function through the Pfaff map on the second
     parameter: ``(1-x)^(-b) 2F1(c-a, b; c; x/(x-1))``.
 
@@ -347,7 +342,7 @@ def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar, tol: float = 1e-15)
     xf = float(x)
     if xf >= 1.0:
         raise DomainError("Pfaff-transformed evaluation requires x < 1")
-    inner = hyp2f1(float(c) - float(a), b, c, xf / (xf - 1.0), tol)
+    inner = hyp2f1(float(c) - float(a), b, c, xf / (xf - 1.0))
     pref = (1.0 - xf) ** (-float(b))
     return SeriesResult(pref * inner.value, inner.terms_used, inner.terminated,
                         abs(pref) * inner.tail_estimate)
@@ -420,14 +415,14 @@ def heun_poly(params: HeunParams) -> Poly:
     return _series_poly(params)
 
 
-def heun_local(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
+def heun_local(params: HeunParams, x: Scalar) -> SeriesResult:
     """Local Heun function at ``x`` (series at the origin, value 1 there)."""
-    return _point_value(_series(params), x, _checked_tol(tol), False)
+    return _point_value(_series(params), x, False)
 
 
-def heun_local_deriv(params: HeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
+def heun_local_deriv(params: HeunParams, x: Scalar) -> SeriesResult:
     """Termwise-differentiated local Heun series at ``x``."""
-    return _point_value(_series(params), x, _checked_tol(tol), True)
+    return _point_value(_series(params), x, True)
 
 
 def heun_operator(params: HeunParams) -> tuple[Poly, Poly, Poly]:
@@ -466,13 +461,13 @@ def confluent_heun_poly(params: ConfluentHeunParams) -> Poly:
     return _series_poly(params)
 
 
-def confluent_heun(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
+def confluent_heun(params: ConfluentHeunParams, x: Scalar) -> SeriesResult:
     """Confluent Heun function at ``x``, series at the origin with value 1."""
-    return _point_value(_series(params), x, _checked_tol(tol), False)
+    return _point_value(_series(params), x, False)
 
 
-def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar, tol: float = 1e-12) -> SeriesResult:
-    return _point_value(_series(params), x, _checked_tol(tol), True)
+def confluent_heun_deriv(params: ConfluentHeunParams, x: Scalar) -> SeriesResult:
+    return _point_value(_series(params), x, True)
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +606,17 @@ def _series_poly(params) -> Poly:
     return series.poly
 
 
-def series_values(params, xs: Iterable[Scalar], tol: float) -> list[SeriesResult]:
+def series_values(params, xs: Iterable[Scalar]) -> list[SeriesResult]:
     """The series of ``params`` (a :class:`HeunParams`,
     :class:`ConfluentHeunParams` or :class:`GaussParams`) at each point of
     ``xs``, each as :func:`heun_local`, :func:`confluent_heun` or
     :func:`hyp2f1` gives it, with the same checks and exceptions;
     the record of ``params`` is looked up once for the whole grid."""
-    series, tol = _series(params), _checked_tol(tol)
-    return [_point_value(series, x, tol, False) for x in xs]
+    series = _series(params)
+    return [_point_value(series, x, False) for x in xs]
 
 
-def _point_value(series: _Series, x: Scalar, tol: float, deriv: bool) -> SeriesResult:
+def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
     """Exact polynomial value of a terminating series, else the float sum
     inside the disk of convergence."""
     _check_point(x)
@@ -632,13 +627,13 @@ def _point_value(series: _Series, x: Scalar, tol: float, deriv: bool) -> SeriesR
     if abs(xf) >= series.radius:
         raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
                               f"{series.name} series")
-    return _float_sum(series, xf, tol, deriv)
+    return _float_sum(series, xf, deriv)
 
 
-def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesResult:
+def _float_sum(series: _Series, xf: float, deriv: bool) -> SeriesResult:
     """Sum the terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the
     record's float prefix, which grows by doubling, until three consecutive
-    terms fall below ``tol`` times the partial sum.
+    terms fall below ``SERIES_TOL`` times the partial sum.
 
     x^k (x^(k-1) when ``deriv``) is kept as a running power.  A coefficient
     above 1e280 is rejected, since its term would overflow, and so is a NaN
@@ -648,6 +643,7 @@ def _float_sum(series: _Series, xf: float, tol: float, deriv: bool) -> SeriesRes
     s = 0.0
     xpow = 1.0  # x^(k-1) when deriv else x^k
     small = 0
+    tol = SERIES_TOL  # a local, read once per term
     coeffs: tuple = ()
     for k in range(MAX_TERMS):
         if k == len(coeffs):
@@ -743,7 +739,7 @@ def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
     raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
-def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
+def kernel_sum(kind: str, n: int, x: Scalar):
     """Squared-weight sums of the four discrete operator families.
 
     ``F`` and ``U`` are finite sums: at x = u/v they are integer binomial-
@@ -755,12 +751,11 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
     sums the squared negative-binomial weights w_0 = (1-p)^n, w_{k+1} =
     w_k p (n+k)/(k+1), p = x/(1+x), by :func:`_squared_weight_sums`.  Past
     their peak the squares fall by a ratio near p^2, so the stop compares
-    them with ``tol``/(1+x).
+    them with ``SERIES_TOL``/(1+x).
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     _check_point(x)
-    _checked_tol(tol)
     if kind in ("F", "U", "J"):
         u, v = x.as_integer_ratio()
         if kind == "F":
@@ -779,7 +774,7 @@ def kernel_sum(kind: str, n: int, x: Scalar, tol: float = 1e-15):
             raise DomainError("G is evaluated on x >= 0 only")
         xf = float(x)
         p = xf / (1 + xf)
-        return _squared_weight_sums((1 - p) ** n, p, n, 1, n, tol * (1 - p))[0]
+        return _squared_weight_sums((1 - p) ** n, p, n, 1, n, SERIES_TOL * (1 - p))[0]
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 
@@ -793,6 +788,8 @@ def kn_deriv_zero(n: int, j: int) -> Fraction:
 
         (-2n)^j sum_{i=0}^{[j/2]} C(j, 2i) C(2i, i) 4^(-i)
     """
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
     if j < 0:
         raise IndexOutOfRange("derivative order must be non-negative")
     s = sum(Fraction(comb(j, 2 * i) * comb(2 * i, i), 4**i) for i in range(j // 2 + 1))
@@ -814,6 +811,8 @@ def kn_taylor_coeffs(n: int, count: int) -> list[Fraction]:
     coefficients are kept per ``n`` and only the missing ones are computed;
     a new list is returned.
     """
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
     prefix = _kn_taylor_prefix(n)
     prefix.extend(_kn_taylor_coeff(n, m) for m in range(len(prefix), count))
     return prefix[:max(count, 0)]
@@ -833,7 +832,7 @@ def _kn_taylor_coeff(n: int, m: int) -> Fraction:
 KN_MAX_NX = 708
 
 
-def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
+def szasz_K(n: int, j: int, x: Scalar) -> float:
     """j-th derivative of the squared Poisson-weight sum at x >= 0.
 
     j = 0 sums the defining series; j = 1 sums its termwise derivative;
@@ -854,7 +853,6 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     if j > 16:
         raise DomainError("derivative ladder supported for j <= 16")
     _check_point(x)
-    _checked_tol(tol)
     if x < 0:
         raise DomainError("K is evaluated on x >= 0 only")
     xf = float(x)
@@ -863,7 +861,7 @@ def szasz_K(n: int, j: int, x: Scalar, tol: float = 1e-15) -> float:
     if n * xf > KN_MAX_NX:
         raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {n * xf}")
 
-    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, tol, deriv=j >= 1)
+    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, SERIES_TOL, deriv=j >= 1)
     if j == 0:
         return k0
     if j == 1:
@@ -922,6 +920,21 @@ def half_angle_table(npoints: int) -> tuple[tuple[float, float, float, float], .
     rule = periodic_trapezoid(npoints, 0.0, math.pi)
     return tuple((phi, w, math.sin(phi / 2) ** 2, math.cos(phi / 2) ** 2)
                  for phi, w in zip(rule.nodes, rule.weights))
+
+
+def phi_integral(x: float, power: float, cos_weight: float) -> float:
+    """integral_0^pi (1 - 4x(1-x) sin^2(phi/2))^power (1 + cos_weight cos^2(phi/2)) dphi
+    by the 256-subinterval trapezoid rule of :func:`half_angle_table`, summed
+    in node order; a non-finite integrand value raises :class:`NonFinite`."""
+    xf = float(x)
+    a = 4 * xf * (1 - xf)
+    total = 0.0
+    for phi, w, s2, c2 in half_angle_table(256):
+        v = (1 - a * s2) ** power * (1 + cos_weight * c2)
+        if not math.isfinite(v):
+            raise NonFinite(f"integrand is not finite at node {phi}")
+        total += w * v
+    return total
 
 
 def quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:

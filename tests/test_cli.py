@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -262,6 +264,33 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--id", iid, "--params", "n=0", "--mode", mode)
             assert code == 2 and out == ""
             assert "n >= 1" in err and "division" not in err
+
+    # each used to exit 2 naming f_poly's degree, gamma or a non-terminating
+    # series, or to pass (I49, I410) and print 6 (kn_deriv_zero) at n = -1
+    @pytest.mark.parametrize("argv, err", (
+        (["verify", "--id", "I34", "--params", "n=0"],
+         "I34 needs n >= 1: its right side holds F_(n-1); got n = 0"),
+        (["verify", "--id", "I35", "--params", "n=0"],
+         "I35 needs n >= 1: its right side holds F_(n-1); got n = 0"),
+        (["verify", "--id", "I313", "--params", "n=0"],
+         "I313 needs n >= 1: its Heun series terminates only there; got n = 0"),
+        (["verify", "--id", "I48", "--params", "n=1,j=-1"],
+         "the K family needs n >= 0 and j >= 0, got n = 1, j = -1"),
+        (["verify", "--id", "I410", "--params", "n=1,j=-1"],
+         "the K family needs n >= 0 and j >= 0, got n = 1, j = -1"),
+        (["verify", "--id", "I49", "--params", "n=-1,j=2"], "family index must be non-negative"),
+        (["verify", "--id", "I410", "--params", "n=-1,j=2"],
+         "the K family needs n >= 0 and j >= 0, got n = -1, j = 2"),
+        (["eval", "kn_deriv_zero", "n=-1", "j=2"], "family index must be non-negative"),
+    ), ids=("I34", "I35", "I313", "I48-j", "I410-j", "I49-n", "I410-n", "kn_deriv_zero-n"))
+    def test_parameters_outside_the_domain_are_named(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_tol_with_a_mode_the_identity_lacks(self, capsys):
+        for tol in ("1e-3", "nan"):
+            code, out, err = run(capsys, "verify", "--id", "I39", "--params", "n=3", "--mode", "numeric",
+                                 "--tol", tol)
+            assert (code, out, err) == (2, "", "error: I39 does not support mode 'numeric'\n")
 
     @pytest.mark.parametrize("extra", (["--id", "I39"], ["--params", "n=1"], ["--mode", "numeric"],
                                        ["--tol", "1e300"]))
@@ -709,6 +738,34 @@ class TestJsonWriter:
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out.startswith("{\n")
         assert calls == []
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """Each command of the README's Examples block: its argv after
+    ``heunops`` or ``python -m heunops``, and its trailing comment."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        for prefix in ("heunops ", "python -m heunops "):
+            if command.startswith(prefix):
+                examples.append((shlex.split(command[len(prefix):]), comment.strip()))
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv, comment", _readme_examples(), ids=" ".join)
+    def test_examples_run(self, capsys, argv, comment):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        # a comment that is a number or p/q is the exact output
+        if re.fullmatch(r"-?\d+(/\d+|\.\d+(e-?\d+)?)?", comment):
+            assert out == comment + "\n"
+
+    def test_examples_found(self):
+        values = [comment for _, comment in _readme_examples() if comment[:1].isdigit()]
+        assert len(_readme_examples()) == 10 and values == ["33/40", "5/8", "0.30850832255367105", "5/8"]
 
 
 class TestModuleEntryPoint:

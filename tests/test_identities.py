@@ -78,11 +78,11 @@ class TestVerify:
     def test_meaningless_tolerance_rejected(self, tol):
         # NaN, zero and negative tolerances fail every check; an infinite one
         # passes even a route whose error is inf
-        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
-            identities.NumericGrid((0.1,), tol)
-        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
-            verify("I48", {"n": 3, "j": 4}, "numeric", tol=tol)
-        assert verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e300).passed
+        grid = identities.REGISTRY[IdentityId.I48].grid
+        for points in ((0.1,), grid):
+            with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+                identities.NumericGrid(points, tol)
+        assert verify("I48", {"n": 3, "j": 4}, identities.NumericGrid(grid, 1e300)).passed
 
     def test_empty_grid_rejected(self):
         # a grid with no point checks nothing and used to pass
@@ -105,23 +105,13 @@ class TestVerify:
                 make(kind=other)
 
     def test_tol_override_can_fail(self):
-        rep = verify("I48", {"n": 3, "j": 4}, "numeric", tol=1e-13)
+        grid = identities.REGISTRY[IdentityId.I48].grid
+        rep = verify("I48", {"n": 3, "j": 4}, identities.NumericGrid(grid, 1e-13))
         assert not rep.passed
 
     def test_report_serialization(self):
         d = verify("I49", {"n": 2, "j": 3}, "exact").to_dict()
         assert d["id"] == "I49" and d["pass"] is True and d["mode"] == "exact"
-
-    @pytest.mark.parametrize("iid, params, mode", (
-        ("I39", {"n": 3}, "exact"), ("I39", {"n": 3}, None), ("I33", {"n": 3}, "ode"),
-        ("I22", {"m": 3}, None), ("I48", {"n": 3, "j": 4}, identities.NumericGrid((0.1, 0.3), 1e-9)),
-    ))
-    def test_tol_rejected_outside_numeric_mode(self, iid, params, mode):
-        # a tolerance the check would ignore is an error: exact and ode
-        # checks have none, and a CheckMode instance carries its own
-        with pytest.raises(InadmissibleMode, match="tol applies only to mode 'numeric'"):
-            verify(iid, params, mode, tol=5)
-        assert verify(iid, params, mode).passed
 
     def test_non_finite_route_fails(self, monkeypatch):
         # |inf - v| / inf is nan, which max() would drop: a route value
@@ -262,8 +252,8 @@ class TestLadders:
         assert _ladder("hc-4.3", {"p": 1, "gamma": 1, "alpha": F(1, 2)}).passed
         for x in (0.2, 0.7):
             k1 = szasz_K(1, 1, x)
-            via_47 = confluent_heun(specfun.ConfluentHeunParams(1, 2, 0, F(3, 2), 6), x, 1e-15).value
-            via_46 = confluent_heun(specfun.ConfluentHeunParams(1, 2, 2, F(5, 2), 4), x, 1e-15).value
+            via_47 = confluent_heun(specfun.ConfluentHeunParams(1, 2, 0, F(3, 2), 6), x).value
+            via_46 = confluent_heun(specfun.ConfluentHeunParams(1, 2, 2, F(5, 2), 4), x).value
             assert abs(via_47 - (-k1 / 2)) < 1e-10
             assert abs(via_46 - k1 / (2 * (x - 1))) < 1e-10
 
@@ -398,7 +388,7 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _s2_integral_closure(n, x, npoints=256):
+def _s2_integral_closure(n, x):
     """The k = 2 phi-integral as one closure per node of the trapezoid rule."""
     m, xf = n - 2, float(x)
 
@@ -407,16 +397,16 @@ def _s2_integral_closure(n, x, npoints=256):
             1 + 2 * math.cos(phi / 2) ** 2
         )
 
-    rule = specfun.periodic_trapezoid(npoints, 0.0, math.pi)
+    rule = specfun.periodic_trapezoid(256, 0.0, math.pi)
     return n / (3 * math.pi) * specfun.quadrature(rule, integrand)
 
 
-def _phi_integral_closure(q, x, npoints=256):
+def _phi_integral_closure(q, x):
     """The I31 phi-integral as one closure per node of the trapezoid rule."""
     def integrand(phi):
         return (1.0 - 4.0 * x * (1.0 - x) * math.sin(phi / 2) ** 2) ** (-q)
 
-    rule = specfun.periodic_trapezoid(npoints, 0.0, math.pi)
+    rule = specfun.periodic_trapezoid(256, 0.0, math.pi)
     return specfun.quadrature(rule, integrand) / math.pi
 
 
@@ -446,10 +436,12 @@ class TestHalfAngleIntegrals:
         assert _outcome(identities._phi_integral, q, x) == _outcome(_phi_integral_closure, q, x)
 
     def test_node_count_passed_through(self):
-        assert entropy.s2_integral_form(5, 0.3, 16) == _s2_integral_closure(5, 0.3, 16)
-        assert identities._phi_integral(0.5, 0.3, 16) == _phi_integral_closure(0.5, 0.3, 16)
-        with pytest.raises(DomainError, match="at least 2 points"):
-            identities._phi_integral(0.5, 0.3, 1)
+        # both integrals read the one table, of 256 subintervals
+        specfun.half_angle_table.cache_clear()
+        entropy.s2_integral_form(5, 0.3), identities._phi_integral(0.5, 0.3)
+        specfun.half_angle_table(256)
+        info = specfun.half_angle_table.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 class TestMutationControls:

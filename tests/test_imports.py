@@ -1,6 +1,7 @@
-"""Library modules use only each other's public names, and the CLI runs
-without numpy and without loading ``dataclasses`` or ``inspect``, nor
-``argparse`` or ``gettext`` for a well-formed command line."""
+"""Library modules use only each other's public names and import no name
+they leave unread, and the CLI runs without numpy and without loading
+``dataclasses`` or ``inspect``, nor ``argparse`` or ``gettext`` for a
+well-formed command line."""
 
 import ast
 import os
@@ -52,6 +53,32 @@ def test_detector_sees_both_forms():
 def test_no_private_names_across_modules():
     uses = {path.name: private_uses(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names that a module-level import of ``tree`` binds and that the
+    module never reads; a name in an annotation is read."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_detector():
+    tree = ast.parse("from __future__ import annotations\nimport os.path, sys\nimport math as m\n"
+                     "from typing import Callable, Iterable\nfrom .errors import A, B as C\n"
+                     "def f(g: Callable) -> None:\n    import json\n    return os.sep, A, json\n")
+    assert unused_imports(tree) == ["sys", "m", "Iterable", "C"]
+
+
+def test_no_unused_imports():
+    unused = {path.name: unused_imports(ast.parse(path.read_text()))
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
 
 
 def test_cli_runs_without_numpy():

@@ -78,8 +78,7 @@ class TestHyp2F1:
     def test_parameter_set_route_matches_hyp2f1(self, a, b, c):
         params = GaussParams(a, b, c)
         for x in (-0.93, -0.5, 0.0, 0.25, F(1, 3), 0.9):
-            for tol in (1e-12, 1e-15):
-                assert specfun.series_values(params, [x], tol) == [hyp2f1(a, b, c, x, tol)]
+            assert specfun.series_values(params, [x]) == [hyp2f1(a, b, c, x)]
 
     def test_log_closed_form(self):
         # oracle: -ln(1 - x)/x at x = 1/2 equals 2 ln 2
@@ -88,7 +87,7 @@ class TestHyp2F1:
 
     @pytest.mark.parametrize("x", (-0.7, -0.2, 0.3, 0.8))
     def test_against_scipy(self, x):
-        mine = hyp2f1(0.3, 0.7, 1.1, x, tol=1e-16).value
+        mine = hyp2f1(0.3, 0.7, 1.1, x).value
         ref = float(scipy.special.hyp2f1(0.3, 0.7, 1.1, x))
         assert abs(mine - ref) < 1e-12 * max(1.0, abs(ref))
 
@@ -110,7 +109,7 @@ class TestHyp2F1:
 
     @pytest.mark.parametrize("x", (-3.0, -1.5))
     def test_pfaff_extends_domain(self, x):
-        mine = hyp2f1_pfaff(0.5, 0.5, 1, x, tol=1e-16).value
+        mine = hyp2f1_pfaff(0.5, 0.5, 1, x).value
         ref = float(scipy.special.hyp2f1(0.5, 0.5, 1, x))
         assert abs(mine - ref) < 1e-12
 
@@ -149,8 +148,8 @@ class TestHyp2F1:
     def test_pfaff_matches_raw_inside_disk(self):
         # x < 1/2 keeps the transformed argument x/(x-1) inside the disk too
         for x in (-0.4, 0.2, 0.45):
-            raw = hyp2f1(0.3, 0.9, 1.2, x, tol=1e-16).value
-            via = hyp2f1_pfaff(0.3, 0.9, 1.2, x, tol=1e-16).value
+            raw = hyp2f1(0.3, 0.9, 1.2, x).value
+            via = hyp2f1_pfaff(0.3, 0.9, 1.2, x).value
             assert abs(raw - via) < 1e-12
 
 
@@ -243,13 +242,13 @@ class TestHeunLocal:
     def test_integral_anchor(self):
         # phi-integral oracle: (1/pi) * integral (1 - 0.75 sin^2(phi/2))^(-1)
         # over [0, pi] equals 1/sqrt(1 - 0.75) = 2
-        r = heun_local(HeunParams(F(1, 2), 1, 2, 1, 1, 1), 0.25, tol=1e-15)
+        r = heun_local(HeunParams(F(1, 2), 1, 2, 1, 1, 1), 0.25)
         assert abs(r.value - 2.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_termination_of_weight_family(self, n):
         p = f_poly(n)
-        r = heun_local(F_PARAMS(n), 0.37, tol=1e-15)
+        r = heun_local(F_PARAMS(n), 0.37)
         assert r.terminated
         assert r.terms_used == 2 * n + 1
         assert r.tail_estimate == 0.0
@@ -318,7 +317,7 @@ class TestConfluentHeun:
     def test_bessel_product_anchor(self):
         # oracle: exp(-2nx) I_0(2nx) at n = 1, x = 1/2
         ref = math.exp(-1) * float(scipy.special.iv(0, 1.0))
-        got = confluent_heun(ConfluentHeunParams(1, 1, 0, F(1, 2), 2), 0.5, tol=1e-15).value
+        got = confluent_heun(ConfluentHeunParams(1, 1, 0, F(1, 2), 2), 0.5).value
         assert abs(got - ref) < 1e-13
         assert abs(got - 0.4657596075936404) < 1e-15
 
@@ -690,7 +689,7 @@ class TestOdeOracle:
         def rhs(t, y, dy):
             return -(ga / t + de / (t - 1) + eps / (t - a)) * dy - (al * be * t - q) / (t * (t - 1) * (t - a)) * y
 
-        r = heun_local(hp, x, tol=1e-15)
+        r = heun_local(hp, x)
         ref = _ode_value(heun_coeffs(hp, 40), rhs, x)
         assert not r.terminated and abs(r.value - ref) <= 1e-12 * abs(ref)
 
@@ -704,7 +703,7 @@ class TestOdeOracle:
         def rhs(t, u, du):
             return -(4 * p + ga / t + de / (t - 1)) * du - (4 * p * al * t - sg) / (t * (t - 1)) * u
 
-        r = confluent_heun(cp, x, tol=1e-15)
+        r = confluent_heun(cp, x)
         ref = _ode_value(confluent_heun_coeffs(cp, 40), rhs, x)
         assert not r.terminated and abs(r.value - ref) <= 1e-12 * abs(ref)
 
@@ -1082,8 +1081,8 @@ def _fresh_float_sum(params, x, tol, radius, deriv=False):
     raise DivergentSeries("no convergence")
 
 
-def _gauss(g, x, tol):
-    return hyp2f1(g.a, g.b, g.c, x, tol)
+def _gauss(g, x):
+    return hyp2f1(g.a, g.b, g.c, x)
 
 
 #: non-terminating series, rational and float: evaluator, parameters,
@@ -1110,9 +1109,8 @@ class TestFloatPrefixes:
         # cold, warm, a far point that extends the prefix, then points it covers
         for frac in (0.05, 0.05, -0.93, 0.4, -0.05, 0.93):
             x = frac * radius
-            for tol in (1e-12, 1e-15):
-                assert evaluate(params, x, tol) == _fresh_float_sum(params, x, tol, radius, deriv)
-        got = evaluate(params, 0.93 * radius, 1e-15)
+            assert evaluate(params, x) == _fresh_float_sum(params, x, specfun.SERIES_TOL, radius, deriv)
+        got = evaluate(params, 0.93 * radius)
         # one record, whose float prefix covers the sum and whose exact one was never grown
         record = specfun._series(params)
         assert specfun._series.cache_info().currsize == 1 and len(record.prefixes[True]) == 1
@@ -1124,7 +1122,7 @@ class TestFloatPrefixes:
             with pytest.raises(DivergentSeries, match="coefficient overflow"):
                 heun_local(params, 0.1)
         with pytest.raises(DivergentSeries, match="coefficient overflow"):
-            _fresh_float_sum(params, 0.1, 1e-12, 0.5)
+            _fresh_float_sum(params, 0.1, specfun.SERIES_TOL, 0.5)
 
     def test_float_prefixes_stay_bounded(self):
         for i in range(specfun._CACHE_SIZE + 5):
@@ -1404,9 +1402,9 @@ class TestFusedSum:
                 mp.setattr(specfun, "MAX_TERMS", max_terms)
             for frac in fracs:
                 xf = frac * record.radius
-                for tol, deriv in itertools.product((1e-12, 1e-15), (False, True)):
-                    assert (_outcome(specfun._float_sum, record, xf, tol, deriv)
-                            == _outcome(_two_stage_sum, record, xf, tol, deriv))
+                for deriv in (False, True):
+                    assert (_outcome(specfun._float_sum, record, xf, deriv)
+                            == _outcome(_two_stage_sum, record, xf, specfun.SERIES_TOL, deriv))
 
     @pytest.mark.parametrize("params, error", (
         (HeunParams(0.5, 1e200, 1.5, 2.0, 1.0, 1.0), "coefficient overflow"),
@@ -1420,8 +1418,8 @@ class TestFusedSum:
         # at 0.995 R the tail estimate's ratio is capped at 0.999
         for xf in (0.1 * record.radius, -0.9 * record.radius, 0.995 * record.radius):
             for deriv in (False, True):
-                got = _outcome(specfun._float_sum, record, xf, 1e-15, deriv)
-                assert got == _outcome(_two_stage_sum, record, xf, 1e-15, deriv)
+                got = _outcome(specfun._float_sum, record, xf, deriv)
+                assert got == _outcome(_two_stage_sum, record, xf, specfun.SERIES_TOL, deriv)
                 if max_terms == 3:  # the Gauss sum needs more terms; the Heun ones overflow at k = 2
                     assert got[0] is DivergentSeries and error in got[1]
                 if max_terms == 0:
@@ -1432,32 +1430,31 @@ class TestFusedSum:
         monkeypatch.setattr(specfun, "MAX_TERMS", 2)
         record = specfun._series(HeunParams(0.5, 5e284, 1.5, 2.0, 1.0, 1.0))
         for deriv in (False, True):
-            got = _outcome(specfun._float_sum, record, 0.1, 1e-15, deriv)
-            assert got == _outcome(_two_stage_sum, record, 0.1, 1e-15, deriv)
+            got = _outcome(specfun._float_sum, record, 0.1, deriv)
+            assert got == _outcome(_two_stage_sum, record, 0.1, specfun.SERIES_TOL, deriv)
             assert got == (DivergentSeries, "coefficient overflow: |c_1| > 1e280 before the sum "
                                             "converged at |x| = 0.1 on a radius of 0.5")
 
-    # the first three recorded before the two-stage sum became one loop; the
-    # last re-recorded when the float coefficients began to run the declared
-    # recurrence, which moved the last bits of its non-dyadic coefficients
-    # (test_thirds_confluent_derivative_against_exact_sum checks its values)
+    # recorded when the series tolerance became the one SERIES_TOL = 1e-15:
+    # each equals the digest of the code before that change, called with an
+    # explicit tol of 1e-15 on the same grid
+    # (test_thirds_confluent_derivative_against_exact_sum checks the last's values)
     @pytest.mark.parametrize("f, params, digest", (
         (heun_local_deriv, HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1),
-         "96c28ef3896f4e8cf0f11f97d278accfe7652926250faa46ba1b36f9dbbafb09"),
+         "766ecb1bbac48eec4d72194f65bdd0bf1b79a3669511f021b97649f28b310080"),
         (heun_local_deriv, HeunParams(-1.5, 0.3, 1.5, 2.0, 1.25, 1.0),
-         "c0f2d0f47ab9c5713c947d63f521d66605591fe207ad01940c44f36f06acb94e"),
+         "bb3204d85f38ef74f4753d826e02d1b7147cc371bf1ec7e157b77be58547de01"),
         (confluent_heun_deriv, ConfluentHeunParams(1, 2, 0, F(3, 2), 6),
-         "0437bec0e7829d9c44fcb51ee935d40196d4995e28d8d81ec453f31843d8c5ba"),
+         "416e897bd3e61b4a1a39ff13ec7fd689fcb125c1fd3943c2011b52ba97b06764"),
         (confluent_heun_deriv, _THIRDS_CONFLUENT,
-         "9ccf2609619f2a91a394bd082afbab1460ca5303b7dc74fef032103cf5fade1b"),
+         "6243cc27bf347869ae410d623932c758122af9b916c4c0ac328c25f35b35b8cc"),
     ), ids=("hl-rational", "hl-float", "hc-integer", "hc-thirds"))
     def test_derivative_grid_digest(self, f, params, digest):
         h = hashlib.sha256()
-        for tol in (1e-12, 1e-15):
-            for x in _DIGEST_GRID:
-                r = f(params, x, tol)
-                h.update(f"{r.value.hex()} {r.terms_used} {r.terminated} "
-                         f"{r.tail_estimate.hex()}\n".encode())
+        for x in _DIGEST_GRID:
+            r = f(params, x)
+            h.update(f"{r.value.hex()} {r.terms_used} {r.terminated} "
+                     f"{r.tail_estimate.hex()}\n".encode())
         assert h.hexdigest() == digest
 
     def test_thirds_confluent_derivative_against_exact_sum(self):
@@ -1465,7 +1462,7 @@ class TestFusedSum:
         exact = Poly(tuple(_fresh_exact(_THIRDS_CONFLUENT, 260))).derivative()
         for x in _DIGEST_GRID:
             want = exact(x)
-            got = confluent_heun_deriv(_THIRDS_CONFLUENT, x, 1e-15).value
+            got = confluent_heun_deriv(_THIRDS_CONFLUENT, x).value
             assert abs(F(got) - want) <= 2e-15 * abs(want)
 
     @pytest.mark.parametrize("params", (
@@ -1477,18 +1474,17 @@ class TestFusedSum:
     ), ids=("hl", "hl-terminating", "hc", "2f1", "2f1-terminating"))
     def test_series_values_equal_single_points(self, params):
         single = {HeunParams: heun_local, ConfluentHeunParams: confluent_heun,
-                  GaussParams: lambda g, x, tol: hyp2f1(g.a, g.b, g.c, x, tol)}[type(params)]
+                  GaussParams: _gauss}[type(params)]
         xs = [F(i, 20) for i in range(-19, 20)] + [0.3, -0.45, 1e-300, 0]
-        for tol in (1e-12, 1e-15):
-            assert specfun.series_values(params, xs, tol) == [single(params, x, tol) for x in xs]
+        assert specfun.series_values(params, xs) == [single(params, x) for x in xs]
 
     def test_series_values_raise_as_single_points(self):
         params = HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1)
         with pytest.raises(DivergentSeries, match="outside the disk"):
-            specfun.series_values(params, [0.1, F(1, 2)], 1e-15)
+            specfun.series_values(params, [0.1, F(1, 2)])
         with pytest.raises(NonFinite):
-            specfun.series_values(params, [0.1, math.nan], 1e-15)
-        assert specfun.series_values(params, [], 1e-15) == []
+            specfun.series_values(params, [0.1, math.nan])
+        assert specfun.series_values(params, []) == []
 
 
 class TestKnDerivZero:
@@ -1580,7 +1576,7 @@ _POINT_FUNCTIONS = {
     "szasz_K-ladder": lambda x: szasz_K(2, 3, x),
     "legendre_p": lambda x: legendre_p(3, x),
     "series_values": lambda x: specfun.series_values(ConfluentHeunParams(F(1, 2), 1, 1, F(1, 2), 1),
-                                                     [0.25, x], 1e-15)[-1].value,
+                                                     [0.25, x])[-1].value,
     "bspline_density": lambda x: bspline_density([0, 1, 2, 3])(x),
 }
 
@@ -1595,35 +1591,6 @@ class TestNonFinitePoint:
     @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
     def test_finite_point_still_evaluates(self, name):
         assert math.isfinite(_POINT_FUNCTIONS[name](0.25))
-
-
-_TOL_HL = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)
-_TOL_HC = ConfluentHeunParams(1, 2, 0, F(3, 2), 6)
-_TOL_FUNCTIONS = {
-    "heun_local": lambda tol: heun_local(_TOL_HL, 0.9, tol),
-    "heun_local_deriv": lambda tol: heun_local_deriv(_TOL_HL, 0.5, tol),
-    "confluent_heun": lambda tol: confluent_heun(_TOL_HC, 0.5, tol),
-    "confluent_heun_deriv": lambda tol: confluent_heun_deriv(_TOL_HC, 0.5, tol),
-    "hyp2f1": lambda tol: hyp2f1(F(1, 2), F(3, 2), 2, 0.5, tol),
-    "hyp2f1_pfaff": lambda tol: hyp2f1_pfaff(F(1, 2), F(3, 2), 2, -3.0, tol),
-    "series_values": lambda tol: specfun.series_values(_TOL_HL, [0.1, 0.9], tol),
-    "series_values_terminating": lambda tol: specfun.series_values(F_PARAMS(3), [0.5], tol),
-    "kernel_sum_G": lambda tol: kernel_sum("G", 4, 2.5, tol),
-    "kernel_sum_F": lambda tol: kernel_sum("F", 4, 0.25, tol),
-    "szasz_K": lambda tol: szasz_K(2, 0, 1.0, tol),
-    "szasz_K_at_0": lambda tol: szasz_K(2, 1, 0.0, tol),
-}
-
-
-class TestTolerance:
-    @pytest.mark.parametrize("name", _TOL_FUNCTIONS)
-    @pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf, -1e-12),
-                             ids=("nan", "inf", "-inf", "negative"))
-    def test_malformed_tol_rejected(self, name, tol):
-        # an infinite tol would stop a sum at its first term, a NaN or
-        # negative one would run MAX_TERMS terms
-        with pytest.raises(DomainError, match="tol"):
-            _TOL_FUNCTIONS[name](tol)
 
 
 def _heun_recurrence(params):
