@@ -234,7 +234,7 @@ _EVAL_SPECS = {
        for name, (make, _) in _SERIES_FAMILIES.items()},
     "legendre": _EvalSpec(("n",)),
     "F": _EvalSpec(("n",)),
-    "G": _EvalSpec(("n",), exact=False),
+    "G": _EvalSpec(("n",)),
     "U": _EvalSpec(("n",)),
     "J": _EvalSpec(("n",)),
     "K": _EvalSpec(("n", "j"), exact=False),
@@ -261,6 +261,8 @@ def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
             f = lambda x: specfun.legendre_p(n, float(x))
     elif name in ("F", "U", "G", "J"):
         n = _int(params, "n")
+        if not exact:
+            return specfun.kernel_values(name, n, xs)
         f = lambda x: specfun.kernel_sum(name, n, x)
     elif name == "K":
         n, j = _int(params, "n"), _int(params, "j", default=0)

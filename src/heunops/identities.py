@@ -93,10 +93,15 @@ class OdeResidual(Frozen):
     kind = "ode"
 
 
+#: tolerance of a numeric check that names none: a registry entry's
+#: ``tol`` and a ``NumericGrid``'s default
+DEFAULT_TOL = 1e-9
+
+
 class NumericGrid(Frozen):
     kind = "numeric"
 
-    def __init__(self, grid: tuple[float, ...], tol: float = 1e-9) -> None:
+    def __init__(self, grid: tuple[float, ...], tol: float = DEFAULT_TOL) -> None:
         self.__dict__.update(grid=grid, tol=tol)
         self.__post_init__()
 
@@ -355,8 +360,10 @@ def _check_i34(params, mode):
     spot_check = n <= 4
 
     def routes(x):
+        # the left side is the defining weight sum: kernel_sum("G") is the
+        # right side's closed form, so checking it would check it against itself
         xr = Fraction(x).limit_denominator(10**6)
-        values = (specfun.kernel_sum("G", n, x), float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1)))
+        values = (specfun.g_weight_sum(n, x), float(fp(-xr) / (1 + 2 * xr) ** (2 * n - 1)))
         if spot_check:
             values += (heun_local(_params_g_family(n), -x).value,)
         return values
@@ -617,7 +624,7 @@ class RegistryEntry(Frozen):
         }
 
 
-def _entry(id_, equation, description, modes, default_params, checker, grid=(), tol=1e-9):
+def _entry(id_, equation, description, modes, default_params, checker, grid=(), tol=DEFAULT_TOL):
     return RegistryEntry(id_, equation, description, tuple(modes), tuple(default_params),
                          tuple(grid), tol, checker)
 

@@ -9,7 +9,7 @@ Two arithmetic regimes coexist:
 * float mode for grid evaluation, whose coefficients run the same
   integer recurrence in floats, with the truncation rule "stop once
   three consecutive terms fall below ``SERIES_TOL`` times the partial
-  sum"; every float series and kernel sum stops at ``SERIES_TOL`` = 1e-15.
+  sum"; every float series and weight sum stops at ``SERIES_TOL`` = 1e-15.
 
 Each family declares its differential equation m u'' + n u' + l u = 0
 once, as the integer coefficients of the polynomials s^2 m, s^2 n and
@@ -51,8 +51,9 @@ as they are asked for.  :func:`series_values` looks the record up once for
 a whole grid.  Every float sum of the three families, values and
 derivatives, is one loop over the record's float prefix
 (:func:`_float_sum`).  Exact values of P_n at a rational point, and of F,
-U and J at any point, run over the integers, as does the polynomial P_n,
-an explicit sum (DLMF §18.5(iv)).
+U, J and G at any point, run over the integers, as does the polynomial
+P_n, an explicit sum (DLMF §18.5(iv)); a float value of F, U, J or G is
+one division of two integers.
 
 The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
 immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
@@ -83,7 +84,7 @@ from .exactalg import E2, Frozen, Poly, binary_form
 Scalar = Union[Fraction, int, float]
 
 MAX_TERMS = 100_000
-#: stop tolerance of every float series and kernel sum
+#: stop tolerance of every float series and weight sum
 SERIES_TOL = 1e-15
 #: highest degree of a terminating series of any of the three families
 #: that is built as an exact polynomial; longer ones are rejected
@@ -739,43 +740,71 @@ def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
     raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
+def _kernel_ratio(kind: str, n: int, x: Scalar) -> tuple[int, int]:
+    """``(num, den)``, integers whose quotient is the kernel sum ``kind`` at
+    x = u/v, where u/v is ``x.as_integer_ratio()``."""
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
+    _check_point(x)
+    u, v = x.as_integer_ratio()
+    if kind == "F":
+        return _squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n)
+    if kind in ("U", "J"):
+        if kind == "J" and abs(u) >= v:
+            raise DivergentSeries("J series requires |x| < 1")
+        if u == -v:
+            raise DomainError("U is undefined at x = -1")
+        num, den = _squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n)
+        return (num * (v - u), den * (v + u)) if kind == "J" else (num, den)
+    if kind == "G":
+        if u < 0:
+            raise DomainError("G is evaluated on x >= 0 only")
+        if n == 0:
+            return 1, 1
+        return v * _squared_binomial_form(n - 1, u * u, (u + v) ** 2), (v + 2 * u) ** (2 * n - 1)
+    raise DomainError(f"unknown kernel-sum family {kind!r}")
+
+
 def kernel_sum(kind: str, n: int, x: Scalar):
     """Squared-weight sums of the four discrete operator families.
 
-    ``F`` and ``U`` are finite sums: at x = u/v they are integer binomial-
-    square forms over v^2n and (u+v)^2n.  ``J`` requires |x| < 1 and takes
-    the same form through Euler's transformation (DLMF 15.8.1), which gives
-    J_n(x) = (1-x)/(1+x) U_n(x).  A rational ``x`` gives the exact
-    ``Fraction``; a float ``x`` is converted exactly and the exact value is
-    rounded once.  ``G`` is restricted to x >= 0 (the operator domain) and
-    sums the squared negative-binomial weights w_0 = (1-p)^n, w_{k+1} =
-    w_k p (n+k)/(k+1), p = x/(1+x), by :func:`_squared_weight_sums`.  Past
-    their peak the squares fall by a ratio near p^2, so the stop compares
-    them with ``SERIES_TOL``/(1+x).
+    Each is an integer form at x = u/v.  ``F`` and ``U`` are finite sums,
+    binomial-square forms over v^2n and (u+v)^2n.  ``J`` requires |x| < 1
+    and takes the same form through Euler's transformation (DLMF 15.8.1),
+    which gives J_n(x) = (1-x)/(1+x) U_n(x).  ``G``, the squared
+    negative-binomial weight sum, is restricted to x >= 0 (the operator
+    domain) and takes the closed form (3.4), G_n(x) = F_{n-1}(-x)/(1+2x)^(2n-1),
+    with G_0 = 1.  A rational ``x`` gives the exact ``Fraction``; a float
+    ``x`` is converted exactly and the exact value is rounded once.
+    """
+    num, den = _kernel_ratio(kind, n, x)
+    return Fraction(num, den) if _is_exact(x) else num / den
+
+
+def kernel_values(kind: str, n: int, xs: Iterable[Scalar]) -> list[float]:
+    """The kernel sum ``kind`` at each point of ``xs`` as a float: the exact
+    value, rational or float point alike, rounded once, with the checks
+    and exceptions of :func:`kernel_sum`."""
+    return [num / den for num, den in (_kernel_ratio(kind, n, x) for x in xs)]
+
+
+def g_weight_sum(n: int, x: Scalar) -> float:
+    """G_n(x) by its definition, the float sum of the squared negative-binomial
+    weights w_0 = (1-p)^n, w_{k+1} = w_k p (n+k)/(k+1), p = x/(1+x), by
+    :func:`_squared_weight_sums`: the route of identity (3.4) that is
+    independent of its closed form.  Past their peak the squares fall by a
+    ratio near p^2, so the stop compares them with ``SERIES_TOL``/(1+x).  A
+    first weight that is not a normal float raises :class:`DomainError`,
+    weights that peak past ``MAX_TERMS`` :class:`DivergentSeries`.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     _check_point(x)
-    if kind in ("F", "U", "J"):
-        u, v = x.as_integer_ratio()
-        if kind == "F":
-            num, den = _squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n)
-        else:
-            if kind == "J" and abs(u) >= v:
-                raise DivergentSeries("J series requires |x| < 1")
-            if u == -v:
-                raise DomainError("U is undefined at x = -1")
-            num, den = _squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n)
-            if kind == "J":
-                num, den = num * (v - u), den * (v + u)
-        return Fraction(num, den) if _is_exact(x) else num / den
-    if kind == "G":
-        if x < 0:
-            raise DomainError("G is evaluated on x >= 0 only")
-        xf = float(x)
-        p = xf / (1 + xf)
-        return _squared_weight_sums((1 - p) ** n, p, n, 1, n, SERIES_TOL * (1 - p))[0]
-    raise DomainError(f"unknown kernel-sum family {kind!r}")
+    if x < 0:
+        raise DomainError("G is evaluated on x >= 0 only")
+    xf = float(x)
+    p = xf / (1 + xf)
+    return _squared_weight_sums((1 - p) ** n, p, n, 1, n, SERIES_TOL * (1 - p))[0]
 
 
 # ---------------------------------------------------------------------------

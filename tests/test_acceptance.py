@@ -6,13 +6,10 @@ run time.
 """
 
 import json
-import math
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from heunops import bspline, entropy, identities, specfun
+from heunops import identities, specfun
 from heunops.bspline import ConstantSigma, QuadraticSigma, apply_Ln, c_constant, kernel
 from heunops.cli import main
 from heunops.entropy import (

@@ -52,12 +52,14 @@ class TestEval:
         (["J", "n=2", "x=-3/4"], "6391\n"),
         (["J", "n=3", "x=9999/10000"], "1.5625781312505471e-05\n"),
         (["F", "n=600", "x=3/10"], "0.025127762869435213\n"),
-    ), ids=("J-exact", "J-negative", "J-near-1", "F-large-n"))
+        (["G", "n=2", "x=1/2", "--exact"], "5/16\n"),
+    ), ids=("J-exact", "J-negative", "J-near-1", "F-large-n", "G-exact"))
     def test_kernel_sum_value(self, capsys, argv, out):
         assert run(capsys, "eval", *argv) == (0, out, "")
 
-    # regression: these printed inf, inf, 4.88e-79 and 0, and the last
-    # exited 2 with a bare "(34, 'Numerical result out of range')";
+    # regression: the first four printed inf, inf, 4.88e-79 and 0, and the
+    # fifth exited 2 with a bare "(34, 'Numerical result out of range')";
+    # the last three exited 2 from the limits of the float weight sum;
     # references (1-p)^(2n) 2F1(n, n; 1; p^2), p = x/(1+x), by mpmath at 50 digits
     @pytest.mark.parametrize("n, x, ref", (
         ("20", "10", 6.1302529349166009e-3),
@@ -65,6 +67,9 @@ class TestEval:
         ("20", "1000", 6.4260538294127349e-5),
         ("100", "100", 2.8175294345940031e-4),
         ("1", "100", 4.9751243781094527e-3),
+        ("100", "700", 4.0422306705708573e-5),
+        ("20", "10000", 6.4289445927966176e-6),
+        ("300", "10000", 1.6306328945193987e-6),
     ))
     def test_negative_binomial_sum_at_large_x(self, capsys, n, x, ref):
         code, out, err = run(capsys, "eval", "G", f"n={n}", f"x={x}")
@@ -968,9 +973,10 @@ class TestGolden:
              "dfc8243ff2f691a4c72d0acc6732451982fcefa6b874024d345963af44fe433f"),
             (["registry", "--json"],
              "502cc78c8bc743d6aa6c938e37f520a30a5d4bbb1ebc503cd249986ad0531113"),
-            # float rows of every float route: weight sums, Legendre, series
+            # float rows of every float route: weight sums, Legendre, series;
+            # the G rows were recorded from the closed form (3.4) over Fractions
             (["eval", "G", "n=4", "--grid=0:11/4:101", "--json"],
-             "12e5cbae84f94cd0088cec5287fc2a4051bb609fb86c5dd211c331b41dbd0dfd"),
+             "63200e4b0203bd3c3b0566ebf8c16591c46e46e88ec2157a52f98302c6376e91"),
             (["eval", "K", "n=2", "j=1", "--grid=0:2:101"],
              "8d604e96d984e5bf2269ab37d62c9d37f04e2aca91dfdbe777e16d5c93c7fed6"),
             (["eval", "legendre", "n=16", "--grid=-1/2:1:41"],

@@ -476,6 +476,20 @@ class TestMutationControls:
         }
         assert failing == expected
 
+    def test_i34_routes_are_the_weight_sum_and_the_closed_form(self, monkeypatch):
+        # kernel_sum("G") is (3.4)'s closed form, which the f_poly mutations above
+        # show is I34's right side; its left side is the defining weight sum
+        def unused(*args):
+            raise AssertionError("kernel_sum is not a route of I34")
+
+        real, calls = specfun.g_weight_sum, []
+        monkeypatch.setattr(specfun, "kernel_sum", unused)
+        monkeypatch.setattr(specfun, "g_weight_sum", lambda n, x: calls.append((n, x)) or real(n, x))
+        assert verify("I34", {"n": 5}, "numeric").passed
+        assert calls == [(5, x) for x in identities.REGISTRY[IdentityId.I34].grid]
+        monkeypatch.setattr(specfun, "g_weight_sum", lambda n, x: real(n, x) * (1 + 1e-6))
+        assert not verify("I34", {"n": 5}, "numeric").passed
+
     #: the exact and ode checks that read f_poly(3), with their parameters
     F3_CHECKS = (("I33", {"n": 3}, "ode"), ("I35", {"n": 4}, "exact"), ("I36", {"n": 3}, "exact"),
                  ("I37", {"n": 3}, "exact"), ("I39", {"n": 3}, "exact"), ("I313", {"n": 3}, "exact"))

@@ -1,7 +1,7 @@
-"""Library modules use only each other's public names and import no name
-they leave unread, and the CLI runs without numpy and without loading
-``dataclasses`` or ``inspect``, nor ``argparse`` or ``gettext`` for a
-well-formed command line."""
+"""Library modules use only each other's public names, library and test
+modules import no name they leave unread, and the CLI runs without numpy
+and without loading ``dataclasses`` or ``inspect``, nor ``argparse`` or
+``gettext`` for a well-formed command line."""
 
 import ast
 import os
@@ -76,8 +76,10 @@ def test_unused_import_detector():
 
 
 def test_no_unused_imports():
-    unused = {path.name: unused_imports(ast.parse(path.read_text()))
-              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unused = {f"{path.parent.name}/{path.name}": unused_imports(ast.parse(path.read_text()))
+              for path in paths}
     assert {name: found for name, found in unused.items() if found} == {}
 
 

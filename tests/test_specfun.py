@@ -43,6 +43,7 @@ from heunops.specfun import (
     confluent_heun_deriv,
     confluent_heun_poly,
     f_poly,
+    g_weight_sum,
     heun_coeffs,
     heun_local,
     heun_local_deriv,
@@ -52,6 +53,7 @@ from heunops.specfun import (
     hyp2f1_pfaff,
     hyp2f1_poly,
     kernel_sum,
+    kernel_values,
     kn_deriv_zero,
     kn_taylor_coeffs,
     legendre_p,
@@ -746,36 +748,63 @@ class TestKernelSums:
             assert kernel_sum("G", 0, x) == 1.0
 
     # regression: the power form xf**k (1+xf)**(-n-k) gave inf, 0, values
-    # off by 74 orders of magnitude and a bare OverflowError from x ~ 10 on
+    # off by 74 orders of magnitude and a bare OverflowError from x ~ 10 on;
+    # the weight sum was within 1.1e-13 and raised from n x ~ 5e4 on
     @pytest.mark.parametrize("n", (0, 1, 3, 10, 20, 40, 100))
     def test_g_matches_hypergeometric_oracle(self, n):
-        # G_n(x) = (1-p)^(2n) 2F1(n, n; 1; p^2) with p = x/(1+x), three points a decade
-        for x in (10 ** (i / 3) for i in range(-12, 10)):
-            try:
-                got = kernel_sum("G", n, x)
-            except HeunopsError:
-                # only where the weights peak far out, near k = n x
-                assert n * x >= 1e4, (n, x)
-                continue
-            with mpmath.workdps(50):
-                p = mpmath.mpf(x) / (1 + mpmath.mpf(x))
-                ref = (1 - p) ** (2 * n) * mpmath.hyp2f1(n, n, 1, p * p)
-                assert abs(got - ref) <= 1e-12 * ref, (n, x)
+        # three points a decade from 1e-4 to 1e6, each the correctly rounded value
+        for x in (10 ** (i / 3) for i in range(-12, 19)):
+            ref = _g_reference(n, x)
+            assert abs(kernel_sum("G", n, x) - ref) <= 1e-15 * ref, (n, x)
+
+    # regression: "did not converge within 100000 terms" for the first two,
+    # "first weight 0.0" for the last
+    @pytest.mark.parametrize("n, x", ((100, 700.0), (20, 1e4), (300, 1e4)))
+    def test_g_past_the_weight_sum_limits(self, n, x):
+        ref = _g_reference(n, x)
+        assert abs(kernel_sum("G", n, x) - ref) <= 1e-15 * ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.fractions(0, max_denominator=10**9) | st.integers(0, 10**6))
+    def test_g_is_the_closed_form(self, n, x):
+        # (3.4): G_n(x) = F_(n-1)(-x)/(1+2x)^(2n-1), exactly
+        x = F(x)
+        got = kernel_sum("G", n, x)
+        assert type(got) is F and got == f_poly(n - 1)(-x) / (1 + 2 * x) ** (2 * n - 1)
+
+    def test_g_digest(self):
+        # n <= 6 at 199 points from 1e-3 to ~1e3, recorded from the closed
+        # form (3.4) over Fractions, each value rounded once
+        h = hashlib.sha256()
+        for n in range(7):
+            for x in (10 ** (i / 33 - 3) for i in range(199)):
+                h.update(f"G {n} None {x!r} {kernel_sum('G', n, x).hex()}\n".encode())
+        assert h.hexdigest() == "74e9dea887e041edb41de3eb1f19d1938b8d94c90073851e626e841ffca6ab74"
 
     def test_g_skips_leading_squares_that_underflow(self):
         # the first weights 101^-100 ~ 1e-200 are normal floats, their squares 0
         assert (1 + 100.0) ** -100 > 0 and ((1 + 100.0) ** -100) ** 2 == 0
-        assert abs(kernel_sum("G", 100, 100.0) - 2.8175294345940e-4) <= 1e-12 * 2.8175294345940e-4
+        for g in (kernel_sum("G", 100, 100.0), g_weight_sum(100, 100.0)):
+            assert abs(g - 2.8175294345940e-4) <= 1e-12 * 2.8175294345940e-4
 
+    # the limits of the defining sum, the route of identity (3.4) that is not its closed form
     def test_g_first_weight_underflow(self):
         # (1 + 1e4)^-300 is 0.0: no sum to start from
         with pytest.raises(DomainError, match="first weight"):
-            kernel_sum("G", 300, 1e4)
+            g_weight_sum(300, 1e4)
 
     def test_g_peak_past_max_terms(self):
         # the weights peak near k = n x = 2e5, past MAX_TERMS
         with pytest.raises(DivergentSeries):
-            kernel_sum("G", 20, 1e4)
+            g_weight_sum(20, 1e4)
+
+    def test_g_weight_sum_domain(self):
+        with pytest.raises(DomainError):
+            g_weight_sum(2, -0.1)
+        with pytest.raises(IndexOutOfRange):
+            g_weight_sum(-1, 0.5)
+        with pytest.raises(NonFinite):
+            g_weight_sum(2, math.inf)
 
     @pytest.mark.parametrize("x", (F(-1), -1, -1.0))
     def test_u_pole(self, x):
@@ -797,6 +826,13 @@ class TestKernelSums:
                 assert abs(mpmath.mpf(got.numerator) / got.denominator - ref) <= mpmath.mpf(10) ** -45 * ref
             else:
                 assert type(got) is float and got == float(ref)
+
+
+def _g_reference(n, x):
+    """G_n(x) = (1-p)^(2n) 2F1(n, n; 1; p^2), p = x/(1+x), by mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(x) / (1 + mpmath.mpf(x))
+        return (1 - p) ** (2 * n) * mpmath.hyp2f1(n, n, 1, p * p)
 
 
 def _legendre_fraction(n, x):
@@ -849,6 +885,18 @@ class TestIntegerPointValues:
             return
         got = kernel_sum(kind, n, x)
         assert type(got) is float and got == want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from("FUJG"), st.integers(0, 40),
+           st.lists(st.fractions(F(-99, 100), F(99, 100), max_denominator=10**12)
+                    | st.floats(-0.99, 0.99), min_size=1, max_size=12))
+    def test_grid_rounds_exact_value(self, kind, n, xs):
+        # the float rows of eval: one division per point, no Fraction built
+        if kind == "G":  # onto [0, 99], G's domain
+            xs = [abs(x) / (1 - abs(x)) for x in xs]
+        got = kernel_values(kind, n, xs)
+        assert got == [float(kernel_sum(kind, n, F(x))) for x in xs]
+        assert all(type(v) is float for v in got)
 
 
 class TestSzaszK:
@@ -908,18 +956,18 @@ class TestSzaszK:
             szasz_K(nx, j, 1.0)
 
     def test_weight_sums_digest(self):
-        # G and K (j in {0, 1, 2, 5}) for n <= 6 at 199 points from 1e-3 to ~1e3,
-        # recorded before the weight loop was tightened
+        # K (j in {0, 1, 2, 5}) for n <= 6 at 199 points from 1e-3 to ~1e3,
+        # recorded before G left the weight loop; G's half is TestKernelSums.test_g_digest
         h = hashlib.sha256()
         for n in range(7):
             for x in (10 ** (i / 33 - 3) for i in range(199)):
-                for kind, j in (("G", None), ("K", 0), ("K", 1), ("K", 2), ("K", 5)):
+                for j in (0, 1, 2, 5):
                     try:
-                        out = (kernel_sum("G", n, x) if kind == "G" else szasz_K(n, j, x)).hex()
+                        out = szasz_K(n, j, x).hex()
                     except HeunopsError as exc:
                         out = type(exc).__name__
-                    h.update(f"{kind} {n} {j} {x!r} {out}\n".encode())
-        assert h.hexdigest() == "b9eee7cd89290a52abf1f46bc514194c40c82e613a32c100a1c89741257648b5"
+                    h.update(f"K {n} {j} {x!r} {out}\n".encode())
+        assert h.hexdigest() == "261c8e691a8126fbbbdc1fd29fb7051e30f999d8cd68af3e4dc9f1449d0829ab"
 
     def test_negative_family_index(self):
         with pytest.raises(IndexOutOfRange):
