@@ -1,7 +1,7 @@
 """Heun functions, B-spline operator kernels, operator entropies, and a
 machine-checked registry of the identities connecting them."""
 
-from .exactalg import E0, E1, E2, NEG_INFINITY, PiecewisePoly, Poly, Rational, integrate_product, rat
+from .exactalg import E0, E1, E2, NEG_INFINITY, PiecewisePoly, Poly, integrate_product, rat
 from .bspline import (
     ConstantSigma,
     KernelInstance,

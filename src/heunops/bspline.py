@@ -4,10 +4,10 @@ kernel, and the exact squared-kernel constants.
 The B-spline here is density-normalized: the spline on knots
 ``x_0 < ... < x_m`` integrates to exactly 1 (degree m-1, smoothness
 C^(m-2)).  That normalization is what makes the squared-kernel integral
-equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.  On equidistant knots it is
-an affine image of the cardinal B-spline M_m (knots 0, 1, ..., m), and
-every density and value here comes from the explicit sum for M_m
-(Schoenberg 1946).
+equal ``c_n / sigma(x)`` with ``c_1 = 1/2``.  On equidistant knots every
+density and value here comes from the explicit truncated-power sum
+(Schoenberg 1946): a density is built from it at its own knots, and the
+constants read it as the cardinal B-spline M_m (knots 0, 1, ..., m).
 
 ``KnotVector``, the width specs and ``KernelInstance`` are immutable value
 types (:class:`heunops.exactalg.Frozen`).
@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence, Union
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth, NotExact
@@ -125,35 +125,34 @@ def bspline_density(knots: Union[KnotVector, Sequence]) -> PiecewisePoly:
     """Degree-(m-1) B-spline on the given m+1 knots, normalized to
     integrate to exactly 1, in exact rational arithmetic.
 
-    On the equidistant knots x_0 + h i it is (1/h) M_m((t - x_0)/h), so
-    each piece is a piece of the cardinal M_m (:func:`_cardinal_pieces`)
-    under the affine map t -> (t - x_0)/h, scaled by 1/h.
+    On the equidistant knots x_j = x_0 + j h, piece i (on [x_i, x_i+1]) is
+    the truncated-power sum (Schoenberg 1946)
+
+        sum_{j <= i} (-1)^j C(m, j) (t - x_j)^(m-1) / (h^m (m-1)!).
+
+    With x_j = c_j / d over one common denominator d, each term is
+    expanded over the integers as (-1)^j C(m, j) (d t - c_j)^(m-1), piece i
+    is piece i-1 plus one such term, and each piece is scaled once by
+    d / (b^m (m-1)!), b = h d: O(m) coefficient updates per piece.
     """
     if not isinstance(knots, KnotVector):
         knots = KnotVector(tuple(knots))
     pts = knots.points
-    x0, h = pts[0], pts[1] - pts[0]
-    pieces = _cardinal_pieces(len(pts) - 1)
-    return PiecewisePoly(pts, tuple(p.compose_affine(1 / h, -x0 / h).scale(1 / h) for p in pieces))
-
-
-@lru_cache(maxsize=256)
-def _cardinal_pieces(m: int) -> tuple[Poly, ...]:
-    """The m polynomial pieces of the cardinal B-spline M_m, piece i on
-    [i, i+1]:
-
-        P_i(t) = sum_{j <= i} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!,
-
-    the sum of :func:`cardinal_bspline` with its terms expanded in powers
-    of t; each piece adds one term to the integer coefficients of the last.
-    """
-    acc, pieces, inv = [0] * m, [], Fraction(1, factorial(m - 1))
+    m = len(pts) - 1
+    d = lcm(pts[0].denominator, pts[1].denominator)
+    c0, b = int(pts[0] * d), int((pts[1] - pts[0]) * d)
+    # the weights C(m-1, r) d^r of t^r in (d t - c_j)^(m-1)
+    weights = [comb(m - 1, r) * d**r for r in range(m)]
+    scale = Fraction(d, b**m * factorial(m - 1))
+    acc, pieces = [0] * m, []
     for j in range(m):
-        sign_binom = (-1) ** j * comb(m, j)
-        for r in range(m):
-            acc[r] += sign_binom * comb(m - 1, r) * (-j) ** (m - 1 - r)
-        pieces.append(Poly(acc).scale(inv))
-    return tuple(pieces)
+        # add (-1)^j C(m, j) (d t - c_j)^(m-1), highest power of t first
+        power, minus_c = (-1) ** j * comb(m, j), -(c0 + j * b)
+        for r in reversed(range(m)):
+            acc[r] += weights[r] * power
+            power *= minus_c
+        pieces.append(Poly(acc).scale(scale))
+    return PiecewisePoly(pts, tuple(pieces))
 
 
 def require_order(n, what: str = "kernel order n") -> None:
@@ -176,9 +175,9 @@ def cardinal_bspline(m: int, t) -> Fraction:
 
         M_m(t) = sum_{j < t} (-1)^j C(m, j) (t - j)^(m-1) / (m-1)!
 
-    over integers at t = p/q: the same sum as the pieces of
-    :func:`_cardinal_pieces`, evaluated at one point without building
-    them.  The j = 0 term always counts, so that M_1 is 1 on the closed
+    over integers at t = p/q: the sum of :func:`bspline_density` at the
+    knots 0, 1, ..., m, evaluated at one point without building its
+    pieces.  The j = 0 term always counts, so that M_1 is 1 on the closed
     [0, 1], like :func:`bspline_density` at its knots.
     """
     require_order(m, "cardinal B-spline order m")

@@ -255,10 +255,9 @@ def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
         f = poly(sp)
     elif name == "legendre":
         n = _int(params, "n")
-        if exact:
-            f = lambda x: specfun.legendre_p(n, x)
-        else:
-            f = lambda x: specfun.legendre_p(n, float(x))
+        if not exact:
+            return specfun.legendre_values(n, xs)
+        f = lambda x: specfun.legendre_p(n, x)
     elif name in ("F", "U", "G", "J"):
         n = _int(params, "n")
         if not exact:

@@ -161,8 +161,6 @@ def kantorovich_apply(n: int, k: int, f: Poly, x, method: str = "definition") ->
 # ---------------------------------------------------------------------------
 
 
-# typed, so that (True, 1) never reaches the entry of (1, 1) past the check
-@lru_cache(maxsize=None, typed=True)
 def s_direct_poly(n: int, k: int) -> Poly:
     """Squared-kernel integral of the k-th Kantorovich modification as an
     exact polynomial in x, straight from the definition (m = n - k):

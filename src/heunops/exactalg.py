@@ -27,8 +27,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, IndexOutOfRange, NonFinite, NotExact
 
-Rational = Fraction
-
 #: degree reported for the zero polynomial
 NEG_INFINITY = float("-inf")
 
@@ -280,18 +278,6 @@ class Poly:
         u = c.numerator
         return _normal([a * u for a in self._ints], self._den * c.denominator)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        out = Poly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def compose_affine(self, a: _Scalar, b: _Scalar) -> "Poly":
         """Exact substitution ``p(a*x + b)``, the binary form of ``p`` in
         (a x + b, 1); ``a = 0`` yields a constant."""
@@ -477,7 +463,7 @@ class PiecewisePoly(Frozen):
         return self.integrate(Poly.monomial(order))
 
 
-def integrate_product(f: PiecewisePoly, g: PiecewisePoly) -> Rational:
+def integrate_product(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
     """Exact ``∫ f(t) g(t) dt`` over the common refinement of both meshes.
 
     Returns 0 when the supports are disjoint.  Symmetric and bilinear by

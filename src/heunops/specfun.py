@@ -366,31 +366,38 @@ def legendre_poly(n: int) -> Poly:
     return Poly(coeffs).scale(Fraction(1, 2**n))
 
 
-def _legendre_pair(n: int, x: float) -> tuple[float, float]:
-    """(P_{n-1}(x), P_n(x)) by the three-term recurrence (DLMF §18.9.1),
-    starting from P_{-1} = 0."""
-    p_prev, p = 0, 1.0
-    for k in range(n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p_prev, p
+def _legendre_ratio(n: int, x: Scalar) -> tuple[int, int]:
+    """``(num, den)``, integers whose quotient is P_n(x) at x = u/v, where
+    u/v is ``x.as_integer_ratio()``.
 
-
-def legendre_p(n: int, x: Scalar):
-    """Value of P_n(x) by the three-term recurrence; exact for rational x.
-
-    At x = u/v the recurrence runs on the integers N_k = (2v)^k P_k(u/v),
+    The recurrence runs on the integers N_k = (2v)^k P_k(u/v),
     (k+1) N_{k+1} = 2(2k+1) u N_k - 4k v^2 N_{k-1}, whose division is exact.
     """
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
     _check_point(x)
-    if not _is_exact(x):
-        return _legendre_pair(n, x)[1]
-    u, v = x.numerator, x.denominator
+    u, v = x.as_integer_ratio()
     n_prev, n_k, vv = 0, 1, 4 * v * v
     for k in range(n):
         n_prev, n_k = n_k, (2 * (2 * k + 1) * u * n_k - k * vv * n_prev) // (k + 1)
-    return Fraction(n_k, (2 * v) ** n)
+    return n_k, (2 * v) ** n
+
+
+def legendre_p(n: int, x: Scalar):
+    """Value of P_n(x) by the three-term recurrence (DLMF §18.9.1) on the
+    integers of :func:`_legendre_ratio`.  A rational ``x`` gives the exact
+    ``Fraction``; a float ``x`` is converted exactly and the exact value is
+    rounded once, so a value past the float range raises ``OverflowError``,
+    as ``float`` of the ``Fraction`` does."""
+    num, den = _legendre_ratio(n, x)
+    return Fraction(num, den) if _is_exact(x) else num / den
+
+
+def legendre_values(n: int, xs: Iterable[Scalar]) -> list[float]:
+    """P_n at each point of ``xs`` as a float: the exact value, rational or
+    float point alike, rounded once, with the checks and exceptions of
+    :func:`legendre_p`."""
+    return [num / den for num, den in (_legendre_ratio(n, x) for x in xs)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heunops import bspline
 from heunops.bspline import (
     ConstantSigma,
     KnotVector,
@@ -99,7 +98,20 @@ class TestDensity:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(EQUIDISTANT_KNOTS)
     def test_cardinal_image_equals_cox_de_boor(self, pts):
+        # the truncated-power sum at the knots against the Cox-de Boor recursion
         assert bspline_density(pts) == _cox_de_boor_density(pts)
+
+    @pytest.mark.parametrize("m", (40, 100))
+    def test_many_knots_against_point_formula(self, m):
+        # past the Cox-de Boor oracle's m <= 14: the pieces built at the
+        # knots against the one-point sum of cardinal_bspline
+        x0, h = F(-7, 3), F(2, 5)
+        unit = bspline_density(range(m + 1))
+        scaled = bspline_density([x0 + j * h for j in range(m + 1)])
+        for t in (F(1, 2), F(17, 5), F(m, 3), F(m, 2), F(m // 2), m - F(1, 7)):
+            want = cardinal_bspline(m, t)
+            assert unit(t) == want
+            assert scaled(x0 + h * t) == want / h
 
     def test_invalid_knots(self):
         with pytest.raises(InvalidKnots):
@@ -136,15 +148,6 @@ class TestKernel:
             base = kernel(n, ConstantSigma(F(7, 3)), 0)
             moved = kernel(n, ConstantSigma(F(7, 3)), F(5, 2))
             assert moved.density == base.density.shift(F(5, 2))
-
-    def test_density_cache_is_bounded(self):
-        # regression: one density per distinct kernel was kept forever;
-        # kernels whose knots move with x share the pieces of one order
-        before = bspline._cardinal_pieces.cache_info().currsize
-        for i in range(300):
-            kernel(3, QuadraticSigma(1, F(1, 2)), F(i, 300))
-        info = bspline._cardinal_pieces.cache_info()
-        assert info.maxsize == 256 and info.currsize <= before + 1
 
 
 class TestConstants:

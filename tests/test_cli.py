@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -897,6 +898,53 @@ class TestBuildOnce:
             assert len(built) == 1
 
 
+#: every eval function that takes --exact, with parameters that have an exact
+#: value (terminating series), and the interval that its grid is drawn from
+_EXACT_EVALS = (
+    (["hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1"], (-2, 2)),
+    (["hc", "p=0", "gamma=1", "delta=1/2", "alpha=1/2", "sigma=105"], (-2, 2)),
+    (["2f1", "a=-10", "b=1/2", "c=3/2"], (-3, 3)),
+    (["legendre", "n=24"], (-1, 1)),
+    (["F", "n=8"], (-2, 2)),
+    (["U", "n=6"], (Fraction(-1, 2), 3)),
+    (["J", "n=5"], (Fraction(-9, 10), Fraction(9, 10))),
+    (["G", "n=7"], (0, 20)),
+    (["bspline", "knots=-1;-1/3;1/3;1"], (Fraction(-3, 2), Fraction(3, 2))),
+    (["c_n", "n=7"], None),
+    (["kn_deriv_zero", "n=3", "j=9"], None),
+)
+
+
+class TestFloatRows:
+    @pytest.mark.parametrize("argv, interval", _EXACT_EVALS, ids=[a[0] for a, _ in _EXACT_EVALS])
+    def test_float_row_is_exact_row_rounded_once(self, capsys, argv, interval):
+        # a seeded grid between two rational points of the interval, with
+        # non-dyadic points; a function without x prints one value
+        grid, count = [], 1
+        if interval is not None:
+            rng, (lo, hi) = random.Random(argv[0]), interval
+            a, b = sorted(lo + (hi - lo) * Fraction(rng.randint(0, 97), 97) for _ in range(2))
+            count = rng.randint(20, 60)
+            grid = [f"--grid={a}:{b}:{count}"]
+        code, exact, _ = run(capsys, "eval", *argv, *grid, "--exact")
+        assert code == 0
+        code, rounded, _ = run(capsys, "eval", *argv, *grid)
+        assert code == 0
+        header = len(grid)  # the "x,value" line of a grid
+        exact_rows, float_rows = exact.splitlines()[header:], rounded.splitlines()[header:]
+        assert len(exact_rows) == len(float_rows) == count
+        for exact_row, float_row in zip(exact_rows, float_rows):
+            want = [float(Fraction(v)) for v in exact_row.split(",")]
+            got = [float(v) for v in float_row.split(",")]
+            assert got == want, (exact_row, float_row)
+
+    def test_legendre_past_the_float_range_is_usage_error(self, capsys):
+        # P_1000(3) is about 1e765: the exact value cannot be rounded to a float
+        code, out, err = run(capsys, "eval", "legendre", "n=1000", "x=3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "too large for a float" in err and "Traceback" not in err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -979,8 +1027,10 @@ class TestGolden:
              "63200e4b0203bd3c3b0566ebf8c16591c46e46e88ec2157a52f98302c6376e91"),
             (["eval", "K", "n=2", "j=1", "--grid=0:2:101"],
              "8d604e96d984e5bf2269ab37d62c9d37f04e2aca91dfdbe777e16d5c93c7fed6"),
+            # the Legendre rows are the exact values rounded once (regression:
+            # 93 of the 123 rows at n = 8, 16, 24 were the float recurrence's)
             (["eval", "legendre", "n=16", "--grid=-1/2:1:41"],
-             "d39d0542d4921cf1c43b71a166d1cc27413e56e335d67a8b670cb8877d6c79fb"),
+             "2c79c72bcd76ae387f7e679fbb100cc6a4b9e2042179f1164284db6edc68da40"),
             (["eval", "hl", "a=2", "q=1/2", "alpha=1/2", "beta=3/2", "gamma=1", "delta=1",
               "--grid=-1/2:1/2:41", "--json"],
              "4780816dc63f6b56a0f722b5b7280fd9e18830f88ae2c4a45422f4cb7a067d85"),

@@ -37,7 +37,7 @@ X9 = [F(i, 8) for i in range(9)]
 
 def bernstein_poly(n, j):
     """Reference Bernstein basis polynomial C(n,j) x^j (1-x)^(n-j)."""
-    return (Poly.monomial(j) * Poly.of(1, -1) ** (n - j)).scale(math.comb(n, j))
+    return math.prod([Poly.of(1, -1)] * (n - j), start=Poly.monomial(j, math.comb(n, j)))
 
 
 class TestBernstein:
@@ -327,8 +327,7 @@ class TestNoPerPointRebuild:
 
     @staticmethod
     def _clear_caches():
-        for fn in (entropy.s_direct_poly, entropy._kantorovich_profile_polys,
-                   bspline.c_constant, bspline.unit_variance):
+        for fn in (entropy._kantorovich_profile_polys, bspline.c_constant, bspline.unit_variance):
             fn.cache_clear()
 
     @staticmethod

@@ -174,6 +174,16 @@ class TestLegendre:
         for x in (-0.8, 0.1, 0.9):
             assert abs(legendre_p(n, x) - float(scipy.special.eval_legendre(n, x))) < 1e-13
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 60), st.floats(-3, 3))
+    def test_float_point_rounds_exact_value(self, n, x):
+        got = legendre_p(n, x)
+        assert type(got) is float and got == float(legendre_p(n, F(x)))
+
+    def test_float_point_past_the_float_range_overflows(self):
+        with pytest.raises(OverflowError):
+            legendre_p(1000, 3.0)
+
     def test_poly_built_without_recursion(self):
         # a fresh interpreter, so that no smaller degree is cached; the
         # polynomial is built in a loop, not by recursion over the degree
