@@ -16,10 +16,10 @@ types (:class:`heunops.exactalg.Frozen`).
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Sequence, Union
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth, NotExact
 from .exactalg import Frozen, PiecewisePoly, Poly, rat
@@ -121,7 +121,7 @@ class KernelInstance(Frozen):
         self.__dict__.update(n=n, x=x, width=width, density=density)
 
 
-def bspline_density(knots: Union[KnotVector, Sequence]) -> PiecewisePoly:
+def bspline_density(knots: KnotVector | Sequence) -> PiecewisePoly:
     """Degree-(m-1) B-spline on the given m+1 knots, normalized to
     integrate to exactly 1, in exact rational arithmetic.
 

@@ -36,11 +36,10 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import bspline, entropy, identities, specfun
 from .errors import HeunopsError
-from .exactalg import parse_number
+from .exactalg import Frozen, Grid, parse_number
 
 
 #: ``json``'s C encoder factory; None where the C accelerator is missing
@@ -167,7 +166,9 @@ def _int(params: dict, key: str, default=None) -> int:
 _MAX_GRID_POINTS = 100_000
 
 
-def _parse_grid(spec: str) -> list[Fraction]:
+def _parse_grid(spec: str) -> Grid:
+    """The grid a:b:count, endpoints included: x_i = a + (b - a) i / (count - 1),
+    as the :class:`Grid` (A + i S) / D over the integers."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise HeunopsError("grid must be a:b:count")
@@ -178,12 +179,10 @@ def _parse_grid(spec: str) -> list[Fraction]:
     if count < 1 or (count == 1 and a != b):
         raise HeunopsError("grid count must be >= 1 (and a == b when count == 1)")
     if count == 1:
-        return [a]
-    # x_i = a + (b - a) i / (count - 1) = (A + i S) / D over the integers
+        return Grid.point(a)
     lcm = math.lcm(a.denominator, b.denominator)
     an, bn = a.numerator * (lcm // a.denominator), b.numerator * (lcm // b.denominator)
-    start, step, den = an * (count - 1), bn - an, lcm * (count - 1)
-    return [Fraction(start + i * step, den) for i in range(count)]
+    return Grid(an * (count - 1), bn - an, lcm * (count - 1), count)
 
 
 def _parse_sigma(spec: str):
@@ -222,10 +221,12 @@ _SERIES_FAMILIES = {
 }
 
 
-class _EvalSpec(NamedTuple):
-    keys: tuple[str, ...]  # parameter keys, x aside
-    takes_x: bool = True
-    exact: bool = True  # whether --exact exists
+class _EvalSpec(Frozen):
+    """An eval function's parameter keys (x aside), whether it takes x, and
+    whether it has --exact."""
+
+    def __init__(self, keys: tuple[str, ...], takes_x: bool = True, exact: bool = True) -> None:
+        self.__dict__.update(keys=keys, takes_x=takes_x, exact=exact)
 
 
 #: every function of ``eval``, in the order argparse lists them
@@ -245,46 +246,49 @@ _EVAL_SPECS = {
 EVAL_FUNCTIONS = tuple(_EVAL_SPECS)
 
 
-def _eval_values(name: str, params: dict, exact: bool, xs: list) -> list:
-    """Parse ``params`` once and return the values of ``name`` at ``xs``."""
+def _eval_values(name: str, params: dict, exact: bool, grid: Grid | None) -> list:
+    """Parse ``params`` once and return the values of ``name`` at the points
+    of ``grid``, or its one value when ``name`` takes no x and ``grid`` is
+    None.  Float tables run on the grid's integer form; exact rows, B-spline
+    rows and the constants read :meth:`Grid.fractions`."""
     if name in _SERIES_FAMILIES:
         make, poly = _SERIES_FAMILIES[name]
         sp = make(*(_frac(params, k) for k in _EVAL_SPECS[name].keys))
         if not exact:
-            return [r.value for r in specfun.series_values(sp, xs)]
+            return [r.value for r in specfun.series_values(sp, grid)]
         f = poly(sp)
     elif name == "legendre":
         n = _int(params, "n")
         if not exact:
-            return specfun.legendre_values(n, xs)
+            return specfun.legendre_values(n, grid)
         f = lambda x: specfun.legendre_p(n, x)
     elif name in ("F", "U", "G", "J"):
         n = _int(params, "n")
         if not exact:
-            return specfun.kernel_values(name, n, xs)
+            return specfun.kernel_values(name, n, grid)
         f = lambda x: specfun.kernel_sum(name, n, x)
     elif name == "K":
-        n, j = _int(params, "n"), _int(params, "j", default=0)
-        f = lambda x: specfun.szasz_K(n, j, x)
+        n, j, d = _int(params, "n"), _int(params, "j", default=0), grid.den
+        # a negative point is passed exact, so that one that rounds to -0.0 is rejected too
+        return [specfun.szasz_K(n, j, u / d if u >= 0 else Fraction(u, d)) for u in grid.numerators()]
     elif name == "bspline":
         knots = [parse_number("knot", tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:
             raise HeunopsError("bspline needs knots=k0;k1;...")
         f = bspline.bspline_density(knots)
     elif name == "c_n":
-        return [bspline.c_constant(_int(params, "n"))] * len(xs)
+        return [bspline.c_constant(_int(params, "n"))] * (grid.count if grid else 1)
     elif name == "kn_deriv_zero":
-        return [specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))] * len(xs)
+        return [specfun.kn_deriv_zero(_int(params, "n"), _int(params, "j"))] * (grid.count if grid else 1)
     else:
         raise HeunopsError(f"unknown function {name!r}")
-    return [f(x) for x in xs]
+    return [f(x) for x in grid.fractions()]
 
 
-def _fmt_point(x: Fraction) -> str:
-    """A grid point as a float row prints it: x.numerator / x.denominator
-    is the correctly rounded double of ``x``, as ``float(x)`` is, and never
-    a negative zero."""
-    return format(x.numerator / x.denominator, ".17g")
+def _fmt_point(x: float) -> str:
+    """A point of :meth:`Grid.floats` as a float row prints it, with 17
+    significant digits; the point 0 has the numerator 0 and prints as 0."""
+    return format(x, ".17g")
 
 
 def _cmd_eval(args) -> int:
@@ -300,12 +304,13 @@ def _cmd_eval(args) -> int:
     if args.grid:
         if "x" in params:
             raise HeunopsError("--grid sets the points and takes no x")
-        xs = _parse_grid(args.grid)
+        grid = _parse_grid(args.grid)
     elif spec.takes_x:
-        xs = [_frac(params, "x")]
+        grid = Grid.point(_frac(params, "x"))
     else:
-        xs = [None]
-    values = _eval_values(args.function, params, exact, xs)
+        grid = None
+    values = _eval_values(args.function, params, exact, grid)
+    xs = [None] if grid is None else grid.fractions() if exact else grid.floats()
     fmt_x, fmt_value = (str, str) if exact else (_fmt_point, _fmt_float)
     if args.json:
         doc = {
@@ -386,7 +391,7 @@ def _cmd_entropy(args) -> int:
         raise HeunopsError("--k applies only to --op kantorovich")
     if args.op == "kantorovich" and args.sigma is not None:
         raise HeunopsError("--sigma applies only to --op bspline")
-    xs = _parse_grid(args.grid)
+    xs = _parse_grid(args.grid).fractions()
     if args.op == "bspline":
         sigma = _parse_sigma(args.sigma or "const:1")
         op = entropy.BSplineOp(args.n, sigma)

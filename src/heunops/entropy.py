@@ -16,12 +16,12 @@ immutable value types (:class:`heunops.exactalg.Frozen`).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import comb
 from operator import gt
-from typing import Sequence, Union
 
 from . import bspline
 from .errors import (
@@ -75,7 +75,7 @@ class KantorovichOp(Frozen):
         _require_kantorovich_order(self.n, self.k)
 
 
-OperatorSpec = Union[BSplineOp, KantorovichOp]
+OperatorSpec = BSplineOp | KantorovichOp
 
 
 class EntropyPoint(Frozen):

@@ -15,22 +15,27 @@ antiderivatives, binary forms, the exact value :meth:`Poly.__call__` at a
 rational point and the correctly rounded :meth:`Poly.rounded` run over
 Python ints and normalise once with ``math.gcd``.  The coefficients as
 stdlib :class:`fractions.Fraction` are a view, built on first read.
+
+A :class:`Grid` is an arithmetic progression of rationals over one
+denominator, the points of every command-line grid.
+:meth:`Poly.rounded_on_grid` evaluates a polynomial at all of them over
+the integers (:func:`horner_on_grid`) and rounds each value once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, IndexOutOfRange, NonFinite, NotExact
 
 #: degree reported for the zero polynomial
 NEG_INFINITY = float("-inf")
 
-_Scalar = Union[Fraction, int, str]
+_Scalar = Fraction | int | str
 
 
 def rat(value: _Scalar) -> Fraction:
@@ -112,6 +117,75 @@ class Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+class Grid(Frozen):
+    """The points (start + i step) / den, i = 0, 1, ..., count - 1: an
+    arithmetic progression of rationals over one denominator den > 0, with
+    the fractions left unreduced.  A float table reads :meth:`floats`, one
+    int/int division per point; :meth:`fractions` builds the exact points."""
+
+    def __init__(self, start: int, step: int, den: int, count: int) -> None:
+        self.__dict__.update(start=start, step=step, den=den, count=count)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if not all(type(v) is int for v in vars(self).values()):
+            raise DomainError(f"grid fields must be ints: {self!r}")
+        if self.den <= 0 or self.count < 0:
+            raise DomainError(f"grid needs den > 0 and count >= 0: {self!r}")
+
+    @staticmethod
+    def point(x: _Scalar) -> Grid:
+        """The one-point grid at the rational ``x``."""
+        x = rat(x)
+        return Grid(x.numerator, 0, x.denominator, 1)
+
+    def numerators(self) -> list[int]:
+        """start + i step for each point, in order."""
+        start, step = self.start, self.step
+        return [start + i * step for i in range(self.count)]
+
+    def floats(self) -> Iterator[float]:
+        """Each point correctly rounded, in order, as ``float`` of its
+        ``Fraction`` gives it.  An iterator: a point past the float range
+        raises ``OverflowError`` only when it is reached."""
+        den = self.den
+        return (u / den for u in self.numerators())
+
+    def fractions(self) -> list[Fraction]:
+        den = self.den
+        return [Fraction(u, den) for u in self.numerators()]
+
+
+def horner_on_grid(coeffs: Sequence[int], grid: Grid) -> list[int]:
+    """sum_k C_k D^(d-k) u^k at each numerator u of ``grid``, which is D^d
+    times the value at u/D of the polynomial with the integer coefficients
+    C = ``coeffs`` (lowest degree first, d = len(C) - 1), D the grid's
+    denominator.
+
+    The coefficients are scaled by the powers of D once per grid, and
+    Horner's rule runs over the integers in u, or in u^2 when the
+    polynomial is even or odd (Knuth, *TAOCP* vol. 2, §4.6.4).
+    """
+    if not any(coeffs):
+        return [0] * grid.count
+    d, dpow = len(coeffs) - 1, 1
+    scaled = [0] * (d + 1)
+    for k in reversed(range(d + 1)):
+        scaled[k] = coeffs[k] * dpow
+        dpow *= grid.den
+    odd = not any(coeffs[::2])
+    square = odd or not any(coeffs[1::2])
+    top, *rest = reversed(scaled[odd::2] if square else scaled)
+    out = []
+    for u in grid.numerators():
+        t = u * u if square else u
+        acc = top
+        for c in rest:
+            acc = acc * t + c
+        out.append(acc * u if odd else acc)
+    return out
+
+
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
@@ -176,7 +250,7 @@ class Poly:
         return self._ints, self._den
 
     @property
-    def degree(self) -> Union[int, float]:
+    def degree(self) -> int | float:
         return len(self._ints) - 1 if self._ints else NEG_INFINITY
 
     def is_zero(self) -> bool:
@@ -237,6 +311,17 @@ class Poly:
             u, v = float(x).as_integer_ratio()
         num, den = self._int_horner(u, v)
         return num / den
+
+    def rounded_on_grid(self, grid: Grid) -> list[float]:
+        """:meth:`rounded` at each point of ``grid``, bit for bit.
+
+        With (C, L) the integer form, d the degree and D the grid's
+        denominator, the value at u/D is sum C_k D^(d-k) u^k / (L D^d): the
+        integers of :func:`horner_on_grid` over one denominator, each
+        divided once, correctly rounded (``OverflowError`` included).
+        """
+        den = self._den * grid.den ** max(len(self._ints) - 1, 0)
+        return [num / den for num in horner_on_grid(self._ints, grid)]
 
     # -- ring operations -------------------------------------------------
 

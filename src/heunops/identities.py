@@ -23,12 +23,12 @@ immutable value types (:class:`heunops.exactalg.Frozen`).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence, Union
 
 from . import entropy, specfun
 from .errors import (
@@ -115,7 +115,7 @@ class NumericGrid(Frozen):
             raise DomainError("numeric grid needs at least one point")
 
 
-CheckMode = Union[ExactPoly, OdeResidual, NumericGrid]
+CheckMode = ExactPoly | OdeResidual | NumericGrid
 
 
 class VerificationReport(Frozen):

@@ -47,13 +47,21 @@ value of ``x`` (a float converted exactly) by :meth:`Poly.rounded`, which
 runs integer Horner on the polynomial's integer form and rounds once.  A
 prefix that is too short is replaced by a longer one, so a grid runs its
 recurrence once; the Taylor coefficients of K_n are kept per ``n``, grown
-as they are asked for.  :func:`series_values` looks the record up once for
-a whole grid.  Every float sum of the three families, values and
+as they are asked for.  Every float sum of the three families, values and
 derivatives, is one loop over the record's float prefix
 (:func:`_float_sum`).  Exact values of P_n at a rational point, and of F,
 U, J and G at any point, run over the integers, as does the polynomial
 P_n, an explicit sum (DLMF §18.5(iv)); a float value of F, U, J or G is
 one division of two integers.
+
+The table functions :func:`series_values`, :func:`legendre_values` and
+:func:`kernel_values` take a :class:`~heunops.exactalg.Grid`, the points
+(A + i S)/D over one denominator, and give each value as its
+single-point function rounds it, raising as it does at the first point
+that fails.  A series record is looked up once per grid.  Terminating
+series and P_n run Horner's rule over the grid's integer numerators
+(:meth:`Poly.rounded_on_grid`); F, U, J and G build their binomial squares
+once per table; a non-terminating series sums at each point's float.
 
 The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
 immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
@@ -65,10 +73,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
     DivergentSeries,
@@ -79,9 +87,9 @@ from .errors import (
     NonFinite,
     NotExact,
 )
-from .exactalg import E2, Frozen, Poly, binary_form
+from .exactalg import E2, Frozen, Grid, Poly, binary_form, horner_on_grid
 
-Scalar = Union[Fraction, int, float]
+Scalar = Fraction | int | float
 
 MAX_TERMS = 100_000
 #: stop tolerance of every float series and weight sum
@@ -393,11 +401,11 @@ def legendre_p(n: int, x: Scalar):
     return Fraction(num, den) if _is_exact(x) else num / den
 
 
-def legendre_values(n: int, xs: Iterable[Scalar]) -> list[float]:
-    """P_n at each point of ``xs`` as a float: the exact value, rational or
-    float point alike, rounded once, with the checks and exceptions of
-    :func:`legendre_p`."""
-    return [num / den for num, den in (_legendre_ratio(n, x) for x in xs)]
+def legendre_values(n: int, grid: Grid) -> list[float]:
+    """P_n at each point of ``grid`` as a float, the exact value rounded
+    once, as :func:`legendre_p` rounds it: Horner's rule in u^2 over the
+    integer form of :func:`legendre_poly` (:meth:`Poly.rounded_on_grid`)."""
+    return legendre_poly(n).rounded_on_grid(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +622,21 @@ def _series_poly(params) -> Poly:
     return series.poly
 
 
-def series_values(params, xs: Iterable[Scalar]) -> list[SeriesResult]:
+def series_values(params, grid: Grid) -> list[SeriesResult]:
     """The series of ``params`` (a :class:`HeunParams`,
     :class:`ConfluentHeunParams` or :class:`GaussParams`) at each point of
-    ``xs``, each as :func:`heun_local`, :func:`confluent_heun` or
-    :func:`hyp2f1` gives it, with the same checks and exceptions;
-    the record of ``params`` is looked up once for the whole grid."""
+    ``grid``, each as :func:`heun_local`, :func:`confluent_heun` or
+    :func:`hyp2f1` gives it at that rational point, with the same checks
+    and exceptions at the first point that fails them.  The record of
+    ``params`` is looked up once: a terminating series is evaluated on the
+    grid's integer form (:meth:`Poly.rounded_on_grid`), any other summed at
+    each point's float."""
     series = _series(params)
-    return [_point_value(series, x, False) for x in xs]
+    p = series.poly
+    if p is not None:
+        terms = len(p.integer_form[0])
+        return [SeriesResult(v, terms, True, 0.0) for v in p.rounded_on_grid(grid)]
+    return [_float_sum(series, xf, False) for xf in grid.floats()]
 
 
 def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
@@ -631,23 +646,23 @@ def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
     p = series.poly
     if p is not None:
         return SeriesResult((series.deriv if deriv else p).rounded(x), len(p.coeffs), True, 0.0)
-    xf = float(x)
-    if abs(xf) >= series.radius:
-        raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
-                              f"{series.name} series")
-    return _float_sum(series, xf, deriv)
+    return _float_sum(series, float(x), deriv)
 
 
 def _float_sum(series: _Series, xf: float, deriv: bool) -> SeriesResult:
     """Sum the terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the
     record's float prefix, which grows by doubling, until three consecutive
-    terms fall below ``SERIES_TOL`` times the partial sum.
+    terms fall below ``SERIES_TOL`` times the partial sum.  A point outside
+    the disk of convergence raises :class:`DivergentSeries`.
 
     x^k (x^(k-1) when ``deriv``) is kept as a running power.  A coefficient
     above 1e280 is rejected, since its term would overflow, and so is a NaN
     one.  The tail estimate continues the last term geometrically with |x|
     over the radius of convergence (capped at 0.999).
     """
+    if abs(xf) >= series.radius:
+        raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
+                              f"{series.name} series")
     s = 0.0
     xpow = 1.0  # x^(k-1) when deriv else x^k
     small = 0
@@ -702,12 +717,19 @@ def f_poly(n: int) -> Poly:
     return binary_form([comb(n, k) ** 2 for k in range(n + 1)], E2, Poly.of(1, -2, 1), n)
 
 
-def _squared_binomial_form(n: int, a: int, b: int) -> int:
-    """sum_k C(n,k)^2 a^k b^(n-k) over the integers, by homogeneous Horner in a."""
-    acc, bpow = 1, 1
-    for k in reversed(range(n)):
+def _binomial_squares(n: int) -> list[int]:
+    """C(n, k)^2 for k = 0, ..., n."""
+    return [comb(n, k) ** 2 for k in range(n + 1)]
+
+
+def _squared_binomial_form(squares: list[int], a: int, b: int) -> int:
+    """sum_k squares[k] a^k b^(n-k), n = len(squares) - 1, over the integers,
+    by homogeneous Horner in a: with :func:`_binomial_squares` the form
+    sum_k C(n,k)^2 a^k b^(n-k)."""
+    acc, bpow = squares[-1], 1
+    for s in reversed(squares[:-1]):
         bpow *= b
-        acc = acc * a + comb(n, k) ** 2 * bpow
+        acc = acc * a + s * bpow
     return acc
 
 
@@ -755,20 +777,21 @@ def _kernel_ratio(kind: str, n: int, x: Scalar) -> tuple[int, int]:
     _check_point(x)
     u, v = x.as_integer_ratio()
     if kind == "F":
-        return _squared_binomial_form(n, u * u, (v - u) ** 2), v ** (2 * n)
+        return _squared_binomial_form(_binomial_squares(n), u * u, (v - u) ** 2), v ** (2 * n)
     if kind in ("U", "J"):
         if kind == "J" and abs(u) >= v:
             raise DivergentSeries("J series requires |x| < 1")
         if u == -v:
             raise DomainError("U is undefined at x = -1")
-        num, den = _squared_binomial_form(n, u * u, v * v), (u + v) ** (2 * n)
+        num, den = _squared_binomial_form(_binomial_squares(n), u * u, v * v), (u + v) ** (2 * n)
         return (num * (v - u), den * (v + u)) if kind == "J" else (num, den)
     if kind == "G":
         if u < 0:
             raise DomainError("G is evaluated on x >= 0 only")
         if n == 0:
             return 1, 1
-        return v * _squared_binomial_form(n - 1, u * u, (u + v) ** 2), (v + 2 * u) ** (2 * n - 1)
+        squares = _binomial_squares(n - 1)
+        return v * _squared_binomial_form(squares, u * u, (u + v) ** 2), (v + 2 * u) ** (2 * n - 1)
     raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 
@@ -788,11 +811,42 @@ def kernel_sum(kind: str, n: int, x: Scalar):
     return Fraction(num, den) if _is_exact(x) else num / den
 
 
-def kernel_values(kind: str, n: int, xs: Iterable[Scalar]) -> list[float]:
-    """The kernel sum ``kind`` at each point of ``xs`` as a float: the exact
-    value, rational or float point alike, rounded once, with the checks
-    and exceptions of :func:`kernel_sum`."""
-    return [num / den for num, den in (_kernel_ratio(kind, n, x) for x in xs)]
+def kernel_values(kind: str, n: int, grid: Grid) -> list[float]:
+    """The kernel sum ``kind`` at each point of ``grid`` as a float, the
+    exact value rounded once, as :func:`kernel_sum` rounds it, with its
+    checks and exceptions at the first point that fails them.
+
+    The binomial squares are built once per table.  At x = u/D the
+    numerator of F is their form in u^2 and (D - u)^2, that of G their form
+    of degree n - 1 in u^2 and (u + D)^2, each one homogeneous Horner pass
+    per point.  That of U and J, sum_k C(n,k)^2 u^2k D^(2n-2k), is even in
+    u, so :func:`horner_on_grid` scales its coefficients once and runs in u^2.
+    """
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
+    d, us, out = grid.den, grid.numerators(), []
+    if kind == "F":
+        squares, den = _binomial_squares(n), d ** (2 * n)
+        return [_squared_binomial_form(squares, u * u, (d - u) ** 2) / den for u in us]
+    if kind in ("U", "J"):
+        even = [0] * (2 * n + 1)
+        even[::2] = _binomial_squares(n)
+        for u, num in zip(us, horner_on_grid(even, grid)):
+            if kind == "J" and abs(u) >= d:
+                raise DivergentSeries("J series requires |x| < 1")
+            if u == -d:
+                raise DomainError("U is undefined at x = -1")
+            out.append(num * (d - u) / (d + u) ** (2 * n + 1) if kind == "J" else num / (d + u) ** (2 * n))
+        return out
+    if kind == "G":
+        squares = _binomial_squares(n - 1)
+        for u in us:
+            if u < 0:
+                raise DomainError("G is evaluated on x >= 0 only")
+            out.append(d * _squared_binomial_form(squares, u * u, (u + d) ** 2) / (d + 2 * u) ** (2 * n - 1)
+                       if n else 1.0)
+        return out
+    raise DomainError(f"unknown kernel-sum family {kind!r}")
 
 
 def g_weight_sum(n: int, x: Scalar) -> float:

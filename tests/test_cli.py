@@ -224,10 +224,12 @@ class TestEval:
     def test_grid_points_equal_fraction_steps(self, a, b, count):
         if count == 1:
             b = a
-        xs = cli._parse_grid(f"{a}:{b}:{count}")
+        grid = cli._parse_grid(f"{a}:{b}:{count}")
+        xs = grid.fractions()
         step = (b - a) / (count - 1) if count > 1 else 0
         assert xs == [a + step * i for i in range(count)]
         assert all(type(x) is Fraction for x in xs)
+        assert list(grid.floats()) == [float(x) for x in xs]
 
     @pytest.mark.parametrize("tail", (["x=-1"], ["--grid=-2:0:3"]))
     def test_u_pole_is_usage_error(self, capsys, tail):
@@ -406,7 +408,7 @@ class TestEntropy:
         assert str(limit) in err
         # the limit itself is accepted
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
-        assert len(cli._parse_grid("0:1:5")) == 5
+        assert cli._parse_grid("0:1:5").count == 5
         with pytest.raises(cli.HeunopsError, match="limit of 5"):
             cli._parse_grid("0:1:6")
 
@@ -1044,6 +1046,19 @@ class TestGolden:
             (["entropy", "--op", "kantorovich", "--n", "6", "--k", "2", "--grid", "0:1:4097",
               "--json"],
              "49665df39386d5b8382eeaaf6199e6dc8b676e6b5058228683f4f6fc5a6227d8"),
+            # float rows on the grid's integer form (U, a rational function
+            # whose numerator is even) and one-point rows of the float routes
+            (["eval", "U", "n=6", "--grid=-1/2:2:33"],
+             "801144426093bebd2ca17a35bdbcb76ec7fffbf1eec65fb2d9f20d4fc3f46711"),
+            (["eval", "G", "n=4", "x=7/3"],
+             "bc68211c25ca93b73f2f36b277946340d1dbd50d04a2acf0c8a51f30e64762cd"),
+            (["eval", "legendre", "n=24", "x=-5/7"],
+             "c92dbc7e2c33a7657848e50291f2150863a2958f88ee4a07695521dc9db5d0b6"),
+            (["eval", "J", "n=3", "x=9999/10000"],
+             "fcba5fa4cfb74f86aa664f0e48ad80303cefd70a89836806a0efd95ac7bd3746"),
+            (["eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1",
+              "x=2/5"],
+             "9a64d4798eb61ad1a2ddbcf41943abf88c005f74357cf4c44931a65506f0c466"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

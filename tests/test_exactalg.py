@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from heunops.bspline import ConstantSigma
 from heunops.entropy import BSplineOp, KantorovichOp, entropy_profile
 from heunops.errors import DomainError, HeunopsError, IndexOutOfRange
-from heunops.exactalg import (NEG_INFINITY, PiecewisePoly, Poly, binary_form, integrate_product,
-                              parse_number, rat)
+from heunops.exactalg import (NEG_INFINITY, Grid, PiecewisePoly, Poly, binary_form, horner_on_grid,
+                              integrate_product, parse_number, rat)
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 small_polys = st.lists(fractions, min_size=0, max_size=6).map(lambda cs: Poly(tuple(cs)))
@@ -317,6 +317,72 @@ class TestFractionReference:
         assert (p * 6).integer_form == ((1, 2, 3), 1)
         assert (p + Poly.of(F(1, 3), F(2, 3), F(1, 2))).integer_form == ((1, 2, 2), 2)
         assert Poly.of(F(-2, 4), 0, 0).integer_form == ((-1,), 2)
+
+
+@st.composite
+def grids(draw, lo, hi, max_count=12, max_den=10**9):
+    """A :class:`Grid` of points in [lo, hi], in either direction and
+    unreduced, with one point or more."""
+    den = draw(st.integers(1, max_den))
+    ends = st.integers(math.ceil(lo * den), math.floor(hi * den))
+    start, end, count = draw(ends), draw(ends), draw(st.integers(1, max_count))
+    if count == 1:
+        return Grid(start, draw(st.integers(-3, 3)), den, 1)
+    step = abs(end - start) // (count - 1)
+    return Grid(start, step if end >= start else -step, den, count)
+
+
+#: integer polynomials of degree up to 60 with one parity, or none
+_parity_polys = st.builds(
+    lambda cs, keep, scale: Poly([c if keep(k) else 0 for k, c in enumerate(cs)]).scale(scale),
+    st.lists(st.integers(-(10**30), 10**30), max_size=61),
+    st.sampled_from((lambda k: True, lambda k: k % 2 == 0, lambda k: k % 2 == 1, lambda k: k == 0,
+                     lambda k: False)),
+    st.fractions(max_denominator=10**6).filter(bool))
+
+
+class TestGrid:
+    def test_points(self):
+        g = Grid(-6, 4, 12, 4)  # -1/2, -1/6, 1/6, 1/2
+        assert g.numerators() == [-6, -2, 2, 6]
+        assert g.fractions() == [F(-1, 2), F(-1, 6), F(1, 6), F(1, 2)]
+        assert list(g.floats()) == [float(x) for x in g.fractions()]
+        assert Grid.point(F(-3, 6)) == Grid(-1, 0, 2, 1) and Grid.point(4).fractions() == [4]
+        assert Grid(1, -1, 1, 2).fractions() == [1, 0]  # reversed ends, as --grid=1:0:2
+        assert Grid(5, 1, 3, 0).fractions() == [] and list(Grid(5, 1, 3, 0).floats()) == []
+        assert horner_on_grid([0, 0, 0], g) == [0] * 4 and horner_on_grid([], g) == [0] * 4
+
+    def test_floats_raise_only_when_reached(self):
+        floats = Grid(0, 10**400, 1, 3).floats()
+        assert next(floats) == 0.0
+        with pytest.raises(OverflowError, match="too large for a float"):
+            next(floats)
+
+    @pytest.mark.parametrize("fields", ((0, 1, 0, 3), (0, 1, -2, 3), (0, 1, 2, -1), (0, 1, 2.0, 3),
+                                        (F(1, 2), 1, 2, 3), (0, True, 2, 3)))
+    def test_malformed_grid_is_a_library_error(self, fields):
+        with pytest.raises(DomainError, match="grid"):
+            Grid(*fields)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_parity_polys, grids(-50, 50))
+    @example(Poly(), Grid(-3, 1, 2, 7))
+    @example(Poly.of(F(7, 3)), Grid(1, -1, 1, 2))
+    @example(Poly.of(0, 0, 5, 0, -1), Grid(-10, 3, 6, 8))
+    @example(Poly.of(0, -1, 0, 2), Grid(-7, 0, 5, 1))
+    @example(Poly.of(F(1, 3), -2, F(5, 4)), Grid(-4, 1, 4, 9))
+    def test_rounded_on_grid_is_rounded_at_each_point(self, p, g):
+        got = p.rounded_on_grid(g)
+        assert got == [p.rounded(x) for x in g.fractions()]
+        assert all(type(v) is float for v in got)
+
+    def test_overflow_is_raised_as_by_rounded(self):
+        p, g = Poly.monomial(200, -1), Grid(0, 500, 1, 4)
+        with pytest.raises(OverflowError) as per_point:
+            [p.rounded(x) for x in g.fractions()]
+        with pytest.raises(OverflowError) as on_grid:
+            p.rounded_on_grid(g)
+        assert str(on_grid.value) == str(per_point.value)
 
 
 def _count_fractions(monkeypatch) -> list:

@@ -31,7 +31,7 @@ from heunops.errors import (
     NonFinite,
     NotExact,
 )
-from heunops.exactalg import Poly
+from heunops.exactalg import Grid, Poly
 from heunops.specfun import (
     ConfluentHeunParams,
     GaussParams,
@@ -58,10 +58,13 @@ from heunops.specfun import (
     kn_taylor_coeffs,
     legendre_p,
     legendre_poly,
+    legendre_values,
     periodic_trapezoid,
     quadrature,
     szasz_K,
 )
+
+from test_exactalg import grids
 
 F_PARAMS = lambda n: HeunParams(F(1, 2), -n, -2 * n, 1, 1, 1)
 
@@ -80,7 +83,7 @@ class TestHyp2F1:
     def test_parameter_set_route_matches_hyp2f1(self, a, b, c):
         params = GaussParams(a, b, c)
         for x in (-0.93, -0.5, 0.0, 0.25, F(1, 3), 0.9):
-            assert specfun.series_values(params, [x]) == [hyp2f1(a, b, c, x)]
+            assert specfun.series_values(params, Grid.point(F(x))) == [hyp2f1(a, b, c, x)]
 
     def test_log_closed_form(self):
         # oracle: -ln(1 - x)/x at x = 1/2 equals 2 ln 2
@@ -885,8 +888,10 @@ class TestIntegerPointValues:
     # regression: the float loops of F and U were up to ~100 ulps off and
     # the float J series more
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from("FUJ"), st.integers(0, 60), st.floats(-0.999, 0.999))
+    @given(st.sampled_from("FUJG"), st.integers(0, 60), st.floats(-0.999, 0.999))
     def test_float_point_rounds_exact_value(self, kind, n, x):
+        if kind == "G":  # onto [0, 999], G's domain
+            x = abs(x) / (1 - abs(x))
         try:
             want = float(kernel_sum(kind, n, F(x)))
         except OverflowError:  # U near -1: the exact value is past the float range
@@ -897,16 +902,63 @@ class TestIntegerPointValues:
         assert type(got) is float and got == want
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.sampled_from("FUJG"), st.integers(0, 40),
-           st.lists(st.fractions(F(-99, 100), F(99, 100), max_denominator=10**12)
-                    | st.floats(-0.99, 0.99), min_size=1, max_size=12))
-    def test_grid_rounds_exact_value(self, kind, n, xs):
+    @given(st.sampled_from("FUJG"), st.integers(0, 40), grids(F(-99, 100), F(99, 100)), grids(0, 99))
+    def test_grid_rounds_exact_value(self, kind, n, grid, g_grid):
         # the float rows of eval: one division per point, no Fraction built
-        if kind == "G":  # onto [0, 99], G's domain
-            xs = [abs(x) / (1 - abs(x)) for x in xs]
-        got = kernel_values(kind, n, xs)
-        assert got == [float(kernel_sum(kind, n, F(x))) for x in xs]
+        if kind == "G":  # G's domain
+            grid = g_grid
+        got = kernel_values(kind, n, grid)
+        assert got == [float(kernel_sum(kind, n, x)) for x in grid.fractions()]
         assert all(type(v) is float for v in got)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 60), grids(-2, 2))
+    def test_legendre_grid_rounds_exact_value(self, n, grid):
+        assert legendre_values(n, grid) == [float(legendre_p(n, x)) for x in grid.fractions()]
+
+
+def _first_failure(single, grid):
+    """The class and message of the error that ``single`` raises at the
+    first point of ``grid`` where it raises one."""
+    for x in grid.fractions():
+        try:
+            single(x)
+        except (HeunopsError, OverflowError) as exc:
+            return type(exc), str(exc)
+    raise AssertionError(f"no point of {grid} fails")
+
+
+_DISK_HEUN = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)
+_DISK_CONFLUENT = ConfluentHeunParams(1, 2, 0, F(3, 2), 6)
+_ABOVE_MAX_DEGREE = GaussParams(-300, -400, 1)
+
+#: a table function, its single-point route, and a grid on which it fails
+#: at an inner point, after points where it has a value
+_FAILING_GRIDS = {
+    "J-at-1": (lambda g: kernel_values("J", 3, g), lambda x: kernel_sum("J", 3, x), Grid(0, 1, 2, 4)),
+    "J-at-minus-3/2": (lambda g: kernel_values("J", 3, g), lambda x: kernel_sum("J", 3, x),
+                       Grid(1, -2, 2, 3)),
+    "U-at-minus-1": (lambda g: kernel_values("U", 2, g), lambda x: kernel_sum("U", 2, x),
+                     Grid(0, -2, 4, 3)),
+    "G-below-0": (lambda g: kernel_values("G", 4, g), lambda x: kernel_sum("G", 4, x), Grid(2, -1, 2, 5)),
+    "hl-past-radius": (lambda g: specfun.series_values(_DISK_HEUN, g),
+                       lambda x: heun_local(_DISK_HEUN, x), Grid(-1, 1, 2, 5)),
+    "hc-past-radius": (lambda g: specfun.series_values(_DISK_CONFLUENT, g),
+                       lambda x: confluent_heun(_DISK_CONFLUENT, x), Grid(3, -2, 4, 5)),
+    "2f1-above-MAX_DEGREE": (lambda g: specfun.series_values(_ABOVE_MAX_DEGREE, g),
+                             lambda x: _gauss(_ABOVE_MAX_DEGREE, x), Grid(0, 1, 2, 2)),
+    "legendre-past-float-range": (lambda g: legendre_values(1000, g),
+                                  lambda x: float(legendre_p(1000, x)), Grid(1, 1, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("name", _FAILING_GRIDS)
+def test_table_raises_as_its_first_failing_point(name):
+    table, single, grid = _FAILING_GRIDS[name]
+    kind, message = _first_failure(single, grid)
+    with pytest.raises(kind) as exc:
+        table(grid)
+    assert type(exc.value) is kind and str(exc.value) == message
 
 
 class TestSzaszK:
@@ -1445,6 +1497,19 @@ _DIGEST_GRID = [F(i, 40) for i in range(-20, 21)]
 _THIRDS_CONFLUENT = ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5))
 
 
+#: series of each family for grid tests: parameters, single-point route,
+#: and whether the series terminates (then any grid, else one inside |x| < 1/2)
+_GRID_SERIES = (
+    (HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1), heun_local, False),
+    (HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1), heun_local, False),
+    (HeunParams(F(1, 2), -20, -40, 1, 1, 1), heun_local, True),
+    (ConfluentHeunParams(1, 2, 0, F(3, 2), 6), confluent_heun, False),
+    (ConfluentHeunParams(0, 1, F(1, 2), F(1, 2), 105), confluent_heun, True),
+    (GaussParams(F(1, 2), F(3, 2), 2), _gauss, False),
+    (GaussParams(-10, F(1, 2), F(3, 2)), _gauss, True),
+)
+
+
 class TestFusedSum:
     """The one summation loop against the two-stage reference, bit for bit."""
 
@@ -1533,16 +1598,25 @@ class TestFusedSum:
     def test_series_values_equal_single_points(self, params):
         single = {HeunParams: heun_local, ConfluentHeunParams: confluent_heun,
                   GaussParams: _gauss}[type(params)]
-        xs = [F(i, 20) for i in range(-19, 20)] + [0.3, -0.45, 1e-300, 0]
-        assert specfun.series_values(params, xs) == [single(params, x) for x in xs]
+        # a grid of twentieths, and each float's exact value as a one-point grid
+        for grid in (Grid(-19, 1, 20, 39), *(Grid.point(F(x)) for x in (0.3, -0.45, 1e-300, 0))):
+            assert specfun.series_values(params, grid) == [single(params, x) for x in grid.fractions()]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(_GRID_SERIES), grids(-4, 4, max_den=10**6))
+    def test_series_values_on_grids_equal_single_points(self, case, grid):
+        params, single, terminates = case
+        if not terminates:  # into |x| <= 2/5, keeping the grid's integer form
+            grid = Grid(grid.start, grid.step, grid.den * 10, grid.count)
+        assert specfun.series_values(params, grid) == [single(params, x) for x in grid.fractions()]
 
     def test_series_values_raise_as_single_points(self):
+        # a NaN point is the per-point functions' check (TestNonFinitePoint):
+        # a grid holds rationals only
         params = HeunParams(F(1, 2), F(1, 3), F(-3, 2), 2, F(5, 4), 1)
         with pytest.raises(DivergentSeries, match="outside the disk"):
-            specfun.series_values(params, [0.1, F(1, 2)])
-        with pytest.raises(NonFinite):
-            specfun.series_values(params, [0.1, math.nan])
-        assert specfun.series_values(params, []) == []
+            specfun.series_values(params, Grid(1, 4, 10, 2))  # 1/10, 1/2
+        assert specfun.series_values(params, Grid(0, 1, 1, 0)) == []
 
 
 class TestKnDerivZero:
@@ -1633,8 +1707,6 @@ _POINT_FUNCTIONS = {
     "szasz_K": lambda x: szasz_K(2, 0, x),
     "szasz_K-ladder": lambda x: szasz_K(2, 3, x),
     "legendre_p": lambda x: legendre_p(3, x),
-    "series_values": lambda x: specfun.series_values(ConfluentHeunParams(F(1, 2), 1, 1, F(1, 2), 1),
-                                                     [0.25, x])[-1].value,
     "bspline_density": lambda x: bspline_density([0, 1, 2, 3])(x),
 }
 

@@ -21,7 +21,8 @@ from heunops.bspline import (
     bspline_density,
 )
 from heunops.entropy import BSplineOp, EntropyPoint, KantorovichOp, SynchronicityReport
-from heunops.exactalg import Frozen, PiecewisePoly, Poly
+from heunops.cli import _EvalSpec
+from heunops.exactalg import Frozen, Grid, PiecewisePoly, Poly
 from heunops.identities import (
     REGISTRY,
     ExactPoly,
@@ -57,6 +58,8 @@ CASES = {
                                ((F(0), F(1)), (F(1), F(1)))]),
     KernelInstance: ("n x width density", [(2, F(1, 2), F(1), bspline_density([F(-1, 2), F(1, 2), F(3, 2)])),
                                            (1, F(0), F(1, 2), bspline_density([F(-1, 2), F(1, 2)]))]),
+    Grid: ("start step den count", [(0, 1, 2, 3), (-6, 4, 12, 4)]),
+    _EvalSpec: ("keys takes_x exact", [(("n",), True, True), (("n", "j"), False, False)]),
     PiecewisePoly: ("breakpoints pieces", [((F(0), F(1), F(2)), (Poly.of(0, 1), Poly.of(2, -1))),
                                            ((F(0), F(1)), (Poly.of(1),))]),
     BSplineOp: ("n sigma", [(3, ConstantSigma(F(1, 2))), (4, QuadraticSigma(F(1), F(1, 2)))]),
@@ -76,7 +79,7 @@ CASES = {
 }
 
 #: fields with a default in the dataclass declaration
-DEFAULTS = {NumericGrid: {"tol": 1e-9}}
+DEFAULTS = {NumericGrid: {"tol": 1e-9}, _EvalSpec: {"takes_x": True, "exact": True}}
 
 
 def _twin(cls):
@@ -126,7 +129,7 @@ def test_every_value_type_is_covered():
         found.update(subclasses)
         todo += subclasses
     assert {cls for cls in found if not cls.__subclasses__()} == set(CASES)
-    assert len(CASES) == 20
+    assert len(CASES) == 22
 
 
 @TYPES
