@@ -249,8 +249,10 @@ EVAL_FUNCTIONS = tuple(_EVAL_SPECS)
 def _eval_values(name: str, params: dict, exact: bool, grid: Grid | None) -> list:
     """Parse ``params`` once and return the values of ``name`` at the points
     of ``grid``, or its one value when ``name`` takes no x and ``grid`` is
-    None.  Float tables run on the grid's integer form; exact rows, B-spline
-    rows and the constants read :meth:`Grid.fractions`."""
+    None.  Float tables run on the grid's integer form, and so do the
+    exact rows of F, U, J and G, from the one table of
+    :func:`specfun.kernel_ratios`; other exact rows, B-spline rows and the
+    constants read :meth:`Grid.fractions`."""
     if name in _SERIES_FAMILIES:
         make, poly = _SERIES_FAMILIES[name]
         sp = make(*(_frac(params, k) for k in _EVAL_SPECS[name].keys))
@@ -263,10 +265,8 @@ def _eval_values(name: str, params: dict, exact: bool, grid: Grid | None) -> lis
             return specfun.legendre_values(n, grid)
         f = lambda x: specfun.legendre_p(n, x)
     elif name in ("F", "U", "G", "J"):
-        n = _int(params, "n")
-        if not exact:
-            return specfun.kernel_values(name, n, grid)
-        f = lambda x: specfun.kernel_sum(name, n, x)
+        ratios = specfun.kernel_ratios(name, _int(params, "n"), grid)
+        return [Fraction(a, b) for a, b in ratios] if exact else [a / b for a, b in ratios]
     elif name == "K":
         n, j, d = _int(params, "n"), _int(params, "j", default=0), grid.den
         # a negative point is passed exact, so that one that rounds to -0.0 is rejected too

@@ -13,7 +13,8 @@ representation FLINT uses for ``fmpq_poly``; Hart, "FLINT: Fast Library
 for Number Theory").  Sums, products, scaling, derivatives,
 antiderivatives, binary forms, the exact value :meth:`Poly.__call__` at a
 rational point and the correctly rounded :meth:`Poly.rounded` run over
-Python ints and normalise once with ``math.gcd``.  The coefficients as
+Python ints and normalise once with ``math.gcd``; the last two share one
+integer Horner loop, :func:`homogeneous_horner`.  The coefficients as
 stdlib :class:`fractions.Fraction` are a view, built on first read.
 
 A :class:`Grid` is an arithmetic progression of rationals over one
@@ -62,6 +63,15 @@ def parse_number(name: str, value, kind=Fraction):
     except (ValueError, ZeroDivisionError) as exc:
         what = "an integer" if kind is int else "a rational"
         raise DomainError(f"cannot parse {name}={value!r} as {what}") from exc
+
+
+def check_point(x) -> None:
+    """Reject a point that is not an int, ``Fraction`` or float (a bool
+    included), and a NaN or infinite one: no function has a value there."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
+        raise DomainError(f"point x = {x!r} is not an int, Fraction or float")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise NonFinite(f"point x = {x} is not finite")
 
 
 def _frozen(message: str) -> Exception:
@@ -154,6 +164,20 @@ class Grid(Frozen):
     def fractions(self) -> list[Fraction]:
         den = self.den
         return [Fraction(u, den) for u in self.numerators()]
+
+
+def homogeneous_horner(coeffs: Sequence[int], u: int, v: int) -> tuple[int, int]:
+    """``(N, v^d)`` with N = sum_k C_k u^k v^(d-k), the binary form of the
+    integer coefficients C = ``coeffs`` (lowest degree first, d = len(C) - 1)
+    at (u, v): v^d times the value at u/v of the polynomial with those
+    coefficients, by Horner's rule over the integers.  No coefficients give
+    ``(0, 1)``."""
+    it = reversed(coeffs)
+    acc, vpow = next(it, 0), 1
+    for c in it:
+        vpow *= v
+        acc = acc * u + c * vpow
+    return acc, vpow
 
 
 def horner_on_grid(coeffs: Sequence[int], grid: Grid) -> list[int]:
@@ -274,24 +298,13 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------
 
-    def _int_horner(self, u: int, v: int) -> tuple[int, int]:
-        """``(N, L v^d)``, the numerator and denominator of the value at u/v.
-
-        With the integer form (C, L) and d the degree, the value is
-        sum C_k u^k v^(d-k) / (L v^d): homogeneous Horner over the integers.
-        """
-        it = reversed(self._ints)
-        acc, vpow = next(it, 0), 1
-        for c in it:
-            vpow *= v
-            acc = acc * u + c * vpow
-        return acc, self._den * vpow
-
     def __call__(self, x):
-        """Exact value for Fraction/int arguments, from :meth:`_int_horner`
-        and one ``Fraction``; float Horner over :attr:`coeffs` for floats."""
+        """Exact value for Fraction/int arguments: with the integer form
+        (C, L), the :func:`homogeneous_horner` value N / v^d at x = u/v over
+        L, as one ``Fraction``.  Float Horner over :attr:`coeffs` for floats."""
         if isinstance(x, (int, Fraction)):
-            return Fraction(*self._int_horner(x.numerator, x.denominator))
+            num, vpow = homogeneous_horner(self._ints, x.numerator, x.denominator)
+            return Fraction(num, self._den * vpow)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -301,16 +314,16 @@ class Poly:
         """Value at ``x``, rounded once: a float ``x`` is converted exactly,
         because float Horner on large alternating coefficients cancels.
 
-        The integer value of :meth:`_int_horner` is divided once, correctly
-        rounded, which is what ``float`` of the equal ``Fraction`` computes
-        (``OverflowError`` included).
+        The integers N and L v^d of :meth:`__call__` are divided once,
+        correctly rounded, which is what ``float`` of the equal ``Fraction``
+        computes (``OverflowError`` included).
         """
         if isinstance(x, (int, Fraction)):
             u, v = x.numerator, x.denominator
         else:
             u, v = float(x).as_integer_ratio()
-        num, den = self._int_horner(u, v)
-        return num / den
+        num, vpow = homogeneous_horner(self._ints, u, v)
+        return num / (self._den * vpow)
 
     def rounded_on_grid(self, grid: Grid) -> list[float]:
         """:meth:`rounded` at each point of ``grid``, bit for bit.
@@ -382,9 +395,9 @@ class Poly:
     def integrate(self, lo: _Scalar, hi: _Scalar) -> Fraction:
         anti = self.antiderivative()
         lo, hi = rat(lo), rat(hi)
-        n1, d1 = anti._int_horner(hi.numerator, hi.denominator)
-        n0, d0 = anti._int_horner(lo.numerator, lo.denominator)
-        return Fraction(n1 * d0 - n0 * d1, d1 * d0)
+        n1, d1 = homogeneous_horner(anti._ints, hi.numerator, hi.denominator)
+        n0, d0 = homogeneous_horner(anti._ints, lo.numerator, lo.denominator)
+        return Fraction(n1 * d0 - n0 * d1, anti._den * d1 * d0)
 
     def __repr__(self) -> str:
         if not self._ints:
@@ -517,8 +530,7 @@ class PiecewisePoly(Frozen):
         return bisect_right(self.breakpoints, t) - 1
 
     def __call__(self, t):
-        if isinstance(t, float) and not math.isfinite(t):
-            raise NonFinite(f"point t = {t} is not finite")
+        check_point(t)
         i = self.piece_index(t)
         if i < 0:
             return Fraction(0) if isinstance(t, (Fraction, int)) else 0.0

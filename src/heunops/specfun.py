@@ -49,19 +49,22 @@ prefix that is too short is replaced by a longer one, so a grid runs its
 recurrence once; the Taylor coefficients of K_n are kept per ``n``, grown
 as they are asked for.  Every float sum of the three families, values and
 derivatives, is one loop over the record's float prefix
-(:func:`_float_sum`).  Exact values of P_n at a rational point, and of F,
-U, J and G at any point, run over the integers, as does the polynomial
-P_n, an explicit sum (DLMF §18.5(iv)); a float value of F, U, J or G is
-one division of two integers.
+(:func:`_float_sum`).  Exact values of P_n at a rational point run over the
+integers, as does the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
+Every point function rejects a point that is not an int, ``Fraction`` or
+float, and a NaN or infinite one.
 
-The table functions :func:`series_values`, :func:`legendre_values` and
-:func:`kernel_values` take a :class:`~heunops.exactalg.Grid`, the points
-(A + i S)/D over one denominator, and give each value as its
-single-point function rounds it, raising as it does at the first point
-that fails.  A series record is looked up once per grid.  Terminating
-series and P_n run Horner's rule over the grid's integer numerators
-(:meth:`Poly.rounded_on_grid`); F, U, J and G build their binomial squares
-once per table; a non-terminating series sums at each point's float.
+The table functions :func:`series_values` and :func:`legendre_values` take
+a :class:`~heunops.exactalg.Grid`, the points (A + i S)/D over one
+denominator, and give each value as its single-point function rounds it,
+raising as it does at the first point that fails.  A series record is
+looked up once per grid.  Terminating series and P_n run Horner's rule
+over the grid's integer numerators (:meth:`Poly.rounded_on_grid`); a
+non-terminating series sums at each point's float.  F, U, J and G have one
+table, :func:`kernel_ratios`: the exact value at each grid point as a
+ratio of two integers, whose binomial squares are built once per table.
+A ``Fraction`` of the ratio is an exact row, one division of its two
+integers a float row, and :func:`kernel_sum` is its one-point case.
 
 The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
 immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
@@ -87,7 +90,8 @@ from .errors import (
     NonFinite,
     NotExact,
 )
-from .exactalg import E2, Frozen, Grid, Poly, binary_form, horner_on_grid
+from .exactalg import (E2, Frozen, Grid, Poly, binary_form, check_point, homogeneous_horner,
+                       horner_on_grid)
 
 Scalar = Fraction | int | float
 
@@ -101,12 +105,6 @@ MAX_DEGREE = 256
 
 def _is_exact(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-def _check_point(x: Scalar) -> None:
-    """Reject a NaN or infinite point: no series or sum has a value there."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise NonFinite(f"point x = {x} is not finite")
 
 
 def _is_nonpositive_integer(v: Scalar) -> bool:
@@ -347,7 +345,7 @@ def hyp2f1_pfaff(a: Scalar, b: Scalar, c: Scalar, x: Scalar) -> SeriesResult:
 
     Restores convergence for x < -1, where the raw series diverges.
     """
-    _check_point(x)
+    check_point(x)
     xf = float(x)
     if xf >= 1.0:
         raise DomainError("Pfaff-transformed evaluation requires x < 1")
@@ -383,7 +381,7 @@ def _legendre_ratio(n: int, x: Scalar) -> tuple[int, int]:
     """
     if n < 0:
         raise IndexOutOfRange("Legendre degree must be non-negative")
-    _check_point(x)
+    check_point(x)
     u, v = x.as_integer_ratio()
     n_prev, n_k, vv = 0, 1, 4 * v * v
     for k in range(n):
@@ -642,7 +640,7 @@ def series_values(params, grid: Grid) -> list[SeriesResult]:
 def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
     """Exact polynomial value of a terminating series, else the float sum
     inside the disk of convergence."""
-    _check_point(x)
+    check_point(x)
     p = series.poly
     if p is not None:
         return SeriesResult((series.deriv if deriv else p).rounded(x), len(p.coeffs), True, 0.0)
@@ -717,22 +715,6 @@ def f_poly(n: int) -> Poly:
     return binary_form([comb(n, k) ** 2 for k in range(n + 1)], E2, Poly.of(1, -2, 1), n)
 
 
-def _binomial_squares(n: int) -> list[int]:
-    """C(n, k)^2 for k = 0, ..., n."""
-    return [comb(n, k) ** 2 for k in range(n + 1)]
-
-
-def _squared_binomial_form(squares: list[int], a: int, b: int) -> int:
-    """sum_k squares[k] a^k b^(n-k), n = len(squares) - 1, over the integers,
-    by homogeneous Horner in a: with :func:`_binomial_squares` the form
-    sum_k C(n,k)^2 a^k b^(n-k)."""
-    acc, bpow = squares[-1], 1
-    for s in reversed(squares[:-1]):
-        bpow *= b
-        acc = acc * a + s * bpow
-    return acc
-
-
 def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
                          deriv: bool = False) -> tuple[float, float | None]:
     """``(sum w_k^2, sum 2n w_k (w_{k-1} - w_k))`` over w_0 = ``w``,
@@ -769,84 +751,64 @@ def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
     raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
-def _kernel_ratio(kind: str, n: int, x: Scalar) -> tuple[int, int]:
-    """``(num, den)``, integers whose quotient is the kernel sum ``kind`` at
-    x = u/v, where u/v is ``x.as_integer_ratio()``."""
-    if n < 0:
-        raise IndexOutOfRange("family index must be non-negative")
-    _check_point(x)
-    u, v = x.as_integer_ratio()
-    if kind == "F":
-        return _squared_binomial_form(_binomial_squares(n), u * u, (v - u) ** 2), v ** (2 * n)
-    if kind in ("U", "J"):
-        if kind == "J" and abs(u) >= v:
-            raise DivergentSeries("J series requires |x| < 1")
-        if u == -v:
-            raise DomainError("U is undefined at x = -1")
-        num, den = _squared_binomial_form(_binomial_squares(n), u * u, v * v), (u + v) ** (2 * n)
-        return (num * (v - u), den * (v + u)) if kind == "J" else (num, den)
-    if kind == "G":
-        if u < 0:
-            raise DomainError("G is evaluated on x >= 0 only")
-        if n == 0:
-            return 1, 1
-        squares = _binomial_squares(n - 1)
-        return v * _squared_binomial_form(squares, u * u, (u + v) ** 2), (v + 2 * u) ** (2 * n - 1)
-    raise DomainError(f"unknown kernel-sum family {kind!r}")
+def kernel_ratios(kind: str, n: int, grid: Grid) -> list[tuple[int, int]]:
+    """``(num, den)`` at each point u/D of ``grid``, integers whose quotient
+    is the squared-weight sum ``kind`` of the four discrete operator
+    families there, raising at the first point outside its domain.
 
+    With S_m(a, b) = sum_k C(m,k)^2 a^k b^(m-k), a binomial-square form
+    whose squares are built once per table:
 
-def kernel_sum(kind: str, n: int, x: Scalar):
-    """Squared-weight sums of the four discrete operator families.
+    * ``F``: S_n(u^2, (D - u)^2) / D^2n, a finite sum;
+    * ``U``: S_n(u^2, D^2) / (u + D)^2n, a finite sum undefined at x = -1;
+    * ``J``: (D - u)/(D + u) times U, for |x| < 1 only, by Euler's
+      transformation (DLMF 15.8.1);
+    * ``G``, the squared negative-binomial weight sum, for x >= 0 only (the
+      operator domain): D S_(n-1)(u^2, (u + D)^2) / (D + 2u)^(2n-1), the
+      closed form (3.4) G_n(x) = F_(n-1)(-x)/(1+2x)^(2n-1), and G_0 = 1.
 
-    Each is an integer form at x = u/v.  ``F`` and ``U`` are finite sums,
-    binomial-square forms over v^2n and (u+v)^2n.  ``J`` requires |x| < 1
-    and takes the same form through Euler's transformation (DLMF 15.8.1),
-    which gives J_n(x) = (1-x)/(1+x) U_n(x).  ``G``, the squared
-    negative-binomial weight sum, is restricted to x >= 0 (the operator
-    domain) and takes the closed form (3.4), G_n(x) = F_{n-1}(-x)/(1+2x)^(2n-1),
-    with G_0 = 1.  A rational ``x`` gives the exact ``Fraction``; a float
-    ``x`` is converted exactly and the exact value is rounded once.
-    """
-    num, den = _kernel_ratio(kind, n, x)
-    return Fraction(num, den) if _is_exact(x) else num / den
-
-
-def kernel_values(kind: str, n: int, grid: Grid) -> list[float]:
-    """The kernel sum ``kind`` at each point of ``grid`` as a float, the
-    exact value rounded once, as :func:`kernel_sum` rounds it, with its
-    checks and exceptions at the first point that fails them.
-
-    The binomial squares are built once per table.  At x = u/D the
-    numerator of F is their form in u^2 and (D - u)^2, that of G their form
-    of degree n - 1 in u^2 and (u + D)^2, each one homogeneous Horner pass
-    per point.  That of U and J, sum_k C(n,k)^2 u^2k D^(2n-2k), is even in
-    u, so :func:`horner_on_grid` scales its coefficients once and runs in u^2.
+    :func:`homogeneous_horner` evaluates S at each point of F and G.  That
+    of U and J is even in u over the one D, so :func:`horner_on_grid`
+    scales its coefficients by the powers of D once per table.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
+    if kind not in ("F", "U", "J", "G"):
+        raise DomainError(f"unknown kernel-sum family {kind!r}")
     d, us, out = grid.den, grid.numerators(), []
+    m = n - 1 if kind == "G" else n
+    squares = [comb(m, k) ** 2 for k in range(m + 1)]
     if kind == "F":
-        squares, den = _binomial_squares(n), d ** (2 * n)
-        return [_squared_binomial_form(squares, u * u, (d - u) ** 2) / den for u in us]
-    if kind in ("U", "J"):
-        even = [0] * (2 * n + 1)
-        even[::2] = _binomial_squares(n)
-        for u, num in zip(us, horner_on_grid(even, grid)):
-            if kind == "J" and abs(u) >= d:
-                raise DivergentSeries("J series requires |x| < 1")
-            if u == -d:
-                raise DomainError("U is undefined at x = -1")
-            out.append(num * (d - u) / (d + u) ** (2 * n + 1) if kind == "J" else num / (d + u) ** (2 * n))
-        return out
+        den = d ** (2 * n)
+        return [(homogeneous_horner(squares, u * u, (d - u) ** 2)[0], den) for u in us]
     if kind == "G":
-        squares = _binomial_squares(n - 1)
         for u in us:
             if u < 0:
                 raise DomainError("G is evaluated on x >= 0 only")
-            out.append(d * _squared_binomial_form(squares, u * u, (u + d) ** 2) / (d + 2 * u) ** (2 * n - 1)
-                       if n else 1.0)
+            num = homogeneous_horner(squares, u * u, (u + d) ** 2)[0]
+            out.append((d * num, (d + 2 * u) ** (2 * n - 1)) if n else (1, 1))
         return out
-    raise DomainError(f"unknown kernel-sum family {kind!r}")
+    even = [0] * (2 * n + 1)
+    even[::2] = squares
+    for u, num in zip(us, horner_on_grid(even, grid)):
+        if kind == "J" and abs(u) >= d:
+            raise DivergentSeries("J series requires |x| < 1")
+        if u == -d:
+            raise DomainError("U is undefined at x = -1")
+        den = (u + d) ** (2 * n)
+        out.append((num * (d - u), den * (d + u)) if kind == "J" else (num, den))
+    return out
+
+
+def kernel_sum(kind: str, n: int, x: Scalar):
+    """The squared-weight sum ``kind`` (``F``, ``U``, ``J`` or ``G``) at
+    ``x``, the one-point case of :func:`kernel_ratios`.  A rational ``x``
+    gives the exact ``Fraction``; a float ``x`` is converted exactly and
+    the exact value is rounded once."""
+    check_point(x)
+    u, v = x.as_integer_ratio()
+    (num, den), = kernel_ratios(kind, n, Grid(u, 0, v, 1))
+    return Fraction(num, den) if _is_exact(x) else num / den
 
 
 def g_weight_sum(n: int, x: Scalar) -> float:
@@ -860,7 +822,7 @@ def g_weight_sum(n: int, x: Scalar) -> float:
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
-    _check_point(x)
+    check_point(x)
     if x < 0:
         raise DomainError("G is evaluated on x >= 0 only")
     xf = float(x)
@@ -942,7 +904,7 @@ def szasz_K(n: int, j: int, x: Scalar) -> float:
         raise IndexOutOfRange("derivative order must be non-negative")
     if j > 16:
         raise DomainError("derivative ladder supported for j <= 16")
-    _check_point(x)
+    check_point(x)
     if x < 0:
         raise DomainError("K is evaluated on x >= 0 only")
     xf = float(x)

@@ -231,11 +231,20 @@ class TestEval:
         assert all(type(x) is Fraction for x in xs)
         assert list(grid.floats()) == [float(x) for x in xs]
 
-    @pytest.mark.parametrize("tail", (["x=-1"], ["--grid=-2:0:3"]))
-    def test_u_pole_is_usage_error(self, capsys, tail):
-        code, out, err = run(capsys, "eval", "U", "n=2", *tail, "--exact")
-        assert code == 2 and out == ""
-        assert err == "error: U is undefined at x = -1\n"
+    @pytest.mark.parametrize("tail, message", (
+        (["U", "n=2", "x=-1"], "U is undefined at x = -1"),
+        (["U", "n=2", "--grid=-2:0:3"], "U is undefined at x = -1"),
+        (["J", "n=3", "--grid=0:2:5"], "J series requires |x| < 1"),
+        (["G", "n=4", "--grid=1:-1:3"], "G is evaluated on x >= 0 only"),
+        (["F", "n=-1", "--grid=0:1:3"], "family index must be non-negative"),
+    ), ids=("tail0", "tail1", "J-past-1", "G-below-0", "n-minus-1"))
+    def test_u_pole_is_usage_error(self, capsys, tail, message):
+        # the float and the exact rows of F, U, J and G come from one table
+        # and fail alike, at an inner grid point too
+        for exact in ((), ("--exact",)):
+            code, out, err = run(capsys, "eval", *tail, *exact)
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
 
     def test_grid_tokens_after_double_dash_are_left_alone(self):
         assert cli._join_grid_values(["eval", "F", "--grid", "-1:1:3", "--", "--grid", "-2"]) == [
@@ -1059,6 +1068,11 @@ class TestGolden:
             (["eval", "hl", "a=1/2", "q=-20", "alpha=-40", "beta=1", "gamma=1", "delta=1",
               "x=2/5"],
              "9a64d4798eb61ad1a2ddbcf41943abf88c005f74357cf4c44931a65506f0c466"),
+            # exact rows of J and G, recorded from kernel_sum at each point
+            (["eval", "J", "n=3", "--grid=-3/4:3/4:41", "--exact"],
+             "56b2c0cc3aea676df6e2faec5369607717bc775cf0c3b64b691a970e829875e4"),
+            (["eval", "G", "n=4", "--grid=0:11/4:33", "--exact"],
+             "e59052fd3ca1cb121770bcfb8947b82a5822501ddf16f9cef54fa2ac3c934d66"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

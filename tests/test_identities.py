@@ -146,6 +146,18 @@ class TestVerify:
             verify(iid, params)
 
 
+class TestRelativeSpread:
+    # two routes that are both exactly 0 agree; the scale test must not
+    # divide by their zero magnitude
+    @pytest.mark.parametrize("b", (0.0, -0.0))
+    def test_two_zeros_agree(self, b):
+        assert identities._rel(0.0, b) == 0.0
+
+    def test_grid_of_zero_routes_passes(self):
+        got = identities._grid_check(identities.NumericGrid((0.5,)), lambda x: (0.0, 0.0))
+        assert got == (0.0, 1, True)
+
+
 def _generator_cauchy(a, b, count):
     """Truncated Cauchy product as a generator sum over Fraction, the reference for ``_cauchy``."""
     return [

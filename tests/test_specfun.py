@@ -52,8 +52,8 @@ from heunops.specfun import (
     hyp2f1,
     hyp2f1_pfaff,
     hyp2f1_poly,
+    kernel_ratios,
     kernel_sum,
-    kernel_values,
     kn_deriv_zero,
     kn_taylor_coeffs,
     legendre_p,
@@ -841,6 +841,20 @@ class TestKernelSums:
                 assert type(got) is float and got == float(ref)
 
 
+def _j_reference(n, x):
+    """J_n(x) = (1-x)^(2n+2) 2F1(n+1, n+1; 1; x^2) at the rational x, by mpmath
+    at 50 digits: the defining series, not the Euler relation."""
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x.numerator) / x.denominator
+        return (1 - xm) ** (2 * n + 2) * mpmath.hyp2f1(n + 1, n + 1, 1, xm * xm)
+
+
+def _g_closed_form(n, x):
+    """The closed form (3.4), G_n(x) = F_(n-1)(-x)/(1+2x)^(2n-1) with G_0 = 1,
+    from the polynomial ``f_poly``."""
+    return f_poly(n - 1)(-x) / (1 + 2 * x) ** (2 * n - 1) if n else F(1)
+
+
 def _g_reference(n, x):
     """G_n(x) = (1-p)^(2n) 2F1(n, n; 1; p^2), p = x/(1+x), by mpmath at 50 digits."""
     with mpmath.workdps(50):
@@ -904,12 +918,22 @@ class TestIntegerPointValues:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.sampled_from("FUJG"), st.integers(0, 40), grids(F(-99, 100), F(99, 100)), grids(0, 99))
     def test_grid_rounds_exact_value(self, kind, n, grid, g_grid):
-        # the float rows of eval: one division per point, no Fraction built
+        # the exact and the float rows of eval, a Fraction and one division
+        # of each ratio, against oracles that do not read the table
         if kind == "G":  # G's domain
             grid = g_grid
-        got = kernel_values(kind, n, grid)
-        assert got == [float(kernel_sum(kind, n, x)) for x in grid.fractions()]
-        assert all(type(v) is float for v in got)
+        ratios = kernel_ratios(kind, n, grid)
+        assert len(ratios) == grid.count
+        for (a, b), x in zip(ratios, grid.fractions()):
+            assert type(a) is int and type(b) is int
+            if kind == "J":
+                with mpmath.workdps(50):
+                    want = _j_reference(n, x)
+                    assert abs(mpmath.mpf(a) / b - want) <= mpmath.mpf(10) ** -45 * want
+            else:
+                want = _kernel_sum_fraction(kind, n, x) if kind in "FU" else _g_closed_form(n, x)
+                assert F(a, b) == want
+            assert a / b == float(want)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 60), grids(-2, 2))
@@ -932,15 +956,18 @@ _DISK_HEUN = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), 1, 1)
 _DISK_CONFLUENT = ConfluentHeunParams(1, 2, 0, F(3, 2), 6)
 _ABOVE_MAX_DEGREE = GaussParams(-300, -400, 1)
 
-#: a table function, its single-point route, and a grid on which it fails
-#: at an inner point, after points where it has a value
+_J_DIVERGES = (DivergentSeries, "J series requires |x| < 1")
+
+#: a table function, its single-point route or the (class, message) that it
+#: raises, and a grid on which it fails at an inner point, after points where
+#: it has a value
 _FAILING_GRIDS = {
-    "J-at-1": (lambda g: kernel_values("J", 3, g), lambda x: kernel_sum("J", 3, x), Grid(0, 1, 2, 4)),
-    "J-at-minus-3/2": (lambda g: kernel_values("J", 3, g), lambda x: kernel_sum("J", 3, x),
-                       Grid(1, -2, 2, 3)),
-    "U-at-minus-1": (lambda g: kernel_values("U", 2, g), lambda x: kernel_sum("U", 2, x),
+    "J-at-1": (lambda g: kernel_ratios("J", 3, g), _J_DIVERGES, Grid(0, 1, 2, 4)),
+    "J-at-minus-3/2": (lambda g: kernel_ratios("J", 3, g), _J_DIVERGES, Grid(1, -2, 2, 3)),
+    "U-at-minus-1": (lambda g: kernel_ratios("U", 2, g), (DomainError, "U is undefined at x = -1"),
                      Grid(0, -2, 4, 3)),
-    "G-below-0": (lambda g: kernel_values("G", 4, g), lambda x: kernel_sum("G", 4, x), Grid(2, -1, 2, 5)),
+    "G-below-0": (lambda g: kernel_ratios("G", 4, g), (DomainError, "G is evaluated on x >= 0 only"),
+                  Grid(2, -1, 2, 5)),
     "hl-past-radius": (lambda g: specfun.series_values(_DISK_HEUN, g),
                        lambda x: heun_local(_DISK_HEUN, x), Grid(-1, 1, 2, 5)),
     "hc-past-radius": (lambda g: specfun.series_values(_DISK_CONFLUENT, g),
@@ -955,7 +982,7 @@ _FAILING_GRIDS = {
 @pytest.mark.parametrize("name", _FAILING_GRIDS)
 def test_table_raises_as_its_first_failing_point(name):
     table, single, grid = _FAILING_GRIDS[name]
-    kind, message = _first_failure(single, grid)
+    kind, message = single if isinstance(single, tuple) else _first_failure(single, grid)
     with pytest.raises(kind) as exc:
         table(grid)
     assert type(exc.value) is kind and str(exc.value) == message
@@ -1712,10 +1739,17 @@ _POINT_FUNCTIONS = {
 
 
 class TestNonFinitePoint:
+    # regression for the last three: a string was coerced or raised a bare
+    # AttributeError or TypeError, and True was taken for the point 1
     @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
-    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf, "1/4", True, None),
+                             ids=("nan", "inf", "-inf", "str", "bool", "None"))
     def test_rejected(self, name, x):
-        with pytest.raises(NonFinite, match="not finite"):
+        if isinstance(x, float):
+            error, match = NonFinite, "not finite"
+        else:
+            error, match = DomainError, "is not an int, Fraction or float"
+        with pytest.raises(error, match=match):
             _POINT_FUNCTIONS[name](x)
 
     @pytest.mark.parametrize("name", _POINT_FUNCTIONS)
