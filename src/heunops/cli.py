@@ -12,7 +12,10 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 (two runs with identical arguments are byte-identical).  Floats print
 with 17 significant digits (zero unsigned), exact rationals as ``p/q``
 strings.  ``--json`` output is ``json.dumps(doc, indent=2)``, the same
-bytes on every supported Python (see :func:`_dumps`).
+bytes on every supported Python (see :func:`_dumps`).  The rows of an
+``eval`` or ``entropy`` table, in CSV or ``--json``, are written by one
+``%`` format per table (:func:`_csv_table`, :func:`_json_table`), on
+every Python, and the whole table is formatted before any of it prints.
 
 Each command's arguments are declared once, in ``_COMMANDS``.  ``main``
 parses a well-formed command line by :func:`_parse_command`, which reads
@@ -31,6 +34,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -65,9 +69,10 @@ def _dumps(doc) -> str:
     Up to Python 3.12 ``json.dumps`` writes an indented document in pure
     Python.  Here a container whose members are all scalars is written by
     one call of a C encoder whose item separator holds the line break and
-    indentation of its depth, and so is a list of such dicts (table rows);
-    other containers write their scalar members inline (:func:`_member`)
-    and recurse here for the rest.  Python 3.13 indents in C itself."""
+    indentation of its depth; other containers write their scalar members
+    inline (:func:`_member`) and recurse here for the rest.  Python 3.13
+    indents in C itself.  The rows of an eval or entropy table do not come
+    here: :func:`_json_table` writes them on every Python."""
     if _C_MAKE_ENCODER is None or sys.version_info >= (3, 13):
         return json.dumps(doc, indent=2)
     return _dump(doc, 0)
@@ -96,16 +101,6 @@ def _dump(o, depth: int) -> str:
             f"{_encode_str(k)}: {_encode_str(v) if v.__class__ is str else _member(v, depth + 1)}"
             for k, v in o.items()])
         return "{" + pad + body + end + "}"
-    # table rows: non-empty dicts of scalars, told by one C-level scan of the
-    # types of their values; they are written by one C call, and since an
-    # encoded scalar holds no line break, only a row's end puts "}" before a separator
-    if {*map(type, o)} == {dict} and all(o) and not any(
-            issubclass(t, _CONTAINERS)
-            for t in {*map(type, itertools.chain.from_iterable(map(dict.values, o)))}):
-        row_encoder, row_pad = _json_level(depth + 2)
-        body = "".join(row_encoder(o, 0))[2:-2].replace(
-            "}," + row_pad + "{", pad + "}," + pad + "{" + row_pad)
-        return "[" + pad + "{" + row_pad + body + pad + "}" + end + "]"
     body = ("," + pad).join([_encode_str(m) if m.__class__ is str else _member(m, depth + 1)
                              for m in o])
     return "[" + pad + body + end + "]"
@@ -127,6 +122,37 @@ def _member(v, depth: int) -> str:
 def _fmt_float(v: float) -> str:
     # + 0.0 turns a negative zero into 0.0 and leaves every other value as is
     return format(float(v) + 0.0, ".17g")
+
+
+def _float_cells(values) -> list[float]:
+    """Each value as a cell of a float table, which prints it by "%.17g":
+    rounded to a float, a negative zero made 0.0; a value past the float
+    range raises OverflowError.  An --exact table prints its Fraction or int
+    cells by "%s"."""
+    return [float(v) + 0.0 for v in values]
+
+
+def _csv_table(columns: tuple[str, ...], cells: list, cell: str) -> str:
+    """A header line of ``columns``, then one line per ``len(columns)``
+    ``cells``, in order, each cell written by the %-format ``cell``: one %
+    format of a template built for the whole table."""
+    row = ",".join([cell] * len(columns))
+    return "\n".join([",".join(columns), *[row] * (len(cells) // len(columns))]) % tuple(cells)
+
+
+def _json_table(doc: dict, columns: tuple[str, ...], cells: list, cell: str) -> str:
+    """``_dumps(doc)`` with the empty "rows" list of ``doc`` replaced by one
+    dict ``{column: cell % value}`` per ``len(columns)`` ``cells`` (one row
+    or more), in order, byte for byte as ``json.dumps(doc, indent=2)`` writes
+    such rows, by one % format of a template built for the whole table.
+
+    A cell is put between quotes as it is written: "%.17g" of a float and
+    "%s" of a Fraction or int hold no character that JSON escapes.  No JSON
+    string holds a raw line break, so the one line of the document text that
+    starts with ``  "rows": `` is the member that the table replaces."""
+    row = "{\n      " + ",\n      ".join([f'{_encode_str(c)}: "{cell}"' for c in columns]) + "\n    }"
+    rows = ",\n    ".join([row] * (len(cells) // len(columns))) % tuple(cells)
+    return _dumps(doc).replace('\n  "rows": []', '\n  "rows": [\n    ' + rows + "\n  ]", 1)
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, str]:
@@ -285,12 +311,6 @@ def _eval_values(name: str, params: dict, exact: bool, grid: Grid | None) -> lis
     return [f(x) for x in grid.fractions()]
 
 
-def _fmt_point(x: float) -> str:
-    """A point of :meth:`Grid.floats` as a float row prints it, with 17
-    significant digits; the point 0 has the numerator 0 and prints as 0."""
-    return format(x, ".17g")
-
-
 def _cmd_eval(args) -> int:
     params = _parse_kv(args.params)
     exact = args.exact
@@ -310,24 +330,28 @@ def _cmd_eval(args) -> int:
     else:
         grid = None
     values = _eval_values(args.function, params, exact, grid)
-    xs = [None] if grid is None else grid.fractions() if exact else grid.floats()
-    fmt_x, fmt_value = (str, str) if exact else (_fmt_point, _fmt_float)
+    cell = "%s" if exact else "%.17g"
+    if not exact:
+        values = _float_cells(values)
+    if not (args.json or args.grid):
+        print(cell % values[0])
+        return 0
+    if grid is None:  # a function of no x, and no --grid
+        columns, cells = ("value",), values
+    else:
+        columns, cells = ("x", "value"), [None] * (2 * len(values))
+        cells[::2] = grid.fractions() if exact else grid.floats()
+        cells[1::2] = values
     if args.json:
         doc = {
             "command": "eval",
             "params": {"function": args.function, **{k: str(v) for k, v in sorted(params.items())},
                        "exact": exact},
-            "rows": [{"x": fmt_x(x), "value": fmt_value(v)} if x is not None
-                     else {"value": fmt_value(v)}
-                     for x, v in zip(xs, values)],
+            "rows": [],
         }
-        print(_dumps(doc))
-    elif args.grid:
-        print("x,value")
-        for x, v in zip(xs, values):
-            print(f"{fmt_x(x)},{fmt_value(v)}")
+        print(_json_table(doc, columns, cells, cell))
     else:
-        print(fmt_value(values[0]))
+        print(_csv_table(columns, cells, cell))
     return 0
 
 
@@ -384,6 +408,7 @@ def _cmd_verify(args) -> int:
 
 #: the columns of the entropy table, each an attribute of an entropy point
 _ENTROPY_COLUMNS = ("x", "squared_kernel_integral", "renyi", "tsallis", "variance")
+_entropy_row = operator.attrgetter(*_ENTROPY_COLUMNS)
 
 
 def _cmd_entropy(args) -> int:
@@ -402,21 +427,19 @@ def _cmd_entropy(args) -> int:
     columns = {c: [getattr(p, c) for p in points] for c in measures}
     sync = {f"{f}~{g}": entropy.synchronicity_check(columns[f], columns[g]).passed
             for f, g in itertools.combinations(measures, 2)}
-    rows = [[_fmt_float(getattr(p, c)) for c in _ENTROPY_COLUMNS] for p in points]
+    cells = _float_cells(itertools.chain.from_iterable(map(_entropy_row, points)))
     if args.json:
         doc = {
             "command": "entropy",
             "params": {"op": args.op, "n": args.n, "k": args.k,
                        "sigma": args.sigma, "grid": args.grid},
-            "rows": [dict(zip(_ENTROPY_COLUMNS, row)) for row in rows],
+            "rows": [],
             "pass": all(sync.values()),
             "synchronicity": sync,
         }
-        print(_dumps(doc))
+        print(_json_table(doc, _ENTROPY_COLUMNS, cells, "%.17g"))
     else:
-        print(",".join(_ENTROPY_COLUMNS))
-        for row in rows:
-            print(",".join(row))
+        print(_csv_table(_ENTROPY_COLUMNS, cells, "%.17g"))
         summary = " ".join(f"{k}={'pass' if v else 'fail'}" for k, v in sync.items())
         print(f"# synchronicity {summary}")
     return 0

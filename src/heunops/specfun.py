@@ -59,10 +59,11 @@ a :class:`~heunops.exactalg.Grid`, the points (A + i S)/D over one
 denominator, and give each value as its single-point function rounds it,
 raising as it does at the first point that fails.  A series record is
 looked up once per grid.  Terminating series and P_n run Horner's rule
-over the grid's integer numerators (:meth:`Poly.rounded_on_grid`); a
-non-terminating series sums at each point's float.  F, U, J and G have one
-table, :func:`kernel_ratios`: the exact value at each grid point as a
-ratio of two integers, whose binomial squares are built once per table.
+over the grid's integer numerators (:meth:`Poly.rounded_on_grid`), but P_n
+at one point runs its recurrence; a non-terminating series sums at each
+point's float.  F, U, J and G have one table, :func:`kernel_ratios`: the
+exact value at each grid point as a ratio of two integers, whose binomial
+squares are built once per table.
 A ``Fraction`` of the ratio is an exact row, one division of its two
 integers a float row, and :func:`kernel_sum` is its one-point case.
 
@@ -402,7 +403,12 @@ def legendre_p(n: int, x: Scalar):
 def legendre_values(n: int, grid: Grid) -> list[float]:
     """P_n at each point of ``grid`` as a float, the exact value rounded
     once, as :func:`legendre_p` rounds it: Horner's rule in u^2 over the
-    integer form of :func:`legendre_poly` (:meth:`Poly.rounded_on_grid`)."""
+    integer form of :func:`legendre_poly` (:meth:`Poly.rounded_on_grid`).
+    A one-point grid takes :func:`legendre_p`'s recurrence, O(n) integer
+    steps, and does not expand P_n."""
+    if grid.count == 1:
+        num, den = _legendre_ratio(n, Fraction(grid.start, grid.den))
+        return [num / den]
     return legendre_poly(n).rounded_on_grid(grid)
 
 

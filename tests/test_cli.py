@@ -113,6 +113,18 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "legendre", "n=2", "--grid", "1/2:1/2:1", "--exact")
         assert code == 0 and out.splitlines() == ["x,value", "1/2,-1/8"]
 
+    # regression: the CSV form printed its header, and the first also its
+    # first row, before the error; the whole table is formatted first
+    @pytest.mark.parametrize("fmt", ((), ("--json",)), ids=("csv", "json"))
+    @pytest.mark.parametrize("argv", (
+        ["G", "n=0", "--grid=0:1e400:3"],  # the point 5e399 is past the float range
+        ["kn_deriv_zero", "n=100", "j=400", "--grid=0:1:2"],  # and so is the value
+    ), ids=("point", "value"))
+    def test_failing_table_prints_nothing(self, capsys, argv, fmt):
+        code, out, err = run(capsys, "eval", *argv, *fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("n", ("709", "1000"))
     def test_poisson_sum_past_underflow_is_usage_error(self, capsys, n):
         code, out, err = run(capsys, "eval", "K", f"n={n}", "x=1")
@@ -755,6 +767,72 @@ class TestJsonWriter:
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out.startswith("{\n")
         assert calls == []
+
+
+#: the cells of float tables: signed zeros, infinities, nan, subnormals,
+#: the ends of the float range, and floats, ints and Fractions
+_table_floats = st.one_of(
+    st.sampled_from((-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+                     2.2250738585072009e-308, 1e308, -1e308, sys.float_info.max)),
+    st.floats())
+_table_values = st.one_of(_table_floats, st.integers(-10**300, 10**300),
+                          st.fractions(-10**300, 10**300))
+_table_exact = st.one_of(st.integers(), st.fractions())
+
+#: the tables of eval (x,value; float and --exact) and entropy (five float columns)
+_TABLE_KINDS = {
+    "eval": (("x", "value"), False),
+    "eval-exact": (("x", "value"), True),
+    "entropy": (cli._ENTROPY_COLUMNS, False),
+}
+
+
+def _per_row_strings(kind: str, rows: list[tuple]) -> list[list[str]]:
+    """Each cell written as the CLI wrote it one row at a time: a grid point
+    of a float eval table as it is, any other float cell with its zero
+    unsigned, an exact cell by str."""
+    if kind == "eval-exact":
+        return [[str(x), str(v)] for x, v in rows]
+    if kind == "eval":
+        return [[format(x, ".17g"), format(float(v) + 0.0, ".17g")] for x, v in rows]
+    return [[format(float(v) + 0.0, ".17g") for v in row] for row in rows]
+
+
+class TestTableWriter:
+    """The one-format tables against the per-row dicts and lines that the
+    CLI built before, on derandomized cells and table sizes."""
+
+    @pytest.mark.parametrize("kind", _TABLE_KINDS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_bytes_as_per_row_writing(self, kind, data):
+        columns, exact = _TABLE_KINDS[kind]
+        cell_values = _table_exact if exact else _table_values
+        first = _table_exact if exact else _table_floats if kind == "eval" else _table_values
+        rows = data.draw(st.lists(st.tuples(first, *[cell_values] * (len(columns) - 1)),
+                                  min_size=1, max_size=200))
+        if exact:
+            cell, cells = "%s", [v for row in rows for v in row]
+        elif kind == "eval":  # the grid points are floats already and keep their sign
+            cell, cells = "%.17g", [c for x, v in rows for c in (x, *cli._float_cells([v]))]
+        else:
+            cell, cells = "%.17g", cli._float_cells(v for row in rows for v in row)
+        strings = _per_row_strings(kind, rows)
+        head = {"command": kind, "params": {"function": "f", "n": "3", "exact": exact}}
+        tail = {} if kind.startswith("eval") else {"pass": True, "synchronicity": {"a~b": False}}
+        want = json.dumps({**head, "rows": [dict(zip(columns, r)) for r in strings], **tail},
+                          indent=2)
+        assert cli._json_table({**head, "rows": [], **tail}, columns, cells, cell) == want
+        assert cli._csv_table(columns, cells, cell) == "\n".join(
+            [",".join(columns), *(",".join(r) for r in strings)])
+
+    @pytest.mark.parametrize("value", (10**400, -(10**400), Fraction(10**400, 3)))
+    def test_float_cell_past_the_float_range_overflows(self, value):
+        with pytest.raises(OverflowError) as exc:
+            cli._float_cells([1.5, value])
+        with pytest.raises(OverflowError) as per_row:
+            format(float(value) + 0.0, ".17g")
+        assert str(exc.value) == str(per_row.value)
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

@@ -187,6 +187,12 @@ class TestLegendre:
         with pytest.raises(OverflowError):
             legendre_p(1000, 3.0)
 
+    def test_one_point_grid_takes_the_recurrence(self, monkeypatch):
+        # regression: a one-point grid expanded P_n, about 4 s at n = 5000
+        want = float(legendre_p(5000, F(1, 3)))
+        monkeypatch.setattr(specfun, "legendre_poly", None)
+        assert legendre_values(5000, Grid(2, 5, 6, 1)) == [want] == [-0.011267305111726311]
+
     def test_poly_built_without_recursion(self):
         # a fresh interpreter, so that no smaller degree is cached; the
         # polynomial is built in a loop, not by recursion over the degree
