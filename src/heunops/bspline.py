@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .errors import DomainError, InvalidKnots, NonpositiveWidth, NotExact
-from .exactalg import Frozen, PiecewisePoly, Poly, rat
+from .exactalg import Frozen, Grid, PiecewisePoly, Poly, rat
 
 
 class KnotVector(Frozen):
@@ -54,6 +54,11 @@ class SigmaSpec(Frozen):
             raise NonpositiveWidth(f"sigma({x}) = {value} <= 0")
         return value
 
+    def ratios_on_grid(self, grid: Grid) -> list[tuple[int, int]]:
+        """``(p, q)``, q > 0, with sigma = p/q at each point of ``grid``,
+        in order and unchecked: :meth:`at` names a point where p <= 0."""
+        return [self._value(Fraction(u, grid.den)).as_integer_ratio() for u in grid.numerators()]
+
     def _value(self, x: Fraction) -> Fraction:
         raise NotImplementedError
 
@@ -65,6 +70,9 @@ class ConstantSigma(SigmaSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", rat(self.c))
+
+    def ratios_on_grid(self, grid: Grid) -> list[tuple[int, int]]:
+        return [self.c.as_integer_ratio()] * grid.count
 
     def _value(self, x: Fraction) -> Fraction:
         return self.c
@@ -80,6 +88,12 @@ class QuadraticSigma(SigmaSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", rat(self.c))
         object.__setattr__(self, "d", rat(self.d))
+
+    def ratios_on_grid(self, grid: Grid) -> list[tuple[int, int]]:
+        # c + d (u/D)^2 = (a f D^2 + e b u^2) / (b f D^2) with c = a/b, d = e/f
+        (a, b), (e, f), dd = self.c.as_integer_ratio(), self.d.as_integer_ratio(), grid.den ** 2
+        lead, eb, den = a * f * dd, e * b, b * f * dd
+        return [(lead + eb * u * u, den) for u in grid.numerators()]
 
     def _value(self, x: Fraction) -> Fraction:
         return self.c + self.d * x * x
@@ -208,7 +222,7 @@ def c_constant(n: int) -> Fraction:
 
     W_n(0,.) at sigma = 1 is (n/2) M_n(n(t+1)/2), and M_n is symmetric with
     M_n * M_n = M_2n, so c_n = (n/2) M_2n(n) (:func:`cardinal_bspline`),
-    whatever x and sigma.  ``entropy_profile`` divides it by sigma(x);
+    whatever x and sigma.  ``entropy_columns`` divides it by sigma(x);
     the tests check it against kernels built by the Cox-de Boor recursion
     at the actual knots.
     """

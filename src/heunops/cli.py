@@ -8,11 +8,12 @@ Subcommands:
 * ``registry``  export the identity registry table
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error.  Diagnostics go to standard error; output is deterministic
-(two runs with identical arguments are byte-identical).  Floats print
-with 17 significant digits (zero unsigned), exact rationals as ``p/q``
-strings.  ``--json`` output is ``json.dumps(doc, indent=2)``, the same
-bytes on every supported Python (see :func:`_dumps`).  The rows of an
+2 usage error, 141 (128 + SIGPIPE) when the reader closes stdout early.
+Diagnostics go to standard error; output is deterministic (two runs with
+identical arguments are byte-identical).  Floats print with 17
+significant digits (zero unsigned), exact rationals as ``p/q`` strings.
+``--json`` output is ``json.dumps(doc, indent=2)``, the same bytes on
+every supported Python (see :func:`_dumps`).  The rows of an
 ``eval`` or ``entropy`` table, in CSV or ``--json``, are written by one
 ``%`` format per table (:func:`_csv_table`, :func:`_json_table`), on
 every Python, and the whole table is formatted before any of it prints.
@@ -34,7 +35,7 @@ import csv
 import itertools
 import json
 import math
-import operator
+import os
 import re
 import sys
 from fractions import Fraction
@@ -340,7 +341,8 @@ def _cmd_eval(args) -> int:
         columns, cells = ("value",), values
     else:
         columns, cells = ("x", "value"), [None] * (2 * len(values))
-        cells[::2] = grid.fractions() if exact else grid.floats()
+        den = grid.den  # x = u/D as Grid.floats gives it, and + 0.0 prints zero unsigned
+        cells[::2] = grid.fractions() if exact else [u / den + 0.0 for u in grid.numerators()]
         cells[1::2] = values
     if args.json:
         doc = {
@@ -406,9 +408,8 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: the columns of the entropy table, each an attribute of an entropy point
+#: the columns of the entropy table, in the order of :func:`entropy.entropy_columns`
 _ENTROPY_COLUMNS = ("x", "squared_kernel_integral", "renyi", "tsallis", "variance")
-_entropy_row = operator.attrgetter(*_ENTROPY_COLUMNS)
 
 
 def _cmd_entropy(args) -> int:
@@ -416,18 +417,17 @@ def _cmd_entropy(args) -> int:
         raise HeunopsError("--k applies only to --op kantorovich")
     if args.op == "kantorovich" and args.sigma is not None:
         raise HeunopsError("--sigma applies only to --op bspline")
-    xs = _parse_grid(args.grid).fractions()
+    grid = _parse_grid(args.grid)
     if args.op == "bspline":
         sigma = _parse_sigma(args.sigma or "const:1")
         op = entropy.BSplineOp(args.n, sigma)
     else:
         op = entropy.KantorovichOp(args.n, args.k if args.k is not None else 2)
-    points = entropy.entropy_profile(op, xs)
+    columns = dict(zip(_ENTROPY_COLUMNS, entropy.entropy_columns(op, [grid])))
     measures = _ENTROPY_COLUMNS[-1:] + _ENTROPY_COLUMNS[2:-1]  # variance, renyi, tsallis
-    columns = {c: [getattr(p, c) for p in points] for c in measures}
     sync = {f"{f}~{g}": entropy.synchronicity_check(columns[f], columns[g]).passed
             for f, g in itertools.combinations(measures, 2)}
-    cells = _float_cells(itertools.chain.from_iterable(map(_entropy_row, points)))
+    cells = _float_cells(itertools.chain.from_iterable(zip(*columns.values())))
     if args.json:
         doc = {
             "command": "entropy",
@@ -618,7 +618,12 @@ def main(argv=None) -> int:
         "registry": _cmd_registry,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a reader's closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # as in the "Note on SIGPIPE" of the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (HeunopsError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, islice
 from math import comb
 from operator import gt
 
@@ -31,7 +31,7 @@ from .errors import (
     NonFinite,
     UnsupportedK,
 )
-from .exactalg import E0, E1, Frozen, Poly, PiecewisePoly, binary_form, rat
+from .exactalg import E0, E1, Frozen, Grid, Poly, PiecewisePoly, binary_form, rat
 from .specfun import phi_integral
 
 
@@ -251,46 +251,57 @@ def _kantorovich_profile_polys(n: int, k: int) -> tuple[Poly, Poly]:
     return s_direct_poly(n, k), Poly.of(Fraction(k, 12 * nn), Fraction(m, nn), Fraction(-m, nn))
 
 
-def _point(x: Fraction, s: float, var: float) -> EntropyPoint:
-    # s and var are correctly rounded, and so is x.numerator / x.denominator
-    return EntropyPoint(x.numerator / x.denominator, s, -math.log(s), 1.0 - s, var)
+def _on_grids(f, grids: Sequence[Grid]) -> list:
+    """The lists f(grid), one per grid, joined in order."""
+    return list(chain.from_iterable(map(f, grids)))
 
 
-def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
-    """Per-point squared-kernel integral, both entropies, and the variance.
+def entropy_columns(op: OperatorSpec, grids: Sequence[Grid]) -> tuple[list[float], ...]:
+    """The columns x, squared-kernel integral s, Renyi entropy -log s,
+    Tsallis entropy 1 - s and variance at the points of ``grids``, in
+    order, each grid on its own integer form: the points u/D over its one
+    denominator D.
 
-    The operator's exact data is looked up once per call, not per point,
-    and no B-spline density is built.  B-spline values scale the exact
-    constants of the unit kernel (sigma = 1, x = 0): s = c_n / sigma(x)
-    with c_n = (n/2) M_2n(n), and variance sigma(x)^2 / (3n), each rounded
-    by one true division of integers, so only sigma(x) is a ``Fraction``
-    per point.  Kantorovich squared kernels take their cell overlaps from
-    M_2k (:func:`s_direct_poly`); the variance ``L e_2 - (L e_1)^2`` is the
-    exact closed form (m x(1-x) + k/12) / n^2, m = n - k
-    (:func:`_kantorovich_profile_polys`), not the moment polynomials of
-    :func:`kantorovich_poly`.  Every point is checked against [0, 1]
-    before the two polynomials, built once per (n, k), are evaluated at
-    each point by integer Horner, rounded once (:meth:`Poly.rounded`).
-    Either way each output float, x included, is the correct rounding of
-    the same exact rational as a per-point rebuild, since an int/int true
-    division is what ``float`` of a ``Fraction`` is."""
-    xs = [rat(x) for x in xs]
+    The operator's exact data is looked up once per call.  B-spline rows
+    scale the unit kernel's constants: s = c_n / sigma(x), c_n =
+    (n/2) M_2n(n), and variance sigma(x)^2 / (3n), with sigma = p/q from
+    :meth:`bspline.SigmaSpec.ratios_on_grid`; the rows before the first
+    sigma <= 0 are rounded before it is reported, so an overflow there is
+    raised first.  Kantorovich rows round the two polynomials of
+    :func:`_kantorovich_profile_polys` on each grid once every point is
+    in [0, 1].  Each x, s and variance is one int/int true division, the
+    correct rounding of its exact rational, as ``float`` of a ``Fraction``."""
+    points = chain.from_iterable(map(Grid.floats, grids))  # lazy: no x past a failing row is rounded
     if isinstance(op, BSplineOp):
         # W_n(x, .) is the unit kernel W_n(0, .) at sigma = 1, stretched by
         # w = p/q = sigma(x) and centred at x: exact, so s and the variance scale too
         cn, cd = bspline.c_constant(op.n).as_integer_ratio()
         un, ud = bspline.unit_variance(op.n).as_integer_ratio()
-        widths = map(Fraction.as_integer_ratio, map(op.sigma.at, xs))
-        return [_point(x, cn * q / (cd * p), un * p * p / (ud * q * q)) for x, (p, q) in zip(xs, widths)]
-    if isinstance(op, KantorovichOp):
+        widths = _on_grids(op.sigma.ratios_on_grid, grids)
+        stop = next((i for i, (p, _) in enumerate(widths) if p <= 0), len(widths))
+        s = [cn * q / (cd * p) for p, q in widths[:stop]]
+        var = [un * p * p / (ud * q * q) for p, q in widths[:stop]]
+        xs = list(islice(points, stop))
+        if stop < len(widths):
+            op.sigma.at(_on_grids(Grid.fractions, grids)[stop])
+    elif isinstance(op, KantorovichOp):
         if op.k < 1:
             raise UnsupportedK("entropy profile needs k >= 1 (k = 0 has a discrete kernel)")
-        for x in xs:
-            if not 0 <= x.numerator <= x.denominator:
-                raise DomainError(f"x = {x} outside the operator domain [0, 1]")
+        bad = next((Fraction(u, g.den) for g in grids for u in g.numerators() if not 0 <= u <= g.den), None)
+        if bad is not None:
+            raise DomainError(f"x = {bad} outside the operator domain [0, 1]")
         s_poly, var_poly = _kantorovich_profile_polys(op.n, op.k)
-        return [_point(x, s_poly.rounded(x), var_poly.rounded(x)) for x in xs]
-    raise DomainError(f"unknown operator spec {op!r}")
+        s, var = _on_grids(s_poly.rounded_on_grid, grids), _on_grids(var_poly.rounded_on_grid, grids)
+        xs = list(points)
+    else:
+        raise DomainError(f"unknown operator spec {op!r}")
+    return xs, s, [-math.log(v) for v in s], [1.0 - v for v in s], var
+
+
+def entropy_profile(op: OperatorSpec, xs: Sequence) -> list[EntropyPoint]:
+    """Per-point squared-kernel integral, both entropies, and the variance:
+    the rows of :func:`entropy_columns` on one one-point grid per point."""
+    return list(map(EntropyPoint, *entropy_columns(op, [Grid.point(x) for x in xs])))
 
 
 def synchronicity_check(f_vals: Sequence[float], g_vals: Sequence[float]) -> SynchronicityReport:

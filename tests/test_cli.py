@@ -169,6 +169,13 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "legendre", "n=3", "--grid=-1:1:3")
         assert code == 0 and out.splitlines() == ["x,value", "-1,-1", "0,0", "1,1"]
 
+    @pytest.mark.parametrize("json_out", (False, True), ids=("csv", "json"))
+    def test_x_cell_that_rounds_to_zero_prints_unsigned(self, capsys, json_out):
+        # -1e-400 rounds to -0.0; the x cells of a float table print as its value cells do
+        code, out, _ = run(capsys, "eval", "legendre", "n=3", "--grid=-1e-400:0:2", *["--json"] * json_out)
+        rows = [list(r.values()) for r in json.loads(out)["rows"]] if json_out else out.splitlines()[1:]
+        assert code == 0 and rows == ([["0", "0"]] * 2 if json_out else ["0,0"] * 2)
+
     def test_float_overflow_is_usage_error(self, capsys):
         # the exact degree-200 polynomial at x = 1000 exceeds the float range
         code, out, err = run(capsys, "eval", "2f1", "a=-200", "b=1/2", "c=3/2", "x=1000")
@@ -864,15 +871,27 @@ class TestReadme:
 
 
 class TestModuleEntryPoint:
+    #: the environment of a fresh ``python -m heunops`` that imports heunops from here
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")))))
+
     def test_python_m_heunops(self, capsys):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-m", "heunops", "registry"],
-                              capture_output=True, env=env, check=False)
+                              capture_output=True, env=self.ENV, check=False)
         code, out, _ = run(capsys, "registry")
         assert proc.returncode == code == 0
         assert proc.stdout == out.encode()
+
+    def test_closed_pipe_exits_141_in_silence(self):
+        # a reader that stops after one line, as `| head -1` does: no error
+        # line, no traceback at exit, and the status of a SIGPIPE death
+        argv = ["entropy", "--op", "kantorovich", "--n", "4", "--k", "2", "--grid=0:1:100000", "--json"]
+        with subprocess.Popen([sys.executable, "-m", "heunops", *argv], env=self.ENV,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestBuildOnce:
@@ -1151,6 +1170,12 @@ class TestGolden:
              "56b2c0cc3aea676df6e2faec5369607717bc775cf0c3b64b691a970e829875e4"),
             (["eval", "G", "n=4", "--grid=0:11/4:33", "--exact"],
              "e59052fd3ca1cb121770bcfb8947b82a5822501ddf16f9cef54fa2ac3c934d66"),
+            # CSV entropy tables: a constant width on a non-dyadic grid with a
+            # negative start, and Kantorovich rows on an inner grid
+            (["entropy", "--op", "bspline", "--n", "5", "--sigma", "const:3/4", "--grid=-7/4:5/4:41"],
+             "00f40d45d118bcf6d964a386481ef809063db2536814a92b28cf4de77b02b004"),
+            (["entropy", "--op", "kantorovich", "--n", "10", "--k", "2", "--grid=1/16:15/16:37"],
+             "915d46b2b17bdc53ecf1ca89b51a9a6873898aed689a49ee24fc749b22129336"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, digest):

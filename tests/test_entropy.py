@@ -26,11 +26,13 @@ from heunops.errors import (
     InvalidKnots,
     LengthMismatch,
     NonFinite,
+    NonpositiveWidth,
     UnsupportedK,
 )
-from heunops.exactalg import E0, E1, E2, Poly, integrate_product
+from heunops.exactalg import E0, E1, E2, Grid, Poly, integrate_product
 
 from test_bspline import _cox_de_boor_density
+from test_exactalg import grids
 
 X9 = [F(i, 8) for i in range(9)]
 
@@ -482,6 +484,80 @@ class TestRowsFromIntegers:
     def test_kantorovich_range_check_on_the_numerator(self, x):
         with pytest.raises(DomainError, match="outside the operator domain"):
             entropy_profile(KantorovichOp(4, 2), [F(1, 2), x])
+
+
+#: c + d x^2 with d = c t, t >= -1/17: positive on [-4, 4], d < 0 too
+QUADRATIC_WIDTHS = st.builds(lambda c, t: bspline.QuadraticSigma(c, c * t),
+                             WIDTHS, st.one_of(st.integers(-16, -1).map(lambda i: F(i, 272)),
+                                               st.fractions(0, 4, max_denominator=16)))
+
+
+#: (operator, grid): Kantorovich with 1 <= k <= n <= 14 on [0, 1], B-spline
+#: with a constant, quadratic (d < 0 too) or tabulated width on [-4, 4]
+COLUMN_CASES = st.one_of(
+    st.tuples(st.integers(1, 14).flatmap(lambda n: st.builds(KantorovichOp, st.just(n), st.integers(1, n))),
+              grids(F(0), F(1), max_count=65, max_den=10**4)),
+    st.tuples(st.builds(BSplineOp, st.integers(1, 12), st.one_of(SIGMA_SPECS, QUADRATIC_WIDTHS)),
+              grids(F(-4), F(4), max_count=65, max_den=10**4)),
+)
+
+
+def _exact_row(op, x):
+    """s and the variance at x as exact rationals, from the definitions:
+    the Kantorovich squared-kernel polynomial and the closed-form variance,
+    or c_n / sigma(x) and sigma(x)^2 / (3n)."""
+    if isinstance(op, KantorovichOp):
+        n, k = op.n, op.k
+        return entropy.s_direct_poly(n, k)(x), ((n - k) * x * (1 - x) + F(k, 12)) / (n * n)
+    w = op.sigma.at(x)
+    return bspline.c_constant(op.n) / w, w * w / (3 * op.n)
+
+
+class TestColumnsOnGrid:
+    """The columns on the grid's integer form against the exact value at
+    each point, rounded once, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=COLUMN_CASES)
+    def test_columns_are_the_rounded_exact_values(self, case):
+        op, grid = case
+        xs = grid.fractions()
+        want = []
+        for x in xs:
+            s, var = map(float, _exact_row(op, x))
+            want.append((float(x), s, -math.log(s), 1.0 - s, var))
+        columns = entropy.entropy_columns(op, [grid])
+        assert [[v.hex() for v in row] for row in zip(*columns)] == [[v.hex() for v in row] for row in want]
+        rows = [(p.x, p.squared_kernel_integral, p.renyi, p.tsallis, p.variance)
+                for p in entropy_profile(op, xs)]
+        assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in row] for row in want]
+
+    @pytest.mark.parametrize("op, grid, error", (
+        # sigma = 1 - x^2 at -1/2, -3/4, -1, -5/4, -3/2: zero at an inner point
+        (BSplineOp(3, bspline.QuadraticSigma(1, -1)), Grid(-2, -1, 4, 5),
+         (NonpositiveWidth, "sigma(-1) = 0 <= 0")),
+        # 1, 7/8, ..., 0, -1/8: the last point is out of range
+        (KantorovichOp(4, 2), Grid(8, -1, 8, 10),
+         (DomainError, "x = -1/8 outside the operator domain [0, 1]")),
+        (KantorovichOp(4, 0), Grid(0, 1, 4, 5),
+         (UnsupportedK, "entropy profile needs k >= 1 (k = 0 has a discrete kernel)")),
+        # sigma(0) = 10^200 overflows the variance before sigma(10^100) = 0
+        (BSplineOp(3, bspline.QuadraticSigma(10**200, -1)), Grid(0, 10**100, 1, 3),
+         (OverflowError, "integer division result too large for a float")),
+        # sigma(0) = 10^-400 overflows c_n / sigma before sigma(1) < 0
+        (BSplineOp(3, bspline.QuadraticSigma(F(1, 10**400), -1)), Grid(0, 1, 1, 2),
+         (OverflowError, "integer division result too large for a float")),
+        # sigma(10^308) = 0 comes before the point 2 10^308, past the float range
+        (BSplineOp(3, bspline.QuadraticSigma(1, F(-1, 10**616))), Grid(0, 10**308, 1, 3),
+         (NonpositiveWidth, f"sigma({10**308}) = 0 <= 0")),
+    ), ids=("inner-zero-width", "outside-domain", "k-0", "variance-overflow-first", "s-overflow-first",
+            "zero-width-before-x-overflow"))
+    def test_errors_of_the_row_by_row_route(self, op, grid, error):
+        # the first failing point decides, and within it the width comes first
+        for call in (lambda: entropy.entropy_columns(op, [grid]), lambda: entropy_profile(op, grid.fractions())):
+            with pytest.raises(error[0]) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == error
 
 
 class TestSynchronicity:
