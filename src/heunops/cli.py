@@ -12,8 +12,9 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 Diagnostics go to standard error; output is deterministic (two runs with
 identical arguments are byte-identical).  Floats print with 17
 significant digits (zero unsigned), exact rationals as ``p/q`` strings.
-``--json`` output is ``json.dumps(doc, indent=2)``, the same bytes on
-every supported Python (see :func:`_dumps`).  The rows of an
+``--json`` output is ``json.dumps(doc, indent=2)``, written by one
+recursive writer, :func:`_dumps`, the same code and the same bytes on
+every supported Python.  The rows of an
 ``eval`` or ``entropy`` table, in CSV or ``--json``, are written by one
 ``%`` format per table (:func:`_csv_table`, :func:`_json_table`), on
 every Python, and the whole table is formatted before any of it prints.
@@ -47,77 +48,35 @@ from .errors import HeunopsError
 from .exactalg import Frozen, Grid, parse_number
 
 
-#: ``json``'s C encoder factory; None where the C accelerator is missing
-_C_MAKE_ENCODER = json.encoder.c_make_encoder
 _encode_str = json.encoder.encode_basestring_ascii
-_CONTAINERS = (dict, list, tuple)
 
 
-@lru_cache(maxsize=None)
-def _json_level(depth: int):
-    """The C encoder of a container whose members sit at ``depth``, and the
-    line break and indentation that ``indent=2`` puts before each member."""
-    pad = "\n" + "  " * depth
-    encoder = _C_MAKE_ENCODER(None, json.JSONEncoder().default, _encode_str, None, ": ",
-                              "," + pad, False, False, True)
-    return encoder, pad
-
-
-def _dumps(doc) -> str:
+def _dumps(doc, pad: str = "\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, for a document with
-    str keys.
-
-    Up to Python 3.12 ``json.dumps`` writes an indented document in pure
-    Python.  Here a container whose members are all scalars is written by
-    one call of a C encoder whose item separator holds the line break and
-    indentation of its depth; other containers write their scalar members
-    inline (:func:`_member`) and recurse here for the rest.  Python 3.13
-    indents in C itself.  The rows of an eval or entropy table do not come
-    here: :func:`_json_table` writes them on every Python."""
-    if _C_MAKE_ENCODER is None or sys.version_info >= (3, 13):
-        return json.dumps(doc, indent=2)
-    return _dump(doc, 0)
-
-
-def _dump(o, depth: int) -> str:
-    is_dict = isinstance(o, dict)
-    if is_dict:
-        members = o.values()
-    elif isinstance(o, (list, tuple)):
-        members = o
-    else:
-        return "".join(_json_level(depth)[0](o, 0))
-    if not o:
-        return "{}" if is_dict else "[]"
-    encoder, pad = _json_level(depth + 1)
-    end = _json_level(depth)[1]
-    for m in members:
-        if isinstance(m, _CONTAINERS):
-            break
-    else:  # scalars only
-        s = "".join(encoder(o, 0))
-        return s[0] + pad + s[1:-1] + end + s[-1]
-    if is_dict:
-        body = ("," + pad).join([
-            f"{_encode_str(k)}: {_encode_str(v) if v.__class__ is str else _member(v, depth + 1)}"
-            for k, v in o.items()])
-        return "{" + pad + body + end + "}"
-    body = ("," + pad).join([_encode_str(m) if m.__class__ is str else _member(m, depth + 1)
-                             for m in o])
-    return "[" + pad + body + end + "]"
-
-
-def _member(v, depth: int) -> str:
-    """A non-str member of a mixed container: a bool, None, int or finite
-    float written inline as ``json`` writes it, anything else by :func:`_dump`."""
-    cls = v.__class__
-    if cls is float and math.isfinite(v):
-        return float.__repr__(v)
-    if cls is int:
-        return int.__repr__(v)
-    if cls is bool:
-        return "true" if v else "false"
-    return "null" if v is None else _dump(v, depth)
+    str keys; ``pad`` is the line break and indentation of ``doc``'s depth.
+    A str, None, bool, int or finite float is written as ``json`` writes it,
+    any other scalar by ``json.dumps`` itself (NaN and the infinities, and a
+    TypeError for a value that JSON cannot encode).  The rows of an eval or
+    entropy table are written by :func:`_json_table`, not here."""
+    if isinstance(doc, str):
+        return _encode_str(doc)
+    if isinstance(doc, (dict, list, tuple)):
+        if not doc:
+            return "{}" if isinstance(doc, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(doc, dict):
+            body = [f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in doc.items()]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+        return "[" + inner + ("," + inner).join([_dumps(m, inner) for m in doc]) + pad + "]"
+    if doc is None:
+        return "null"
+    if doc is True or doc is False:
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float) and math.isfinite(doc):
+        return float.__repr__(doc)
+    return json.dumps(doc)
 
 
 def _fmt_float(v: float) -> str:

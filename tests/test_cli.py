@@ -749,12 +749,27 @@ class TestJsonWriter:
         {"a": [1], "b": 2.5, "c": None, "d": True, "e": False, "f": -0.0, "g": 10**30, "h": "s"},
         {"a": [1], "b": _Int(3), "c": _Float(0.5), "d": _Str("t"), "e": math.inf, "f": math.nan},
         [[1], -math.inf, 1e-320, 7, None, True, "u", _Float(-2.0)],
+        # NaN and the infinities below the top level
+        {"a": {"b": [math.nan, math.inf]}, "c": [[-math.inf, _Float(math.nan)]]},
+        [{"a": [1, {"b": _Float(math.inf)}]}, (math.nan,)],
     ))
     def test_subclasses_and_inline_scalars(self, doc):
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
-    @pytest.mark.skipif(json.encoder.c_make_encoder is None or sys.version_info >= (3, 13),
-                        reason="the writer is json.dumps itself here")
+    @pytest.mark.parametrize("doc", (
+        # a member that JSON cannot encode, in an all-scalar container and in a mixed one
+        {"a": Fraction(1, 2)},
+        [1, "x", {2, 3}],
+        {"a": [1], "b": {"c": Fraction(1, 2)}},
+        [{"a": 1}, [None, {4}]],
+    ))
+    def test_unencodable_member_raises_as_dumps_does(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(doc)
+        assert str(got.value) == str(want.value)
+
     def test_json_commands_skip_pure_python_encoder(self, capsys, monkeypatch):
         calls = []
         real = json.encoder._make_iterencode
@@ -764,8 +779,9 @@ class TestJsonWriter:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
-        json.dumps({"rows": [1]}, indent=2)
-        assert calls == [1]  # the count sees json.dumps's own route
+        if json.encoder.c_make_encoder is None or sys.version_info < (3, 13):  # json indents in Python
+            json.dumps({"rows": [1]}, indent=2)
+            assert calls == [1]  # the count sees json.dumps's own indented route
         calls.clear()
         for argv in (["eval", "legendre", "n=3", "--grid=-1:1:5", "--json"],
                      ["verify", "--id", "I39", "--mode", "exact", "--json"],
