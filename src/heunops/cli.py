@@ -254,9 +254,7 @@ def _eval_values(name: str, params: dict, exact: bool, grid: Grid | None) -> lis
         ratios = specfun.kernel_ratios(name, _int(params, "n"), grid)
         return [Fraction(a, b) for a, b in ratios] if exact else [a / b for a, b in ratios]
     elif name == "K":
-        n, j, d = _int(params, "n"), _int(params, "j", default=0), grid.den
-        # a negative point is passed exact, so that one that rounds to -0.0 is rejected too
-        return [specfun.szasz_K(n, j, u / d if u >= 0 else Fraction(u, d)) for u in grid.numerators()]
+        return specfun.szasz_K_values(_int(params, "n"), _int(params, "j", default=0), grid)
     elif name == "bspline":
         knots = [parse_number("knot", tok) for tok in str(params.get("knots", "")).split(";") if tok]
         if not knots:

@@ -65,13 +65,15 @@ def parse_number(name: str, value, kind=Fraction):
         raise DomainError(f"cannot parse {name}={value!r} as {what}") from exc
 
 
-def check_point(x) -> None:
-    """Reject a point that is not an int, ``Fraction`` or float (a bool
-    included), and a NaN or infinite one: no function has a value there."""
+def check_point(x):
+    """``x``, after rejecting a point that is not an int, ``Fraction`` or
+    float (a bool included), and a NaN or infinite one: no function has a
+    value there."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
         raise DomainError(f"point x = {x!r} is not an int, Fraction or float")
     if isinstance(x, float) and not math.isfinite(x):
         raise NonFinite(f"point x = {x} is not finite")
+    return x
 
 
 def _frozen(message: str) -> Exception:

@@ -48,24 +48,26 @@ runs integer Horner on the polynomial's integer form and rounds once.  A
 prefix that is too short is replaced by a longer one, so a grid runs its
 recurrence once; the Taylor coefficients of K_n are kept per ``n``, grown
 as they are asked for.  Every float sum of the three families, values and
-derivatives, is one loop over the record's float prefix
-(:func:`_float_sum`).  Exact values of P_n at a rational point run over the
-integers, as does the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
+derivatives, is one grid loop over the record's float prefix
+(:func:`_float_sums`), whose one-point case serves the point functions.
+Exact values of P_n at a rational point run over the integers, as does
+the polynomial P_n, an explicit sum (DLMF §18.5(iv)).
 Every point function rejects a point that is not an int, ``Fraction`` or
 float, and a NaN or infinite one.
 
-The table functions :func:`series_values` and :func:`legendre_values` take
-a :class:`~heunops.exactalg.Grid`, the points (A + i S)/D over one
-denominator, and give each value as its single-point function rounds it,
-raising as it does at the first point that fails.  A series record is
-looked up once per grid.  Terminating series and P_n run Horner's rule
-over the grid's integer numerators (:meth:`Poly.rounded_on_grid`), but P_n
-at one point runs its recurrence; a non-terminating series sums at each
-point's float.  F, U, J and G have one table, :func:`kernel_ratios`: the
-exact value at each grid point as a ratio of two integers, whose binomial
-squares are built once per table.
-A ``Fraction`` of the ratio is an exact row, one division of its two
-integers a float row, and :func:`kernel_sum` is its one-point case.
+The table functions :func:`series_values`, :func:`legendre_values` and
+:func:`szasz_K_values` take a :class:`~heunops.exactalg.Grid`, the points
+(A + i S)/D over one denominator, and give each value as its single-point
+function rounds it, raising as it does at the first point that fails.  A
+series record is looked up once per grid.  Terminating series and P_n run
+Horner's rule over the grid's integer numerators
+(:meth:`Poly.rounded_on_grid`), but P_n at one point runs its recurrence; a
+non-terminating series is summed over the points' floats in one loop.  F,
+U, J and G have one table, :func:`kernel_ratios`: the exact value at each
+grid point as a ratio of two integers, whose binomial squares are built
+once per table.  A ``Fraction`` of the ratio is an exact row, one division
+of its two integers a float row; :func:`kernel_sum` is its one-point case,
+as :func:`szasz_K` is that of :func:`szasz_K_values`.
 
 The three parameter sets, ``SeriesResult`` and ``QuadratureRule`` are
 immutable value types (:class:`heunops.exactalg.Frozen`); a parameter
@@ -77,7 +79,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -530,6 +532,7 @@ class _Series:
         self._scale, self._equation = ode(params)
         # keyed by ``exact``; a prefix is replaced, never grown in place
         self.prefixes: dict[bool, tuple] = {True: (Fraction(1),), False: (1.0,)}
+        self._deriv_terms, self._bounded = (0.0,), 0  # read by float_terms
 
     @cached_property
     def recurrence(self) -> tuple:
@@ -558,6 +561,19 @@ class _Series:
             prefix += tuple(itertools.islice(self._rest(exact), count - len(prefix)))
             self.prefixes[exact] = prefix
         return prefix
+
+    def float_terms(self, count: int, deriv: bool) -> tuple[tuple, int]:
+        """The float prefix at least ``count`` long, as k c_k when ``deriv``,
+        and the number of its leading coefficients at most 1e280 in
+        magnitude (NaN is not), each compared once."""
+        coeffs = self.prefix(count, False)
+        k, n, terms = self._bounded, len(coeffs), self._deriv_terms
+        while k < n and abs(coeffs[k]) <= 1e280:
+            k += 1
+        self._bounded = k
+        if deriv and len(terms) < n:
+            terms = self._deriv_terms = terms + tuple(i * coeffs[i] for i in range(len(terms), n))
+        return terms if deriv else coeffs, k
 
     @cached_property
     def poly(self) -> Poly | None:
@@ -633,14 +649,14 @@ def series_values(params, grid: Grid) -> list[SeriesResult]:
     :func:`hyp2f1` gives it at that rational point, with the same checks
     and exceptions at the first point that fails them.  The record of
     ``params`` is looked up once: a terminating series is evaluated on the
-    grid's integer form (:meth:`Poly.rounded_on_grid`), any other summed at
-    each point's float."""
+    grid's integer form (:meth:`Poly.rounded_on_grid`), any other summed
+    over the points' floats by :func:`_float_sums`."""
     series = _series(params)
     p = series.poly
     if p is not None:
         terms = len(p.integer_form[0])
         return [SeriesResult(v, terms, True, 0.0) for v in p.rounded_on_grid(grid)]
-    return [_float_sum(series, xf, False) for xf in grid.floats()]
+    return _float_sums(series, grid.floats(), False)
 
 
 def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
@@ -650,51 +666,48 @@ def _point_value(series: _Series, x: Scalar, deriv: bool) -> SeriesResult:
     p = series.poly
     if p is not None:
         return SeriesResult((series.deriv if deriv else p).rounded(x), len(p.coeffs), True, 0.0)
-    return _float_sum(series, float(x), deriv)
+    return _float_sums(series, (float(x),), deriv)[0]
 
 
-def _float_sum(series: _Series, xf: float, deriv: bool) -> SeriesResult:
-    """Sum the terms c_k x^k (k c_k x^(k-1) when ``deriv``) over the
-    record's float prefix, which grows by doubling, until three consecutive
-    terms fall below ``SERIES_TOL`` times the partial sum.  A point outside
-    the disk of convergence raises :class:`DivergentSeries`.
-
-    x^k (x^(k-1) when ``deriv``) is kept as a running power.  A coefficient
-    above 1e280 is rejected, since its term would overflow, and so is a NaN
-    one.  The tail estimate continues the last term geometrically with |x|
-    over the radius of convergence (capped at 0.999).
-    """
-    if abs(xf) >= series.radius:
-        raise DivergentSeries(f"|x| >= {series.radius}: outside the disk of the non-terminating "
-                              f"{series.name} series")
-    s = 0.0
-    xpow = 1.0  # x^(k-1) when deriv else x^k
-    small = 0
-    tol = SERIES_TOL  # a local, read once per term
-    coeffs: tuple = ()
-    for k in range(MAX_TERMS):
-        if k == len(coeffs):
-            coeffs = series.prefix(min(2 * k + 32, MAX_TERMS), False)
-        c = coeffs[k]
-        if not abs(c) <= 1e280:  # NaN too
-            raise _overflow(series, k, c, xf)
-        if not deriv:
-            t = c * xpow
-            xpow *= xf
-        elif k:
-            t = k * c * xpow
-            xpow *= xf
-        else:
-            t = 0.0
-        s += t
-        if abs(t) <= tol * abs(s):
-            small += 1
-            if small == 3:
-                r = min(abs(xf) / series.radius, 0.999)
-                return SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r))
-        else:
-            small = 0
-    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
+def _float_sums(series: _Series, xfs: Iterable[float], deriv: bool) -> list[SeriesResult]:
+    """At each point of ``xfs`` in turn, sum c_k x^k (k c_k x^(k-1) when
+    ``deriv``, whose term k = 0 counts as small), the power kept as a
+    running one, until three terms in a row fall below ``SERIES_TOL`` times
+    the sum.  The first point outside the disk of convergence, or whose
+    sum meets a NaN coefficient or one above 1e280 (its term would
+    overflow), raises :class:`DivergentSeries`.  The float prefix is
+    fetched once per call and grown by half only when a point needs more.
+    The tail estimate continues the last term geometrically with |x| over
+    the radius of convergence (capped at 0.999)."""
+    radius, tol, out = series.radius, SERIES_TOL, []
+    terms, bounded = series.float_terms(min(32, MAX_TERMS), deriv)
+    for xf in xfs:
+        if abs(xf) >= radius:
+            raise DivergentSeries(f"|x| >= {radius}: outside the disk of the non-terminating "
+                                  f"{series.name} series")
+        s, xpow, k, small = 0.0, 1.0, int(deriv), int(deriv)
+        while small < 3:
+            stop = min(bounded, MAX_TERMS)
+            for k in range(k, stop):
+                t = terms[k] * xpow
+                xpow *= xf
+                s += t
+                if abs(t) <= tol * abs(s):
+                    small += 1
+                    if small == 3:
+                        break
+                else:
+                    small = 0
+            else:  # the run ended unconverged at k = stop
+                if stop == MAX_TERMS:
+                    raise DivergentSeries(f"no convergence within {MAX_TERMS} terms")
+                if bounded < len(terms):
+                    raise _overflow(series, stop, series.prefixes[False][stop], xf)
+                terms, bounded = series.float_terms(min(stop + stop // 2, MAX_TERMS), deriv)
+                k = stop
+        r = min(abs(xf) / radius, 0.999)
+        out.append(SeriesResult(s, k + 1, False, abs(t) * r / (1.0 - r)))
+    return out
 
 
 def _overflow(series: _Series, k: int, c: float, xf: float = 0.0) -> DivergentSeries:
@@ -719,42 +732,6 @@ def f_poly(n: int) -> Poly:
     if n < 0:
         raise IndexOutOfRange("degree index must be non-negative")
     return binary_form([comb(n, k) ** 2 for k in range(n + 1)], E2, Poly.of(1, -2, 1), n)
-
-
-def _squared_weight_sums(w: float, c: float, m: int, b: int, n: int, tol: float,
-                         deriv: bool = False) -> tuple[float, float | None]:
-    """``(sum w_k^2, sum 2n w_k (w_{k-1} - w_k))`` over w_0 = ``w``,
-    w_{k+1} = w_k c (m + b k)/(k + 1) and w_{-1} = 0: negative-binomial
-    weights for b = 1, Poisson weights (and K_n') for b = 0.  The integer
-    m + b k keeps the rounding of each ratio from drifting along the pass.
-    The second sum is accumulated only with ``deriv``, else it is None.
-
-    The pass stops once three squares in a row are at most ``tol`` times
-    the first sum; leading squares that underflow to 0 come before the
-    peak and are not counted.  A first weight that is not a normal float
-    raises :class:`DomainError`, a sum still running after ``MAX_TERMS``
-    weights :class:`DivergentSeries`.
-    """
-    if not w >= sys.float_info.min:
-        raise DomainError(f"first weight {w!r} of the squared-weight sum is not a normal float")
-    s0 = w_prev = 0.0
-    s1 = 0.0 if deriv else None
-    small = 0
-    for k in range(MAX_TERMS):
-        sq = w * w
-        s0 += sq
-        if deriv:
-            s1 += 2 * n * w * (w_prev - w)
-            w_prev = w
-        if sq <= tol * s0:
-            if s0:  # while s0 = 0 every square so far has underflowed
-                small += 1
-                if small == 3:
-                    return s0, s1
-        else:
-            small = 0
-        w = w * (c * (m + b * k)) / (k + 1)
-    raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
 def kernel_ratios(kind: str, n: int, grid: Grid) -> list[tuple[int, int]]:
@@ -819,12 +796,15 @@ def kernel_sum(kind: str, n: int, x: Scalar):
 
 def g_weight_sum(n: int, x: Scalar) -> float:
     """G_n(x) by its definition, the float sum of the squared negative-binomial
-    weights w_0 = (1-p)^n, w_{k+1} = w_k p (n+k)/(k+1), p = x/(1+x), by
-    :func:`_squared_weight_sums`: the route of identity (3.4) that is
-    independent of its closed form.  Past their peak the squares fall by a
-    ratio near p^2, so the stop compares them with ``SERIES_TOL``/(1+x).  A
-    first weight that is not a normal float raises :class:`DomainError`,
-    weights that peak past ``MAX_TERMS`` :class:`DivergentSeries`.
+    weights w_0 = (1-p)^n, w_{k+1} = w_k p (n+k)/(k+1), p = x/(1+x): the
+    route of identity (3.4) that is independent of its closed form.  The
+    integer n + k keeps the rounding of each ratio from drifting.  Past
+    their peak the squares fall by a ratio near p^2, so the pass stops once
+    three squares in a row are at most ``SERIES_TOL``/(1+x) times the sum;
+    leading squares that underflow to 0 come before the peak and are not
+    counted.  A first weight that is not a normal float raises
+    :class:`DomainError`, weights that peak past ``MAX_TERMS``
+    :class:`DivergentSeries`.
     """
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
@@ -833,7 +813,21 @@ def g_weight_sum(n: int, x: Scalar) -> float:
         raise DomainError("G is evaluated on x >= 0 only")
     xf = float(x)
     p = xf / (1 + xf)
-    return _squared_weight_sums((1 - p) ** n, p, n, 1, n, SERIES_TOL * (1 - p))[0]
+    w, tol, s0, small = (1 - p) ** n, SERIES_TOL * (1 - p), 0.0, 0
+    if not w >= sys.float_info.min:
+        raise DomainError(f"first weight {w!r} of the squared-weight sum is not a normal float")
+    for k in range(MAX_TERMS):
+        sq = w * w
+        s0 += sq
+        if sq <= tol * s0:
+            if s0:  # while s0 = 0 every square so far has underflowed
+                small += 1
+                if small == 3:
+                    return s0
+        else:
+            small = 0
+        w = w * (p * (n + k)) / (k + 1)
+    raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -886,12 +880,20 @@ def _kn_taylor_coeff(n: int, m: int) -> Fraction:
     return acc
 
 
-#: largest n x at which :func:`szasz_K` sums its series; exp(-709) is subnormal
+#: largest n x at which K is summed; exp(-709) is subnormal
 KN_MAX_NX = 708
 
 
 def szasz_K(n: int, j: int, x: Scalar) -> float:
-    """j-th derivative of the squared Poisson-weight sum at x >= 0.
+    """j-th derivative of the squared Poisson-weight sum at x >= 0, the
+    one-point case of :func:`szasz_K_values`."""
+    return _k_values(n, j, map(check_point, (x,)))[0]  # x is checked after n and j
+
+
+def szasz_K_values(n: int, j: int, grid: Grid) -> list[float]:
+    """j-th derivative of the squared Poisson-weight sum at each point of
+    ``grid``, raising at the first point that is negative (an exact test
+    on its numerator) or has n x > ``KN_MAX_NX``.
 
     j = 0 sums the defining series; j = 1 sums its termwise derivative;
     higher orders climb the second-order derivative ladder
@@ -899,35 +901,58 @@ def szasz_K(n: int, j: int, x: Scalar) -> float:
         x K^(m) = -(4nx + m - 1) K^(m-1) - 2n(2m - 3) K^(m-2),
 
     which avoids the cancellation of repeated termwise differentiation.
-    At x = 0 the exact closed form is used.  Both seeds come from one
-    :func:`_squared_weight_sums` pass over the Poisson weights, whose first
-    is exp(-nx); n x must stay at most ``KN_MAX_NX``, where it is still a
-    normal float, and a larger n x is rejected.
-    """
+    At x = 0 the exact closed form is used.  Both seeds come from one pass
+    over the Poisson weights w_0 = exp(-nx), a normal float for n x at most
+    ``KN_MAX_NX``, and w_{k+1} = w_k n x/(k + 1), which sums w_k^2 and, for
+    j >= 1, 2n w_k (w_{k-1} - w_k), and stops as :func:`g_weight_sum`'s."""
+    d = grid.den
+    # a negative numerator stands for its point, rejected even if it rounds to -0.0
+    return _k_values(n, j, (u / d if u >= 0 else u for u in grid.numerators()))
+
+
+def _k_values(n: int, j: int, xs: Iterable[Scalar]) -> list[float]:
+    """:func:`szasz_K_values` at each point of ``xs``, read once n and j are checked."""
     if n < 0:
         raise IndexOutOfRange("family index must be non-negative")
     if j < 0:
         raise IndexOutOfRange("derivative order must be non-negative")
     if j > 16:
         raise DomainError("derivative ladder supported for j <= 16")
-    check_point(x)
-    if x < 0:
-        raise DomainError("K is evaluated on x >= 0 only")
-    xf = float(x)
-    if xf == 0.0:
-        return float(kn_deriv_zero(n, j))
-    if n * xf > KN_MAX_NX:
-        raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {n * xf}")
-
-    k0, k1 = _squared_weight_sums(math.exp(-n * xf), n * xf, 1, 0, n, SERIES_TOL, deriv=j >= 1)
-    if j == 0:
-        return k0
-    if j == 1:
-        return k1
-    lower, upper = k0, k1
-    for m in range(2, j + 1):
-        lower, upper = upper, -((4 * n * xf + m - 1) * upper + 2 * n * (2 * m - 3) * lower) / xf
-    return upper
+    tol, n2, out, at_zero = SERIES_TOL, 2 * n, [], None
+    for x in xs:
+        if x < 0:
+            raise DomainError("K is evaluated on x >= 0 only")
+        xf = float(x)
+        if xf == 0.0:
+            if at_zero is None:
+                at_zero = float(kn_deriv_zero(n, j))
+            out.append(at_zero)
+            continue
+        c = n * xf
+        if c > KN_MAX_NX:
+            raise DomainError(f"K needs n*x <= {KN_MAX_NX}, where exp(-n*x) is a normal float; got {c}")
+        w, s0, s1, w_prev, small = math.exp(-c), 0.0, 0.0, 0.0, 0
+        for k in range(MAX_TERMS):
+            sq = w * w
+            s0 += sq
+            if j:
+                s1 += n2 * w * (w_prev - w)
+                w_prev = w
+            if sq <= tol * s0:
+                if s0:  # while s0 = 0 every square so far has underflowed
+                    small += 1
+                    if small == 3:
+                        break
+            else:
+                small = 0
+            w = w * c / (k + 1)
+        else:
+            raise DivergentSeries(f"squared-weight sum did not converge within {MAX_TERMS} terms")
+        lower, upper = s0, s1
+        for m in range(2, j + 1):
+            lower, upper = upper, -((4 * n * xf + m - 1) * upper + 2 * n * (2 * m - 3) * lower) / xf
+        out.append(upper if j else s0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,16 @@ class TestEval:
             assert code == 2 and out == ""
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("grid, message", (
+        ("-1e-400:0:2", "K is evaluated on x >= 0 only"),  # the first point rounds to -0.0
+        ("1:-1:3", "K is evaluated on x >= 0 only"),
+        ("0:800:3", "K needs n*x <= 708, where exp(-n*x) is a normal float; got 800.0"),
+    ), ids=("negative-zero", "negative", "nx"))
+    def test_k_grid_point_outside_domain_is_usage_error(self, capsys, grid, message):
+        code, out, err = run(capsys, "eval", "K", "n=1", "j=0", f"--grid={grid}")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_grid_tokens_after_double_dash_are_left_alone(self):
         assert cli._join_grid_values(["eval", "F", "--grid", "-1:1:3", "--", "--grid", "-2"]) == [
             "eval", "F", "--grid=-1:1:3", "--", "--grid", "-2"]
@@ -1005,6 +1015,23 @@ class TestBuildOnce:
         code, out, _ = run(capsys, "eval", *argv)
         assert code == 0 and len(out.splitlines()) == lines
         assert calls == {"heun_local": 0, "confluent_heun": 0, "hyp2f1": 0, "series_values": 1}
+
+    @pytest.mark.parametrize("argv, lines", (
+        (["n=2", "j=1", "--grid=0:2:101"], 102),
+        (["n=4", "j=3", "--grid", "0:15/8:101", "--json"], 101 * 4 + 11),
+        (["n=1", "x=1/3"], 1),
+    ), ids=("j1", "ladder-json", "point"))
+    def test_k_grid_is_one_library_call(self, capsys, monkeypatch, argv, lines):
+        # every K table, one point included, is one szasz_K_values call
+        calls = {"szasz_K": 0, "szasz_K_values": 0}
+        for name in calls:
+            def count(*args, name=name, real=getattr(specfun, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(specfun, name, count)
+        code, out, _ = run(capsys, "eval", "K", *argv)
+        assert code == 0 and len(out.splitlines()) == lines
+        assert calls == {"szasz_K": 0, "szasz_K_values": 1}
 
     def test_gauss_grid_builds_parameter_set_once(self, capsys, monkeypatch):
         built = []

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heunops import specfun
@@ -31,7 +32,7 @@ from heunops.errors import (
     NonFinite,
     NotExact,
 )
-from heunops.exactalg import Grid, Poly
+from heunops.exactalg import Grid, Poly, check_point
 from heunops.specfun import (
     ConfluentHeunParams,
     GaussParams,
@@ -62,6 +63,7 @@ from heunops.specfun import (
     periodic_trapezoid,
     quadrature,
     szasz_K,
+    szasz_K_values,
 )
 
 from test_exactalg import grids
@@ -994,6 +996,69 @@ def test_table_raises_as_its_first_failing_point(name):
     assert type(exc.value) is kind and str(exc.value) == message
 
 
+@st.composite
+def k_tables(draw):
+    """``(n, j, grid)``: n <= 40, 0 <= j <= 16 and a grid of points x >= 0
+    with n x <= 708, subnormal points on a denominator of 2^1074."""
+    n, j = draw(st.integers(0, 40)), draw(st.integers(0, 16))
+    grid = draw(st.one_of(grids(0, F(708, max(n, 1)), max_count=8, max_den=10**6),
+                          st.builds(Grid, st.integers(0, 3), st.integers(0, 5), st.just(2**1074),
+                                    st.integers(1, 6))))
+    return n, j, grid
+
+
+def _szasz_K_per_point(n, j, x):
+    """K^(j) at one point as it was summed before K had a table: its own
+    checks and its own Poisson pass, a copy kept as the bit-for-bit
+    reference of szasz_K_values."""
+    if n < 0:
+        raise IndexOutOfRange("family index must be non-negative")
+    if j < 0:
+        raise IndexOutOfRange("derivative order must be non-negative")
+    if j > 16:
+        raise DomainError("derivative ladder supported for j <= 16")
+    check_point(x)
+    if x < 0:
+        raise DomainError("K is evaluated on x >= 0 only")
+    xf = float(x)
+    if xf == 0.0:
+        return float(kn_deriv_zero(n, j))
+    if n * xf > 708:
+        raise DomainError(f"K needs n*x <= 708, where exp(-n*x) is a normal float; got {n * xf}")
+    w, c, m, b = math.exp(-n * xf), n * xf, 1, 0
+    s0 = s1 = w_prev = 0.0
+    small = 0
+    for k in range(specfun.MAX_TERMS):
+        sq = w * w
+        s0 += sq
+        if j >= 1:
+            s1 += 2 * n * w * (w_prev - w)
+            w_prev = w
+        if sq <= specfun.SERIES_TOL * s0:
+            if s0:
+                small += 1
+                if small == 3:
+                    break
+        else:
+            small = 0
+        w = w * (c * (m + b * k)) / (k + 1)
+    else:
+        raise DivergentSeries(f"squared-weight sum did not converge within {specfun.MAX_TERMS} terms")
+    if j == 0:
+        return s0
+    lower, upper = s0, s1
+    for m in range(2, j + 1):
+        lower, upper = upper, -((4 * n * xf + m - 1) * upper + 2 * n * (2 * m - 3) * lower) / xf
+    return upper
+
+
+def _k_table_per_point(n, j, grid):
+    """An ``eval K`` table as it was built, one point at a time, a negative
+    point passed exact so that one that rounds to -0.0 is rejected too."""
+    d = grid.den
+    return [_szasz_K_per_point(n, j, u / d if u >= 0 else F(u, d)) for u in grid.numerators()]
+
+
 class TestSzaszK:
     def test_value_at_zero(self):
         # the closed form at x = 0 holds for any n, past the n x bound too
@@ -1069,6 +1134,51 @@ class TestSzaszK:
             szasz_K(-1, 0, 0.5)
         with pytest.raises(IndexOutOfRange):
             szasz_K(-1, 2, 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k_tables())
+    @example((3, 2, Grid(0, 1, 4, 5)))  # x = 0 first
+    @example((40, 16, Grid(0, 1, 2**1074, 4)))  # x = 0, then subnormal points
+    @example((7, 1, Grid(0, 1, 1, 102)))  # up to n x = 707
+    def test_table_equals_per_point_reference(self, case):
+        n, j, grid = case
+        got = _outcome(lambda: [v.hex() for v in szasz_K_values(n, j, grid)])
+        assert got == _outcome(lambda: [v.hex() for v in _k_table_per_point(n, j, grid)])
+        assert isinstance(got, list) and len(got) == grid.count
+        assert got == [szasz_K(n, j, x).hex() for x in grid.fractions()]
+
+    @pytest.mark.parametrize("n, j, grid, kind, message", (
+        (-1, 0, Grid(-1, 1, 1, 3), IndexOutOfRange, "family index must be non-negative"),
+        (1, -1, Grid(1000, 1, 1, 2), IndexOutOfRange, "derivative order must be non-negative"),
+        (1, 17, Grid(-1, 2000, 1, 2), DomainError, "derivative ladder supported for j <= 16"),
+        # the grid -1e-400:0:2 of the CLI: the first point rounds to -0.0
+        (1, 0, Grid(-1, 1, 10**400, 2), DomainError, "K is evaluated on x >= 0 only"),
+        (2, 3, Grid(2, -1, 4, 4), DomainError, "K is evaluated on x >= 0 only"),  # 1/2, 1/4, 0, -1/4
+        (1, 0, Grid(0, 400, 1, 3), DomainError,
+         "K needs n*x <= 708, where exp(-n*x) is a normal float; got 800.0"),
+        (3, 1, Grid(300, -400, 1, 3), DomainError,  # 300 fails before -100
+         "K needs n*x <= 708, where exp(-n*x) is a normal float; got 900.0"),
+    ), ids=("n", "j-negative", "j-above-16", "negative-zero", "negative", "nx", "nx-first"))
+    def test_table_raises_as_per_point_reference(self, n, j, grid, kind, message):
+        want = (kind, message)
+        assert _outcome(szasz_K_values, n, j, grid) == want
+        assert _outcome(_k_table_per_point, n, j, grid) == want
+
+    @pytest.mark.parametrize("n", (1, 3, 40))
+    def test_table_against_bessel_oracle(self, n):
+        # independent oracle at 50 digits: K_n = e^(-2nx) I_0(2nx) and
+        # K_n' = 2n e^(-2nx) (I_1 - I_0)(2nx), at n x from 1/8 to 704.
+        # K_n' is within 1e-13 up to n x = 100; past that its error grows
+        # as about 8e-16 n x (5.9e-13 at n x = 708), and so does the bound
+        grid = Grid(1, 88, 8 * n, 65)
+        k0, k1 = szasz_K_values(n, 0, grid), szasz_K_values(n, 1, grid)
+        with mpmath.workdps(50):
+            for x, got0, got1 in zip(grid.fractions(), k0, k1):
+                z = 2 * n * mpmath.mpf(x.numerator) / x.denominator
+                i0, i1 = mpmath.besseli(0, z), mpmath.besseli(1, z)
+                want0, want1 = mpmath.exp(-z) * i0, 2 * n * mpmath.exp(-z) * (i1 - i0)
+                assert abs(got0 - want0) <= 1e-13 * abs(want0)
+                assert abs(got1 - want1) <= 1e-13 * max(1, n * x / 100) * abs(want1)
 
 
 def _kn_taylor_fresh(n, count):
@@ -1502,6 +1612,23 @@ def _two_stage_sum(record, xf, tol, deriv):
     raise DivergentSeries(f"no convergence within {specfun.MAX_TERMS} terms")
 
 
+def _float_sum(record, xf, deriv):
+    """The one-point case of the grid loop, as the point functions call it."""
+    return specfun._float_sums(record, (xf,), deriv)[0]
+
+
+def _two_stage_points(record, xfs, deriv):
+    """The two-stage sum at each point in turn, after the disk check that
+    the loop makes first; the first point that fails raises."""
+    out = []
+    for xf in xfs:
+        if abs(xf) >= record.radius:
+            raise DivergentSeries(f"|x| >= {record.radius}: outside the disk of the non-terminating "
+                                  f"{record.name} series")
+        out.append(_two_stage_sum(record, xf, specfun.SERIES_TOL, deriv))
+    return out
+
+
 def _outcome(f, *args):
     """A result, or the type and message of the exception raised."""
     try:
@@ -1527,6 +1654,12 @@ def free_series_params(draw):
 
 
 _DIGEST_GRID = [F(i, 40) for i in range(-20, 21)]
+#: local Heun series whose gamma is just above -10, so that C_10 / s^2 nearly
+#: vanishes: c_0 ... c_10 are below 0.03 in magnitude, and c_11 is 5.8e287,
+#: past the 1e280 guard but a float, or NaN, beyond the float range
+_GUARD_HEUN = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), -10 + F(1, 10**290), 1)
+_NAN_HEUN = HeunParams(2, F(1, 2), F(1, 2), F(3, 2), -10 + F(1, 10**400), 1)
+_FREE_GAUSS = GaussParams(F(1, 2), F(3, 2), 2)
 _THIRDS_CONFLUENT = ConfluentHeunParams(F(1, 3), 2, 2, F(1, 2), F(-7, 5))
 
 
@@ -1559,8 +1692,42 @@ class TestFusedSum:
             for frac in fracs:
                 xf = frac * record.radius
                 for deriv in (False, True):
-                    assert (_outcome(specfun._float_sum, record, xf, deriv)
+                    assert (_outcome(_float_sum, record, xf, deriv)
                             == _outcome(_two_stage_sum, record, xf, specfun.SERIES_TOL, deriv))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(free_series_params(), heun_cases(), confluent_cases(), gauss_cases(),
+                     st.sampled_from((_GUARD_HEUN, _NAN_HEUN))),
+           st.lists(st.floats(-0.97, 0.97), min_size=1, max_size=6),
+           st.sampled_from([None, 0, 2, 5, 40]), st.booleans(), st.just(None))
+    # the third point needs a longer prefix than the first two
+    @example(_FREE_GAUSS, [0.1, -0.2, 0.95, 0.3], None, False, "longer prefix")
+    @example(_FREE_GAUSS, [0.1, -0.2, 0.95, 0.3], None, True, "longer prefix")
+    # a point in mid-grid fails: outside the disk, past the 1e280 guard, at
+    # a NaN coefficient, or unconverged; its neighbours alone converge
+    @example(_FREE_GAUSS, [0.1, 1.0, 0.2], None, False, r"^\|x\| >= 1\.0: outside the disk")
+    @example(_GUARD_HEUN, [1e-3, 0.5, 1e-3], None, False,
+             r"^coefficient overflow: \|c_11\| > 1e280 before the sum converged at \|x\| = 0\.5 ")
+    @example(_NAN_HEUN, [-1e-3, -0.5, 1e-3], None, True, r"^coefficient overflow: c_11 of the local Heun "
+                                                          r"series is nan in floats")
+    @example(_FREE_GAUSS, [0.1, 0.9, 0.1], 40, True, r"^no convergence within 40 terms$")
+    def test_grid_loop_equals_two_stage_sum_per_point(self, params, fracs, max_terms, deriv, expect):
+        specfun._series.cache_clear()
+        record = specfun._series(params)
+        xfs = [frac * record.radius for frac in fracs]
+        with pytest.MonkeyPatch.context() as mp:
+            if max_terms is not None:
+                mp.setattr(specfun, "MAX_TERMS", max_terms)
+            got = _outcome(specfun._float_sums, record, xfs, deriv)
+            want = _outcome(_two_stage_points, record, xfs, deriv)
+            singles = [_outcome(_float_sum, record, xf, deriv) for xf in xfs]
+        assert got == want
+        if expect == "longer prefix":
+            assert max(r.terms_used for r in got[:2]) <= 32 < got[2].terms_used
+        elif expect is not None:
+            assert got[0] is DivergentSeries and re.search(expect, got[1])
+            assert got == singles[1] and isinstance(singles[0], SeriesResult)
+            assert isinstance(singles[2], SeriesResult)
 
     @pytest.mark.parametrize("params, error", (
         (HeunParams(0.5, 1e200, 1.5, 2.0, 1.0, 1.0), "coefficient overflow"),
@@ -1574,7 +1741,7 @@ class TestFusedSum:
         # at 0.995 R the tail estimate's ratio is capped at 0.999
         for xf in (0.1 * record.radius, -0.9 * record.radius, 0.995 * record.radius):
             for deriv in (False, True):
-                got = _outcome(specfun._float_sum, record, xf, deriv)
+                got = _outcome(_float_sum, record, xf, deriv)
                 assert got == _outcome(_two_stage_sum, record, xf, specfun.SERIES_TOL, deriv)
                 if max_terms == 3:  # the Gauss sum needs more terms; the Heun ones overflow at k = 2
                     assert got[0] is DivergentSeries and error in got[1]
@@ -1586,7 +1753,7 @@ class TestFusedSum:
         monkeypatch.setattr(specfun, "MAX_TERMS", 2)
         record = specfun._series(HeunParams(0.5, 5e284, 1.5, 2.0, 1.0, 1.0))
         for deriv in (False, True):
-            got = _outcome(specfun._float_sum, record, 0.1, deriv)
+            got = _outcome(_float_sum, record, 0.1, deriv)
             assert got == _outcome(_two_stage_sum, record, 0.1, specfun.SERIES_TOL, deriv)
             assert got == (DivergentSeries, "coefficient overflow: |c_1| > 1e280 before the sum "
                                             "converged at |x| = 0.1 on a radius of 0.5")
